@@ -15,9 +15,7 @@ Tracked metrics are every ``*_per_sec`` figure in the baseline (rates,
 where higher is better; latencies and byte sizes are reported but never
 gated — they scale with ``--quick``'s shorter stream) plus the floor
 *ratios* in :data:`GATED_SUFFIXES` — ``shard_scaling.implied_speedup_at_s4``
-(the routed-ingest pipeline bottleneck vs the unsharded engine),
-``shard_scaling.routed_speedup_vs_broadcast`` (what routing the stream
-bought over broadcasting it), and
+(the routed-ingest pipeline bottleneck vs the unsharded engine) and
 ``ic_n1000_l1.speedup_vs_object_plane``.  Those live in sections whose
 raw sub-second rates are too noisy to gate, but the ratio is the signal:
 it cancels the machine speed and still catches a scaling or kernel
@@ -43,7 +41,6 @@ __all__ = ["collect_rates", "compare", "main"]
 GATED_SUFFIXES = (
     "_per_sec",
     "implied_speedup_at_s4",
-    "routed_speedup_vs_broadcast",
     "speedup_vs_object_plane",
 )
 

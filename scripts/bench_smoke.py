@@ -30,28 +30,21 @@ Reported figures:
   (asyncio server + line protocol + coalescing ingest loop) on the IC
   N=1000 workload, measured client-side through a ``sync`` barrier so the
   rate covers processing, not just transport;
-* ``service_ingest_sharded`` — the same socket workload with the write
-  plane split over 4 influencer-partitioned shard engines in forked
-  worker processes (``repro.sharding``) on the legacy *broadcast* ingest
-  (every shard consumes the whole stream), plus the speedup over the
-  single-shard rate.  On single-core runners (the report records
+* ``service_ingest_sharded_routed`` — the same socket workload with the
+  write plane split over 4 influencer-partitioned shard engines in forked
+  worker processes (``repro.sharding``): the facade resolves each slide
+  once and sends every shard only its owned influence records, so
+  per-shard work shrinks with S.  Reported with the speedup over the
+  single-shard rate; on single-core runners (the report records
   ``cpus``) the ratio mostly measures dispatch overhead — the parallel
   win needs >= 4 cores;
-* ``service_ingest_sharded_routed`` — the same sharded socket workload on
-  *routed* ingest: the facade resolves each slide once and sends every
-  shard only its owned influence records, so per-shard work shrinks with
-  S instead of replicating;
 * ``shard_scaling`` — the hardware-independent scaling witness for the
   routed ingest plane.  The unsharded engine is timed against the routed
   pipeline's two stages: the facade's resolve+partition pass (stream-
   global, runs once) and each shard's apply pass over only its routed
   records.  ``implied_speedup_at_s4`` = single seconds / max(resolver
   seconds, slowest shard apply seconds) — the pipeline bottleneck an
-  otherwise-idle 4-core machine would see, measurable even on 1 CPU.
-  The broadcast-era numbers (each shard consuming the full stream and
-  discarding unowned pairs) are kept under ``broadcast_*`` keys, and
-  ``routed_speedup_vs_broadcast`` is the gated ratio of the two
-  bottlenecks;
+  otherwise-idle 4-core machine would see, measurable even on 1 CPU;
 * ``chaos_recovery`` — the supervision-plane cost: a scripted SIGKILL of
   one process-backend shard mid-stream, reporting the time the in-place
   heal took (restore + WAL-tail replay + suffix redelivery), the degraded
@@ -386,15 +379,13 @@ def bench_service_ingest(stream, n_actions):
     }
 
 
-def bench_service_ingest_sharded(stream, n_actions, shards=4, routed=False):
+def bench_service_ingest_sharded(stream, n_actions, shards=4):
     """Socket ingest with the write plane sharded over worker processes.
 
     Identical client workload to :func:`bench_service_ingest`, but the
-    served engine is a ``ShardedEngine``.  With ``routed=False`` the
-    stream is broadcast to ``shards`` forked workers, each indexing only
-    its owned influencers; with ``routed=True`` the facade resolves each
-    slide once and ships every worker only its owned influence records.
-    Every slide publishes a merge-on-read answer board either way.
+    served engine is a ``ShardedEngine``: the facade resolves each slide
+    once and ships every forked worker only its owned influence records.
+    Every slide publishes a merge-on-read answer board.
     """
     from repro.service.client import ServiceClient
     from repro.service.config import ServiceConfig
@@ -408,7 +399,6 @@ def bench_service_ingest_sharded(stream, n_actions, shards=4, routed=False):
         ),
         shards,
         backend="process",
-        routed=routed,
     )
     config = ServiceConfig(
         port=0, slide=50, flush_interval=60.0, queue_capacity=8192,
@@ -426,7 +416,6 @@ def bench_service_ingest_sharded(stream, n_actions, shards=4, routed=False):
         "slide": 50,
         "shards": shards,
         "backend": "process",
-        "ingest": "routed" if routed else "broadcast",
         "seconds": round(elapsed, 3),
         "actions_per_sec": round(len(actions) / elapsed, 1),
         "slides": summary["slide"],
@@ -437,24 +426,17 @@ def bench_service_ingest_sharded(stream, n_actions, shards=4, routed=False):
 def bench_shard_scaling(stream, n_actions, shards=4):
     """Per-shard work reduction: the scaling witness that needs no cores.
 
-    Runs the unsharded IC engine over the stream, then both sharded
-    ingest planes on the same batches:
+    Runs the unsharded IC engine over the stream, then the sharded
+    ingest pipeline's two stages on the same batches: one facade pass
+    resolves each slide through the diffusion forest and partitions the
+    influence records by influencer owner, then each shard applies only
+    its routed share.  Resolver and shards pipeline, so the bottleneck is
+    ``max(resolver seconds, slowest shard apply seconds)`` and
+    ``implied_speedup_at_s4 = single seconds / bottleneck`` — the ingest
+    speedup S parallel workers would reach on idle cores, honest on any
+    machine, including single-CPU CI runners.
 
-    * **routed** (the default ingest): one facade pass resolves each
-      slide through the diffusion forest and partitions the influence
-      records by influencer owner, then each shard applies only its
-      routed share.  Resolver and shards pipeline, so the bottleneck is
-      ``max(resolver seconds, slowest shard apply seconds)`` and
-      ``implied_speedup_at_s4 = single seconds / bottleneck`` — the
-      ingest speedup S parallel workers would reach on idle cores,
-      honest on any machine, including single-CPU CI runners;
-    * **broadcast** (legacy): each shard engine standalone consumes the
-      *whole* stream and discards unowned pairs — full forest/window
-      bookkeeping replicated S times.  Kept under ``broadcast_*`` keys so
-      ``routed_speedup_vs_broadcast`` (the gated ratio of the two
-      bottlenecks) records what the routing redesign bought.
-
-    Both planes run the load-aware :class:`HeatPartitioner` (warmed on
+    The shards run the load-aware :class:`HeatPartitioner` (warmed on
     the measured stream's influence pairs) — per-shard work, not just the
     stream, is what must balance for the bottleneck to shrink with S.
 
@@ -463,9 +445,8 @@ def bench_shard_scaling(stream, n_actions, shards=4):
     replicated on every shard and caps the ratio) and the service plane's
     coalesced ``l50`` (20 checkpoints, where the oracle work dominates
     and partitions well).  The section's *top-level*
-    ``implied_speedup_at_s4``/``routed_speedup_vs_broadcast`` are the
-    ``l50`` figures — the regime the serving plane actually runs — and
-    are the gated witness of the routing redesign.
+    ``implied_speedup_at_s4`` is the ``l50`` figure — the regime the
+    serving plane actually runs — and is the gated witness.
     """
     from repro.core.resolve import SlideResolver, partition_slide
     from repro.sharding.partition import (
@@ -494,15 +475,7 @@ def bench_shard_scaling(stream, n_actions, shards=4):
             shards, influencer_heat(a for batch in batches for a in batch)
         )
 
-        # Broadcast: each shard standalone over the full stream.
-        broadcast_seconds = []
-        for shard in range(shards):
-            assignment = ShardAssignment(partitioner, shard)
-            elapsed, _framework = best_of(lambda: build(assignment))
-            broadcast_seconds.append(round(elapsed, 4))
-        broadcast_bottleneck = max(broadcast_seconds)
-
-        # Routed stage 1: the facade's resolve+partition pass.
+        # Stage 1: the facade's resolve+partition pass.
         resolver_elapsed = None
         routed_parts = None
         for _ in range(repeats):
@@ -516,7 +489,7 @@ def bench_shard_scaling(stream, n_actions, shards=4):
             if resolver_elapsed is None or elapsed < resolver_elapsed:
                 resolver_elapsed, routed_parts = elapsed, parts
 
-        # Routed stage 2: each shard applies only its routed records.
+        # Stage 2: each shard applies only its routed records.
         apply_seconds = []
         for shard in range(shards):
             best = None
@@ -542,14 +515,6 @@ def bench_shard_scaling(stream, n_actions, shards=4):
             "implied_speedup_at_s4": round(
                 single_elapsed / routed_bottleneck, 2
             ),
-            "broadcast_shard_seconds": broadcast_seconds,
-            "broadcast_max_shard_seconds": round(broadcast_bottleneck, 4),
-            "broadcast_implied_speedup": round(
-                single_elapsed / broadcast_bottleneck, 2
-            ),
-            "routed_speedup_vs_broadcast": round(
-                broadcast_bottleneck / routed_bottleneck, 2
-            ),
             "query_value": single.query().value,
         }
 
@@ -568,9 +533,6 @@ def bench_shard_scaling(stream, n_actions, shards=4):
     }
     # The canonical gated witness: the serving plane's coalesced regime.
     report["implied_speedup_at_s4"] = report["l50"]["implied_speedup_at_s4"]
-    report["routed_speedup_vs_broadcast"] = report["l50"][
-        "routed_speedup_vs_broadcast"
-    ]
     return report
 
 
@@ -712,11 +674,8 @@ def main(argv=None):
         "service_ingest": bench_service_ingest(
             stream, min(n_actions, len(stream))
         ),
-        "service_ingest_sharded": bench_service_ingest_sharded(
-            stream, min(n_actions, len(stream)), routed=False
-        ),
         "service_ingest_sharded_routed": bench_service_ingest_sharded(
-            stream, min(n_actions, len(stream)), routed=True
+            stream, min(n_actions, len(stream))
         ),
         "shard_scaling": bench_shard_scaling(
             stream, min(n_actions, len(stream))
@@ -728,12 +687,12 @@ def main(argv=None):
             stream, min(n_actions, len(stream))
         ),
     }
-    for section in ("service_ingest_sharded", "service_ingest_sharded_routed"):
-        report[section]["speedup_vs_single"] = round(
-            report[section]["actions_per_sec"]
-            / report["service_ingest"]["actions_per_sec"],
-            2,
-        )
+    routed = report["service_ingest_sharded_routed"]
+    routed["speedup_vs_single"] = round(
+        routed["actions_per_sec"]
+        / report["service_ingest"]["actions_per_sec"],
+        2,
+    )
     args.output.write_text(json.dumps(report, indent=2) + "\n")
 
     headline = report["ic_n1000_l1"]
@@ -757,10 +716,6 @@ def main(argv=None):
     service = report["service_ingest"]
     print(f"service socket ingest:   {service['actions_per_sec']:>10,.1f} actions/s "
           f"({service['actions']} actions, {service['slides']} slides)")
-    sharded = report["service_ingest_sharded"]
-    print(f"service ingest S=4 bcast:{sharded['actions_per_sec']:>10,.1f} actions/s "
-          f"({sharded['speedup_vs_single']}x vs single on {report['cpus']} cpu(s))")
-    routed = report["service_ingest_sharded_routed"]
     print(f"service ingest S=4 routed:{routed['actions_per_sec']:>9,.1f} actions/s "
           f"({routed['speedup_vs_single']}x vs single on {report['cpus']} cpu(s))")
     for regime in ("l1", "l50"):
@@ -768,8 +723,7 @@ def main(argv=None):
         print(f"shard work split {regime:>4}:   single "
               f"{scaling['single_seconds']}s, routed bottleneck "
               f"{scaling['routed_bottleneck_seconds']}s -> implied "
-              f"{scaling['implied_speedup_at_s4']}x on idle 4 cores "
-              f"({scaling['routed_speedup_vs_broadcast']}x vs broadcast)")
+              f"{scaling['implied_speedup_at_s4']}x on idle 4 cores")
     chaos = report["chaos_recovery"]
     print(f"chaos shard SIGKILL:     healed in {chaos['heal_seconds']}s "
           f"({chaos['restarts']} restart(s), degraded "

@@ -153,8 +153,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--shards",
         type=int,
         default=1,
-        help="partition influencers over this many shard engines and "
-        "merge answers on read (ic/sic only)",
+        help="partition influencers over this many shard engines: each "
+        "slide is resolved once and every shard applies only the influence "
+        "records it owns; answers merge on read (ic/sic only)",
     )
     track.add_argument(
         "--shard-backend",
@@ -274,7 +275,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         help="partition influencers over this many shard engines behind "
-        "the ingest loop; answers merge on read (ic/sic queries only)",
+        "the ingest loop: each slide is resolved once and every shard "
+        "applies only the influence records it owns; answers merge on read "
+        "(ic/sic queries only)",
     )
     serve.add_argument(
         "--shard-backend",
@@ -482,6 +485,55 @@ def _cmd_convert(args) -> int:
     return 0
 
 
+def _build_algorithm(options: dict, assignment):
+    """One query's framework from its option dict (see ``_query_specs``)."""
+    from repro.core.greedy import WindowedGreedy
+    from repro.core.ic import InfluentialCheckpoints
+    from repro.core.sic import SparseInfluentialCheckpoints
+
+    if options["algorithm"] == "sic":
+        return SparseInfluentialCheckpoints(
+            window_size=options["window"],
+            k=options["k"],
+            beta=options["beta"],
+            oracle=options["oracle"],
+            shared_index=options["shared_index"],
+            shard=assignment,
+        )
+    if options["algorithm"] == "ic":
+        return InfluentialCheckpoints(
+            window_size=options["window"],
+            k=options["k"],
+            beta=options["beta"],
+            oracle=options["oracle"],
+            shared_index=options["shared_index"],
+            checkpoint_interval=options["checkpoint_interval"],
+            shard=assignment,
+        )
+    return WindowedGreedy(window_size=options["window"], k=options["k"])
+
+
+def _query_specs(args, specs) -> list:
+    """``[(name, options)]`` for ``NAME=ALGO[,...]`` specs, shard-checked.
+
+    Unset keys fall back to the top-level track/serve flags in ``args``;
+    ``--shards`` refuses greedy queries here, once, for both commands.
+    """
+    parsed = [_parse_query_spec(spec, args) for spec in specs]
+    for _, options in parsed:
+        options["shared_index"] = args.shared_index
+    if args.shards > 1:
+        unshardable = sorted(
+            name for name, options in parsed if options["algorithm"] == "greedy"
+        )
+        if unshardable:
+            raise ValueError(
+                "--shards requires checkpoint algorithms (ic or sic); greedy "
+                f"has no shardable oracle plane: {unshardable}"
+            )
+    return parsed
+
+
 def _make_track_factory(args):
     """Framework constructor from track CLI arguments.
 
@@ -490,37 +542,8 @@ def _make_track_factory(args):
     ``RecoverableEngine.open`` (which calls it with no arguments) and the
     sharded plane (which builds one engine per shard).
     """
-    from repro.core.greedy import WindowedGreedy
-    from repro.core.ic import InfluentialCheckpoints
-    from repro.core.sic import SparseInfluentialCheckpoints
-
-    if args.shards > 1 and args.algorithm == "greedy":
-        raise ValueError(
-            "--shards requires a checkpoint algorithm (ic or sic); "
-            "greedy has no shardable oracle plane"
-        )
-    if args.algorithm == "sic":
-        return lambda assignment=None: SparseInfluentialCheckpoints(
-            window_size=args.window,
-            k=args.k,
-            beta=args.beta,
-            oracle=args.oracle,
-            shared_index=args.shared_index,
-            shard=assignment,
-        )
-    if args.algorithm == "ic":
-        return lambda assignment=None: InfluentialCheckpoints(
-            window_size=args.window,
-            k=args.k,
-            beta=args.beta,
-            oracle=args.oracle,
-            shared_index=args.shared_index,
-            checkpoint_interval=args.checkpoint_interval,
-            shard=assignment,
-        )
-    return lambda assignment=None: WindowedGreedy(
-        window_size=args.window, k=args.k
-    )
+    [(_, options)] = _query_specs(args, [f"main={args.algorithm}"])
+    return lambda assignment=None: _build_algorithm(options, assignment)
 
 
 def _open_engine(args, factory):
@@ -655,8 +678,8 @@ def _shard_routed_tuples(shard_dir) -> tuple:
 
     ``consumed_at_snapshot`` is the routed records the shard had absorbed
     when its newest snapshot was taken; the WAL numbers cover the
-    replayable tail beyond it (routed-tuple batches only — broadcast-era
-    action records in a mixed log are not counted here).
+    replayable tail beyond it (routed-tuple batches only — raw-action
+    records in a log migrated from format 1 are not counted here).
     """
     from repro.core.resolve import ResolvedSlide
     from repro.persistence.engine import StateStore
@@ -699,28 +722,27 @@ def _cmd_snapshot(args) -> int:
         # Inspection must not mkdir a state tree at a typoed path.
         raise PersistenceError(f"no state directory at {args.state_dir}")
     shard_dirs = list_shard_state_dirs(root)
-    manifest_path = root / "sharding.json"
-    if shard_dirs or manifest_path.exists():
+    if shard_dirs or (root / "sharding.json").exists():
         # A sharded root: recurse over the per-shard stores.  A crash can
         # leave this tree partial — a shard dir missing entirely, or with
         # a corrupt WAL tail — so every per-shard step reports unhealthy
         # state and continues instead of aborting the whole inspection.
+        from repro.sharding.engine import ShardedEngine
+
         expected = None
-        routed = False
-        if manifest_path.exists():
-            try:
-                manifest = json.loads(manifest_path.read_text())
-                expected = int(manifest["shards"])
-                routed = manifest.get("ingest") == "routed"
-                ingest = "routed" if routed else "broadcast"
-                print(
-                    f"sharded root   {root}  ({manifest['shards']} shards, "
-                    f"{ingest} ingest, partitioner "
-                    f"{_describe_partitioner(manifest['partitioner'])})"
-                )
-            except (ValueError, KeyError, TypeError) as error:
-                print(f"unhealthy      corrupt sharding.json: {error}")
-        if routed and args.snapshot_command == "info":
+        try:
+            manifest = ShardedEngine._read_manifest(root)
+        except PersistenceError as error:
+            manifest = None
+            print(f"unhealthy      {error}")
+        if manifest is not None:
+            expected = manifest["shards"]
+            print(
+                f"sharded root   {root}  ({expected} shards, manifest "
+                f"format {manifest['format']}, partitioner "
+                f"{_describe_partitioner(manifest['partitioner'])})"
+            )
+        if args.snapshot_command == "info":
             resolver_dir = root / "resolver"
             if resolver_dir.is_dir():
                 store = StateStore(resolver_dir)
@@ -734,7 +756,7 @@ def _cmd_snapshot(args) -> int:
                 finally:
                     store.close()
             else:
-                print("unhealthy      routed manifest but no resolver/ dir")
+                print("unhealthy      no resolver/ dir")
         if args.snapshot_command not in ("info", "prune"):
             example = shard_dirs[0] if shard_dirs else root / "shard-0"
             raise PersistenceError(
@@ -764,15 +786,14 @@ def _cmd_snapshot(args) -> int:
                             state_dir=str(shard_dir), snapshot_command="info"
                         )
                     )
-                    if routed:
-                        consumed, records, tuples = _shard_routed_tuples(
-                            shard_dir
-                        )
-                        print(
-                            f"routed tuples  {consumed:,} consumed at "
-                            f"snapshot + {tuples:,} in {records} WAL "
-                            "record(s)"
-                        )
+                    consumed, records, tuples = _shard_routed_tuples(
+                        shard_dir
+                    )
+                    print(
+                        f"routed tuples  {consumed:,} consumed at "
+                        f"snapshot + {tuples:,} in {records} WAL "
+                        "record(s)"
+                    )
                 else:
                     _prune_store(shard_dir, args.keep)
             except (PersistenceError, OSError) as error:
@@ -933,55 +954,18 @@ def _make_serve_factory(args):
     the assignment, so one shard's board covers exactly the influencers
     that shard owns.
     """
-    from repro.core.greedy import WindowedGreedy
-    from repro.core.ic import InfluentialCheckpoints
     from repro.core.multi import MultiQueryEngine
-    from repro.core.sic import SparseInfluentialCheckpoints
 
-    specs = [
-        _parse_query_spec(spec, args)
-        for spec in (args.query or [f"main={args.algorithm}"])
-    ]
+    specs = _query_specs(args, args.query or [f"main={args.algorithm}"])
     names = [name for name, _ in specs]
     duplicates = sorted({n for n in names if names.count(n) > 1})
     if duplicates:
         raise ValueError(f"duplicate --query names: {duplicates}")
-    if args.shards > 1:
-        unshardable = sorted(
-            name for name, options in specs if options["algorithm"] == "greedy"
-        )
-        if unshardable:
-            raise ValueError(
-                f"--shards requires checkpoint algorithms (ic or sic); "
-                f"greedy queries cannot be sharded: {unshardable}"
-            )
-
-    def build(options, assignment):
-        if options["algorithm"] == "sic":
-            return SparseInfluentialCheckpoints(
-                window_size=options["window"],
-                k=options["k"],
-                beta=options["beta"],
-                oracle=options["oracle"],
-                shared_index=args.shared_index,
-                shard=assignment,
-            )
-        if options["algorithm"] == "ic":
-            return InfluentialCheckpoints(
-                window_size=options["window"],
-                k=options["k"],
-                beta=options["beta"],
-                oracle=options["oracle"],
-                shared_index=args.shared_index,
-                checkpoint_interval=options["checkpoint_interval"],
-                shard=assignment,
-            )
-        return WindowedGreedy(window_size=options["window"], k=options["k"])
 
     def factory(assignment=None):
         engine = MultiQueryEngine()
         for name, options in specs:
-            engine.add(name, build(options, assignment))
+            engine.add(name, _build_algorithm(options, assignment))
         return engine
 
     return factory

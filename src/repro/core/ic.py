@@ -202,7 +202,7 @@ class InfluentialCheckpoints(SIMAlgorithm):
         # The routed apply path: records were resolved (and routed) at the
         # facade; the slide's global boundaries ride along so checkpoints
         # open at the same starts and the absorption ledger counts the
-        # same global L a broadcast engine would.  A ``routed`` slide
+        # same global L a raw-stream engine would.  A ``routed`` slide
         # promises facade-side narrowing (the sharded manifest pins the
         # partitioner identity), so re-projection — idempotent but paid
         # per influence pair — only guards direct unrouted callers.

@@ -200,9 +200,9 @@ class MultiQueryEngine:
         """Whether every registered query can absorb pre-resolved slides.
 
         Filtered queries observe raw actions (their predicates run on the
-        action, not its influence records), so a board holding any makes
-        routed ingest impossible; likewise any algorithm that keeps the
-        base-class refusal of ``_on_slide_resolved``.
+        action, not its influence records), so a board holding any cannot
+        be sharded; likewise any algorithm that keeps the base-class
+        refusal of ``_on_slide_resolved``.
         """
         if self._filtered:
             return False
@@ -225,7 +225,7 @@ class MultiQueryEngine:
             raise ValueError(
                 "filtered queries need raw actions and cannot run on "
                 f"routed (pre-resolved) slides: {sorted(self._filtered)}; "
-                "remove them or use broadcast ingest"
+                "run this board unsharded"
             )
         for algorithm in self._algorithms.values():
             algorithm.apply_resolved(resolved)

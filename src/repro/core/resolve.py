@@ -17,7 +17,8 @@ window slide's worth of resolved records plus the global slide
 boundaries (``start``/``last``/``count``) the apply side needs even when
 its projected record list is empty — a sharded checkpoint still opens at
 the slide's *global* start, and its absorption ledger still counts the
-*global* ``L``, so broadcast and routed ingest stay bit-identical.
+*global* ``L``, so a routed shard stays bit-identical to a standalone
+shard engine fed the raw stream.
 
 :class:`SlideResolver` is the standalone resolver the sharded facade
 runs: a diffusion forest plus a stream clock, with idempotent
@@ -316,7 +317,7 @@ class SlideResolver:
         below the resolver clock are redeliveries: their stored records
         are reused (or, when a retention horizon already pruned them,
         re-resolved — the chain may truncate, matching what a
-        retention-bounded broadcast engine would have produced).
+        retention-bounded single engine would have produced).
         """
         if not batch:
             return ResolvedSlide.empty()

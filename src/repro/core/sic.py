@@ -194,7 +194,7 @@ class SparseInfluentialCheckpoints(SIMAlgorithm):
     def _on_slide_resolved(self, resolved) -> None:
         # The routed apply path: see InfluentialCheckpoints; checkpoints
         # open at the slide's global start and the ledger counts the
-        # global L, so routed ≡ broadcast holds per slide.  ``routed``
+        # global L, so routed ≡ raw-stream holds per slide.  ``routed``
         # slides were already narrowed at the facade — skip the per-pair
         # defensive re-projection.
         records = (

@@ -122,35 +122,25 @@ def measure_footprint(
 def sharded_work(engine) -> dict:
     """Per-shard consumed-work accounting for a sharded engine.
 
-    The broadcast-era accounting reported every shard's ``actions`` as the
-    stream-global count — S shards looked like they did 1× work each when
-    they actually replicated the stream S times.  This reports what each
-    shard *consumed* in its own unit (the same unit ``/metrics`` and the
-    ``shard_scaling`` bench use): routed influence records in routed mode,
-    stream actions in broadcast mode — plus the replication factor, total
-    consumed work relative to the stream length (S in broadcast; typically
-    ~1 in routed mode, where a record is only duplicated when its
-    influencer chain spans shards).
+    Reports what each shard *consumed* — its routed influence records, the
+    same unit ``/metrics`` and the ``shard_scaling`` bench use — plus the
+    replication factor: total consumed work relative to the stream length
+    (typically ~1; a record is only duplicated when its influencer chain
+    spans shards).
 
     Args:
         engine: A :class:`~repro.sharding.engine.ShardedEngine`.
 
     Returns:
-        ``{"ingest", "stream_actions", "unit", "per_shard",
-        "total_consumed", "replication_factor"}``.
+        ``{"stream_actions", "unit", "per_shard", "total_consumed",
+        "replication_factor"}``.
     """
-    stats = engine.supervision_stats()
-    routed = stats.get("ingest") == "routed"
-    unit = "routed_records" if routed else "actions"
-    per_shard = [
-        int(state.get(unit) or 0) for state in stats["shards"]
-    ]
+    per_shard = engine.shard_routed_records
     stream_actions = int(engine.actions_processed)
     total = sum(per_shard)
     return {
-        "ingest": stats.get("ingest", "broadcast"),
         "stream_actions": stream_actions,
-        "unit": unit,
+        "unit": "routed_records",
         "per_shard": per_shard,
         "total_consumed": total,
         "replication_factor": (

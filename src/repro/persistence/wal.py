@@ -8,16 +8,16 @@ so a crash costs O(WAL tail) work instead of O(stream).
 Two record kinds share a log:
 
 * **Action records** ``{"seq": n, "actions": [[t, u, p], ...]}`` — raw
-  slide batches, written by broadcast/single-engine ingest
-  (:meth:`ActionWAL.append`).
+  slide batches, written by single-engine ingest and the sharded
+  facade's resolver (:meth:`ActionWAL.append`).
 * **Routed-slide records** ``{"seq": n, "slide": <ResolvedSlide wire>}``
-  — pre-resolved influence tuples routed to one shard, written by routed
+  — pre-resolved influence tuples routed to one shard, written by
   sharded ingest (:meth:`ActionWAL.append_resolved`).  The wire document
   is format-versioned (:data:`~repro.core.resolve.RESOLVED_WIRE_VERSION`);
   replay refuses an unknown version instead of guessing.
 
-Both kinds may appear in the same log (a shard migrated from broadcast to
-routed ingest keeps its old action records); :meth:`ActionWAL.replay`
+Both kinds may appear in the same log (a shard migrated from a format-1
+root keeps its old action records); :meth:`ActionWAL.replay`
 yields ``(seq, List[Action])`` for the former and
 ``(seq, ResolvedSlide)`` for the latter, and consumers dispatch on type.
 
@@ -177,7 +177,7 @@ class ActionWAL:
         The routed-shard counterpart of :meth:`append`: the record carries
         the slide's format-versioned wire document instead of raw actions.
         Same sequencing contract as :meth:`append`; both record kinds may
-        interleave in one log (broadcast-era prefix, routed suffix).
+        interleave in one log (format-1-era prefix, routed suffix).
         """
         self._append_record(seq, {"seq": seq, "slide": slide.to_wire()})
 

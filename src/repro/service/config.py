@@ -29,11 +29,12 @@ class ServiceConfig:
         history: Published answer boards retained for historical
             ``/queries/<name>/history`` reads.
         shards: Shard engines behind the ingest loop (the sharded
-            multi-core write plane, :mod:`repro.sharding`).  ``1`` serves
-            one engine exactly as before.  The server validates this
-            against the engine it is given (a mismatch raises), so a
-            config cannot silently claim a sharding level the engine
-            does not have.
+            multi-core write plane, :mod:`repro.sharding`: each slide is
+            resolved once and every shard applies only the influence
+            records it owns).  ``1`` serves one engine exactly as before.
+            The server validates this against the engine it is given (a
+            mismatch raises), so a config cannot silently claim a
+            sharding level the engine does not have.
         shard_backend: Worker backend for ``shards > 1``: ``"thread"``
             (default), ``"process"`` (one forked worker per shard — real
             multi-core), or ``"serial"`` (debugging).  Validated against

@@ -781,9 +781,6 @@ class ReproService:
         if shard_count is not None:
             engine["shards"] = shard_count
             engine["shard_backend"] = self._engine.backend_name
-            engine["ingest_mode"] = getattr(
-                self._engine, "ingest_mode", "broadcast"
-            )
         if hasattr(self._engine, "supervision_stats"):
             engine["degraded"] = self._engine.degraded
             engine["degraded_shards"] = self._engine.degraded_shards
@@ -912,22 +909,11 @@ class ReproService:
                     "1 when the shard is serving, 0 while down/healing",
                     shard=shard,
                 ).set(1.0 if state.get("state") == "up" else 0.0)
-                # The replicated-work accounting: routed shards consume
-                # only the influence records routed to them; broadcast
-                # shards each replicate the full action stream.
-                if "routed_records" in state:
-                    registry.counter(
-                        "repro_shard_routed_records_total",
-                        "Routed influence records this shard consumed",
-                        shard=shard,
-                    ).value = float(state["routed_records"] or 0)
-                elif "actions" in state:
-                    registry.counter(
-                        "repro_shard_actions_total",
-                        "Stream actions this shard consumed (broadcast "
-                        "replicates the stream to every shard)",
-                        shard=shard,
-                    ).value = float(state["actions"] or 0)
+                registry.counter(
+                    "repro_shard_routed_records_total",
+                    "Routed influence records this shard consumed",
+                    shard=shard,
+                ).value = float(state["routed_records"] or 0)
             registry.gauge(
                 "repro_shards_degraded", "Shards currently down or healing"
             ).set(float(len(supervision.get("degraded_shards", ()))))
@@ -939,13 +925,11 @@ class ReproService:
                 "repro_shard_call_timeouts_total",
                 "Shard calls that timed out at the supervisor",
             ).value = float(supervision.get("call_timeouts", 0))
-            resolver = supervision.get("resolver")
-            if resolver is not None:
-                registry.counter(
-                    "repro_resolver_actions_total",
-                    "Stream actions resolved once at the routed facade",
-                ).value = float(resolver["actions_processed"])
-                registry.gauge(
-                    "repro_routed_records_last_slide",
-                    "Influence records routed to shards on the last slide",
-                ).set(float(supervision.get("last_routed_records", 0)))
+            registry.counter(
+                "repro_resolver_actions_total",
+                "Stream actions resolved once at the sharded facade",
+            ).value = float(supervision["resolver"]["actions_processed"])
+            registry.gauge(
+                "repro_routed_records_last_slide",
+                "Influence records routed to shards on the last slide",
+            ).set(float(supervision["last_routed_records"]))

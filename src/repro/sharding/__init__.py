@@ -1,9 +1,7 @@
 """Sharded multi-core ingest plane: influencer-partitioned engines.
 
-PRs 1–4 made the single-writer pipeline fast (shared versioned index,
-batched slides, WAL/snapshots, asyncio serving), but one writer loop over
-one engine leaves every other core idle.  This package splits the *write
-plane* into ``S`` shard engines — each a full, independently durable
+One writer loop over one engine leaves every other core idle.  This
+package splits the *write plane* into ``S`` shard engines — each a full, independently durable
 IC/SIC instance that owns the influencer users a pluggable
 :class:`~repro.sharding.partition.Partitioner` assigns to it — and keeps
 the *read plane* global through a merge-on-read top-k
@@ -19,14 +17,13 @@ The division of labour:
   otherwise);
 * :mod:`repro.sharding.engine` — the :class:`~repro.sharding.engine.ShardedEngine`
   facade exposing the familiar engine API (``process``/``query``/``now``/
-  ``close``) over per-shard writer loops (in-process, thread, or
-  ``multiprocessing`` workers) with per-shard ``shard-<i>/`` WAL+snapshot
-  directories for parallel, independent crash recovery.  In **routed**
-  mode (the default for fresh state) the facade resolves each slide's
-  diffusion chains once and routes each shard only its owned influence
-  records instead of broadcasting the raw stream;
-  :func:`~repro.sharding.engine.migrate_to_routed` converts legacy
-  broadcast state roots in place;
+  ``close``): it resolves each slide's diffusion chains once
+  (:mod:`repro.sharding.resolver`, durable under ``resolver/``) and routes
+  each shard only its owned influence records, with per-shard
+  ``shard-<i>/`` WAL+snapshot directories for parallel, independent crash
+  recovery;
+* :mod:`repro.sharding.backends` — the shard hosts and the in-process,
+  thread and ``multiprocessing`` worker backends that run them;
 * :mod:`repro.sharding.supervisor` — the
   :class:`~repro.sharding.supervisor.ShardSupervisor` running every
   fan-out under per-call timeouts, in-place restart with exponential
@@ -38,7 +35,6 @@ from repro.sharding.engine import (
     ShardedBoard,
     ShardedEngine,
     ShardingError,
-    migrate_to_routed,
 )
 from repro.sharding.supervisor import ShardSupervisor
 from repro.sharding.merge import SeedCandidate, ShardAnswer, merge_shard_answers
@@ -69,5 +65,4 @@ __all__ = [
     "ShardedBoard",
     "ShardingError",
     "ShardSupervisor",
-    "migrate_to_routed",
 ]

@@ -8,36 +8,23 @@ instance (or a :class:`~repro.core.multi.MultiQueryEngine` board of them)
 restricted to the influencers its
 :class:`~repro.sharding.partition.ShardAssignment` owns.
 
-**Write path.**  Two ingest modes share the facade API:
+**Write path.**  The facade resolves each slide exactly once through its
+own :class:`~repro.core.resolve.SlideResolver` (the ``resolve_slide`` half
+of the engine's two-phase API), partitions the resolved influence tuples
+by owning influencer, and sends each shard *only its routed records*
+(``apply_resolved``, the other half).  Shards hold no diffusion forest
+and never parse an unowned action — per-shard work is proportional to
+owned pairs, not stream length.  The facade resolver
+(:mod:`repro.sharding.resolver`) has its own snapshot+WAL state under
+``<root>/resolver/``, logged *before* routing, so its clock always covers
+every shard's clock and redelivery re-resolves idempotently.  A board
+that cannot absorb pre-resolved slides (filtered queries need the raw
+actions) is refused at :meth:`ShardedEngine.open`: run it unsharded.
 
-* **Routed** (the default for new state when every query supports it):
-  the facade resolves each slide exactly once through its own
-  :class:`~repro.core.resolve.SlideResolver` (the ``resolve_slide`` half
-  of the engine's two-phase API), partitions the resolved influence
-  tuples by owning influencer, and sends each shard *only its routed
-  records* (``apply_resolved``, the other half).  Shards hold no
-  diffusion forest and never parse an unowned action — per-shard work is
-  proportional to owned pairs, not stream length.  The facade resolver
-  has its own snapshot+WAL state under ``<root>/resolver/``, logged
-  *before* routing, so its clock always covers every shard's clock and
-  redelivery re-resolves idempotently.
-* **Broadcast** (the legacy mode; still used by boards with filtered
-  queries or algorithms that need raw actions): every slide is sent to
-  all shards, each shard resolves the full diffusion forest but pays
-  index and oracle costs only for its owned pairs.
-
-Three interchangeable backends run the shard hosts:
-
-* ``serial`` — direct in-process calls (deterministic; tests, debugging);
-* ``thread`` — one worker thread per shard (the default; shares one
-  interpreter, so CPU scaling is GIL-bound but the interface and
-  durability behaviour are identical);
-* ``process`` — one ``multiprocessing`` (fork) worker per shard: real
-  multi-core ingest, per-shard crash domains.
-
-All three speak the same per-shard protocol — ``start``/``send``/``recv``
-(with a deadline)/``kill`` — so a dead worker surfaces as ``dead`` and a
-hung one as ``timeout`` instead of wedging the caller.
+The shard hosts run on one of three interchangeable backends (``serial``,
+``thread``, ``process`` — see :mod:`repro.sharding.backends`), all
+speaking the same per-shard protocol, so a dead worker surfaces as
+``dead`` and a hung one as ``timeout`` instead of wedging the caller.
 
 **Supervision.**  Every fan-out runs under a
 :class:`~repro.sharding.supervisor.ShardSupervisor`: a failed shard is
@@ -61,18 +48,17 @@ answer cache composes unchanged.
 **Durability.**  With a state directory the layout is::
 
     <state_dir>/
-      sharding.json     shard count + partitioner + ingest mode
-      resolver/         facade resolver snapshot+WAL (routed mode only)
+      sharding.json     manifest: format + shard count + partitioner
+      resolver/         facade resolver snapshot+WAL
       shard-0/ ... shard-(S-1)/    one full snapshot+WAL StateStore each
 
 Each shard recovers independently (newest snapshot + own WAL tail), so
 recovery parallelises with the backend and a crash that hit shards at
 different slide positions heals on redelivery: :meth:`ShardedEngine.process`
 forwards to each shard only the work beyond *that shard's* clock.  The
-manifest is format-versioned: broadcast roots stay at format 1 (readable
-by older builds), routed roots use format 2 with ``"ingest": "routed"``;
-opening a root in the wrong mode refuses with a pointer at
-:func:`migrate_to_routed`, which converts a broadcast root in place.
+manifest is format-versioned (format 2); a format-1 root — written by
+builds whose shards each consumed the raw stream — is refused with a
+pointer at ``scripts/migrate_to_routed.py``, which converts it in place.
 """
 
 from __future__ import annotations
@@ -80,29 +66,18 @@ from __future__ import annotations
 import json
 import os
 import pathlib
-import queue
-import signal
 import threading
 import time
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.core.actions import Action
 from repro.core.base import SIMAlgorithm, SIMResult
 from repro.core.multi import MultiQueryEngine
-from repro.core.resolve import ResolvedSlide, SlideResolver, partition_slide
-from repro.faults.inject import WorkerFaultInjector, WorkerKilled
+from repro.core.resolve import partition_slide
 from repro.faults.plan import FaultPlan
-from repro.influence.queries import FilteredSIM
-from repro.persistence.engine import (
-    RecoverableEngine,
-    StateStore,
-    list_shard_state_dirs,
-    shard_state_dir,
-)
-from repro.persistence.serialize import (
-    PersistenceError,
-    ensure_same_engine_config,
-)
+from repro.persistence.engine import shard_state_dir
+from repro.persistence.serialize import PersistenceError
+from repro.sharding.backends import BACKENDS
 from repro.sharding.merge import (
     SeedCandidate,
     ShardAnswer,
@@ -115,783 +90,22 @@ from repro.sharding.partition import (
     ShardAssignment,
     partitioner_from_state,
 )
-from repro.sharding.supervisor import (
-    _SKIP,
-    ShardingError,
-    ShardSupervisor,
-    _describe_error,
-)
+from repro.sharding.resolver import RESOLVER_DIR_NAME, _FacadeResolver
+from repro.sharding.supervisor import _SKIP, ShardingError, ShardSupervisor
 from repro.telemetry.trace import record_stage
 
 __all__ = [
     "ShardedEngine",
     "ShardedBoard",
     "ShardingError",
-    "migrate_to_routed",
 ]
 
-#: File at the sharded state root recording shard count, partitioner and
-#: ingest mode.
+#: File at the sharded state root recording the manifest format, shard
+#: count and partitioner.
 MANIFEST_NAME = "sharding.json"
 
-#: Manifest format of broadcast-ingest state roots (the original layout;
-#: kept bit-identical so older builds still open them).
-MANIFEST_FORMAT_BROADCAST = 1
-
-#: Manifest format of routed-ingest state roots (adds the ``ingest`` key
-#: and the facade resolver directory).
-MANIFEST_FORMAT_ROUTED = 2
-
-#: Directory under a routed state root holding the facade resolver's
-#: snapshot+WAL state.
-RESOLVER_DIR_NAME = "resolver"
-
-#: Snapshot document format of the facade resolver state.
-RESOLVER_SNAPSHOT_FORMAT = 1
-
-_BACKENDS = ("serial", "thread", "process")
-
-
-class _Dropped:
-    """Wrapper a handler returns when a scripted fault dropped the reply."""
-
-    __slots__ = ("result",)
-
-    def __init__(self, result):
-        self.result = result
-
-
-class _ShardHost:
-    """One shard's engine plus its command handler (runs inside the worker)."""
-
-    def __init__(
-        self,
-        shard_id: int,
-        assignment: ShardAssignment,
-        factory: Callable,
-        state_dir,
-        snapshot_every: int,
-        keep_snapshots: int,
-        segment_records: int,
-        fsync: bool,
-        fault_state: Optional[dict] = None,
-    ):
-        self.shard_id = shard_id
-        self.assignment = assignment
-        self.engine = RecoverableEngine.open(
-            state_dir,
-            lambda: factory(assignment),
-            snapshot_every=snapshot_every,
-            keep_snapshots=keep_snapshots,
-            segment_records=segment_records,
-            fsync=fsync,
-        )
-        if self.engine.slides_processed:
-            ensure_same_engine_config(
-                self.engine.algorithm,
-                factory(self.assignment),
-                where=f"shard {self.shard_id} state",
-            )
-        self.abandoned_check: Optional[Callable[[], bool]] = None
-        # Cumulative wall seconds this incarnation spent in "process" —
-        # the per-shard heat signal (rides every info/process reply).
-        self.busy_seconds = 0.0
-        self._injector = None
-        if fault_state and fault_state.get("faults"):
-            self._injector = WorkerFaultInjector(
-                fault_state["faults"],
-                disarm_through=fault_state.get("disarm_through", 0),
-            )
-
-    def info(self) -> dict:
-        """Position and durability counters of this shard's engine."""
-        algorithm = self.engine.algorithm
-        return {
-            "shard": self.shard_id,
-            "slides": self.engine.slides_processed,
-            "now": self.engine.now,
-            "replayed": self.engine.replayed_slides,
-            "snapshots_written": self.engine.snapshots_written,
-            "actions": algorithm.actions_processed,
-            "durable": self.engine.store is not None,
-            "busy_seconds": round(self.busy_seconds, 6),
-        }
-
-    def abandon(self) -> None:
-        """Release file handles without sealing (the worker is giving up).
-
-        Called when a worker dies by script or is fenced off by the
-        supervisor: the WAL handle must be dropped so the restarted host
-        owns the log alone.  Safe to call twice.
-        """
-        try:
-            if self.engine.store is not None:
-                self.engine.store.close()
-        except Exception:  # pragma: no cover - best-effort release
-            pass
-
-    def handle(self, cmd: str, payload):
-        """Dispatch one facade command; returns a pickle-friendly result."""
-        if cmd == "process":
-            drop = False
-            if self._injector is not None:
-                drop = self._injector.before_slide(
-                    self.engine.slides_processed + 1,
-                    abandoned=self.abandoned_check,
-                )
-            busy_started = time.perf_counter()
-            self.engine.process(
-                [Action(time=t, user=u, parent=p) for t, u, p in payload]
-            )
-            self.busy_seconds += time.perf_counter() - busy_started
-            return _Dropped(self.info()) if drop else self.info()
-        if cmd == "apply":
-            # Routed ingest: the facade resolved the slide once and this
-            # payload carries only the influence records this shard owns.
-            drop = False
-            if self._injector is not None:
-                drop = self._injector.before_slide(
-                    self.engine.slides_processed + 1,
-                    abandoned=self.abandoned_check,
-                )
-            busy_started = time.perf_counter()
-            self.engine.apply_resolved(ResolvedSlide.from_wire(payload))
-            self.busy_seconds += time.perf_counter() - busy_started
-            return _Dropped(self.info()) if drop else self.info()
-        if cmd == "answers":
-            return self._answers()
-        if cmd == "info":
-            return self.info()
-        if cmd == "snapshot":
-            self.engine.snapshot()
-            return self.info()
-        if cmd == "close":
-            self.engine.close(snapshot=payload)
-            return None
-        raise ValueError(f"unknown shard command {cmd!r}")
-
-    def _answers(self) -> dict:
-        """Every query's local answer + candidates, keyed by query name."""
-        algorithm = self.engine.algorithm
-        if isinstance(algorithm, MultiQueryEngine):
-            named = {
-                name: (algorithm.query(name), algorithm.query_candidates(name))
-                for name in algorithm.names()
-            }
-        else:
-            named = {"main": (algorithm.query(), algorithm.query_candidates())}
-        out = {}
-        for name, (answer, candidates) in named.items():
-            encoded = None
-            if candidates is not None:
-                encoded = [
-                    [user, sorted(coverage)] for user, coverage in candidates
-                ]
-            out[name] = {
-                "time": answer.time,
-                "value": answer.value,
-                "seeds": sorted(answer.seeds),
-                "candidates": encoded,
-            }
-        return out
-
-
-def _merge_overrides(kwargs: dict, overrides: Optional[dict]) -> dict:
-    return {**kwargs, **overrides} if overrides else dict(kwargs)
-
-
-class _SerialBackend:
-    """All shard hosts in the calling thread — deterministic and simple.
-
-    Calls execute synchronously in :meth:`send`; :meth:`recv` then reports
-    the stored outcome, applying the deadline *post hoc* (a call that took
-    longer than the timeout is reported as ``timeout``, giving the serial
-    backend the same supervision semantics as the others — the restarted
-    shard replays its WAL to the identical position, so the retry is a
-    no-op suffix).
-    """
-
-    name = "serial"
-
-    def __init__(self, host_args: List[dict]):
-        self._host_args = [dict(kwargs) for kwargs in host_args]
-        self._hosts: List[Optional[_ShardHost]] = [None] * len(host_args)
-        self._pending: List[Optional[Tuple[str, object, float]]] = (
-            [None] * len(host_args)
-        )
-
-    def start(self, shard: int, overrides: Optional[dict] = None):
-        """(Re)build one shard host; returns ``("ok", info)`` or ``("fatal", msg)``."""
-        self.kill(shard)
-        try:
-            host = _ShardHost(
-                **_merge_overrides(self._host_args[shard], overrides)
-            )
-        except BaseException as error:
-            return "fatal", _describe_error(error)
-        self._hosts[shard] = host
-        return "ok", host.info()
-
-    def send(self, shard: int, cmd: str, payload) -> bool:
-        """Execute the command now; stash the outcome for :meth:`recv`."""
-        host = self._hosts[shard]
-        if host is None:
-            return False
-        started = time.monotonic()
-        try:
-            result = host.handle(cmd, payload)
-        except WorkerKilled as error:
-            self._hosts[shard] = None
-            host.abandon()
-            self._pending[shard] = ("dead", f"worker died: {error}", 0.0)
-            return True
-        except BaseException as error:
-            self._pending[shard] = (
-                "error", _describe_error(error), time.monotonic() - started
-            )
-            return True
-        elapsed = time.monotonic() - started
-        if isinstance(result, _Dropped):
-            self._pending[shard] = (
-                "timeout", "reply dropped (scripted fault)", elapsed
-            )
-        else:
-            self._pending[shard] = ("ok", result, elapsed)
-        return True
-
-    def recv(self, shard: int, timeout: Optional[float]):
-        """The stored outcome of the last :meth:`send`, deadline-checked."""
-        entry = self._pending[shard]
-        self._pending[shard] = None
-        if entry is None:
-            return "dead", "no call in flight"
-        status, result, elapsed = entry
-        if status == "ok" and timeout is not None and elapsed > timeout:
-            return (
-                "timeout",
-                f"call took {elapsed:.3f}s (deadline {timeout}s)",
-            )
-        return status, result
-
-    def kill(self, shard: int) -> None:
-        """Drop the shard host (releasing its WAL handle)."""
-        host = self._hosts[shard]
-        self._hosts[shard] = None
-        self._pending[shard] = None
-        if host is not None:
-            host.abandon()
-
-    @property
-    def pids(self) -> Optional[List[int]]:
-        """Worker process ids (None: serial runs in the caller)."""
-        return None
-
-    def stop(self) -> None:
-        """Release every host's file handles."""
-        for shard in range(len(self._hosts)):
-            self.kill(shard)
-
-
-class _ThreadBackend:
-    """One worker thread per shard, fed through request/reply queues.
-
-    A restart builds a fresh thread with fresh queues; the old thread —
-    which cannot be killed from outside — is *abandoned*: its event is
-    set, so it exits (releasing its WAL handle, replying to nobody) the
-    next time it reaches a checkpoint.  Scripted hangs check the event
-    after sleeping, which keeps chaos drills free of WAL double-writers.
-    """
-
-    name = "thread"
-
-    def __init__(self, host_args: List[dict]):
-        n = len(host_args)
-        self._host_args = [dict(kwargs) for kwargs in host_args]
-        self._requests: List[Optional[queue.Queue]] = [None] * n
-        self._replies: List[Optional[queue.Queue]] = [None] * n
-        self._threads: List[Optional[threading.Thread]] = [None] * n
-        self._abandoned: List[Optional[threading.Event]] = [None] * n
-
-    def start(self, shard: int, overrides: Optional[dict] = None):
-        """(Re)start one shard worker thread."""
-        self.kill(shard)
-        requests: queue.Queue = queue.Queue()
-        replies: queue.Queue = queue.Queue()
-        abandoned = threading.Event()
-        kwargs = _merge_overrides(self._host_args[shard], overrides)
-        thread = threading.Thread(
-            target=self._worker,
-            args=(kwargs, requests, replies, abandoned),
-            name=f"repro-shard-{kwargs['shard_id']}",
-            daemon=True,
-        )
-        thread.start()
-        self._requests[shard] = requests
-        self._replies[shard] = replies
-        self._threads[shard] = thread
-        self._abandoned[shard] = abandoned
-        status, result = replies.get()
-        if status != "ok":
-            self.kill(shard)
-            return "fatal", result
-        return "ok", result
-
-    @staticmethod
-    def _worker(
-        kwargs: dict,
-        requests: queue.Queue,
-        replies: queue.Queue,
-        abandoned: threading.Event,
-    ):
-        try:
-            host = _ShardHost(**kwargs)
-        except BaseException as error:
-            replies.put(("fatal", _describe_error(error)))
-            return
-        host.abandoned_check = abandoned.is_set
-        replies.put(("ok", host.info()))
-        while True:
-            item = requests.get()
-            if item is None:
-                host.abandon()
-                return
-            cmd, payload = item
-            try:
-                result = host.handle(cmd, payload)
-            except WorkerKilled:
-                host.abandon()
-                return
-            except BaseException as error:
-                if abandoned.is_set():
-                    host.abandon()
-                    return
-                replies.put(("error", _describe_error(error)))
-                continue
-            if abandoned.is_set():
-                host.abandon()
-                return
-            if isinstance(result, _Dropped):
-                continue
-            replies.put(("ok", result))
-
-    def send(self, shard: int, cmd: str, payload) -> bool:
-        """Enqueue the command; False when no worker is installed."""
-        requests = self._requests[shard]
-        if requests is None:
-            return False
-        requests.put((cmd, payload))
-        return True
-
-    def recv(self, shard: int, timeout: Optional[float]):
-        """Wait for the reply, watching the deadline and the thread's life."""
-        replies = self._replies[shard]
-        thread = self._threads[shard]
-        if replies is None or thread is None:
-            return "dead", "no worker installed"
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while True:
-            wait = 0.05
-            if deadline is not None:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    return (
-                        "timeout",
-                        f"no reply within {timeout}s "
-                        f"(thread alive: {thread.is_alive()})",
-                    )
-                wait = min(wait, remaining)
-            try:
-                return replies.get(timeout=wait)
-            except queue.Empty:
-                if not thread.is_alive():
-                    try:  # a reply may have raced the thread's exit
-                        return replies.get_nowait()
-                    except queue.Empty:
-                        return (
-                            "dead",
-                            "worker thread exited without replying",
-                        )
-
-    def kill(self, shard: int) -> None:
-        """Abandon the shard's worker thread (it cannot be force-killed)."""
-        thread = self._threads[shard]
-        if thread is None:
-            return
-        self._abandoned[shard].set()
-        self._requests[shard].put(None)  # unblock an idle worker
-        self._requests[shard] = None
-        self._replies[shard] = None
-        self._threads[shard] = None
-        self._abandoned[shard] = None
-
-    @property
-    def pids(self) -> Optional[List[int]]:
-        """Worker process ids (None: threads share this process)."""
-        return None
-
-    def stop(self) -> None:
-        """Ask every worker thread to exit and join it."""
-        threads = []
-        for shard, requests in enumerate(self._requests):
-            if requests is None:
-                continue
-            requests.put(None)
-            threads.append(self._threads[shard])
-        for thread in threads:
-            if thread is not None:
-                thread.join(timeout=30)
-
-
-def _process_worker(conn, kwargs: dict) -> None:
-    """Entry point of one forked shard worker (ProcessBackend)."""
-    try:
-        host = _ShardHost(**kwargs)
-    except BaseException as error:
-        try:
-            conn.send(("fatal", _describe_error(error)))
-        finally:
-            conn.close()
-        return
-    conn.send(("ok", host.info()))
-    while True:
-        try:
-            item = conn.recv()
-        except EOFError:
-            break
-        if item is None:
-            break
-        cmd, payload = item
-        try:
-            result = host.handle(cmd, payload)
-        except WorkerKilled:
-            # Die like a real crash: no reply, no cleanup, no atexit.
-            os.kill(os.getpid(), signal.SIGKILL)
-        except BaseException as error:
-            conn.send(("error", _describe_error(error)))
-            continue
-        if isinstance(result, _Dropped):
-            continue
-        conn.send(("ok", result))
-    conn.close()
-
-
-class _ProcessBackend:
-    """One forked ``multiprocessing`` worker per shard — real multi-core."""
-
-    name = "process"
-
-    def __init__(self, host_args: List[dict]):
-        import multiprocessing
-
-        try:
-            self._context = multiprocessing.get_context("fork")
-        except ValueError as error:  # pragma: no cover - platform-specific
-            raise ShardingError(
-                "the process backend requires a fork-capable platform "
-                "(factories cross into workers by inheritance); use the "
-                "thread backend instead"
-            ) from error
-        n = len(host_args)
-        self._host_args = [dict(kwargs) for kwargs in host_args]
-        self._connections = [None] * n
-        self._processes = [None] * n
-
-    def start(self, shard: int, overrides: Optional[dict] = None):
-        """(Re)fork one shard worker and wait for its construction report."""
-        self.kill(shard)
-        kwargs = _merge_overrides(self._host_args[shard], overrides)
-        parent_conn, child_conn = self._context.Pipe()
-        process = self._context.Process(
-            target=_process_worker,
-            args=(child_conn, kwargs),
-            name=f"repro-shard-{kwargs['shard_id']}",
-            daemon=True,
-        )
-        try:
-            process.start()
-        except BaseException as error:
-            parent_conn.close()
-            child_conn.close()
-            return "fatal", _describe_error(error)
-        child_conn.close()
-        self._connections[shard] = parent_conn
-        self._processes[shard] = process
-        try:
-            status, result = parent_conn.recv()
-        except (ConnectionError, EOFError, OSError):
-            status, result = "fatal", "worker exited before reporting"
-        if status != "ok":
-            self.kill(shard)
-            return "fatal", result
-        return "ok", result
-
-    def send(self, shard: int, cmd: str, payload) -> bool:
-        """Write the command down the shard's pipe; False if unreachable."""
-        conn = self._connections[shard]
-        if conn is None:
-            return False
-        try:
-            conn.send((cmd, payload))
-            return True
-        except (ConnectionError, EOFError, OSError):
-            return False
-
-    def recv(self, shard: int, timeout: Optional[float]):
-        """Wait for the reply, watching the deadline and the process's life."""
-        conn = self._connections[shard]
-        process = self._processes[shard]
-        if conn is None or process is None:
-            return "dead", "no worker installed"
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while True:
-            wait = 0.05
-            if deadline is not None:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    return (
-                        "timeout",
-                        f"no reply within {timeout}s "
-                        f"(pid {process.pid} alive: {process.is_alive()})",
-                    )
-                wait = min(wait, remaining)
-            try:
-                ready = conn.poll(wait)
-            except (ConnectionError, EOFError, OSError):
-                return "dead", f"worker pipe broke (pid {process.pid})"
-            if ready:
-                try:
-                    return conn.recv()
-                except (ConnectionError, EOFError, OSError):
-                    return (
-                        "dead",
-                        f"worker died mid-command (pid {process.pid})",
-                    )
-            if not process.is_alive():
-                # One final poll: the reply may have raced the exit.
-                try:
-                    if conn.poll(0):
-                        return conn.recv()
-                except (ConnectionError, EOFError, OSError):
-                    pass
-                return "dead", f"worker died (pid {process.pid})"
-
-    def kill(self, shard: int) -> None:
-        """SIGKILL the shard's worker and reap it — fencing it off its WAL."""
-        process = self._processes[shard]
-        conn = self._connections[shard]
-        self._processes[shard] = None
-        self._connections[shard] = None
-        if conn is not None:
-            try:
-                conn.close()
-            except OSError:  # pragma: no cover - defensive
-                pass
-        if process is not None:
-            if process.is_alive():
-                process.kill()
-            process.join(timeout=10)
-            if not process.is_alive():
-                process.close()
-
-    @property
-    def pids(self) -> List[Optional[int]]:
-        """Worker process ids (e.g. for crash-injection tests)."""
-        return [
-            process.pid if process is not None else None
-            for process in self._processes
-        ]
-
-    def stop(self) -> None:
-        """Ask every worker to exit; join, then terminate/kill stragglers.
-
-        Always leaves zero live children behind, whatever state the
-        workers were in — including after a failed open or a mid-run
-        escalation.
-        """
-        for conn in self._connections:
-            if conn is None:
-                continue
-            try:
-                conn.send(None)
-            except (ConnectionError, EOFError, OSError):
-                pass
-        for process in self._processes:
-            if process is None:
-                continue
-            process.join(timeout=10)
-            if process.is_alive():
-                process.terminate()
-                process.join(timeout=5)
-            if process.is_alive():  # pragma: no cover - defensive
-                process.kill()
-                process.join(timeout=5)
-            if not process.is_alive():
-                process.close()
-        for conn in self._connections:
-            if conn is not None:
-                try:
-                    conn.close()
-                except OSError:  # pragma: no cover - defensive
-                    pass
-        self._connections = [None] * len(self._connections)
-        self._processes = [None] * len(self._processes)
-
-
-class _FacadeResolver:
-    """The facade's slide resolver plus its optional durable state.
-
-    Routed ingest resolves every slide exactly once, at the facade; this
-    wrapper gives that resolver the same snapshot+WAL recipe a shard
-    engine gets, under ``<root>/resolver/``.  The WAL logs the *raw
-    action slides* (appended before routing), so after a crash the
-    resolver replays its tail and its clock always covers every shard's
-    clock — a redelivered suffix then re-resolves idempotently and the
-    routed records a lagging shard receives are identical to the
-    originals.
-    """
-
-    def __init__(
-        self,
-        resolver: SlideResolver,
-        store: Optional[StateStore],
-        slide_seq: int,
-        replayed: int,
-        snapshot_every: int,
-    ):
-        self._resolver = resolver
-        self._store = store
-        self._slide_seq = slide_seq
-        self._replayed = replayed
-        self._snapshot_every = snapshot_every
-        self._last_snapshot_seq = slide_seq if replayed == 0 else None
-
-    @classmethod
-    def open(
-        cls,
-        state_root: Optional[pathlib.Path],
-        retention: Optional[int],
-        snapshot_every: int,
-        keep_snapshots: int,
-        segment_records: int,
-        fsync: bool,
-    ) -> "_FacadeResolver":
-        """Restore (or freshly build) the facade resolver."""
-        if state_root is None:
-            return cls(SlideResolver(retention=retention), None, 0, 0, snapshot_every)
-        store = StateStore(
-            state_root / RESOLVER_DIR_NAME,
-            keep_snapshots=keep_snapshots,
-            segment_records=segment_records,
-            fsync=fsync,
-        )
-        latest = store.snapshots.load_latest()
-        if latest is not None:
-            seq, document = latest
-            version = document.get("format")
-            if version != RESOLVER_SNAPSHOT_FORMAT:
-                raise PersistenceError(
-                    f"unsupported resolver snapshot format {version!r}; "
-                    f"this build reads version {RESOLVER_SNAPSHOT_FORMAT}"
-                )
-            resolver = SlideResolver.from_state(document["resolver"])
-        else:
-            seq = 0
-            resolver = SlideResolver(retention=retention)
-        replayed = 0
-        for wal_seq, payload in store.wal.replay(after=seq):
-            if isinstance(payload, ResolvedSlide):
-                raise PersistenceError(
-                    "the facade resolver WAL logs raw action slides, but "
-                    f"seq {wal_seq} holds a routed record; the state dir "
-                    "is corrupt or mislaid"
-                )
-            if replayed == 0 and latest is None and wal_seq != 1:
-                raise PersistenceError(
-                    f"no resolver snapshot and its WAL starts at slide "
-                    f"{wal_seq}; cannot recover the stream prefix"
-                )
-            if replayed or latest is not None:
-                if wal_seq != seq + 1:
-                    raise PersistenceError(
-                        f"resolver WAL gap: expected slide {seq + 1}, "
-                        f"found {wal_seq}"
-                    )
-            resolver.resolve(payload)
-            replayed += 1
-            seq = wal_seq
-        return cls(resolver, store, seq, replayed, snapshot_every)
-
-    @property
-    def now(self) -> int:
-        """The resolver's stream clock."""
-        return self._resolver.now
-
-    @property
-    def actions_processed(self) -> int:
-        """Distinct stream actions resolved (global, not per shard)."""
-        return self._resolver.actions_processed
-
-    @property
-    def replayed_slides(self) -> int:
-        """WAL slides replayed by :meth:`open`."""
-        return self._replayed
-
-    @property
-    def slides_processed(self) -> int:
-        """Resolver slide sequence (== resolved slides in its lifetime)."""
-        return self._slide_seq
-
-    def log_and_resolve(self, batch: Sequence[Action]) -> ResolvedSlide:
-        """Validate, write-ahead-log, then resolve one slide.
-
-        The batch is validated (strictly ascending) *before* it reaches
-        the WAL, so a poisoned slide is never logged; actions at or
-        below the resolver clock (redelivery) resolve idempotently.
-        """
-        previous = 0
-        for action in batch:
-            if action.time <= previous:
-                raise ValueError(
-                    f"resolver received out-of-order action {action.time} "
-                    f"after {previous}"
-                )
-            previous = action.time
-        seq = self._slide_seq + 1
-        if self._store is not None:
-            self._store.wal.append(seq, batch)
-        resolved = self._resolver.resolve(batch)
-        self._slide_seq = seq
-        if (
-            self._store is not None
-            and self._snapshot_every
-            and seq % self._snapshot_every == 0
-        ):
-            self.snapshot()
-        return resolved
-
-    def snapshot(self) -> None:
-        """Write a resolver snapshot and prune the covered WAL tail."""
-        if self._store is None:
-            return
-        self._store.snapshots.save(
-            self._slide_seq,
-            {
-                "format": RESOLVER_SNAPSHOT_FORMAT,
-                "slide_seq": self._slide_seq,
-                "resolver": self._resolver.to_state(),
-            },
-        )
-        self._last_snapshot_seq = self._slide_seq
-        retained = self._store.snapshots.sequences()
-        if retained:
-            self._store.wal.prune_through(min(retained))
-
-    def close(self, snapshot: bool = True) -> None:
-        """Seal (final snapshot by default) and release file handles."""
-        if self._store is not None:
-            if snapshot and self._slide_seq != self._last_snapshot_seq:
-                self.snapshot()
-            self._store.close()
+#: The manifest format this build writes and opens.
+MANIFEST_FORMAT = 2
 
 
 class ShardedBoard:
@@ -943,7 +157,6 @@ class ShardedBoard:
             entry = {
                 "kind": "sharded",
                 "shards": engine.shard_count,
-                "ingest": engine.ingest_mode,
                 "actions_processed": engine.actions_processed,
                 "time": engine.now,
                 "degraded": degraded,
@@ -959,7 +172,7 @@ class ShardedBoard:
 
 
 class ShardedEngine:
-    """Facade over S shard engines: broadcast writes, merge-on-read top-k."""
+    """Facade over S shard engines: routed writes, merge-on-read top-k."""
 
     def __init__(
         self,
@@ -970,7 +183,7 @@ class ShardedEngine:
         multi: bool,
         state_root: Optional[pathlib.Path],
         infos: List[dict],
-        resolver: Optional[_FacadeResolver] = None,
+        resolver: _FacadeResolver,
     ):
         """Internal constructor — use :meth:`open`."""
         self._backend = backend
@@ -983,10 +196,9 @@ class ShardedEngine:
         self._shard_nows = [info["now"] for info in infos]
         self._shard_slides = [info["slides"] for info in infos]
         self._snapshots = [info["snapshots_written"] for info in infos]
-        self._actions = max((info["actions"] for info in infos), default=0)
-        #: Per-shard consumed-work counters: stream actions in broadcast
-        #: mode, routed records in routed mode (the replicated-work fix).
-        self._shard_actions = [info["actions"] for info in infos]
+        #: Per-shard consumed work: the routed records each shard applied
+        #: (a shard engine's ``actions_processed`` counts what it was fed).
+        self._shard_records = [info["actions"] for info in infos]
         self._replayed = [info["replayed"] for info in infos]
         # Per-shard busy-seconds: cumulative across worker incarnations
         # (restarts reset a worker's own counter; we fold the delta).
@@ -998,7 +210,7 @@ class ShardedEngine:
         #: last processed slide — the slide-barrier straggler signal.
         self.last_straggler_seconds = 0.0
         #: Influence records routed to shards on the last processed slide
-        #: (0 before any slide; stays 0 in broadcast mode).
+        #: (0 before any slide).
         self.last_routed_records = 0
         self._publish_hooks: List = []
         self._board = ShardedBoard(self)
@@ -1024,7 +236,6 @@ class ShardedEngine:
         backoff_max: float = 2.0,
         call_timeout: Optional[float] = 30.0,
         fault_plan: Optional[FaultPlan] = None,
-        routed: Optional[bool] = None,
     ) -> "ShardedEngine":
         """Build (or recover) a sharded engine.
 
@@ -1034,22 +245,15 @@ class ShardedEngine:
                 constructed with ``shard=assignment``.  It is also called
                 with ``None`` once, in the facade, to probe the query
                 names, ``k`` and influence functions the merge needs.
+                Every query must absorb pre-resolved slides: a board
+                holding filtered queries (they need the raw actions) or
+                a non-IC/SIC algorithm is refused — run it unsharded.
             shards: Number of shard engines (>= 1).
             state_dir: Durable state root (``shard-<i>/`` per shard plus a
                 ``sharding.json`` manifest), or ``None`` for in-memory.
             backend: ``"serial"``, ``"thread"`` (default) or ``"process"``.
             partitioner: Influencer partitioner; defaults to
                 :class:`~repro.sharding.partition.HashPartitioner`.
-            routed: Ingest mode.  ``None`` (default) follows an existing
-                manifest's mode, and for fresh state picks routed ingest
-                whenever every query supports pre-resolved slides (no
-                filtered queries, every algorithm overrides the resolved
-                absorb hook) — broadcast otherwise.  ``True``/``False``
-                force a mode: forcing routed on an unsupporting board
-                raises :class:`ShardingError`; opening an existing state
-                root in the other mode raises
-                :class:`~repro.persistence.serialize.PersistenceError`
-                (use :func:`migrate_to_routed` for broadcast roots).
             snapshot_every: Per-shard auto-snapshot cadence in slides.
             keep_snapshots: Per-shard snapshot retention.
             segment_records: Per-shard WAL records per segment.
@@ -1066,15 +270,17 @@ class ShardedEngine:
                 failure drills.
 
         Raises:
-            ShardingError: on bad knobs or worker construction failure.
-            PersistenceError: when an existing state root disagrees with
-                the requested shard count/partitioner or per-shard config.
+            ShardingError: on bad knobs, a board that cannot absorb
+                pre-resolved slides, or worker construction failure.
+            PersistenceError: when an existing state root has an
+                unreadable or format-1 manifest, or disagrees with the
+                requested shard count/partitioner or per-shard config.
         """
         if shards < 1:
             raise ShardingError(f"shards must be >= 1, got {shards}")
-        if backend not in _BACKENDS:
+        if backend not in BACKENDS:
             raise ShardingError(
-                f"unknown backend {backend!r}; choose from {_BACKENDS}"
+                f"unknown backend {backend!r}; choose from {tuple(BACKENDS)}"
             )
         if partitioner is None:
             partitioner = HashPartitioner(shards)
@@ -1088,38 +294,25 @@ class ShardedEngine:
                 f"fault plan targets shard {fault_plan.max_shard()}, but "
                 f"only {shards} shard(s) were requested"
             )
+        probe = factory(None)
+        algorithms = cls._probe_algorithms(probe)
+        merge_params = {
+            name: (algorithm.k, getattr(algorithm, "influence_function", None))
+            for name, algorithm in algorithms.items()
+        }
+        multi = isinstance(probe, MultiQueryEngine)
         state_root = None
-        stored_manifest = None
         if state_dir is not None:
             state_root = pathlib.Path(state_dir)
-            stored_manifest = cls._read_manifest(state_root)
-        probe = factory(None)
-        merge_params = cls._probe_merge_params(probe)
-        multi = isinstance(probe, MultiQueryEngine)
-        supports_resolved = cls._probe_resolved_support(probe)
-        if routed is None:
-            if stored_manifest is not None:
-                routed = stored_manifest.get("ingest") == "routed"
-            else:
-                routed = supports_resolved
-        if routed and not supports_resolved:
-            raise ShardingError(
-                "routed ingest needs every query to absorb pre-resolved "
-                "slides (no filtered queries; IC/SIC-style algorithms); "
-                "this board cannot — use routed=False (broadcast ingest)"
-            )
-        if state_root is not None:
-            cls._check_manifest(state_root, shards, partitioner, routed)
-        resolver = None
-        if routed:
-            resolver = _FacadeResolver.open(
-                state_root,
-                retention=cls._probe_retention(probe),
-                snapshot_every=snapshot_every,
-                keep_snapshots=keep_snapshots,
-                segment_records=segment_records,
-                fsync=fsync,
-            )
+            cls._check_manifest(state_root, shards, partitioner)
+        resolver = _FacadeResolver.open(
+            state_root,
+            retention=cls._probe_retention(algorithms.values()),
+            snapshot_every=snapshot_every,
+            keep_snapshots=keep_snapshots,
+            segment_records=segment_records,
+            fsync=fsync,
+        )
         state_dirs = [
             shard_state_dir(state_root, shard) if state_root is not None else None
             for shard in range(shards)
@@ -1149,12 +342,7 @@ class ShardedEngine:
                     ),
                 }
             )
-        builder = {
-            "serial": _SerialBackend,
-            "thread": _ThreadBackend,
-            "process": _ProcessBackend,
-        }[backend]
-        backend_obj = builder(host_args)
+        backend_obj = BACKENDS[backend](host_args)
         infos = []
         failures = []
         for shard in range(shards):
@@ -1187,9 +375,9 @@ class ShardedEngine:
             multi,
             state_root,
             infos,
-            resolver=resolver,
+            resolver,
         )
-        if resolver is not None and engine.now > resolver.now:
+        if engine.now > resolver.now:
             # Shards can never outrun the write-ahead resolver log; a
             # clock ahead of the resolver means the resolver state was
             # deleted or swapped from under the shard dirs.
@@ -1203,106 +391,123 @@ class ShardedEngine:
 
     @staticmethod
     def _read_manifest(root: pathlib.Path) -> Optional[dict]:
-        """The stored ``sharding.json``, or ``None`` for a fresh root."""
+        """The stored ``sharding.json``, or ``None`` for a fresh root.
+
+        Raises:
+            PersistenceError: naming the file, when it is not a JSON
+                object with an integer ``format`` and ``shards`` and a
+                ``partitioner`` state object.
+        """
         manifest_path = root / MANIFEST_NAME
         if not manifest_path.exists():
             return None
-        return json.loads(manifest_path.read_text())
+        try:
+            manifest = json.loads(manifest_path.read_text())
+        except ValueError as error:
+            raise PersistenceError(
+                f"sharding manifest {manifest_path} is not valid JSON "
+                f"({error}); restore it or start from a fresh state dir"
+            ) from error
+        if not (
+            isinstance(manifest, dict)
+            and isinstance(manifest.get("format"), int)
+            and isinstance(manifest.get("shards"), int)
+            and isinstance(manifest.get("partitioner"), dict)
+        ):
+            raise PersistenceError(
+                f"sharding manifest {manifest_path} is malformed: expected "
+                "an object with integer 'format' and 'shards' and a "
+                "'partitioner' object"
+            )
+        return manifest
+
+    @staticmethod
+    def _write_manifest(root: pathlib.Path, manifest: dict) -> None:
+        """Atomically replace ``sharding.json`` (tmp file, fsync, rename)."""
+        tmp = root / (MANIFEST_NAME + ".tmp")
+        with open(tmp, "w", encoding="utf-8") as handle:
+            handle.write(json.dumps(manifest, sort_keys=True) + "\n")
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp, root / MANIFEST_NAME)
 
     @classmethod
     def _check_manifest(
-        cls,
-        root: pathlib.Path,
-        shards: int,
-        partitioner: Partitioner,
-        routed: bool,
+        cls, root: pathlib.Path, shards: int, partitioner: Partitioner
     ) -> None:
-        """Create or validate the state root's ``sharding.json``.
-
-        Broadcast roots keep the original format-1 document bit for bit
-        (older builds still open them); routed roots are format 2 with an
-        explicit ``ingest`` key.
-        """
-        if routed:
-            expected = {
-                "format": MANIFEST_FORMAT_ROUTED,
-                "shards": shards,
-                "partitioner": partitioner.to_state(),
-                "ingest": "routed",
-            }
-        else:
-            expected = {
-                "format": MANIFEST_FORMAT_BROADCAST,
-                "shards": shards,
-                "partitioner": partitioner.to_state(),
-            }
+        """Create or validate the state root's ``sharding.json``."""
+        expected = {
+            "format": MANIFEST_FORMAT,
+            "shards": shards,
+            "partitioner": partitioner.to_state(),
+            "ingest": "routed",
+        }
         stored = cls._read_manifest(root)
-        if stored is not None:
-            if stored != expected:
-                stored_mode = (
-                    "routed" if stored.get("ingest") == "routed" else "broadcast"
-                )
-                wanted_mode = "routed" if routed else "broadcast"
-                if (
-                    stored_mode != wanted_mode
-                    and stored.get("shards") == shards
-                    and stored.get("partitioner") == partitioner.to_state()
-                ):
-                    hint = (
-                        "convert it in place with migrate_to_routed() or "
-                        "reopen with routed=False"
-                        if routed
-                        else "its shard WALs hold routed records that "
-                        "broadcast ingest cannot replay; reopen with "
-                        "routed=True"
-                    )
-                    raise PersistenceError(
-                        f"sharded state dir {root} holds {stored_mode}-"
-                        f"ingest state (manifest format "
-                        f"{stored.get('format')}), but {wanted_mode} "
-                        f"ingest was requested; {hint}"
-                    )
-                raise PersistenceError(
-                    f"sharded state dir {root} was created with "
-                    f"{stored.get('shards')} shards and partitioner "
-                    f"{stored.get('partitioner')}, but "
-                    f"{shards}/{partitioner.to_state()} were requested; "
-                    "reopen with matching settings or a fresh state dir"
-                )
-            # Re-check the partitioner round-trips (guards registry drift).
-            partitioner_from_state(stored["partitioner"])
+        if stored is None:
+            root.mkdir(parents=True, exist_ok=True)
+            cls._write_manifest(root, expected)
             return
-        root.mkdir(parents=True, exist_ok=True)
-        tmp = root / (MANIFEST_NAME + ".tmp")
-        tmp.write_text(json.dumps(expected, sort_keys=True) + "\n")
-        os.replace(tmp, root / MANIFEST_NAME)
+        if stored["format"] == 1:
+            raise PersistenceError(
+                f"sharded state dir {root} is a format-1 (broadcast-ingest) "
+                "root, which this build no longer opens; convert it in "
+                f"place with: python scripts/migrate_to_routed.py {root}"
+            )
+        if stored != expected:
+            raise PersistenceError(
+                f"sharded state dir {root} was created with "
+                f"{stored['shards']} shards and partitioner "
+                f"{stored['partitioner']} (manifest format "
+                f"{stored['format']}), but "
+                f"{shards}/{partitioner.to_state()} were requested; "
+                "reopen with matching settings or a fresh state dir"
+            )
+        # Re-check the partitioner round-trips (guards registry drift).
+        partitioner_from_state(stored["partitioner"])
 
     @staticmethod
-    def _probe_resolved_support(probe) -> bool:
-        """Whether the probe board can run on routed (pre-resolved) slides."""
+    def _probe_algorithms(probe) -> Dict[str, SIMAlgorithm]:
+        """``{query name: algorithm}`` of a probe build, vetted for sharding.
+
+        Shards are fed pre-resolved slides, so every query must override
+        the resolved absorb hook; filtered queries observe raw actions
+        (their predicates run on the action, not its influence records)
+        and cannot.
+        """
         if isinstance(probe, MultiQueryEngine):
-            return probe.supports_resolved()
-        if isinstance(probe, SIMAlgorithm):
-            return (
+            algorithms = {name: probe.get(name) for name in probe.names()}
+            if not algorithms:
+                raise ShardingError("the probe board registers no queries")
+            supported = probe.supports_resolved()
+        elif isinstance(probe, SIMAlgorithm):
+            algorithms = {"main": probe}
+            supported = (
                 type(probe)._on_slide_resolved
                 is not SIMAlgorithm._on_slide_resolved
             )
-        return False
+        else:
+            raise ShardingError(
+                f"factory(None) must build a SIMAlgorithm or "
+                f"MultiQueryEngine, got {type(probe).__name__}"
+            )
+        if not supported:
+            raise ShardingError(
+                "a sharded engine feeds its shards pre-resolved slides, "
+                "which this board cannot absorb (filtered queries need the "
+                "raw actions; only IC/SIC-style algorithms apply resolved "
+                "records); run this board unsharded"
+            )
+        return algorithms
 
     @staticmethod
-    def _probe_retention(probe) -> Optional[int]:
+    def _probe_retention(algorithms) -> Optional[int]:
         """The facade resolver's retention horizon from the probe board.
 
         The resolver's forest feeds *every* shard algorithm, so it must
         retain at least as much history as the most demanding one:
         ``None`` (unbounded) if any algorithm is unbounded, else the
-        maximum retention.  Only called on resolved-capable boards, which
-        hold no filtered queries.
+        maximum retention.
         """
-        if isinstance(probe, MultiQueryEngine):
-            algorithms = [probe.get(name) for name in probe.names()]
-        else:
-            algorithms = [probe]
         retentions = [
             a.forest.to_state().get("retention") for a in algorithms
         ]
@@ -1310,36 +515,10 @@ class ShardedEngine:
             return None
         return max(retentions)
 
-    @staticmethod
-    def _probe_merge_params(probe) -> Dict[str, tuple]:
-        """``{query name: (k, influence function or None)}`` from a probe build."""
-        if isinstance(probe, MultiQueryEngine):
-            params = {}
-            for name in probe.names():
-                registered = probe.get(name)
-                algorithm = (
-                    registered.algorithm
-                    if isinstance(registered, FilteredSIM)
-                    else registered
-                )
-                params[name] = (
-                    algorithm.k,
-                    getattr(algorithm, "influence_function", None),
-                )
-            if not params:
-                raise ShardingError("the probe board registers no queries")
-            return params
-        if isinstance(probe, SIMAlgorithm):
-            return {"main": (probe.k, getattr(probe, "influence_function", None))}
-        raise ShardingError(
-            f"factory(None) must build a SIMAlgorithm or MultiQueryEngine, "
-            f"got {type(probe).__name__}"
-        )
-
     # -- streaming ---------------------------------------------------------
 
     def process(self, batch: Sequence[Action]) -> None:
-        """Feed one slide to the shards (routed or broadcast fan-out).
+        """Feed one slide to the shards: resolve once, route owned records.
 
         The batch must be strictly ascending and beyond the facade clock
         (the minimum shard clock).  A shard that is *ahead* — possible
@@ -1347,12 +526,10 @@ class ShardedEngine:
         only the work beyond its own clock, so at-least-once redelivery
         heals the lag instead of tripping the per-shard stream contract.
 
-        In routed mode the facade write-ahead-logs the raw slide,
-        resolves it exactly once through its
-        :class:`~repro.core.resolve.SlideResolver`, partitions the
-        resolved influence tuples by owning influencer and sends each
-        shard only its routed records; in broadcast mode every shard
-        receives the raw actions and resolves its own forest.
+        The facade write-ahead-logs the raw slide, resolves it exactly
+        once through its :class:`~repro.core.resolve.SlideResolver`,
+        partitions the resolved influence tuples by owning influencer and
+        sends each shard only its routed records.
 
         A shard worker that dies or hangs during the call is healed in
         place by the supervisor (restart from its snapshot + WAL, then
@@ -1372,16 +549,13 @@ class ShardedEngine:
                     f"after {last}"
                 )
             last = action.time
-        if self._resolver is not None:
-            cmd, payloads, repayload = self._routed_fanout(batch)
-        else:
-            cmd, payloads, repayload = self._broadcast_fanout(batch)
+        payloads, repayload = self._routed_fanout(batch)
         incidents = [slides + 1 for slides in self._shard_slides]
         busy_before = list(self._busy_seconds)
         fanout_started = time.perf_counter()
         with self._lock:
             replies = self._supervisor.call(
-                cmd,
+                "apply",
                 payloads,
                 heal=True,
                 repayload=repayload,
@@ -1407,33 +581,16 @@ class ShardedEngine:
             for hook in self._publish_hooks:
                 hook(answers)
 
-    def _broadcast_fanout(self, batch: List[Action]):
-        """Per-shard raw-action payloads (the legacy broadcast write path)."""
-        encoded = [(a.time, a.user, a.parent) for a in batch]
-        aligned = all(now == self._shard_nows[0] for now in self._shard_nows)
-        payloads: List = []
-        for shard_now in self._shard_nows:
-            if aligned:
-                payloads.append(encoded)
-            else:
-                suffix = [item for item in encoded if item[0] > shard_now]
-                payloads.append(suffix if suffix else _SKIP)
-
-        def repayload(shard: int, restored: dict):
-            suffix = [item for item in encoded if item[0] > restored["now"]]
-            return suffix if suffix else _SKIP
-
-        return "process", payloads, repayload
-
     def _routed_fanout(self, batch: List[Action]):
         """Resolve once, partition by influencer, build per-shard payloads.
 
         Every shard behind the slide receives a payload — even one whose
         projected record list is empty: checkpoints must open at the
         slide's *global* start and the absorption ledger counts the
-        global ``L``, which is what keeps routed answers identical to
-        broadcast.  Only a shard already at or beyond the slide's end
-        (post-crash redelivery) is skipped.
+        global ``L``, which is what keeps sharded answers identical to
+        S standalone shard engines each fed the raw stream.  Only a shard
+        already at or beyond the slide's end (post-crash redelivery) is
+        skipped.
         """
         resolve_started = time.perf_counter()
         resolved = self._resolver.log_and_resolve(batch)
@@ -1442,48 +599,43 @@ class ShardedEngine:
         )
         route_started = time.perf_counter()
         parts = partition_slide(resolved, self._partitioner)
-        payloads: List = []
-        routed_records = 0
-        for shard, part in enumerate(parts):
-            shard_now = self._shard_nows[shard]
-            if shard_now >= resolved.last:
-                payloads.append(_SKIP)
-                continue
-            if shard_now >= resolved.start:
-                # Mid-slide catch-up: slice the *global* slide beyond the
-                # shard clock, then narrow to owned influencers.
-                owns = ShardAssignment(self._partitioner, shard).owns
-                part = resolved.slice_after(shard_now).project(owns)
-                if part.count == 0:
-                    payloads.append(_SKIP)
-                    continue
-            payloads.append(part.to_wire())
-            routed_records += len(part.records)
-        self.last_routed_records = routed_records
+
+        def part_beyond(shard: int, now: int):
+            """The shard's share of the slide beyond clock ``now``, if any."""
+            if now >= resolved.last:
+                return None
+            if now < resolved.start:
+                return parts[shard]
+            # Mid-slide catch-up: slice the *global* slide beyond the
+            # shard clock, then narrow to owned influencers.
+            owns = ShardAssignment(self._partitioner, shard).owns
+            suffix = resolved.slice_after(now).project(owns)
+            return suffix if suffix.count else None
+
+        sent = [
+            part_beyond(shard, now) for shard, now in enumerate(self._shard_nows)
+        ]
+        payloads = [_SKIP if part is None else part.to_wire() for part in sent]
+        self.last_routed_records = sum(
+            len(part.records) for part in sent if part is not None
+        )
         record_stage(
-            "route", time.perf_counter() - route_started, routed_records
+            "route",
+            time.perf_counter() - route_started,
+            self.last_routed_records,
         )
 
         def repayload(shard: int, restored: dict):
-            now = restored["now"]
-            if now >= resolved.last:
-                return _SKIP
-            if now < resolved.start:
-                return parts[shard].to_wire()
-            owns = ShardAssignment(self._partitioner, shard).owns
-            suffix = resolved.slice_after(now).project(owns)
-            return suffix.to_wire() if suffix.count else _SKIP
+            part = part_beyond(shard, restored["now"])
+            return _SKIP if part is None else part.to_wire()
 
-        return "apply", payloads, repayload
+        return payloads, repayload
 
     def _absorb_infos(self, replies: Sequence[Optional[dict]]) -> None:
         """Update cached per-shard positions from command replies.
 
-        ``info["actions"]`` counts what the shard *consumed*: stream
-        actions in broadcast mode, routed records in routed mode — the
-        facade keeps both the per-shard counters (``/metrics``,
-        :meth:`supervision_stats`) and, in broadcast mode only, the
-        stream-global maximum (routed mode reads the resolver instead).
+        ``info["actions"]`` counts what the shard *consumed* — its routed
+        records; the stream-global action count lives in the resolver.
         """
         for shard, info in enumerate(replies):
             if info is None:
@@ -1491,8 +643,7 @@ class ShardedEngine:
             self._shard_nows[shard] = info["now"]
             self._shard_slides[shard] = info["slides"]
             self._snapshots[shard] = info["snapshots_written"]
-            self._shard_actions[shard] = info["actions"]
-            self._actions = max(self._actions, info["actions"])
+            self._shard_records[shard] = info["actions"]
             busy = float(info.get("busy_seconds", 0.0))
             delta = busy - self._busy_last_seen[shard]
             if delta < 0:
@@ -1562,10 +713,6 @@ class ShardedEngine:
             "use query_all() or algorithm.query(name)"
         )
 
-    def query_stats(self) -> Dict[str, dict]:
-        """Per-query operational stats (delegates to the board adapter)."""
-        return self._board.query_stats()
-
     # -- supervision -------------------------------------------------------
 
     @property
@@ -1586,35 +733,27 @@ class ShardedEngine:
     def supervision_stats(self) -> dict:
         """Supervisor counters plus per-shard health and last-known clocks.
 
-        Per-shard entries report the work each shard actually consumed:
-        in routed mode ``routed_records`` (the influence tuples it was
-        sent), in broadcast mode ``actions`` (the full stream — every
-        shard replicates it).  Routed stats additionally carry the facade
-        resolver's position.
+        Per-shard entries report the work each shard actually consumed
+        (``routed_records``, the influence tuples it was sent); the
+        ``resolver`` block carries the facade resolver's position.
         """
         stats = self._supervisor.stats()
         states = self._supervisor.shard_states()
-        routed = self._resolver is not None
         for state in states:
             shard = state["shard"]
             state["last_known_now"] = self._shard_nows[shard]
             state["busy_seconds"] = round(self._busy_seconds[shard], 6)
             state["slides"] = self._shard_slides[shard]
-            if routed:
-                state["routed_records"] = self._shard_actions[shard]
-            else:
-                state["actions"] = self._shard_actions[shard]
+            state["routed_records"] = self._shard_records[shard]
         stats["shards"] = states
         stats["straggler_seconds"] = round(self.last_straggler_seconds, 6)
-        stats["ingest"] = self.ingest_mode
-        if routed:
-            stats["resolver"] = {
-                "now": self._resolver.now,
-                "actions_processed": self._resolver.actions_processed,
-                "slides": self._resolver.slides_processed,
-                "replayed": self._resolver.replayed_slides,
-            }
-            stats["last_routed_records"] = self.last_routed_records
+        stats["resolver"] = {
+            "now": self._resolver.now,
+            "actions_processed": self._resolver.actions_processed,
+            "slides": self._resolver.slides_processed,
+            "replayed": self._resolver.replayed_slides,
+        }
+        stats["last_routed_records"] = self.last_routed_records
         return stats
 
     def heal(self) -> bool:
@@ -1639,8 +778,7 @@ class ShardedEngine:
         """Write a full-state snapshot on every shard (and the resolver) now."""
         if self._state_root is None:
             raise PersistenceError("engine has no state store to snapshot to")
-        if self._resolver is not None:
-            self._resolver.snapshot()
+        self._resolver.snapshot()
         with self._lock:
             replies = self._supervisor.call(
                 "snapshot",
@@ -1669,8 +807,7 @@ class ShardedEngine:
             pass
         finally:
             self._backend.stop()
-            if self._resolver is not None:
-                self._resolver.close(snapshot=snapshot)
+            self._resolver.close(snapshot=snapshot)
 
     def __enter__(self) -> "ShardedEngine":
         """Context-manager entry: the engine itself."""
@@ -1703,21 +840,9 @@ class ShardedEngine:
         return self._backend.name
 
     @property
-    def ingest_mode(self) -> str:
-        """``"routed"`` (resolve-once fan-out) or ``"broadcast"``."""
-        return "routed" if self._resolver is not None else "broadcast"
-
-    @property
-    def routed(self) -> bool:
-        """True when this engine routes resolved records (not raw actions)."""
-        return self._resolver is not None
-
-    @property
-    def shard_routed_records(self) -> Optional[List[int]]:
-        """Per-shard routed records consumed (``None`` in broadcast mode)."""
-        if self._resolver is None:
-            return None
-        return list(self._shard_actions)
+    def shard_routed_records(self) -> List[int]:
+        """Per-shard routed records consumed."""
+        return list(self._shard_records)
 
     @property
     def worker_pids(self) -> Optional[List[Optional[int]]]:
@@ -1746,13 +871,10 @@ class ShardedEngine:
     def actions_processed(self) -> int:
         """Stream actions consumed (global).
 
-        Broadcast mode reads the most advanced shard (every shard
-        replicates the stream); routed mode reads the facade resolver —
-        shard counters there count routed records, not stream actions.
+        Read from the facade resolver — shard counters count routed
+        records, not stream actions.
         """
-        if self._resolver is not None:
-            return self._resolver.actions_processed
-        return self._actions
+        return self._resolver.actions_processed
 
     @property
     def replayed_slides(self) -> int:
@@ -1773,184 +895,3 @@ class ShardedEngine:
     def store(self) -> Optional[pathlib.Path]:
         """The sharded state root (``None`` for in-memory engines)."""
         return self._state_root
-
-    def shard_infos(self) -> List[dict]:
-        """Live per-shard positions (one IPC round; for metrics/debugging).
-
-        Down shards are reported from their last-known position with
-        ``"state": "down"`` instead of failing the whole call.
-        """
-        try:
-            with self._lock:
-                infos = self._supervisor.call(
-                    "info", [None] * self.shard_count, heal=False
-                )
-        except ShardingError:
-            # Even a fully-down engine can report last-known positions.
-            infos = [None] * self.shard_count
-        self._absorb_infos(infos)
-        out = []
-        for shard, info in enumerate(infos):
-            if info is not None:
-                entry = dict(info)
-                entry["state"] = "up"
-            else:
-                entry = {
-                    "shard": shard,
-                    "slides": self._shard_slides[shard],
-                    "now": self._shard_nows[shard],
-                    "replayed": self._replayed[shard],
-                    "snapshots_written": self._snapshots[shard],
-                    "actions": None,
-                    "durable": self._state_root is not None,
-                    "state": "down",
-                }
-            out.append(entry)
-        return out
-
-
-def migrate_to_routed(state_dir) -> dict:
-    """Convert a broadcast-era sharded state dir to routed ingest, in place.
-
-    Broadcast shards each hold the *full* diffusion forest (every shard saw
-    every action), so any shard's recovered state can seed the facade
-    resolver — the migration picks the most advanced shard (newest snapshot
-    plus longest WAL tail), rebuilds a :class:`~repro.core.resolve.SlideResolver`
-    from its forest/clock/accounting, replays that shard's WAL tail through
-    it, writes the resolver's snapshot under ``<root>/resolver/``, and
-    rewrites the manifest to format 2 with ``"ingest": "routed"``.
-
-    The shard directories themselves are untouched: their broadcast-era
-    action WALs replay fine on reopen (the durable engine dispatches on
-    record kind), and every *subsequent* slide is logged as a routed-tuple
-    batch.  The operation is idempotent — an already-routed root returns
-    without writing anything.
-
-    Args:
-        state_dir: A sharded state root (the directory holding
-            ``sharding.json``).
-
-    Returns:
-        A summary dict: ``state_dir``, ``ingest``, ``migrated`` (False when
-        the root was already routed), and — after a conversion — the
-        ``seed_shard`` used, its ``slide_seq``, the resolver ``now`` clock
-        and ``actions_processed``, and ``replayed`` WAL slides.
-
-    Raises:
-        PersistenceError: when the root has no manifest, no recoverable
-            shard state, or its shard WALs already hold routed records
-            without a routed manifest (a corrupt or half-converted root).
-    """
-    root = pathlib.Path(state_dir)
-    manifest = ShardedEngine._read_manifest(root)
-    if manifest is None:
-        raise PersistenceError(
-            f"no sharding manifest under {root}; not a sharded state dir"
-        )
-    if manifest.get("ingest") == "routed":
-        return {"state_dir": str(root), "ingest": "routed", "migrated": False}
-    shard_dirs = list_shard_state_dirs(root)
-    if not shard_dirs:
-        raise PersistenceError(
-            f"sharded state dir {root} has a manifest but no shard-*/ "
-            "directories; nothing to migrate from"
-        )
-
-    # Survey every shard; the most advanced one (snapshot seq + WAL tail)
-    # defines the resolver's coverage.  Ties break on the lowest shard id.
-    best = None  # (slide_seq, -shard, shard_dir, snapshot_doc, snap_seq)
-    for shard, shard_dir in enumerate(shard_dirs):
-        store = StateStore(shard_dir, fsync=False)
-        try:
-            latest = store.snapshots.load_latest()
-            snap_seq = latest[0] if latest is not None else 0
-            doc = latest[1] if latest is not None else None
-            last_seq = snap_seq
-            for wal_seq, payload in store.wal.replay(after=snap_seq):
-                if isinstance(payload, ResolvedSlide):
-                    raise PersistenceError(
-                        f"shard WAL under {shard_dir} holds routed records "
-                        "but the manifest says broadcast; the root is "
-                        "corrupt or half-converted"
-                    )
-                last_seq = wal_seq
-        finally:
-            store.close()
-        if doc is None and last_seq == 0:
-            continue
-        key = (last_seq, -shard)
-        if best is None or key > best[0]:
-            best = (key, shard, shard_dir, doc, snap_seq)
-    if best is None:
-        raise PersistenceError(
-            f"no shard under {root} has a snapshot or WAL records; "
-            "nothing to migrate from"
-        )
-    _key, seed_shard, seed_dir, doc, snap_seq = best
-
-    # Seed the resolver from the snapshot's algorithm state (forest, clock,
-    # accounting).  Multi-query boards: the member with the widest retention
-    # horizon carries the most history (matches _probe_retention).
-    if doc is not None:
-        state = doc["algorithm"]
-        if state.get("algorithm") == "multi":
-            def horizon(query_state: dict):
-                retention = query_state["base"]["forest"].get("retention")
-                return float("inf") if retention is None else retention
-
-            state = max(doc["algorithm"]["queries"].values(), key=horizon)
-        base = state["base"]
-        resolver = SlideResolver.from_state(
-            {
-                "forest": base["forest"],
-                "last_time": base["window"]["last_time"],
-                "actions_processed": base["actions_processed"],
-            }
-        )
-    else:
-        resolver = SlideResolver()
-
-    # Replay the seed shard's WAL tail (broadcast = the full stream).
-    replayed = 0
-    final_seq = snap_seq
-    store = StateStore(seed_dir, fsync=False)
-    try:
-        for wal_seq, payload in store.wal.replay(after=snap_seq):
-            resolver.resolve(payload)
-            replayed += 1
-            final_seq = wal_seq
-    finally:
-        store.close()
-
-    resolver_store = StateStore(root / RESOLVER_DIR_NAME)
-    try:
-        resolver_store.snapshots.save(
-            final_seq,
-            {
-                "format": RESOLVER_SNAPSHOT_FORMAT,
-                "slide_seq": final_seq,
-                "resolver": resolver.to_state(),
-            },
-        )
-    finally:
-        resolver_store.close()
-
-    routed_manifest = {
-        "format": MANIFEST_FORMAT_ROUTED,
-        "shards": manifest["shards"],
-        "partitioner": manifest["partitioner"],
-        "ingest": "routed",
-    }
-    tmp = root / (MANIFEST_NAME + ".tmp")
-    tmp.write_text(json.dumps(routed_manifest, sort_keys=True) + "\n")
-    os.replace(tmp, root / MANIFEST_NAME)
-    return {
-        "state_dir": str(root),
-        "ingest": "routed",
-        "migrated": True,
-        "seed_shard": seed_shard,
-        "slide_seq": final_seq,
-        "now": resolver.now,
-        "actions_processed": resolver.actions_processed,
-        "replayed": replayed,
-    }

@@ -1,20 +1,20 @@
 """Routed ingest: the facade resolves once, shards apply owned records.
 
-Covers the PR's acceptance criteria:
+Covers:
 
-* **Routed ≡ broadcast equivalence matrix** — identical per-slide top-k
-  values/seeds for IC + SIC at L ∈ {1, 5}, S ∈ {1, 2, 4}, hash and heat
-  partitioners, across the serial/thread/process backends;
+* **Routed ≡ literal reference** — identical per-slide top-k values/seeds
+  between :class:`ShardedEngine` and S *standalone* shard engines
+  (``IC/SIC(shard=ShardAssignment(p, i))``, each fed the raw stream, each
+  resolving its own forest) combined with ``merge_shard_answers``: IC +
+  SIC at L ∈ {1, 5}, S ∈ {1, 2, 4}, hash and heat partitioners, across
+  the serial/thread/process backends;
 * **Accounting** — per-shard stats report routed records consumed (not
-  the stream-global action count), the facade resolver position is
-  exposed, and ``experiments.memory.sharded_work`` shows broadcast's S×
-  replication against routed's ~1×;
+  the stream-global action count) and the facade resolver position;
 * **Crash recovery on the routed WAL format** — unsealed crash + reopen
   + refeed converges, kill-at-every-slide heals in place, and a deleted
   resolver dir is refused (shards can never outrun the resolver);
-* **Manifest versioning** — broadcast roots keep the format-1 manifest,
-  routed roots are format 2; opening in the wrong mode refuses with a
-  migration hint, and :func:`migrate_to_routed` converts in place.
+* **Refusals** — a format-1 root points at the converter script, and a
+  board holding a filtered query is told to run unsharded.
 """
 
 import json
@@ -28,8 +28,14 @@ from repro.core.stream import batched
 from repro.experiments.memory import sharded_work
 from repro.faults import Fault, FaultPlan
 from repro.persistence.serialize import PersistenceError
-from repro.sharding.engine import ShardedEngine, migrate_to_routed
-from repro.sharding.partition import HeatPartitioner, influencer_heat
+from repro.sharding.engine import ShardedEngine, ShardingError
+from repro.sharding.merge import SeedCandidate, ShardAnswer, merge_shard_answers
+from repro.sharding.partition import (
+    HashPartitioner,
+    HeatPartitioner,
+    ShardAssignment,
+    influencer_heat,
+)
 from tests.conftest import random_stream
 
 MAKERS = {
@@ -44,58 +50,82 @@ MAKERS = {
 ACTIONS = random_stream(150, 15, seed=71)
 
 
-def run_mode(make, actions, slide, shards, routed, **open_kwargs):
-    """Drive one engine; returns (per-slide answers, ingest mode)."""
+def run_sharded(make, actions, slide, shards, **open_kwargs):
+    """Drive one ShardedEngine; returns the per-slide merged answers."""
     open_kwargs.setdefault("backend", "serial")
     answers = []
     with ShardedEngine.open(
-        lambda assignment=None: make(shard=assignment),
-        shards,
-        routed=routed,
-        **open_kwargs,
+        lambda assignment=None: make(shard=assignment), shards, **open_kwargs
     ) as engine:
         for batch in batched(actions, slide):
             engine.process(list(batch))
             answers.append(engine.query())
-        return answers, engine.ingest_mode
+    return answers
 
 
-class TestRoutedBroadcastEquivalence:
+def run_reference(make, actions, slide, partitioner):
+    """The literal reference: S standalone shard engines, merged per slide.
+
+    Every engine consumes the *raw* stream, resolves its own diffusion
+    forest and projects to its owned influencers — no facade, no routing.
+    """
+    engines = [
+        make(shard=ShardAssignment(partitioner, shard))
+        for shard in range(partitioner.shards)
+    ]
+    answers = []
+    for batch in batched(actions, slide):
+        per_shard = []
+        for shard, engine in enumerate(engines):
+            engine.process(list(batch))
+            local = engine.query()
+            per_shard.append(
+                ShardAnswer(
+                    shard=shard,
+                    time=local.time,
+                    seeds=frozenset(local.seeds),
+                    value=local.value,
+                    candidates=tuple(
+                        SeedCandidate(user, frozenset(coverage))
+                        for user, coverage in engine.query_candidates()
+                    ),
+                )
+            )
+        answers.append(
+            merge_shard_answers(
+                per_shard,
+                k=engines[0].k,
+                func=engines[0].influence_function,
+                time=batch[-1].time,
+            )
+        )
+    return answers
+
+
+class TestRoutedReferenceEquivalence:
     @pytest.mark.parametrize("algorithm", ["ic", "sic"])
     @pytest.mark.parametrize("slide", [1, 5])
     @pytest.mark.parametrize("shards", [1, 2, 4])
     def test_hash_partitioner_matrix(self, algorithm, slide, shards):
         """Identical per-slide values/seeds on every matrix cell."""
         make = MAKERS[algorithm]
-        broadcast, b_mode = run_mode(make, ACTIONS, slide, shards, False)
-        routed, r_mode = run_mode(make, ACTIONS, slide, shards, True)
-        assert b_mode == "broadcast" and r_mode == "routed"
-        assert routed == broadcast
+        reference = run_reference(make, ACTIONS, slide, HashPartitioner(shards))
+        assert run_sharded(make, ACTIONS, slide, shards) == reference
 
     @pytest.mark.parametrize("algorithm", ["ic", "sic"])
     @pytest.mark.parametrize("shards", [2, 4])
     def test_heat_partitioner_matrix(self, algorithm, shards):
-        heat = influencer_heat(ACTIONS[:75])
+        partitioner = HeatPartitioner(shards, influencer_heat(ACTIONS[:75]))
         make = MAKERS[algorithm]
-        broadcast, _ = run_mode(
-            make, ACTIONS, 5, shards, False,
-            partitioner=HeatPartitioner(shards, heat),
-        )
-        routed, _ = run_mode(
-            make, ACTIONS, 5, shards, True,
-            partitioner=HeatPartitioner(shards, heat),
-        )
-        assert routed == broadcast
+        routed = run_sharded(make, ACTIONS, 5, shards, partitioner=partitioner)
+        assert routed == run_reference(make, ACTIONS, 5, partitioner)
 
     @pytest.mark.parametrize("backend", ["thread", "process"])
     def test_backends_agree_with_serial(self, backend):
-        serial, _ = run_mode(MAKERS["ic"], ACTIONS, 5, 3, True)
-        other, _ = run_mode(
-            MAKERS["ic"], ACTIONS, 5, 3, True, backend=backend
-        )
-        assert other == serial
+        serial = run_sharded(MAKERS["ic"], ACTIONS, 5, 3)
+        assert run_sharded(MAKERS["ic"], ACTIONS, 5, 3, backend=backend) == serial
 
-    def test_multi_board_defaults_to_routed_and_matches(self):
+    def test_multi_board_matches_reference_per_query(self):
         def factory(assignment=None):
             return (
                 MultiQueryEngine()
@@ -103,46 +133,24 @@ class TestRoutedBroadcastEquivalence:
                 .add("sparse", MAKERS["sic"](shard=assignment))
             )
 
-        boards = {}
-        for routed in (False, True):
-            with ShardedEngine.open(
-                factory, 2, backend="serial", routed=routed
-            ) as engine:
-                for batch in batched(ACTIONS, 5):
-                    engine.process(list(batch))
-                boards[routed] = engine.query_all()
-        assert boards[True] == boards[False]
-        # Auto-detection: a capable board picks routed without being asked.
         with ShardedEngine.open(factory, 2, backend="serial") as engine:
-            assert engine.ingest_mode == "routed"
-
-    def test_unsupporting_board_refuses_forced_routed(self):
-        from repro.influence.queries import TopicAwareSIM
-
-        def factory(assignment=None):
-            return MultiQueryEngine().add(
-                "topic", TopicAwareSIM({"x"}, {}, window_size=20, k=2)
+            for batch in batched(ACTIONS, 5):
+                engine.process(list(batch))
+            board = engine.query_all()
+        for name, algorithm in (("fast", "ic"), ("sparse", "sic")):
+            reference = run_reference(
+                MAKERS[algorithm], ACTIONS, 5, HashPartitioner(2)
             )
-
-        from repro.sharding.engine import ShardingError
-
-        with pytest.raises(ShardingError, match="routed"):
-            ShardedEngine.open(factory, 2, backend="serial", routed=True)
-        # And auto-detection falls back to broadcast.
-        with ShardedEngine.open(factory, 2, backend="serial") as engine:
-            assert engine.ingest_mode == "broadcast"
+            assert board[name] == reference[-1]
 
 
 class TestAccounting:
     def test_per_shard_stats_report_routed_records(self):
         factory = lambda a=None: MAKERS["sic"](shard=a)
-        with ShardedEngine.open(
-            factory, 3, backend="serial", routed=True
-        ) as engine:
+        with ShardedEngine.open(factory, 3, backend="serial") as engine:
             for batch in batched(ACTIONS, 5):
                 engine.process(list(batch))
             stats = engine.supervision_stats()
-            assert stats["ingest"] == "routed"
             assert stats["resolver"]["actions_processed"] == len(ACTIONS)
             assert stats["resolver"]["now"] == 150
             per_shard = [s["routed_records"] for s in stats["shards"]]
@@ -161,21 +169,6 @@ class TestAccounting:
             assert work["stream_actions"] == len(ACTIONS)
             assert work["replication_factor"] < 3
 
-    def test_broadcast_replication_factor_is_shard_count(self):
-        factory = lambda a=None: MAKERS["sic"](shard=a)
-        with ShardedEngine.open(
-            factory, 3, backend="serial", routed=False
-        ) as engine:
-            for batch in batched(ACTIONS, 5):
-                engine.process(list(batch))
-            work = sharded_work(engine)
-            assert work["unit"] == "actions"
-            assert work["per_shard"] == [len(ACTIONS)] * 3
-            assert work["replication_factor"] == 3.0
-            stats = engine.supervision_stats()
-            assert stats["ingest"] == "broadcast"
-            assert "resolver" not in stats
-
 
 class TestRoutedRecovery:
     def _feed(self, engine, batches):
@@ -189,12 +182,12 @@ class TestRoutedRecovery:
         actions = random_stream(200, 20, seed=72)
         batches = [list(b) for b in batched(actions, 5)]
         factory = lambda a=None: MAKERS["ic"](shard=a)
-        expected, _ = run_mode(MAKERS["ic"], actions, 5, 2, False)
+        expected = run_reference(MAKERS["ic"], actions, 5, HashPartitioner(2))
 
         state = tmp_path / "state"
         engine = ShardedEngine.open(
             factory, 2, state_dir=state, backend="serial",
-            snapshot_every=7, fsync=False, routed=True,
+            snapshot_every=7, fsync=False,
         )
         for batch in batches[:23]:
             engine.process(batch)
@@ -204,7 +197,6 @@ class TestRoutedRecovery:
             factory, 2, state_dir=state, backend="serial",
             snapshot_every=7, fsync=False,
         )
-        assert recovered.ingest_mode == "routed"  # manifest remembers
         assert recovered.slides_processed == 23
         self._feed(recovered, batches)
         assert recovered.query() == expected[-1]
@@ -223,7 +215,7 @@ class TestRoutedRecovery:
         actions = random_stream(200, 25, seed=73)
         batches = [list(b) for b in batched(actions, 25)]
         factory = lambda a=None: MAKERS[algo](shard=a)
-        expected, _ = run_mode(MAKERS[algo], actions, 25, 2, True)
+        expected = run_sharded(MAKERS[algo], actions, 25, 2)
         plan = FaultPlan(
             [
                 Fault(kind="kill", shard=(s - 1) % 2, at_slide=s)
@@ -233,7 +225,7 @@ class TestRoutedRecovery:
         )
         engine = ShardedEngine.open(
             factory, 2, state_dir=tmp_path / "state", backend="process",
-            snapshot_every=3, fsync=False, fault_plan=plan, routed=True,
+            snapshot_every=3, fsync=False, fault_plan=plan,
         )
         try:
             for batch in batches:
@@ -252,8 +244,7 @@ class TestRoutedRecovery:
         factory = lambda a=None: MAKERS["ic"](shard=a)
         state = tmp_path / "state"
         engine = ShardedEngine.open(
-            factory, 2, state_dir=state, backend="serial",
-            fsync=False, routed=True,
+            factory, 2, state_dir=state, backend="serial", fsync=False
         )
         engine.process([a for a in random_stream(20, 5, seed=74)])
         engine.close()
@@ -264,86 +255,44 @@ class TestRoutedRecovery:
             )
 
 
-class TestManifestAndMigration:
-    def _fill(self, state, routed, slides=23, seal=True):
+class TestManifestAndRefusals:
+    def test_manifest_is_format_2(self, tmp_path):
+        state = tmp_path / "state"
         factory = lambda a=None: MAKERS["ic"](shard=a)
-        actions = random_stream(200, 20, seed=75)
-        batches = [list(b) for b in batched(actions, 5)]
-        engine = ShardedEngine.open(
-            factory, 2, state_dir=state, backend="serial",
-            snapshot_every=7, fsync=False, routed=routed,
-        )
-        for batch in batches[:slides]:
-            engine.process(batch)
-        if seal:
-            engine.close()
-        else:
-            engine._backend.stop()
-        return factory, batches
-
-    def test_broadcast_manifest_stays_format_1(self, tmp_path):
-        state = tmp_path / "state"
-        self._fill(state, routed=False)
-        manifest = json.loads((state / "sharding.json").read_text())
-        assert manifest["format"] == 1
-        assert "ingest" not in manifest
-        assert not (state / "resolver").exists()
-
-    def test_routed_manifest_is_format_2(self, tmp_path):
-        state = tmp_path / "state"
-        self._fill(state, routed=True)
+        with ShardedEngine.open(
+            factory, 2, state_dir=state, backend="serial", fsync=False
+        ) as engine:
+            engine.process([a for a in random_stream(20, 5, seed=75)])
         manifest = json.loads((state / "sharding.json").read_text())
         assert manifest["format"] == 2
         assert manifest["ingest"] == "routed"
         assert (state / "resolver").is_dir()
 
-    def test_mode_mismatch_refusals(self, tmp_path):
-        factory, _ = self._fill(tmp_path / "broadcast", routed=False)
-        with pytest.raises(PersistenceError, match="migrate_to_routed"):
-            ShardedEngine.open(
-                factory, 2, state_dir=tmp_path / "broadcast",
-                backend="serial", fsync=False, routed=True,
+    def test_format_1_root_is_refused_with_script_pointer(self, tmp_path):
+        (tmp_path / "sharding.json").write_text(
+            json.dumps(
+                {
+                    "format": 1,
+                    "shards": 2,
+                    "partitioner": HashPartitioner(2).to_state(),
+                }
             )
-        self._fill(tmp_path / "routed", routed=True)
-        with pytest.raises(PersistenceError, match="routed=True"):
+        )
+        with pytest.raises(
+            PersistenceError, match=r"scripts/migrate_to_routed\.py"
+        ):
             ShardedEngine.open(
-                factory, 2, state_dir=tmp_path / "routed",
-                backend="serial", fsync=False, routed=False,
+                lambda a=None: MAKERS["ic"](shard=a), 2,
+                state_dir=tmp_path, backend="serial", fsync=False,
             )
 
-    @pytest.mark.parametrize("seal", [True, False])
-    def test_migrate_then_continue_converges(self, tmp_path, seal):
-        """In-place conversion: sealed roots and crashed roots (whose WAL
-        tail seeds the resolver) both reopen routed and converge."""
-        state = tmp_path / "state"
-        factory, batches = self._fill(state, routed=False, seal=seal)
-        expected, _ = run_mode(
-            MAKERS["ic"],
-            [a for batch in batches for a in batch], 5, 2, False,
-        )
-        summary = migrate_to_routed(state)
-        assert summary["migrated"] and summary["ingest"] == "routed"
-        assert summary["now"] == 115
-        if not seal:
-            assert summary["replayed"] > 0  # WAL tail replayed into the resolver
-        # Idempotent: a second call is a no-op.
-        assert migrate_to_routed(state)["migrated"] is False
+    def test_filtered_board_is_refused_at_open(self):
+        from repro.influence.queries import TopicAwareSIM
 
-        engine = ShardedEngine.open(
-            factory, 2, state_dir=state, backend="serial",
-            snapshot_every=7, fsync=False,
-        )
-        try:
-            assert engine.ingest_mode == "routed"
-            resume = engine.now
-            for batch in batches:
-                if batch[-1].time <= resume:
-                    continue
-                engine.process([a for a in batch if a.time > resume])
-            assert engine.query() == expected[-1]
-        finally:
-            engine.close()
+        def factory(assignment=None):
+            return MultiQueryEngine().add(
+                "topic", TopicAwareSIM({"x"}, {}, window_size=20, k=2)
+            )
 
-    def test_migrate_refuses_non_sharded_dirs(self, tmp_path):
-        with pytest.raises(PersistenceError, match="manifest"):
-            migrate_to_routed(tmp_path)
+        with pytest.raises(ShardingError, match="run this board unsharded"):
+            ShardedEngine.open(factory, 2, backend="serial")

@@ -357,6 +357,25 @@ class TestRefusals:
                 partitioner=ConstantPartitioner(2, 0),
             )
 
+    @pytest.mark.parametrize("document,phrase", [
+        ('{"format": 2, "shards"', "not valid JSON"),
+        ("[1, 2]", "malformed"),
+        ('{"shards": 2, "partitioner": {"kind": "hash"}}', "malformed"),
+        ('{"format": "2", "shards": 2, "partitioner": {}}', "malformed"),
+        ('{"format": 2, "shards": "two", "partitioner": {}}', "malformed"),
+        ('{"format": 2, "shards": 2, "partitioner": "hash"}', "malformed"),
+    ])
+    def test_garbage_manifest_is_refused_naming_the_file(
+        self, tmp_path, document, phrase
+    ):
+        (tmp_path / "sharding.json").write_text(document)
+        with pytest.raises(PersistenceError, match=phrase) as refusal:
+            ShardedEngine.open(
+                lambda a=None: MAKERS["ic"](shard=a), 2,
+                state_dir=tmp_path, fsync=False,
+            )
+        assert str(tmp_path / "sharding.json") in str(refusal.value)
+
     def test_per_shard_config_mismatch_is_rejected(self, tmp_path):
         state = tmp_path / "state"
         engine = ShardedEngine.open(
