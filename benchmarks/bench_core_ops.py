@@ -5,11 +5,12 @@ window slides, diffusion-forest resolution, window-index add/remove cycles,
 and a single checkpoint's SSM update.
 """
 
-from repro.core.checkpoint import Checkpoint, OracleSpec
+from repro.core.checkpoint import OracleSpec
 from repro.core.diffusion import DiffusionForest
 from repro.core.influence_index import WindowInfluenceIndex
 from repro.core.window import SlidingWindow
 from repro.influence.functions import CardinalityInfluence
+from repro.reference import ReferenceCheckpoint
 
 
 def test_window_slide_per_action(benchmark, tiny_stream, tiny_config):
@@ -64,9 +65,9 @@ def test_single_checkpoint_ssm_update(benchmark, tiny_stream):
             name="sieve", k=5, func=CardinalityInfluence(),
             params={"beta": 0.3},
         )
-        checkpoint = Checkpoint(1, spec)
+        checkpoint = ReferenceCheckpoint(1, spec.build)
         for action in prefix:
-            checkpoint.process(forest.add(action))
+            checkpoint.process_slide([forest.add(action)])
         return checkpoint.value
 
     assert benchmark.pedantic(run, rounds=3, iterations=1) > 0
@@ -88,15 +89,13 @@ def test_ic_processing_n1000_l1_shared(benchmark, tiny_stream):
 
 
 def test_ic_processing_n1000_l1_reference(benchmark, tiny_stream):
-    """The same workload on the per-checkpoint reference indexes."""
-    from repro.core.ic import InfluentialCheckpoints
+    """The same workload on the literal per-checkpoint algorithm."""
+    from repro.reference import ReferenceIC
 
     prefix = tiny_stream[:1500]
 
     def run():
-        ic = InfluentialCheckpoints(
-            window_size=1000, k=5, beta=0.3, shared_index=False
-        )
+        ic = ReferenceIC(window_size=1000, k=5, beta=0.3)
         for action in prefix:
             ic.process([action])
         return ic.query().value

@@ -4,14 +4,15 @@ Figure 6 counts checkpoints; this benchmark weighs them — total influence
 set entries plus oracle state — confirming that SIC's sparsity translates
 into proportional memory savings, and that β controls the trade-off.  The
 Figure 6 story is about the paper's *per-checkpoint* index copies, so the
-comparison runs in reference mode (``shared_index=False``); a second test
-weighs the default shared ``VersionedInfluenceIndex``, whose physical size
+comparison runs the literal algorithm (``repro.reference``); a second test
+weighs the engine's shared ``VersionedInfluenceIndex``, whose physical size
 is the distinct visible pairs regardless of checkpoint count.
 """
 
 from repro.core.ic import InfluentialCheckpoints
 from repro.core.sic import SparseInfluentialCheckpoints
 from repro.experiments.memory import measure_footprint
+from repro.reference import ReferenceIC, ReferenceSIC
 
 
 def _run(framework, batches):
@@ -35,22 +36,16 @@ def test_footprint_measurement_cost(benchmark, tiny_config, tiny_batches):
 def test_sic_vs_ic_footprint(tiny_config, tiny_batches):
     """Print and assert the Figure 6 space story (reference indexes)."""
     ic = _run(
-        InfluentialCheckpoints(
-            window_size=tiny_config.window_size,
-            k=tiny_config.k,
-            beta=0.3,
-            shared_index=False,
+        ReferenceIC(
+            window_size=tiny_config.window_size, k=tiny_config.k, beta=0.3
         ),
         tiny_batches,
     )
     results = {}
     for beta in (0.1, 0.3, 0.5):
         sic = _run(
-            SparseInfluentialCheckpoints(
-                window_size=tiny_config.window_size,
-                k=tiny_config.k,
-                beta=beta,
-                shared_index=False,
+            ReferenceSIC(
+                window_size=tiny_config.window_size, k=tiny_config.k, beta=beta
             ),
             tiny_batches,
         )
@@ -77,11 +72,8 @@ def test_shared_index_footprint(tiny_config, tiny_batches):
         tiny_batches,
     )
     reference = _run(
-        InfluentialCheckpoints(
-            window_size=tiny_config.window_size,
-            k=tiny_config.k,
-            beta=0.3,
-            shared_index=False,
+        ReferenceIC(
+            window_size=tiny_config.window_size, k=tiny_config.k, beta=0.3
         ),
         tiny_batches,
     )

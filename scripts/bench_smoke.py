@@ -12,12 +12,12 @@ leave a comparable perf record::
 Reported figures:
 
 * ``ic_n1000_l1`` — actions/sec of IC (sieve, k=5, β=0.3) over a syn-n
-  stream with window 1000 and slide 1, for the shared
-  ``VersionedInfluenceIndex`` data plane and the per-checkpoint reference
-  (``shared_index=False``), plus the speedup ratio;
-* ``ic_n1000_l5`` — the same workload at slide 5, comparing the batched
-  dispatch plane (one merged ``process_batch`` per checkpoint per slide)
-  against unbatched per-delta delivery (``batch_feeds=False``);
+  stream with window 1000 and slide 1, for the engine (columnar kernel and
+  object oracles over the shared ``VersionedInfluenceIndex``) and the
+  literal per-checkpoint algorithm (``repro.reference.ReferenceIC``), plus
+  the speedup ratios;
+* ``ic_n1000_l5`` — the same engine workload at slide 5 (one merged
+  ``process_batch`` per checkpoint per slide);
 * ``fig7_tiny`` — IC and SIC throughput at the TINY preset (β=0.3);
 * ``core_ops`` — per-action costs of the window index cycle and a single
   checkpoint's SSM update;
@@ -74,12 +74,13 @@ from repro.core.diffusion import DiffusionForest  # noqa: E402
 from repro.core.ic import InfluentialCheckpoints  # noqa: E402
 from repro.core.influence_index import WindowInfluenceIndex  # noqa: E402
 from repro.core.sic import SparseInfluentialCheckpoints  # noqa: E402
-from repro.core.checkpoint import Checkpoint, OracleSpec  # noqa: E402
+from repro.core.checkpoint import OracleSpec  # noqa: E402
 from repro.core.stream import batched  # noqa: E402
 from repro.experiments.config import Scale, make_config  # noqa: E402
 from repro.experiments.memory import measure_footprint  # noqa: E402
 from repro.experiments.runner import make_stream  # noqa: E402
 from repro.influence.functions import CardinalityInfluence  # noqa: E402
+from repro.reference import ReferenceCheckpoint, ReferenceIC  # noqa: E402
 
 
 def time_framework(framework, batches):
@@ -95,32 +96,25 @@ def bench_ic_n1000_l1(stream, n_actions, repeats=2):
 
     ``shared`` is the default engine (shared index + columnar oracle
     kernel), ``object`` pins the shared index to per-checkpoint object
-    oracles (``columnar=False``), and ``reference`` is the per-checkpoint
-    index copy mode.  Each mode reports its best of ``repeats`` runs
+    oracles (``columnar=False``), and ``reference`` is the literal
+    per-checkpoint algorithm (``repro.reference.ReferenceIC``).  Each mode
+    reports its best of ``repeats`` runs
     (scheduler noise on a ~10 s single-shot run can swing throughput by
     >10%).
     """
     actions = stream[:n_actions]
     batches = [[a] for a in actions]
     results = {}
+    config = dict(window_size=1000, k=5, beta=0.3)
     modes = (
-        ("shared", True, None),
-        ("object", True, False),
-        ("reference", False, None),
+        ("shared", lambda: InfluentialCheckpoints(**config)),
+        ("object", lambda: InfluentialCheckpoints(columnar=False, **config)),
+        ("reference", lambda: ReferenceIC(**config)),
     )
-    for label, shared, columnar in modes:
+    for label, make in modes:
         best = None
         for _ in range(repeats):
-            elapsed, ic = time_framework(
-                InfluentialCheckpoints(
-                    window_size=1000,
-                    k=5,
-                    beta=0.3,
-                    shared_index=shared,
-                    columnar=columnar,
-                ),
-                batches,
-            )
+            elapsed, ic = time_framework(make(), batches)
             if best is None or elapsed < best:
                 best = elapsed
         elapsed = best
@@ -132,7 +126,7 @@ def bench_ic_n1000_l1(stream, n_actions, repeats=2):
             "checkpoints": footprint.checkpoints,
             "query_value": ic.query().value,
         }
-    # NB: "reference" is the in-tree per-checkpoint mode, which already
+    # NB: "reference" is the in-tree per-checkpoint algorithm, which already
     # benefits from the oracle fast paths; the original seed implementation
     # measured ~84 actions/s on this workload (see CHANGES.md).
     results["speedup_vs_reference_mode"] = round(
@@ -149,41 +143,27 @@ def bench_ic_n1000_l1(stream, n_actions, repeats=2):
 
 
 def bench_ic_n1000_l5(stream, n_actions, repeats=3):
-    """The batching workload: IC at slide 5, batched vs per-delta feeds.
+    """The batching workload: IC at slide 5 (best of ``repeats`` runs).
 
-    The two modes differ by a few percent, which single-shot timings can
-    invert under scheduler noise; each mode reports its best of
-    ``repeats`` runs.
+    The PR 1 per-event dispatch measured ~2500 actions/s on this workload
+    (see CHANGES.md); the trajectory lives in this row's absolute number.
     """
     actions = stream[:n_actions]
     batches = [actions[i : i + 5] for i in range(0, len(actions), 5)]
-    results = {}
-    for label, batch_feeds in (("batched", True), ("unbatched", False)):
-        best = None
-        for _ in range(repeats):
-            elapsed, ic = time_framework(
-                InfluentialCheckpoints(
-                    window_size=1000, k=5, beta=0.3, batch_feeds=batch_feeds
-                ),
-                batches,
-            )
-            if best is None or elapsed < best:
-                best = elapsed
-        results[label] = {
+    best = None
+    for _ in range(repeats):
+        elapsed, ic = time_framework(
+            InfluentialCheckpoints(window_size=1000, k=5, beta=0.3), batches
+        )
+        if best is None or elapsed < best:
+            best = elapsed
+    return {
+        "batched": {
             "seconds": round(best, 3),
             "actions_per_sec": round(len(actions) / best, 1),
             "query_value": ic.query().value,
         }
-    # NB: both modes share the merged-delta dispatch plane; the PR 1
-    # per-event dispatch measured ~2500 actions/s on this workload (see
-    # CHANGES.md), so the trajectory win lives in this section's absolute
-    # numbers rather than the batched/unbatched ratio.
-    results["speedup_vs_unbatched"] = round(
-        results["batched"]["actions_per_sec"]
-        / results["unbatched"]["actions_per_sec"],
-        2,
-    )
-    return results
+    }
 
 
 def bench_fig7_tiny(config, batches):
@@ -243,9 +223,9 @@ def bench_core_ops(stream, config):
     spec = OracleSpec(
         name="sieve", k=5, func=CardinalityInfluence(), params={"beta": 0.3}
     )
-    checkpoint = Checkpoint(1, spec)
+    checkpoint = ReferenceCheckpoint(1, spec.build)
     for action in prefix:
-        checkpoint.process(forest.add(action))
+        checkpoint.process_slide([forest.add(action)])
     elapsed = time.perf_counter() - started
     results["single_checkpoint_ssm"] = {
         "seconds": round(elapsed, 3),
@@ -702,11 +682,10 @@ def main(argv=None):
           f"(columnar kernel off)")
     print(f"IC N=1000 L=1 reference: {headline['reference']['actions_per_sec']:>10,.1f} actions/s "
           f"({headline['reference']['index_entries']:,} index entries)")
-    print(f"speedup vs in-tree reference mode: "
+    print(f"speedup vs repro.reference: "
           f"{headline['speedup_vs_reference_mode']}x")
     l5 = report["ic_n1000_l5"]
     print(f"IC N=1000 L=5 batched:   {l5['batched']['actions_per_sec']:>10,.1f} actions/s")
-    print(f"IC N=1000 L=5 unbatched: {l5['unbatched']['actions_per_sec']:>10,.1f} actions/s")
     persistence = report["snapshot_restore"]
     print(f"snapshot write:          {persistence['snapshot_write']['seconds']:>10.4f} s "
           f"({persistence['snapshot_write']['bytes']:,} bytes)")

@@ -124,13 +124,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="ic only: open a checkpoint every this many slides",
     )
     track.add_argument(
-        "--shared-index",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="share one versioned influence index across checkpoints "
-        "(--no-shared-index restores per-checkpoint reference indexes)",
-    )
-    track.add_argument(
         "--format",
         choices=_FORMATS,
         default="text",
@@ -218,11 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--beta", type=float, default=0.2)
     serve.add_argument("--oracle", choices=_ORACLES, default="sieve")
     serve.add_argument("--checkpoint-interval", type=int, default=1)
-    serve.add_argument(
-        "--shared-index",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-    )
     serve.add_argument(
         "--query",
         action="append",
@@ -497,7 +485,6 @@ def _build_algorithm(options: dict, assignment):
             k=options["k"],
             beta=options["beta"],
             oracle=options["oracle"],
-            shared_index=options["shared_index"],
             shard=assignment,
         )
     if options["algorithm"] == "ic":
@@ -506,7 +493,6 @@ def _build_algorithm(options: dict, assignment):
             k=options["k"],
             beta=options["beta"],
             oracle=options["oracle"],
-            shared_index=options["shared_index"],
             checkpoint_interval=options["checkpoint_interval"],
             shard=assignment,
         )
@@ -520,8 +506,6 @@ def _query_specs(args, specs) -> list:
     ``--shards`` refuses greedy queries here, once, for both commands.
     """
     parsed = [_parse_query_spec(spec, args) for spec in specs]
-    for _, options in parsed:
-        options["shared_index"] = args.shared_index
     if args.shards > 1:
         unshardable = sorted(
             name for name, options in parsed if options["algorithm"] == "greedy"

@@ -28,6 +28,7 @@ __all__ = [
     "SIMAlgorithm",
     "STATE_FORMAT_VERSION",
     "check_state_header",
+    "state_field",
 ]
 
 #: Version tag carried by every serialized algorithm state.  Bump when a
@@ -55,6 +56,39 @@ def check_state_header(state, algorithm: str) -> None:
         raise ValueError(
             f"state document is for algorithm {kind!r}, expected {algorithm!r}"
         )
+
+
+#: JSON names of the Python types :func:`state_field` checks for.
+_JSON_KINDS = {dict: "an object", int: "an integer", str: "a string"}
+
+
+def state_field(document, key: str, kind: type, where: str = ""):
+    """Return ``document[key]``, insisting it is a ``kind``.
+
+    ``from_state`` constructors read the fields they dispatch on through
+    this accessor, so a structurally damaged document fails naming the
+    field instead of with a bare ``KeyError``/``TypeError``.
+
+    Args:
+        document: The (sub-)document to read from.
+        key: The field to read.
+        kind: The Python type the JSON value must decode to.
+        where: Dotted path of ``document`` inside the state document
+            (e.g. ``"config."``), for the error message.
+
+    Raises:
+        ValueError: when ``document`` lacks ``key`` or holds a value of
+            another type there.
+    """
+    if key not in document:
+        raise ValueError(f"state document has no field {where + key!r}")
+    value = document[key]
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ValueError(
+            f"state field {where + key!r} must be {_JSON_KINDS[kind]}, "
+            f"got {type(value).__name__}"
+        )
+    return value
 
 
 @dataclass(frozen=True, slots=True)

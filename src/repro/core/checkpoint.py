@@ -4,33 +4,23 @@ A checkpoint ``Λ_t[i]`` (Section 4.1) maintains an ε-approximate SIM
 solution for the contiguous actions ``{W_t[i], ..., W_t[N]}`` — i.e. for the
 suffix of the stream starting at the checkpoint's *start time*.  It bundles
 
-* a suffix influence index holding ``I_t[i](u)`` for every user observed in
-  the suffix, and
+* a :class:`~repro.core.influence_index.SuffixView` of the framework's
+  single :class:`~repro.core.influence_index.VersionedInfluenceIndex`,
+  serving ``I_t[i](u)`` for every user observed in the suffix, and
 * a :class:`~repro.core.oracles.base.CheckpointOracle` fed through the SSM
-  steps: the index reports which users' influence sets grew, and the oracle
-  re-processes exactly those users.
-
-Two index arrangements exist:
-
-* **standalone** (the reference implementation) — the checkpoint owns a
-  private :class:`~repro.core.influence_index.AppendOnlyInfluenceIndex` and
-  :meth:`Checkpoint.process` / :meth:`Checkpoint.process_slide` drive both
-  index and oracle;
-* **shared** — the checkpoint is built over a
-  :class:`~repro.core.influence_index.SuffixView` of the framework's single
-  :class:`~repro.core.influence_index.VersionedInfluenceIndex`.  The
-  framework indexes each action once and dispatches oracle feeds to exactly
-  the checkpoints whose suffix set grew (see :func:`feed_shared`).
+  steps: the framework indexes each action once and :func:`feed_shared`
+  dispatches oracle feeds to exactly the checkpoints whose suffix set
+  grew.
 
 **Slide semantics.**  A slide of ``L`` actions is one SSM event: all ``L``
 records are applied to the index *first*, then each checkpoint's oracle
 receives one merged delta ``(user, new_members)`` per updated user, in
-first-update order.  With ``L = 1`` this degenerates to the per-action
-model of Algorithm 1.  Batched mode hands a checkpoint's whole slide to the
-oracle in a single :meth:`~repro.core.oracles.base.CheckpointOracle.process_batch`
-call so per-slide bookkeeping is amortised; unbatched mode delivers the
-same deltas one ``process_delta`` call at a time — the two are
-result-identical (proven by ``tests/core/test_shared_index_equivalence``).
+first-update order, as a single
+:meth:`~repro.core.oracles.base.CheckpointOracle.process_batch` call.  With
+``L = 1`` this degenerates to the per-action model of Algorithm 1.  The
+literal per-checkpoint form of the same semantics (a private index per
+checkpoint, fed one delta at a time) is :mod:`repro.reference`, which
+``tests/core/test_shared_index_equivalence`` holds this module against.
 
 Checkpoints never see expiries: deletion of whole checkpoints is the IC/SIC
 frameworks' job.
@@ -44,26 +34,19 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, List, Sequence
 
 from repro.core.diffusion import ActionRecord
-from repro.core.influence_index import (
-    AppendOnlyInfluenceIndex,
-    VersionedInfluenceIndex,
-)
+from repro.core.influence_index import VersionedInfluenceIndex
 from repro.core.oracles.base import CheckpointOracle, make_oracle
 from repro.core.oracles.streaming_base import StreamingThresholdOracle
 
-# Projection (narrowing resolved records to one shard's influencers) lives
-# with the rest of the resolve-phase machinery; re-exported here because
-# every checkpoint framework imports it from this module.
-from repro.core.resolve import project_records
 from repro.influence.functions import InfluenceFunction
 
 __all__ = [
     "Checkpoint",
     "CheckpointRoster",
     "OracleSpec",
+    "SuffixCheckpoint",
     "feed_shared",
     "make_columnar_kernel",
-    "project_records",
 ]
 
 
@@ -78,19 +61,16 @@ def _columnar_module():
     return columnar
 
 
-def make_columnar_kernel(spec, shared, columnar, batch_feeds: bool = True):
+def make_columnar_kernel(spec, shared, columnar):
     """Resolve an engine's oracle-plane choice to a kernel (or ``None``).
 
     Args:
         spec: The engine's :class:`OracleSpec`.
         shared: The engine's
-            :class:`~repro.core.influence_index.VersionedInfluenceIndex`,
-            or ``None`` in per-checkpoint reference mode.
+            :class:`~repro.core.influence_index.VersionedInfluenceIndex`.
         columnar: The engine's plane flag — ``True`` requires the columnar
             kernel (raising if unsupported), ``False`` forces the object
             plane, ``None`` auto-selects: columnar whenever supported.
-        batch_feeds: The engine's dispatch-plane flag; the kernel *is* the
-            batched plane, so unbatched engines keep object oracles.
 
     Returns:
         A ``ColumnarThresholdKernel`` when the columnar plane is active,
@@ -103,10 +83,6 @@ def make_columnar_kernel(spec, shared, columnar, batch_feeds: bool = True):
     if columnar is False:
         return None
     reasons = []
-    if shared is None:
-        reasons.append("shared_index=False (per-checkpoint reference mode)")
-    if not batch_feeds:
-        reasons.append("batch_feeds=False (unbatched dispatch reference)")
     if not spec.func.modular:
         reasons.append(
             f"non-modular influence function {type(spec.func).__name__}"
@@ -141,9 +117,9 @@ def make_columnar_kernel(spec, shared, columnar, batch_feeds: bool = True):
     if reasons:
         if columnar:
             raise ValueError(
-                "columnar=True requires a shared-index engine with batched "
-                "feeds, a modular uniform-weight influence function, and a "
-                "sieve/threshold oracle; blocked by: " + "; ".join(reasons)
+                "columnar=True requires a modular uniform-weight influence "
+                "function and a sieve/threshold oracle; blocked by: "
+                + "; ".join(reasons)
             )
         return None
     try:
@@ -157,8 +133,6 @@ def make_columnar_kernel(spec, shared, columnar, batch_feeds: bool = True):
             ) from exc
         return None
     return module.ColumnarThresholdKernel(spec, shared)
-
-
 
 
 @dataclass(frozen=True)
@@ -185,94 +159,105 @@ class OracleSpec:
         )
 
 
-class Checkpoint:
-    """``Λ_t[i]``: oracle + suffix influence index for one suffix."""
+class SuffixCheckpoint:
+    """What every representation of ``Λ_t[i]`` shares.
 
-    __slots__ = (
-        "start",
-        "_index",
-        "_oracle",
-        "_actions_processed",
-        "_ledger",
-        "_absorbed_base",
-    )
+    The start time, the ledger-derived action count and the window
+    arithmetic.  :class:`Checkpoint` adds an object oracle over a suffix
+    view; the columnar plane's ``ColumnarCheckpoint`` a handle into the
+    kernel's column.
+    """
 
-    def __init__(self, start: int, spec: OracleSpec, index=None, ledger=None):
+    __slots__ = ("start", "_ledger", "_absorbed_base", "_actions_processed")
+
+    def __init__(self, start: int, ledger: "CheckpointRoster"):
         """
         Args:
             start: Timestamp of the first action this checkpoint covers.
-            spec: Oracle recipe shared by all checkpoints of a framework.
-            index: A :class:`~repro.core.influence_index.SuffixView` of the
-                framework's shared index.  ``None`` (standalone/reference
-                mode) gives the checkpoint a private
-                :class:`~repro.core.influence_index.AppendOnlyInfluenceIndex`
-                driven through :meth:`process` / :meth:`process_slide`.
-            ledger: A :class:`CheckpointRoster` whose ``absorbed`` counter
-                tracks the slide stream (shared-index mode).  Every live
-                checkpoint absorbs every slide, so
-                :attr:`actions_processed` is read off the shared counter
-                instead of being incremented per checkpoint per slide.
+            ledger: The :class:`CheckpointRoster` whose ``absorbed``
+                counter tracks the slide stream.  Every live checkpoint
+                absorbs every slide, so :attr:`actions_processed` is read
+                off the shared counter instead of being incremented per
+                checkpoint per slide.
         """
         if start <= 0:
             raise ValueError(f"checkpoint start must be positive, got {start}")
         self.start = start
-        self._index = AppendOnlyInfluenceIndex() if index is None else index
-        self._oracle = spec.build(self._index)
-        self._actions_processed = 0
         self._ledger = ledger
-        self._absorbed_base = ledger.absorbed if ledger is not None else 0
+        self._absorbed_base = ledger.absorbed
+        self._actions_processed = 0
 
-    def process(self, record: ActionRecord) -> None:
-        """SSM steps (1)–(3) for one arriving action (standalone mode)."""
-        if record.time < self.start:
-            raise ValueError(
-                f"checkpoint starting at {self.start} received "
-                f"older action {record.time}"
-            )
-        self._actions_processed += 1
-        for user in self._index.add(record):
-            self.feed(user, record.user)
+    @property
+    def actions_processed(self) -> int:
+        """How many actions this checkpoint has absorbed (roster ledger)."""
+        return (
+            self._ledger.absorbed
+            - self._absorbed_base
+            + self._actions_processed
+        )
 
-    def process_slide(self, records: Sequence[ActionRecord]) -> None:
-        """One whole slide in standalone mode: index all, then feed merged.
+    def position(self, now: int, window_size: int) -> int:
+        """The paper's relative index ``x_i`` within ``W_now``.
 
-        All of the slide's records enter the private index before any
-        oracle work runs; the oracle then receives one
-        ``(user, new_members)`` delta per updated user, in first-update
-        order — the reference implementation of the slide semantics the
-        shared dispatch plane reproduces.
+        ``1`` means the checkpoint covers the whole window; ``<= 0`` means it
+        has expired (covers more actions than the window holds).
         """
-        index_add = self._index.add
-        deltas: dict = {}
-        for record in records:
-            if record.time < self.start:
-                raise ValueError(
-                    f"checkpoint starting at {self.start} received "
-                    f"older action {record.time}"
-                )
-            performer = record.user
-            for user in index_add(record):
-                members = deltas.get(user)
-                if members is None:
-                    deltas[user] = [performer]
-                else:
-                    members.append(performer)
-        self._actions_processed += len(records)
-        for user, members in deltas.items():
-            self.feed_delta(user, members)
+        return self.start - (now - window_size)
+
+    def covers_window(self, now: int, window_size: int) -> bool:
+        """True while the checkpoint covers at most the window's actions."""
+        return self.position(now, window_size) >= 1
+
+    def to_state(self) -> dict:
+        """Explicit JSON-safe state: start, action count and oracle state.
+
+        One schema for both representations, so either plane opens either
+        document.  ``index`` is always ``None``: the suffix sets live in
+        the framework's
+        :class:`~repro.core.influence_index.VersionedInfluenceIndex`,
+        which the framework serializes once for all checkpoints.
+        """
+        return {
+            "start": self.start,
+            "actions_processed": self.actions_processed,
+            "oracle": self.oracle_state(),
+            "index": None,
+        }
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return (
+            f"{type(self).__name__}(start={self.start}, "
+            f"value={self.value:.1f}, seeds={sorted(self.seeds)})"
+        )
+
+
+class Checkpoint(SuffixCheckpoint):
+    """``Λ_t[i]``: oracle + suffix influence index for one suffix."""
+
+    __slots__ = ("_index", "_oracle")
+
+    def __init__(self, start: int, spec: OracleSpec, index, ledger):
+        """
+        Args:
+            start: Timestamp of the first action this checkpoint covers.
+            spec: Oracle recipe shared by all checkpoints of a framework.
+            index: This suffix's
+                :class:`~repro.core.influence_index.SuffixView` of the
+                framework's shared index.
+            ledger: The framework's :class:`CheckpointRoster`.
+        """
+        super().__init__(start, ledger)
+        self._index = index
+        self._oracle = spec.build(index)
 
     def feed(self, user: int, new_member: int) -> None:
         """SSM steps (2)–(3): the oracle learns ``user`` gained ``new_member``.
 
-        The suffix index already reflects the update — in standalone mode
-        :meth:`process` applied it, in shared mode the framework's
-        :class:`~repro.core.influence_index.VersionedInfluenceIndex` did.
+        The suffix index already reflects the update — the framework's
+        :class:`~repro.core.influence_index.VersionedInfluenceIndex`
+        applied it before dispatching.
         """
         self._oracle.process(user, new_member)
-
-    def feed_delta(self, user: int, new_members: Sequence[int]) -> None:
-        """Merged SSM event: ``user`` gained all of ``new_members``."""
-        self._oracle.process_delta(user, new_members)
 
     def feed_batch(self, deltas) -> None:
         """A whole slide's merged deltas in one oracle call."""
@@ -295,83 +280,36 @@ class Checkpoint:
 
     @property
     def index(self):
-        """The suffix influence index ``I_t[i](·)`` (own index or view)."""
+        """The suffix influence index ``I_t[i](·)`` (a shared-index view)."""
         return self._index
-
-    @property
-    def actions_processed(self) -> int:
-        """How many actions this checkpoint has absorbed."""
-        if self._ledger is not None:
-            return (
-                self._ledger.absorbed
-                - self._absorbed_base
-                + self._actions_processed
-            )
-        return self._actions_processed
 
     # -- persistence -------------------------------------------------------
 
-    def to_state(self) -> dict:
-        """Explicit JSON-safe state: start, oracle state, and (if owned) index.
-
-        Shared-mode checkpoints serialize ``index: None`` — their suffix
-        sets live in the framework's
-        :class:`~repro.core.influence_index.VersionedInfluenceIndex`,
-        which the framework serializes once for all checkpoints.
-        """
-        owned = isinstance(self._index, AppendOnlyInfluenceIndex)
-        return {
-            "start": self.start,
-            "actions_processed": self.actions_processed,
-            "oracle": self._oracle.state_dict(),
-            "index": self._index.to_state() if owned else None,
-        }
+    def oracle_state(self) -> dict:
+        """The oracle's ``state_dict`` (the ``"oracle"`` field of ``to_state``)."""
+        return self._oracle.state_dict()
 
     @classmethod
     def from_state(
-        cls, state: dict, spec: OracleSpec, index=None, ledger=None
+        cls, state: dict, spec: OracleSpec, index, ledger
     ) -> "Checkpoint":
         """Rebuild a checkpoint from :meth:`to_state` output.
 
         Args:
             state: A :meth:`to_state` document.
             spec: The framework's shared oracle recipe.
-            index: The checkpoint's restored
-                :class:`~repro.core.influence_index.SuffixView` in shared
-                mode; ``None`` restores the serialized private
-                append-only index.
+            index: The checkpoint's fresh view of the restored shared index.
             ledger: The roster whose ``absorbed`` counter must already be
                 restored — the checkpoint's action accounting is rebased
                 on its current value.
         """
-        if index is None and state["index"] is not None:
-            index = AppendOnlyInfluenceIndex.from_state(state["index"])
-        checkpoint = cls(state["start"], spec, index=index, ledger=ledger)
+        checkpoint = cls(state["start"], spec, index, ledger)
         checkpoint._oracle.load_state(state["oracle"])
-        # actions_processed is a derived property in shared mode: rebase it
-        # on the restored ledger so it resolves to the serialized total.
+        # actions_processed is derived from the ledger: the constructor
+        # based it on the restored counter, so the serialized total is the
+        # checkpoint's own offset.
         checkpoint._actions_processed = state["actions_processed"]
-        if ledger is not None:
-            checkpoint._absorbed_base = ledger.absorbed
         return checkpoint
-
-    def position(self, now: int, window_size: int) -> int:
-        """The paper's relative index ``x_i`` within ``W_now``.
-
-        ``1`` means the checkpoint covers the whole window; ``<= 0`` means it
-        has expired (covers more actions than the window holds).
-        """
-        return self.start - (now - window_size)
-
-    def covers_window(self, now: int, window_size: int) -> bool:
-        """True while the checkpoint covers at most the window's actions."""
-        return self.position(now, window_size) >= 1
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"Checkpoint(start={self.start}, value={self.value:.1f}, "
-            f"seeds={sorted(self.seeds)})"
-        )
 
 
 class CheckpointRoster:
@@ -437,7 +375,7 @@ class CheckpointRoster:
 
     @classmethod
     def from_state(
-        cls, state: dict, spec: OracleSpec, shared=None, kernel=None
+        cls, state: dict, spec: OracleSpec, shared, kernel=None
     ) -> "CheckpointRoster":
         """Rebuild a roster from :meth:`to_state` output.
 
@@ -446,8 +384,7 @@ class CheckpointRoster:
             spec: The framework's shared oracle recipe.
             shared: The framework's restored
                 :class:`~repro.core.influence_index.VersionedInfluenceIndex`
-                (checkpoints get fresh views of it), or ``None`` for the
-                per-checkpoint reference mode.
+                (checkpoints get fresh views of it).
             kernel: The framework's ``ColumnarThresholdKernel`` when the
                 columnar plane is active — checkpoints restore as kernel
                 columns instead of object oracles.  Snapshot documents are
@@ -464,17 +401,12 @@ class CheckpointRoster:
                 )
             return roster
         for checkpoint_state in state["checkpoints"]:
-            view = (
-                shared.view(checkpoint_state["start"])
-                if shared is not None
-                else None
-            )
             roster.append(
                 Checkpoint.from_state(
                     checkpoint_state,
                     spec,
-                    index=view,
-                    ledger=roster if shared is not None else None,
+                    shared.view(checkpoint_state["start"]),
+                    roster,
                 )
             )
         return roster
@@ -484,8 +416,7 @@ def feed_shared(
     shared: VersionedInfluenceIndex,
     roster: CheckpointRoster,
     arrived: Sequence[ActionRecord],
-    batch: bool = True,
-    absorbed: int = -1,
+    absorbed: int,
 ) -> None:
     """Index ``arrived`` once and dispatch oracle feeds to the roster.
 
@@ -500,10 +431,8 @@ def feed_shared(
     updates are first grouped into one ``{user: [new_members]}`` delta map
     per checkpoint — merging multiple new members per user — and each
     checkpoint receives its whole slide in one
-    :meth:`Checkpoint.feed_batch` call (``batch=True``, amortising
-    per-slide oracle bookkeeping) or as per-user
-    :meth:`Checkpoint.feed_delta` calls (``batch=False``, the equivalence
-    reference for the batched path).
+    :meth:`Checkpoint.feed_batch` call, amortising per-slide oracle
+    bookkeeping.
 
     Per-action index and oracle work is O(d + feeds) instead of
     O(d · checkpoints) set probes.  Remaining per-slide overheads: one add
@@ -516,13 +445,11 @@ def feed_shared(
     at most the earliest arrived record's time (both invariants hold for
     IC's and SIC's rosters after appending the slide's newcomer).
 
-    ``absorbed`` overrides the amount added to the roster's slide ledger;
-    sharded engines pass the *unprojected* slide size there so checkpoint
-    action accounting stays stream-global even when
-    :func:`project_records` dropped pair-less records for this shard.
+    ``absorbed`` is the amount added to the roster's slide ledger: the
+    *unprojected* slide size, so checkpoint action accounting stays
+    stream-global even when :func:`~repro.core.resolve.project_records`
+    dropped pair-less records for a shard.
     """
-    if absorbed < 0:
-        absorbed = len(arrived)
     starts = roster.starts
     count = len(starts)
     if not count:
@@ -555,15 +482,9 @@ def feed_shared(
                 else:
                     members.append(performer)
         checkpoints = roster.checkpoints
-        # Deliver oldest-first, matching the reference plane's checkpoint
-        # order (oracles are independent, but deterministic order keeps the
-        # planes' event logs comparable).
-        if batch:
-            for i in sorted(deltas):
-                checkpoints[i].feed_batch(deltas[i].items())
-        else:
-            for i in sorted(deltas):
-                feed_delta = checkpoints[i].feed_delta
-                for user, members in deltas[i].items():
-                    feed_delta(user, members)
+        # Deliver oldest-first, matching repro.reference's checkpoint
+        # order (oracles are independent, but deterministic order keeps
+        # the event logs comparable).
+        for i in sorted(deltas):
+            checkpoints[i].feed_batch(deltas[i].items())
     roster.absorbed += absorbed

@@ -14,8 +14,8 @@ Three variants are needed:
   the *suffix* of actions covered by one checkpoint (Section 4.2).  Sets only
   grow, which is exactly what lets SSM reuse append-only SSO oracles.  Since
   the shared index below landed, this is the *reference implementation*:
-  standalone checkpoints and the equivalence tests use it, the IC/SIC hot
-  path does not.
+  :mod:`repro.reference` and the oracle unit tests use it, the IC/SIC
+  engine does not.
 
 * :class:`VersionedInfluenceIndex` — **one** shared structure replacing the
   ⌈N/L⌉ per-checkpoint copies of :class:`AppendOnlyInfluenceIndex`.  For
@@ -225,22 +225,6 @@ class AppendOnlyInfluenceIndex:
 
     def __len__(self) -> int:
         return len(self._influence)
-
-    def to_state(self) -> dict:
-        """Explicit JSON-safe state: the grow-only suffix sets."""
-        return {
-            "influence": [
-                [u, sorted(members)] for u, members in self._influence.items()
-            ]
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "AppendOnlyInfluenceIndex":
-        """Rebuild an index from :meth:`to_state` output."""
-        index = cls()
-        for u, members in state["influence"]:
-            index._influence[u] = set(members)
-        return index
 
 
 class VersionedInfluenceIndex:

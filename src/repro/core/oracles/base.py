@@ -8,9 +8,10 @@ oracles through the Set-Stream Mapping (SSM) interface:
 3. the oracle maintains at most ``k`` users approximating the best seed set.
 
 In this implementation the checkpoint's suffix index — either a private
-:class:`~repro.core.influence_index.AppendOnlyInfluenceIndex` (reference
-mode) or a :class:`~repro.core.influence_index.SuffixView` of the
-framework's shared :class:`~repro.core.influence_index.VersionedInfluenceIndex`
+:class:`~repro.core.influence_index.AppendOnlyInfluenceIndex`
+(:mod:`repro.reference`) or a
+:class:`~repro.core.influence_index.SuffixView` of the engine's shared
+:class:`~repro.core.influence_index.VersionedInfluenceIndex`
 — applies the update first, and the caller reports exactly which influencer
 users gained a new member (always the performer of the arriving action).
 :meth:`CheckpointOracle.process` then receives ``(user, new_member)`` — the

@@ -104,6 +104,7 @@ from typing import Dict, FrozenSet, List, Optional
 
 import numpy as np
 
+from repro.core.checkpoint import SuffixCheckpoint
 from repro.core.oracles import _ckernel
 from repro.core.oracles.streaming_base import (
     _EPS,
@@ -586,7 +587,7 @@ class ColumnarThresholdKernel:
 
     # -- the per-slide kernel ----------------------------------------------
 
-    def absorb_slide(self, roster, arrived, absorbed: int = -1) -> None:
+    def absorb_slide(self, roster, arrived, absorbed: int) -> None:
         """Index ``arrived`` once and run the columnar passes for the slide.
 
         The columnar twin of :func:`repro.core.checkpoint.feed_shared`:
@@ -594,8 +595,6 @@ class ColumnarThresholdKernel:
         user, and one floor re-tightening sweep over the columns that
         admitted this slide.
         """
-        if absorbed < 0:
-            absorbed = len(arrived)
         if not len(roster):
             return
         if arrived:
@@ -1168,7 +1167,7 @@ class ColumnarThresholdKernel:
         return instances, covered
 
 
-class ColumnarCheckpoint:
+class ColumnarCheckpoint(SuffixCheckpoint):
     """``Λ_t[i]`` as a handle into the kernel's column ``i``.
 
     Presents the same read surface as
@@ -1180,24 +1179,12 @@ class ColumnarCheckpoint:
     from the column on demand (a read-only copy for introspection).
     """
 
-    __slots__ = (
-        "start",
-        "_kernel",
-        "_col",
-        "_ledger",
-        "_absorbed_base",
-        "_actions_processed",
-    )
+    __slots__ = ("_kernel", "_col")
 
     def __init__(self, kernel, col, start, ledger):
-        if start <= 0:
-            raise ValueError(f"checkpoint start must be positive, got {start}")
-        self.start = start
+        super().__init__(start, ledger)
         self._kernel = kernel
         self._col = col
-        self._ledger = ledger
-        self._absorbed_base = ledger.absorbed if ledger is not None else 0
-        self._actions_processed = 0
 
     @property
     def value(self) -> float:
@@ -1224,17 +1211,6 @@ class ColumnarCheckpoint:
         """The checkpoint's suffix view of the shared index."""
         return self._kernel._views[self._col]
 
-    @property
-    def actions_processed(self) -> int:
-        """How many actions this checkpoint has absorbed (roster ledger)."""
-        if self._ledger is not None:
-            return (
-                self._ledger.absorbed
-                - self._absorbed_base
-                + self._actions_processed
-            )
-        return self._actions_processed
-
     def feed(self, user: int, new_member: int) -> None:
         """Columnar checkpoints are fed through the kernel, never directly."""
         raise RuntimeError(
@@ -1242,41 +1218,19 @@ class ColumnarCheckpoint:
             "ColumnarThresholdKernel.absorb_slide, not Checkpoint.feed"
         )
 
-    feed_delta = feed
     feed_batch = feed
 
-    def position(self, now: int, window_size: int) -> int:
-        """The paper's relative index ``x_i`` within ``W_now``."""
-        return self.start - (now - window_size)
-
-    def covers_window(self, now: int, window_size: int) -> bool:
-        """True while the checkpoint covers at most the window's actions."""
-        return self.position(now, window_size) >= 1
-
-    def to_state(self) -> dict:
-        """The same document schema as ``Checkpoint.to_state`` (shared mode)."""
-        return {
-            "start": self.start,
-            "actions_processed": self.actions_processed,
-            "oracle": self._kernel.col_state(self._col),
-            "index": None,
-        }
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"ColumnarCheckpoint(start={self.start}, value={self.value:.1f}, "
-            f"seeds={sorted(self.seeds)})"
-        )
+    def oracle_state(self) -> dict:
+        """The column as an oracle ``state_dict`` (no oracle materialized)."""
+        return self._kernel.col_state(self._col)
 
 
 def restore_checkpoint(
     kernel: ColumnarThresholdKernel, state: dict, ledger
 ) -> ColumnarCheckpoint:
     """Rebuild one checkpoint column from a ``Checkpoint.to_state`` document
-    written by either plane (``index`` must be ``None`` — shared mode)."""
+    written by either plane."""
     handle = kernel.new_checkpoint(state["start"], ledger)
     kernel.load_col_state(handle._col, state["oracle"])
     handle._actions_processed = state["actions_processed"]
-    if ledger is not None:
-        handle._absorbed_base = ledger.absorbed
     return handle

@@ -7,14 +7,13 @@ logical footprint of a framework's state — checkpoints, influence-index
 entries, and oracle instances — which is what actually scales with N, L,
 and β.
 
-The counts are *physical*: what the process actually stores.  A framework
-running the default shared
-:class:`~repro.core.influence_index.VersionedInfluenceIndex` stores each
-distinct ``(u, v)`` influence pair exactly once, no matter how many
-checkpoints view it, so ``index_entries`` no longer scales with the
-checkpoint count.  In the per-checkpoint reference mode
-(``shared_index=False``) the old per-suffix sums are reported, which is
-what the paper's Figure 6 analysis describes.
+The counts are *physical*: what the process actually stores.  The engine's
+shared :class:`~repro.core.influence_index.VersionedInfluenceIndex` stores
+each distinct ``(u, v)`` influence pair exactly once, no matter how many
+checkpoints view it, so ``index_entries`` does not scale with the
+checkpoint count.  For the literal per-checkpoint algorithm
+(:mod:`repro.reference`) the per-suffix sums are reported, which is what
+the paper's Figure 6 analysis describes.
 
 The counts are implementation-level but deterministic, so tests can assert
 e.g. that the shared index is a fraction of the per-checkpoint copies on
@@ -26,8 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from repro.core.ic import InfluentialCheckpoints
-from repro.core.sic import SparseInfluentialCheckpoints
+from repro.core.framework import CheckpointFramework
+from repro.reference import ReferenceIC, ReferenceSIC
 
 __all__ = ["FrameworkFootprint", "measure_footprint", "sharded_work"]
 
@@ -40,10 +39,10 @@ class FrameworkFootprint:
         checkpoints: Live checkpoint count.
         index_users: Users tracked by the influence index state.  With the
             shared index this is the user count of the single versioned
-            map; in reference mode it sums users over checkpoint copies.
+            map; the reference classes sum users over checkpoint copies.
         index_entries: ``(user, influenced)`` influence-index entries
-            physically stored.  Shared mode: distinct pairs, counted once.
-            Reference mode: the sum of all suffix sizes — the dominant
+            physically stored.  Engine: distinct pairs, counted once.
+            Reference classes: the sum of all suffix sizes — the dominant
             O(N·checkpoints) term the shared index eliminates.
         oracle_instances: Threshold-guess instances across all oracles
             (0 for swap/greedy oracles).
@@ -71,31 +70,21 @@ class FrameworkFootprint:
 
 
 def measure_footprint(
-    framework: Union[InfluentialCheckpoints, SparseInfluentialCheckpoints],
+    framework: Union[CheckpointFramework, ReferenceIC, ReferenceSIC],
 ) -> FrameworkFootprint:
-    """Count the logical footprint of an IC or SIC instance."""
-    checkpoints = 0
-    index_users = 0
-    index_entries = 0
+    """Count the logical footprint of an IC or SIC instance (or reference)."""
+    checkpoints = framework.checkpoints
     instances = 0
     covered = 0
-    shared = getattr(framework, "shared_index", None)
-    kernel = getattr(framework, "columnar_kernel", None)
+    shared = isinstance(framework, CheckpointFramework)
+    kernel = framework.columnar_kernel if shared else None
     if kernel is not None:
         # Columnar plane: the kernel accounts for every column at once —
         # materializing a per-checkpoint oracle object just to count its
         # instances would defeat the plane being measured.
-        checkpoints = len(framework.checkpoints)
         instances, covered = kernel.footprint()
     else:
-        for checkpoint in framework.checkpoints:
-            checkpoints += 1
-            if shared is None:
-                influence = checkpoint.index._influence  # noqa: SLF001 - accounting
-                index_users += len(influence)
-                index_entries += sum(
-                    len(members) for members in influence.values()
-                )
+        for checkpoint in checkpoints:
             oracle = checkpoint.oracle
             oracle_instances = getattr(oracle, "_instances", None)
             if oracle_instances:
@@ -105,17 +94,23 @@ def measure_footprint(
             cover_counts = getattr(oracle, "_cover_counts", None)
             if cover_counts is not None:
                 covered += len(cover_counts)
-    if shared is not None:
+    if shared:
         # One versioned map serves every checkpoint: count it once.
-        index_users = shared.user_count
-        index_entries = shared.pair_count
+        index_users = framework.shared_index.user_count
+        index_entries = framework.shared_index.pair_count
+    else:
+        suffixes = [c.index._influence for c in checkpoints]  # noqa: SLF001
+        index_users = sum(len(influence) for influence in suffixes)
+        index_entries = sum(
+            len(members) for influence in suffixes for members in influence.values()
+        )
     return FrameworkFootprint(
-        checkpoints=checkpoints,
+        checkpoints=len(checkpoints),
         index_users=index_users,
         index_entries=index_entries,
         oracle_instances=instances,
         oracle_covered_entries=covered,
-        shared=shared is not None,
+        shared=shared,
     )
 
 

@@ -95,19 +95,40 @@ def algorithm_from_state(state: dict) -> SIMAlgorithm:
     """Rebuild a framework from a ``to_state`` document.
 
     Dispatches on the document's ``"algorithm"`` tag; the per-algorithm
-    ``from_state`` validates the state format version.
+    ``from_state`` validates the state format version.  This is the
+    boundary stored documents cross, so whatever a structurally damaged
+    one trips inside a loader surfaces as the persistence fault it is.
 
     Raises:
-        PersistenceError: when the tag is missing or unknown.
+        PersistenceError: when the document is not a JSON object, the tag
+            is missing or unknown, or a loader rejects the document — a
+            wrong format version, a missing or ill-typed field (named in
+            the message), a retired mode.
     """
+    if not isinstance(state, dict):
+        raise PersistenceError(
+            "algorithm state document must be a JSON object, got "
+            f"{type(state).__name__}"
+        )
     kind = state.get("algorithm")
-    loader = _ALGORITHM_LOADERS.get(kind)
+    loader = _ALGORITHM_LOADERS.get(kind) if isinstance(kind, str) else None
     if loader is None:
         raise PersistenceError(
             f"unknown algorithm kind {kind!r} in state document; "
             f"known: {sorted(_ALGORITHM_LOADERS)}"
         )
-    return loader(state)
+    try:
+        return loader(state)
+    except PersistenceError:
+        raise
+    except KeyError as exc:
+        raise PersistenceError(
+            f"{kind} state document has no field {exc.args[0]!r}"
+        ) from exc
+    except ValueError as exc:
+        raise PersistenceError(str(exc)) from exc
+    except (TypeError, AttributeError, IndexError) as exc:
+        raise PersistenceError(f"malformed {kind} state document: {exc}") from exc
 
 
 def ensure_same_engine_config(stored, requested, where: str = "state dir") -> None:

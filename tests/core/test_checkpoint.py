@@ -1,11 +1,13 @@
-"""Unit tests for Checkpoint and OracleSpec."""
+"""Unit tests for OracleSpec, Checkpoint and the reference checkpoint."""
 
 import pytest
 
 from repro.core.actions import Action
-from repro.core.checkpoint import Checkpoint, OracleSpec
+from repro.core.checkpoint import Checkpoint, CheckpointRoster, OracleSpec
 from repro.core.diffusion import DiffusionForest
+from repro.core.influence_index import VersionedInfluenceIndex
 from repro.influence.functions import CardinalityInfluence
+from repro.reference import ReferenceCheckpoint
 
 
 def spec(k=2, name="sieve", **params):
@@ -33,28 +35,10 @@ class TestOracleSpec:
 
 
 class TestCheckpoint:
-    def test_rejects_non_positive_start(self):
-        with pytest.raises(ValueError, match="positive"):
-            Checkpoint(0, spec())
-
-    def test_rejects_older_actions(self):
-        forest = DiffusionForest()
-        record = forest.add(Action.root(1, 1))
-        checkpoint = Checkpoint(5, spec())
-        with pytest.raises(ValueError, match="older action"):
-            checkpoint.process(record)
-
-    def test_processes_suffix(self):
-        forest = DiffusionForest()
-        checkpoint = Checkpoint(1, spec())
-        for t in range(1, 6):
-            checkpoint.process(forest.add(Action.root(t, t % 3)))
-        assert checkpoint.actions_processed == 5
-        assert checkpoint.value >= 1.0
-        assert len(checkpoint.seeds) <= 2
-
     def test_position_and_coverage(self):
-        checkpoint = Checkpoint(start=7, spec=spec())
+        checkpoint = Checkpoint(
+            7, spec(), VersionedInfluenceIndex().view(7), CheckpointRoster()
+        )
         # Window of size 10 ending at t=16 starts at 7: position 1.
         assert checkpoint.position(now=16, window_size=10) == 1
         assert checkpoint.covers_window(16, 10)
@@ -64,16 +48,47 @@ class TestCheckpoint:
         # A younger checkpoint covers a strict subset.
         assert checkpoint.position(12, 10) == 5
 
+
+class TestReferenceCheckpoint:
+    def test_rejects_non_positive_start(self):
+        with pytest.raises(ValueError, match="positive"):
+            ReferenceCheckpoint(0, spec().build)
+
+    def test_rejects_older_actions(self):
+        forest = DiffusionForest()
+        record = forest.add(Action.root(1, 1))
+        checkpoint = ReferenceCheckpoint(5, spec().build)
+        with pytest.raises(ValueError, match="older action"):
+            checkpoint.process_slide([record])
+
+    def test_processes_suffix(self):
+        forest = DiffusionForest()
+        checkpoint = ReferenceCheckpoint(1, spec().build)
+        for t in range(1, 6):
+            checkpoint.process_slide([forest.add(Action.root(t, t % 3))])
+        assert checkpoint.actions_processed == 5
+        assert checkpoint.value >= 1.0
+        assert len(checkpoint.seeds) <= 2
+
+    def test_window_coverage(self):
+        checkpoint = ReferenceCheckpoint(7, spec().build)
+        # Window of size 10 ending at t=16 starts at 7: still covered.
+        assert checkpoint.covers_window(16, 10)
+        # At t=17 the suffix holds 11 > 10 actions: expired.
+        assert not checkpoint.covers_window(17, 10)
+        # A younger checkpoint covers a strict subset.
+        assert checkpoint.covers_window(12, 10)
+
     def test_value_equals_oracle_value(self):
         forest = DiffusionForest()
-        checkpoint = Checkpoint(1, spec())
+        checkpoint = ReferenceCheckpoint(1, spec().build)
         for t in range(1, 10):
-            checkpoint.process(forest.add(Action.root(t, t % 4)))
+            checkpoint.process_slide([forest.add(Action.root(t, t % 4))])
         assert checkpoint.value == checkpoint.oracle.value
         assert checkpoint.seeds == checkpoint.oracle.seeds
 
     def test_index_exposed(self):
         forest = DiffusionForest()
-        checkpoint = Checkpoint(1, spec())
-        checkpoint.process(forest.add(Action.root(1, 9)))
+        checkpoint = ReferenceCheckpoint(1, spec().build)
+        checkpoint.process_slide([forest.add(Action.root(1, 9))])
         assert checkpoint.index.influence_set(9) == {9}

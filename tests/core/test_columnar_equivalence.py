@@ -136,16 +136,6 @@ class TestPlaneFallback:
                 window_size=10, k=2, beta=0.3, func=func, columnar=True
             )
 
-    def test_reference_index_mode_falls_back(self):
-        ic = InfluentialCheckpoints(
-            window_size=10, k=2, beta=0.3, shared_index=False
-        )
-        assert not ic.columnar
-        with pytest.raises(ValueError, match="shared_index=False"):
-            InfluentialCheckpoints(
-                window_size=10, k=2, beta=0.3, shared_index=False, columnar=True
-            )
-
     def test_non_threshold_oracle_falls_back(self):
         ic = InfluentialCheckpoints(
             window_size=10, k=2, beta=0.3, oracle="greedy"

@@ -7,6 +7,7 @@ from repro.core.greedy import WindowedGreedy
 from repro.core.ic import InfluentialCheckpoints
 from repro.core.sic import SparseInfluentialCheckpoints
 from repro.core.stream import batched
+from repro.reference import ReferenceIC
 from tests.conftest import random_stream
 
 
@@ -53,18 +54,18 @@ def test_ic_batched_keeps_theorem2_bound(seed, slide):
 
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 10_000), slide=st.integers(1, 4))
-def test_ic_batch_feeds_flag_is_result_identical(seed, slide):
+def test_ic_batched_dispatch_matches_reference(seed, slide):
     """Batched delivery (one process_batch per checkpoint per slide) and
-    unbatched delivery (one process_delta per user) of the same merged
-    deltas must be indistinguishable — the batch path only amortises
-    bookkeeping, it never changes decisions."""
+    the reference's delivery (one process_delta per user per checkpoint)
+    of the same merged deltas must be indistinguishable — the batch path
+    only amortises bookkeeping, it never changes decisions."""
     window = 12
     actions = random_stream(48, 6, seed=seed)
     results = []
-    for batch_feeds in (True, False):
-        ic = InfluentialCheckpoints(
-            window_size=window, k=2, beta=0.2, batch_feeds=batch_feeds
-        )
+    for ic in (
+        InfluentialCheckpoints(window_size=window, k=2, beta=0.2),
+        ReferenceIC(window_size=window, k=2, beta=0.2),
+    ):
         for batch in batched(actions, slide):
             ic.process(batch)
         answer = ic.query()

@@ -3,6 +3,7 @@
 from repro.core.ic import InfluentialCheckpoints
 from repro.core.sic import SparseInfluentialCheckpoints
 from repro.experiments.memory import FrameworkFootprint, measure_footprint
+from repro.reference import ReferenceIC, ReferenceSIC
 from tests.conftest import random_stream
 
 
@@ -41,18 +42,8 @@ class TestMeasureFootprint:
         """The space side of Figure 6, on the per-checkpoint reference
         indexes the paper's analysis describes: SIC's footprint ≪ IC's."""
         actions = random_stream(300, 10, seed=3)
-        ic = drive(
-            InfluentialCheckpoints(
-                window_size=100, k=3, beta=0.3, shared_index=False
-            ),
-            actions,
-        )
-        sic = drive(
-            SparseInfluentialCheckpoints(
-                window_size=100, k=3, beta=0.3, shared_index=False
-            ),
-            actions,
-        )
+        ic = drive(ReferenceIC(window_size=100, k=3, beta=0.3), actions)
+        sic = drive(ReferenceSIC(window_size=100, k=3, beta=0.3), actions)
         ic_footprint = measure_footprint(ic)
         sic_footprint = measure_footprint(sic)
         assert not ic_footprint.shared
@@ -67,10 +58,7 @@ class TestMeasureFootprint:
             InfluentialCheckpoints(window_size=100, k=3, beta=0.3), actions
         )
         reference = drive(
-            InfluentialCheckpoints(
-                window_size=100, k=3, beta=0.3, shared_index=False
-            ),
-            actions,
+            ReferenceIC(window_size=100, k=3, beta=0.3), actions
         )
         shared_fp = measure_footprint(shared)
         reference_fp = measure_footprint(reference)
@@ -86,18 +74,8 @@ class TestMeasureFootprint:
 
     def test_larger_beta_smaller_footprint(self):
         actions = random_stream(300, 10, seed=4)
-        tight = drive(
-            SparseInfluentialCheckpoints(
-                window_size=100, k=3, beta=0.1, shared_index=False
-            ),
-            actions,
-        )
-        loose = drive(
-            SparseInfluentialCheckpoints(
-                window_size=100, k=3, beta=0.5, shared_index=False
-            ),
-            actions,
-        )
+        tight = drive(ReferenceSIC(window_size=100, k=3, beta=0.1), actions)
+        loose = drive(ReferenceSIC(window_size=100, k=3, beta=0.5), actions)
         assert (
             measure_footprint(loose).total_entries
             <= measure_footprint(tight).total_entries

@@ -83,21 +83,44 @@ class TestFrameworkRoundtrip:
         again = json_roundtrip(algorithm_from_state(state).to_state())
         assert again == state
 
-    def test_reference_mode_roundtrip(self):
-        original = drive(
-            FRAMEWORKS["ic"](shared_index=False),
-            random_stream(90, 8, seed=3),
-            3,
+    @pytest.mark.parametrize("framework", ["ic", "sic"])
+    def test_parent_written_document_continues_identically(self, framework):
+        """Documents written before the plane switches were retired carry
+        ``shared_index``/``batch_feeds`` in ``config``; the keys are
+        ignored (batched ≡ unbatched was the proven property), so the
+        engine continues to the answers of an uninterrupted run."""
+        batches = list(batched(random_stream(120, 8, seed=3), 5))
+        uninterrupted = FRAMEWORKS[framework]()
+        expected = []
+        for batch in batches:
+            uninterrupted.process(batch)
+            expected.append(uninterrupted.query())
+        state = json_roundtrip(
+            drive(FRAMEWORKS[framework](), random_stream(120, 8, seed=3)[:60], 5)
+            .to_state()
         )
-        restored = algorithm_from_state(json_roundtrip(original.to_state()))
-        assert restored.shared_index is None
-        assert restored.query() == original.query()
-        for ours, theirs in zip(restored.checkpoints, original.checkpoints):
-            users = set(theirs.index._influence)
-            for user in users:
-                assert ours.index.influence_set(user) == set(
-                    theirs.index.influence_set(user)
-                )
+        state["config"].update({"shared_index": True, "batch_feeds": False})
+        restored = algorithm_from_state(state)
+        answers = []
+        for batch in batches[12:]:
+            restored.process(batch)
+            answers.append(restored.query())
+        assert answers == expected[12:]
+
+    @pytest.mark.parametrize("framework", ["ic", "sic"])
+    def test_per_checkpoint_mode_document_refused(self, framework):
+        """A ``shared_index=False`` document (owned per-checkpoint indexes,
+        no shared index) is refused whole, not half-loaded."""
+        state = json_roundtrip(
+            drive(FRAMEWORKS[framework](), random_stream(60, 8, seed=3), 3)
+            .to_state()
+        )
+        state["config"].update({"shared_index": False, "batch_feeds": False})
+        state["shared"] = None
+        for checkpoint in state["roster"]["checkpoints"]:
+            checkpoint["index"] = {"influence": [[1, [1, 2]]]}
+        with pytest.raises(PersistenceError, match=r"repro\.reference"):
+            algorithm_from_state(state)
 
     def test_checkpoint_interval_roundtrip(self):
         original = drive(
@@ -199,6 +222,42 @@ class TestVersioning:
     def test_unknown_algorithm_kind_rejected(self):
         with pytest.raises(PersistenceError):
             algorithm_from_state({"algorithm": "martian", "format": 1})
+
+    @pytest.mark.parametrize(
+        "damage, phrase",
+        [
+            (
+                lambda doc: {k: v for k, v in doc.items() if k != "roster"},
+                "no field 'roster'",
+            ),
+            (
+                lambda doc: {**doc, "roster": [1, 2]},
+                "'roster' must be an object, got list",
+            ),
+            (lambda doc: [1], "must be a JSON object, got list"),
+            (
+                lambda doc: {
+                    **doc,
+                    "config": {
+                        k: v for k, v in doc["config"].items() if k != "k"
+                    },
+                },
+                "no field 'config.k'",
+            ),
+        ],
+        ids=["roster-dropped", "roster-a-list", "document-a-list", "k-dropped"],
+    )
+    @pytest.mark.parametrize("framework", ["ic", "sic"])
+    def test_damaged_document_names_the_field(self, framework, damage, phrase):
+        """Valid JSON, right ``format``, damaged structure: one
+        ``PersistenceError`` naming the field, never a raw
+        ``KeyError``/``TypeError``/``AttributeError``."""
+        state = json_roundtrip(
+            drive(FRAMEWORKS[framework](), random_stream(30, 6, seed=0), 1)
+            .to_state()
+        )
+        with pytest.raises(PersistenceError, match=phrase):
+            algorithm_from_state(damage(state))
 
     def test_algorithm_without_hook_rejected(self):
         class Opaque:

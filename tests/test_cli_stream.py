@@ -28,7 +28,6 @@ class TestParser:
         assert args.window == 5_000
         assert args.oracle == "sieve"
         assert args.checkpoint_interval == 1
-        assert args.shared_index is True
         assert args.format == "text"
         assert args.state_dir is None
         assert args.snapshot_every == 16
@@ -36,15 +35,23 @@ class TestParser:
     def test_track_engine_knobs(self):
         args = build_parser().parse_args([
             "track", "x.jsonl", "--oracle", "mkc",
-            "--checkpoint-interval", "4", "--no-shared-index",
+            "--checkpoint-interval", "4",
             "--format", "json", "--state-dir", "st", "--snapshot-every", "8",
         ])
         assert args.oracle == "mkc"
         assert args.checkpoint_interval == 4
-        assert args.shared_index is False
         assert args.format == "json"
         assert args.state_dir == "st"
         assert args.snapshot_every == 8
+
+    @pytest.mark.parametrize("command", [["track", "x.jsonl"], ["serve"]])
+    def test_retired_plane_switch_is_rejected(self, command, capsys):
+        """``--no-shared-index`` went with the per-checkpoint engine mode
+        (now ``repro.reference``); argparse refuses it on both commands."""
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(command + ["--no-shared-index"])
+        assert exit_info.value.code == 2
+        assert "--no-shared-index" in capsys.readouterr().err
 
     def test_snapshot_subcommands(self):
         for sub in ("info", "save", "restore"):
@@ -122,12 +129,7 @@ class TestStatsConvertTrack:
         ])
         assert code == 0
 
-    def test_track_reference_plane_and_interval(self, stream_file, capsys):
-        code = main([
-            "track", str(stream_file), "--algorithm", "ic",
-            "--no-shared-index", "--window", "200", "--slide", "100", "-k", "2",
-        ])
-        assert code == 0
+    def test_track_checkpoint_interval(self, stream_file, capsys):
         code = main([
             "track", str(stream_file), "--algorithm", "ic",
             "--checkpoint-interval", "2", "--window", "200", "--slide", "100",
@@ -257,6 +259,25 @@ class TestTrackStateDir:
             stream_file, tmp_path, capsys, "--state-dir", str(state)
         )
         assert again == []
+
+    def test_damaged_snapshot_document_fails_with_one_error_line(
+        self, stream_file, tmp_path, capsys
+    ):
+        """Valid JSON, right format, engine document missing a field: a
+        one-line ``error:`` naming it, not a traceback."""
+        state = tmp_path / "state"
+        self._track(stream_file, tmp_path, capsys, "--state-dir", str(state))
+        newest = sorted((state / "snapshots").glob("snapshot-*.json"))[-1]
+        document = json.loads(newest.read_text())
+        del document["algorithm"]["roster"]
+        newest.write_text(json.dumps(document))
+        code = main([
+            "track", str(stream_file), "--window", "200", "--slide", "100",
+            "-k", "3", "--format", "json", "--state-dir", str(state),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.strip() == "error: state document has no field 'roster'"
 
     def test_sigkill_resume_matches_uninterrupted_run(self, tmp_path, capsys):
         """The headline scenario: kill -9 mid-stream, rerun, same answers.
