@@ -14,11 +14,10 @@ The generator ends with a ``sync`` barrier, so the reported rate covers
 everything through the last slide's processing — it measures the system
 (socket + coalescing + engine), not just the client's send loop.
 
-The report uses the same JSON shape as ``bench_smoke.py``'s
-``service_ingest`` section (``actions``/``seconds``/``actions_per_sec``/
-``slides``/``query_value``), so ``scripts/bench_check.py`` can hold a live
-run against the committed baseline; ``--seed`` makes runs reproducible and
-``--output`` writes the report to a file for the CI gate.
+The report is one JSON document (``actions``/``seconds``/
+``actions_per_sec``/``slides``/``query_value`` plus the final board);
+``--seed`` makes runs reproducible and ``--output`` also writes the report
+to a file (the sharded service smoke test reads it).
 """
 
 from __future__ import annotations
@@ -76,7 +75,7 @@ def main(argv=None):
         "--output",
         type=pathlib.Path,
         default=None,
-        help="also write the JSON report to this file (for bench_check.py)",
+        help="also write the JSON report to this file",
     )
     args = parser.parse_args(argv)
 
@@ -115,8 +114,6 @@ def main(argv=None):
             "seeds": answer["seeds"],
         }
     first = board[min(board)] if board else {"value": 0.0}
-    # Mirrors bench_smoke.py's service_ingest shape so the CI regression
-    # gate (scripts/bench_check.py) can consume either report.
     report = {
         "actions": len(actions),
         "batch": args.batch,

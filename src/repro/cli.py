@@ -663,7 +663,7 @@ def _shard_routed_tuples(shard_dir) -> tuple:
     ``consumed_at_snapshot`` is the routed records the shard had absorbed
     when its newest snapshot was taken; the WAL numbers cover the
     replayable tail beyond it (routed-tuple batches only — raw-action
-    records in a log migrated from format 1 are not counted here).
+    records are not counted here).
     """
     from repro.core.resolve import ResolvedSlide
     from repro.persistence.engine import StateStore

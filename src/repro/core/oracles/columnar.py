@@ -5,7 +5,8 @@ The object plane maintains one
 checkpoint and replays every slide ⌈N/L⌉ times — once per oracle — even
 though the per-checkpoint work is almost identical: the same user gained
 the same members, only the suffix boundary differs.  At ``L = 1`` that
-per-object fan-out dominates the whole engine (see ``BENCH_core_ops.json``).
+per-object fan-out dominates the whole engine (``bench/``'s ``engine_ic_l1``
+workload measures that regime).
 
 This module turns the checkpoint population sideways.  *All* threshold-
 oracle state — not just the scalars — is stored as numpy arrays indexed by

@@ -1,6 +1,5 @@
 """Experiment harness: configs, runner, metrics, per-figure regenerators."""
 
-from repro.experiments.chaos import ChaosReport, chaos_run
 from repro.experiments.config import DATASETS, ExperimentConfig, Scale, make_config
 from repro.experiments.metrics import StreamEvaluator, ThroughputMeter
 from repro.experiments.recovery import CrashRecoveryReport, crash_recovery_run
@@ -14,8 +13,6 @@ from repro.experiments.runner import (
 
 __all__ = [
     "DATASETS",
-    "ChaosReport",
-    "chaos_run",
     "CrashRecoveryReport",
     "ExperimentConfig",
     "ExperimentTable",

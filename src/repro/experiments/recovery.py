@@ -13,8 +13,7 @@ scores the outcome:
 * **bounded recovery** — how many WAL-tail slides did the restore replay
   (vs. the whole stream), and how long did restore + replay take?
 
-Used by the CI recovery smoke step and the ``snapshot_restore`` section of
-``scripts/bench_smoke.py``.
+Exercised by ``tests/experiments/test_recovery.py``.
 """
 
 from __future__ import annotations

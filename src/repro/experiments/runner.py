@@ -141,8 +141,8 @@ def build_algorithm(name: str, config) -> SIMAlgorithm:
     # per-checkpoint oracle plane (Fig. 7's "SIC faster than IC" follows
     # from SIC maintaining fewer checkpoints).  The columnar kernel
     # collapses per-checkpoint oracle cost and, at experiment scales,
-    # erases that ordering — its own speedup is tracked separately by
-    # scripts/bench_smoke.py's ic_n1000_l1 columnar-vs-object rows.
+    # erases that ordering — its own cost is measured separately by
+    # bench/'s engine_ic_l1 workload.
     if key == "sic":
         return SparseInfluentialCheckpoints(
             window_size=config.window_size,

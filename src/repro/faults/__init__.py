@@ -4,7 +4,7 @@ A :class:`~repro.faults.plan.FaultPlan` is a small, serializable script of
 worker failures — *kill this shard when it is about to process slide s*,
 *hang that call for t seconds*, *drop a reply*, *corrupt the WAL tail
 before a restart*.  Plans are plain JSON, so every chaos test and every
-``experiments/chaos.py`` scenario is seeded and exactly reproducible: the
+``serve --fault-plan`` drill is seeded and exactly reproducible: the
 same plan against the same stream produces the same incidents, the same
 restarts, and the same merged answers.
 

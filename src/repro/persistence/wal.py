@@ -16,8 +16,9 @@ Two record kinds share a log:
   is format-versioned (:data:`~repro.core.resolve.RESOLVED_WIRE_VERSION`);
   replay refuses an unknown version instead of guessing.
 
-Both kinds may appear in the same log (a shard migrated from a format-1
-root keeps its old action records); :meth:`ActionWAL.replay`
+One :class:`~repro.persistence.engine.RecoverableEngine` replays either
+kind — action records for the single engine and the sharded resolver,
+routed records for shards; :meth:`ActionWAL.replay`
 yields ``(seq, List[Action])`` for the former and
 ``(seq, ResolvedSlide)`` for the latter, and consumers dispatch on type.
 
@@ -176,8 +177,7 @@ class ActionWAL:
 
         The routed-shard counterpart of :meth:`append`: the record carries
         the slide's format-versioned wire document instead of raw actions.
-        Same sequencing contract as :meth:`append`; both record kinds may
-        interleave in one log (format-1-era prefix, routed suffix).
+        Same sequencing contract as :meth:`append`.
         """
         self._append_record(seq, {"seq": seq, "slide": slide.to_wire()})
 

@@ -2,8 +2,8 @@
 
 The service is an asyncio application; production runs it via
 ``repro-stream serve`` on the main thread.  Tooling that needs a live
-server *and* a synchronous driver in the same process — the test suite,
-``scripts/bench_smoke.py`` — uses :class:`ServiceRunner`: a daemon thread
+server *and* a synchronous driver in the same process — the test suite —
+uses :class:`ServiceRunner`: a daemon thread
 hosting the event loop, with thread-safe start/stop and the bound port
 exposed once the socket is up.
 """

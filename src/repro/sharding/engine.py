@@ -56,9 +56,9 @@ Each shard recovers independently (newest snapshot + own WAL tail), so
 recovery parallelises with the backend and a crash that hit shards at
 different slide positions heals on redelivery: :meth:`ShardedEngine.process`
 forwards to each shard only the work beyond *that shard's* clock.  The
-manifest is format-versioned (format 2); a format-1 root — written by
-builds whose shards each consumed the raw stream — is refused with a
-pointer at ``scripts/migrate_to_routed.py``, which converts it in place.
+manifest is format-versioned (format 2); a root in any other format — 1
+was written by builds whose shards each consumed the raw stream — is
+refused by name before anything else is compared.
 """
 
 from __future__ import annotations
@@ -273,7 +273,7 @@ class ShardedEngine:
             ShardingError: on bad knobs, a board that cannot absorb
                 pre-resolved slides, or worker construction failure.
             PersistenceError: when an existing state root has an
-                unreadable or format-1 manifest, or disagrees with the
+                unreadable or foreign-format manifest, or disagrees with the
                 requested shard count/partitioner or per-shard config.
         """
         if shards < 1:
@@ -447,18 +447,18 @@ class ShardedEngine:
             root.mkdir(parents=True, exist_ok=True)
             cls._write_manifest(root, expected)
             return
-        if stored["format"] == 1:
+        if stored["format"] != MANIFEST_FORMAT:
             raise PersistenceError(
-                f"sharded state dir {root} is a format-1 (broadcast-ingest) "
-                "root, which this build no longer opens; convert it in "
-                f"place with: python scripts/migrate_to_routed.py {root}"
+                f"sharding manifest {root / MANIFEST_NAME} has format "
+                f"{stored['format']}, but this build reads format "
+                f"{MANIFEST_FORMAT}; start from a fresh state dir (format 1 "
+                "was written before routed ingest: a build ≤ PR 15 converts it)"
             )
         if stored != expected:
             raise PersistenceError(
                 f"sharded state dir {root} was created with "
                 f"{stored['shards']} shards and partitioner "
-                f"{stored['partitioner']} (manifest format "
-                f"{stored['format']}), but "
+                f"{stored['partitioner']}, but "
                 f"{shards}/{partitioner.to_state()} were requested; "
                 "reopen with matching settings or a fresh state dir"
             )

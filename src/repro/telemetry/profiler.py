@@ -19,8 +19,7 @@ Wall-clock sampling observes *all* threads every tick — including ones
 blocked on locks, sockets, or the GIL — which is exactly what a latency
 investigation wants; it is not a CPU profiler.  Overhead at the default
 100 Hz is one ``sys._current_frames()`` sweep plus a few dict updates
-per tick (see the non-gated ``observability_overhead`` figure in
-``BENCH_core_ops.json``).
+per tick.
 
 ``window(seconds)`` profiles a fresh interval by snapshot-diffing the
 counters — the ``GET /debug/profile?seconds=N`` endpoint and the

@@ -25,6 +25,9 @@ column plane is therefore part of the proof, not an untested corner.
 
 from __future__ import annotations
 
+import os
+import shutil
+
 import pytest
 
 from repro.core.ic import InfluentialCheckpoints
@@ -175,6 +178,21 @@ class TestPlaneFallback:
             InfluentialCheckpoints(
                 window_size=10, k=2, beta=0.3, columnar=True
             )
+
+
+def test_compiled_kernel_loads_where_a_compiler_exists():
+    """With ``cc`` on the box and no kill switch, the default engine runs
+    the compiled event path — so it cannot silently stop engaging."""
+    from repro.core.oracles import _ckernel
+
+    if os.environ.get(_ckernel.ENV_DISABLE):
+        pytest.skip(f"{_ckernel.ENV_DISABLE} is set: compiled kernel disabled")
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler (cc) on PATH: numpy event path only")
+    assert _ckernel.load() is not None
+    ic = InfluentialCheckpoints(window_size=10, k=2, beta=0.3)
+    ic.process(random_stream(12, 4, seed=0))
+    assert ic.columnar_kernel.stats()["event_kernel"] == "c"
 
 
 def test_ckernel_env_kill_switch(monkeypatch):

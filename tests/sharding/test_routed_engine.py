@@ -13,8 +13,8 @@ Covers:
 * **Crash recovery on the routed WAL format** — unsealed crash + reopen
   + refeed converges, kill-at-every-slide heals in place, and a deleted
   resolver dir is refused (shards can never outrun the resolver);
-* **Refusals** — a format-1 root points at the converter script, and a
-  board holding a filtered query is told to run unsharded.
+* **Refusals** — a root in a foreign manifest format is refused by name,
+  and a board holding a filtered query is told to run unsharded.
 """
 
 import json
@@ -268,23 +268,27 @@ class TestManifestAndRefusals:
         assert manifest["ingest"] == "routed"
         assert (state / "resolver").is_dir()
 
-    def test_format_1_root_is_refused_with_script_pointer(self, tmp_path):
+    @pytest.mark.parametrize("found", [1, 3])
+    def test_foreign_format_root_is_refused_by_name(self, tmp_path, found):
         (tmp_path / "sharding.json").write_text(
             json.dumps(
                 {
-                    "format": 1,
+                    "format": found,
                     "shards": 2,
                     "partitioner": HashPartitioner(2).to_state(),
+                    "ingest": "routed",
                 }
             )
         )
-        with pytest.raises(
-            PersistenceError, match=r"scripts/migrate_to_routed\.py"
-        ):
+        with pytest.raises(PersistenceError) as refusal:
             ShardedEngine.open(
                 lambda a=None: MAKERS["ic"](shard=a), 2,
                 state_dir=tmp_path, backend="serial", fsync=False,
             )
+        message = str(refusal.value)
+        assert "\n" not in message
+        assert str(tmp_path / "sharding.json") in message
+        assert f"has format {found}, but this build reads format 2" in message
 
     def test_filtered_board_is_refused_at_open(self):
         from repro.influence.queries import TopicAwareSIM
