@@ -20,8 +20,9 @@ Subcommands:
   ``/healthz`` from an immutable answer cache.  With ``--state-dir`` the
   server is crash-recoverable and SIGTERM seals a final snapshot.  With
   ``--shards N`` the write plane is partitioned by influencer over N
-  shard engines (``--shard-backend process`` for one worker process per
-  shard) and answers merge on read; ``track`` accepts the same flags.
+  shard engines, one forked worker process per shard
+  (``--shard-backend serial`` runs them in-process for debugging), and
+  answers merge on read; ``track`` accepts the same flags.
   With ``--trace-log`` + ``--slow-slide-ms`` slow slides emit per-stage
   JSONL traces;
 * ``trace`` — ``tail`` or ``summarize`` a ``--trace-log`` file: the
@@ -64,7 +65,6 @@ _GENERATORS = ("reddit", "twitter", "syn-o", "syn-n")
 _ALGORITHMS = ("sic", "ic", "greedy")
 _ORACLES = ("sieve", "threshold", "blog_watch", "mkc", "greedy")
 _FORMATS = ("text", "json")
-_SHARD_BACKENDS = ("serial", "thread", "process")
 
 
 def _reader_for(path: pathlib.Path):
@@ -149,13 +149,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="partition influencers over this many shard engines: each "
         "slide is resolved once and every shard applies only the influence "
         "records it owns; answers merge on read (ic/sic only)",
-    )
-    track.add_argument(
-        "--shard-backend",
-        choices=_SHARD_BACKENDS,
-        default="thread",
-        help="worker backend for --shards > 1 (process = one forked "
-        "worker per shard, real multi-core)",
     )
     _add_supervision_arguments(track)
 
@@ -266,13 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
         "the ingest loop: each slide is resolved once and every shard "
         "applies only the influence records it owns; answers merge on read "
         "(ic/sic queries only)",
-    )
-    serve.add_argument(
-        "--shard-backend",
-        choices=_SHARD_BACKENDS,
-        default="thread",
-        help="worker backend for --shards > 1 (process = one forked "
-        "worker per shard, real multi-core)",
     )
     serve.add_argument(
         "--trace-log",
@@ -406,7 +392,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _add_supervision_arguments(command) -> None:
-    """Shard-supervision knobs shared by ``track`` and ``serve``."""
+    """Shard worker and supervision knobs shared by ``track`` and ``serve``."""
+    from repro.sharding.backends import BACKENDS, DEFAULT_BACKEND
+
+    command.add_argument(
+        "--shard-backend",
+        choices=tuple(BACKENDS),
+        default=DEFAULT_BACKEND,
+        help="worker backend for --shards > 1 (process = one forked "
+        "worker per shard, real multi-core; serial = in-process, for "
+        "debugging)",
+    )
     command.add_argument(
         "--shard-retries",
         type=int,

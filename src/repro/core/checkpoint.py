@@ -28,7 +28,6 @@ frameworks' job.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, List, Sequence
@@ -36,7 +35,6 @@ from typing import Callable, Dict, FrozenSet, List, Sequence
 from repro.core.diffusion import ActionRecord
 from repro.core.influence_index import VersionedInfluenceIndex
 from repro.core.oracles.base import CheckpointOracle, make_oracle
-from repro.core.oracles.streaming_base import StreamingThresholdOracle
 
 from repro.influence.functions import InfluenceFunction
 
@@ -50,17 +48,6 @@ __all__ = [
 ]
 
 
-def _columnar_module():
-    """Import the numpy-backed kernel module.
-
-    Isolated in a helper so tests can simulate a missing numpy, and so
-    engines that never enable the columnar plane never pay the import.
-    """
-    from repro.core.oracles import columnar
-
-    return columnar
-
-
 def make_columnar_kernel(spec, shared, columnar):
     """Resolve an engine's oracle-plane choice to a kernel (or ``None``).
 
@@ -68,71 +55,24 @@ def make_columnar_kernel(spec, shared, columnar):
         spec: The engine's :class:`OracleSpec`.
         shared: The engine's
             :class:`~repro.core.influence_index.VersionedInfluenceIndex`.
-        columnar: The engine's plane flag — ``True`` requires the columnar
-            kernel (raising if unsupported), ``False`` forces the object
-            plane, ``None`` auto-selects: columnar whenever supported.
+        columnar: The engine's plane flag — ``False`` forces the object
+            plane; anything else auto-selects the columnar kernel wherever
+            ``ColumnarThresholdKernel.for_spec`` supports the spec and the
+            compiled event loads.
 
     Returns:
         A ``ColumnarThresholdKernel`` when the columnar plane is active,
         else ``None`` (object-oracle plane).
-
-    Raises:
-        ValueError: ``columnar=True`` on an unsupported configuration.
-        ImportError: ``columnar=True`` without numpy installed.
     """
     if columnar is False:
         return None
-    reasons = []
-    if not spec.func.modular:
-        reasons.append(
-            f"non-modular influence function {type(spec.func).__name__}"
-        )
-    elif spec.func.uniform_weight is None:
-        # Admission gains for weighted members are float sums taken in each
-        # object oracle's set-iteration order; the kernel's bitset popcount
-        # gains can only reproduce the uniform-weight multiply exactly.
-        reasons.append(
-            f"non-uniform member weights ({type(spec.func).__name__}); "
-            "the kernel computes admission gains as popcounts"
-        )
-    if not reasons:
-        try:
-            probe = spec.build(shared.view(1))
-        except KeyError:
-            # Unknown oracle names keep their pinned contract: the engine
-            # constructs fine and raises on the first checkpoint build.
-            probe = None
-        if not isinstance(probe, StreamingThresholdOracle):
-            reasons.append(
-                f"oracle {spec.name!r} is not a threshold-guessing "
-                "streaming oracle"
-            )
-        elif int(math.log(2 * spec.k) / probe._log_base) + 3 > 64:
-            # The kernel packs per-checkpoint seed membership into uint64
-            # masks, one bit per live guess instance.
-            reasons.append(
-                f"beta={probe._beta} spreads the guess ladder over more "
-                "than 64 live instances per checkpoint"
-            )
-    if reasons:
-        if columnar:
-            raise ValueError(
-                "columnar=True requires a modular uniform-weight influence "
-                "function and a sieve/threshold oracle; blocked by: "
-                + "; ".join(reasons)
-            )
-        return None
     try:
-        module = _columnar_module()
-    except ImportError as exc:
-        if columnar:
-            raise ImportError(
-                "columnar=True requires numpy (the columnar oracle kernel "
-                "is array-backed); install numpy or pass columnar=False "
-                "to keep the per-checkpoint object oracles"
-            ) from exc
+        # Imported here: the kernel module needs numpy, which the rest of
+        # the core treats as optional (and it imports this module).
+        from repro.core.oracles.columnar import ColumnarThresholdKernel
+    except ImportError:
         return None
-    return module.ColumnarThresholdKernel(spec, shared)
+    return ColumnarThresholdKernel.for_spec(spec, shared)
 
 
 @dataclass(frozen=True)

@@ -10,10 +10,11 @@ plane: every checkpoint is a view over a single
 :class:`~repro.core.influence_index.VersionedInfluenceIndex`, and a slide
 reaches the checkpoints whose suffix grew as one merged batch, through the
 :mod:`~repro.core.oracles.columnar` kernel when the spec supports it and
-through object oracles (:func:`~repro.core.checkpoint.feed_shared`)
-otherwise.  Subclasses supply the policy hooks (DESIGN.md tabulates what IC
-and SIC put in each); the literal per-checkpoint algorithm the plane is
-tested against lives in :mod:`repro.reference`.
+its compiled event loads, and through object oracles
+(:func:`~repro.core.checkpoint.feed_shared`) otherwise.  Subclasses supply
+the policy hooks (DESIGN.md tabulates what IC and SIC put in each); the
+literal per-checkpoint algorithm the plane is tested against lives in
+:mod:`repro.reference`.
 """
 
 from __future__ import annotations
@@ -84,10 +85,10 @@ class CheckpointFramework(SIMAlgorithm):
                 the partitioned ingest plane (:mod:`repro.sharding`).
             columnar: Oracle-plane selection
                 (:func:`~repro.core.checkpoint.make_columnar_kernel`).
-                ``None`` (default) takes the vectorized columnar kernel
-                whenever the spec supports it and per-checkpoint object
-                oracles otherwise; ``True`` requires the kernel; ``False``
-                forces object oracles (the kernel's equivalence reference).
+                ``None`` (default) takes the columnar kernel whenever the
+                spec supports it and the compiled event loads, and
+                per-checkpoint object oracles otherwise; ``False`` forces
+                object oracles (the kernel's equivalence reference).
         """
         # window_size and k are validated (with the offending value in the
         # message) by SIMAlgorithm/SlidingWindow; tests/core/test_ic.py and
@@ -325,9 +326,10 @@ class CheckpointFramework(SIMAlgorithm):
             state_field(state, "shared", dict)
         )
         # Plane selection re-runs against the *restored* spec and index
-        # (the constructor's were placeholders); documents without the key
-        # (older snapshots) auto-select, so old object-plane snapshots open
-        # straight into the columnar kernel.
+        # (the constructor's were placeholders).  Only a stored ``false``
+        # pins the object plane: documents without the key, or with the
+        # retired ``true``, auto-select, so object-plane snapshots open
+        # straight into the kernel and kernel snapshots open without one.
         algorithm._columnar_requested = state.get("columnar")
         algorithm._kernel = make_columnar_kernel(
             algorithm._spec, algorithm._shared, algorithm._columnar_requested

@@ -31,6 +31,7 @@ from repro.core.base import (
     SIMResult,
     check_state_header,
 )
+from repro.core.oracles import _ckernel
 from repro.influence.queries import FilteredSIM
 
 __all__ = ["MultiQueryEngine"]
@@ -164,6 +165,9 @@ class MultiQueryEngine:
         kernel = getattr(algorithm, "columnar_kernel", None)
         if kernel is not None:
             entry["kernel"] = kernel.stats()
+        elif _ckernel.unavailable_reason:
+            # Process-wide: why no engine here can leave the object plane.
+            entry["ckernel_unavailable"] = _ckernel.unavailable_reason
 
     # -- publication -------------------------------------------------------
 

@@ -1,10 +1,10 @@
-/* Compiled fast path for the columnar oracle kernel.
+/* The columnar oracle kernel's event (its only implementation).
  *
- * One call per merged (user, slide) event, mirroring
- * ColumnarThresholdKernel._process_user exactly: singleton-cache update,
- * m refresh (with the full instance-range rebuild when a bound moves),
- * best-so-far offer, admission gate, and the per-(column, slot)
- * admission pass over coverage bitsets.
+ * One call per merged (user, slide) event over a column range:
+ * singleton-cache update, m refresh (with the full instance-range
+ * rebuild when a bound moves), best-so-far offer, admission gate, and
+ * the per-(column, slot) admission pass over coverage bitsets -- the
+ * object plane's _dispatch walk, for every fed checkpoint at once.
  *
  * Float semantics must match CPython bit-for-bit -- this is an exact
  * replica of the object plane, not an approximation:
@@ -74,7 +74,14 @@ static double empty_bar(const EventCtx *c, double guess) {
     return guess / (2.0 * (double)c->k);
 }
 
-/* The C twin of ColumnarThresholdKernel._refresh_instances. */
+/* Align column col's instances with {j : m <= (1+beta)^j <= 2km}.
+ * The bounds only grow (m is monotone), so the rebuild is a left shift of
+ * the slot axis by low' - low -- tearing down the now-too-small exponents
+ * and their seeds' membership bits, which are keyed by exponent mod 64 so
+ * survivors keep theirs untouched -- plus fresh empty instances on the
+ * high side.  rthresh is re-armed to the next m that can move a bound,
+ * backed off a hair so float error never lets such a growth slip by.
+ */
 static int refresh_col(EventCtx *c, int64_t col) {
     double m = c->m[col];
     if (m <= 0.0)
@@ -194,11 +201,14 @@ static void build_suffix(EventCtx *c, int64_t count, int64_t w) {
     }
 }
 
-/* The C twin of ColumnarThresholdKernel._admit_pass for one gated
- * column, processed slot-ascending -- the same (column, slot) order the
- * vectorized pass applies entries and folds best offers in.  Entries are
- * distinct (column, slot) pairs and freshly-set membership bits are
- * never re-read within an event, so sequential == vectorized.
+/* The admission pass for one gated column, slot-ascending -- the order
+ * the object plane walks instances and folds strict-> best offers in.
+ * A slot is tested when the singleton clears its bar (filled and absent
+ * slots carry bar = +inf) or the user already seeds it.  The members
+ * gained are suffix & ~covered; for a member slot the same expression is
+ * the refresh growth, since a seed's covered set contains their older
+ * suffix.  Admission needs gain >= bar and gain > 0, the gain computed by
+ * the identical uniform * count multiply.
  */
 static void admit_col(EventCtx *c, int64_t col, int64_t urow, double sv,
                       uint64_t mbits, int64_t count, int64_t w,

@@ -1,11 +1,18 @@
-"""Loader for the compiled columnar event kernel (optional fast path).
+"""Loader for the compiled columnar event kernel.
 
 ``_ckernel.c`` is compiled on first use with the system C compiler into a
-content-addressed shared object under the temp directory, then loaded via
-ctypes.  Everything degrades gracefully: no compiler, a failed build, a
-failed load, or ``REPRO_NO_CKERNEL=1`` in the environment all yield
-``None``, and :class:`~repro.core.oracles.columnar.ColumnarThresholdKernel`
-falls back to its pure-numpy event path (same results, lower throughput).
+content-addressed shared object and loaded via ctypes.  When that cannot
+happen — ``REPRO_NO_CKERNEL`` set, no ``cc``, a failed build, an unsafe
+cache directory, a library that does not load — :func:`load` returns
+``None``, names why in :data:`unavailable_reason` (and, unless the
+environment switch asked for it, in one ``RuntimeWarning``), and engines
+run the object plane: same answers and snapshots, the per-checkpoint cost.
+
+The library is built into and loaded from ``<tmp>/repro-ckernel-<euid>/``,
+created ``0o700``, and only while that directory and the ``.so`` are owned
+by the effective user and writable by nobody else: a predictable name
+directly under a world-writable directory could be planted by any local
+user and would run inside the server and every forked shard worker.
 
 The build deliberately avoids ``-ffast-math`` and forces
 ``-ffp-contract=off``: the kernel's contract is bit-identical float
@@ -18,15 +25,17 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import os
+import shutil
 import subprocess
 import tempfile
+import warnings
 from pathlib import Path
 from typing import Optional
 
-__all__ = ["EventCtx", "load", "ENV_DISABLE"]
+__all__ = ["EventCtx", "load", "unavailable_reason", "ENV_DISABLE"]
 
-#: Set this environment variable (to any non-empty value) to force the
-#: pure-numpy event path — used by tests to exercise both paths.
+#: Set this environment variable (to any non-empty value) to keep every
+#: engine in the process on the object plane.
 ENV_DISABLE = "REPRO_NO_CKERNEL"
 
 _SOURCE = Path(__file__).with_name("_ckernel.c")
@@ -41,6 +50,9 @@ _CFLAGS = [
 
 _lib: Optional[ctypes.CDLL] = None
 _tried = False
+#: Why :func:`load` returned ``None`` (``None`` until it has, and after a
+#: successful load); surfaced per query by ``MultiQueryEngine.query_stats``.
+unavailable_reason: Optional[str] = None
 
 
 class EventCtx(ctypes.Structure):
@@ -89,43 +101,53 @@ class EventCtx(ctypes.Structure):
     ]
 
 
-def _build(source: Path, out: Path) -> bool:
+def _build(source: Path, out: Path) -> None:
+    """Compile ``source`` to ``out`` (atomically: concurrent first users
+    each rename their own finished file); ``OSError`` names a failure."""
+    if shutil.which("cc") is None:
+        raise OSError("no cc on PATH")
     tmp = out.with_name(f"{out.name}.{os.getpid()}.tmp")
     cmd = ["cc", *_CFLAGS, "-o", str(tmp), str(source), "-lm"]
     try:
         subprocess.run(
             cmd, check=True, capture_output=True, timeout=120
         )
+        os.chmod(tmp, 0o700)  # whatever the umask: see _require_private
         os.replace(tmp, out)
-        return True
-    except (OSError, subprocess.SubprocessError):
-        try:
-            tmp.unlink()
-        except OSError:
-            pass
-        return False
+    except (OSError, subprocess.SubprocessError) as error:
+        tmp.unlink(missing_ok=True)
+        stderr = getattr(error, "stderr", None) or b""
+        said = stderr.decode(errors="replace").strip().splitlines()
+        raise OSError(f"build failed: {said[0] if said else error}") from error
 
 
-def load() -> Optional[ctypes.CDLL]:
-    """The compiled kernel library, building it on first call.
+def _require_private(cache: Path, path: Path) -> None:
+    """``OSError`` unless only the effective user could have written
+    ``path`` (``lstat``: a symlink's own mode is world-writable)."""
+    status = os.lstat(path)
+    if status.st_uid != os.geteuid() or status.st_mode & 0o022:
+        raise OSError(
+            f"unsafe cache directory {cache}: {path.name} has owner uid "
+            f"{status.st_uid} and mode {status.st_mode & 0o7777:o}"
+        )
 
-    Returns ``None`` when disabled or unavailable; the result (either
-    way) is cached for the process.
-    """
-    global _lib, _tried
-    if _tried:
-        return _lib
-    _tried = True
-    if os.environ.get(ENV_DISABLE):
-        return None
+
+def _first_use() -> ctypes.CDLL:
+    """Build (unless cached) and load the library; ``OSError`` names why not."""
     try:
-        source_bytes = _SOURCE.read_bytes()
-    except OSError:
-        return None
-    digest = hashlib.sha256(source_bytes).hexdigest()[:16]
-    so_path = Path(tempfile.gettempdir()) / f"repro_ckernel_{digest}.so"
-    if not so_path.exists() and not _build(_SOURCE, so_path):
-        return None
+        digest = hashlib.sha256(_SOURCE.read_bytes()).hexdigest()[:16]
+    except OSError as error:
+        raise OSError(f"source unreadable: {error}") from error
+    cache = Path(tempfile.gettempdir()) / f"repro-ckernel-{os.geteuid()}"
+    try:
+        cache.mkdir(mode=0o700, exist_ok=True)
+    except OSError as error:
+        raise OSError(f"unsafe cache directory {cache}: {error}") from error
+    _require_private(cache, cache)
+    so_path = cache / f"repro_ckernel_{digest}.so"
+    if not so_path.exists():
+        _build(_SOURCE, so_path)
+    _require_private(cache, so_path)
     try:
         lib = ctypes.CDLL(str(so_path))
         lib.process_event.restype = ctypes.c_int
@@ -138,7 +160,33 @@ def load() -> Optional[ctypes.CDLL]:
             ctypes.c_int64,
             ctypes.c_int64,
         ]
-    except (OSError, AttributeError):
+    except (OSError, AttributeError) as error:
+        raise OSError(f"{so_path} did not load: {error}") from error
+    return lib
+
+
+def load() -> Optional[ctypes.CDLL]:
+    """The compiled kernel library, building it on first call.
+
+    Returns ``None`` when disabled or unavailable, with the cause in
+    :data:`unavailable_reason`; the result (either way) is cached for the
+    process.
+    """
+    global _lib, _tried, unavailable_reason
+    if _tried:
+        return _lib
+    _tried = True
+    if os.environ.get(ENV_DISABLE):
+        unavailable_reason = f"disabled by {ENV_DISABLE}"
         return None
-    _lib = lib
+    try:
+        _lib = _first_use()
+    except OSError as error:
+        unavailable_reason = str(error)
+        warnings.warn(
+            f"compiled columnar kernel unavailable ({error}); engines run "
+            "the slower object plane with identical answers",
+            RuntimeWarning,
+            stacklevel=2,
+        )
     return _lib

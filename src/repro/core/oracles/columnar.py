@@ -1,4 +1,4 @@
-"""Columnar oracle kernel: one vectorized pass per slide for all checkpoints.
+"""Columnar oracle kernel: one compiled event per updated user, all checkpoints.
 
 The object plane maintains one
 :class:`~repro.core.oracles.streaming_base.StreamingThresholdOracle` per
@@ -32,28 +32,36 @@ Checkpoints are column *ranges*: columns are appended in ascending start
 order, so the checkpoints a pair update feeds — those whose start exceeds
 the pair's previous credit time — form a contiguous suffix ``[lo, n)``
 located with one ``bisect``.  A slide then needs, per updated user, one
-vectorized singleton/cache pass (``cache[lo:n] += gains``; ``m``/``best``
-compares) and one vectorized **admission pass** over every gated
-``(column, instance)`` pair at once:
+**compiled event** (``process_event`` in ``_ckernel.c``, loaded by
+:mod:`~repro.core.oracles._ckernel`) over that column range — Python
+groups the slide's pair updates per user, copies the user's influence
+pairs into scratch columns and makes one call, which
 
-1. the user's suffix membership per column is one gather from a
-   cumulative-OR table of their (time-sorted) influence pairs;
-2. the members an admission would gain are ``suffix & ~covered`` per
-   instance; the gain is ``uniform * popcount`` — for *member* instances
-   the same expression is the refresh growth, because a seed's covered set
-   always contains their older suffix;
-3. admissions are ``gain >= bar`` compares; values, covered words, bars
-   (sieve recomputes, fills go to ``+inf``) and floors update as masked
-   array writes; the best-so-far offer is the row max (first-occurrence
-   ``argmax`` reproduces the object plane's sequential strict-``>`` fold).
+1. adds the user's gains to ``cache[lo:n]``, raises ``m``/``best`` where
+   the singleton beats them and realigns the guess ladder of any column
+   whose bounds moved;
+2. builds the user's suffix membership per column from a cumulative-OR
+   table of their time-sorted pairs, so the members an admission would
+   gain are ``suffix & ~covered`` per instance and the gain is
+   ``uniform * popcount`` — for *member* instances the same expression is
+   the refresh growth, because a seed's covered set always contains their
+   older suffix;
+3. admits where ``gain >= bar``, updating values, covered words, bars
+   (sieve recomputes, fills go to ``+inf``) and floors, and folds the
+   best-so-far offers in ascending slot order (the object plane's
+   sequential strict-``>`` fold).
+
+There is no second, interpreted implementation of the event: a spec the
+compiled code cannot serve, or a box where it cannot be built, runs the
+object plane (:meth:`ColumnarThresholdKernel.for_spec`).
 
 Bookkeeping that the object plane keeps in Python containers lives in
 flat arrays here: per-instance seed lists are rows of an
 ``(columns, slots, k)`` id array (user ids interned to dense rows),
 membership bits sit in a ``(users, columns)`` ``uint64`` matrix, and the
 best-so-far seed set is a ``(columns, k)`` id array — so the whole
-per-event update is array writes with no Python-object churn, and a
-compiled kernel can own the same state.  Seed lists serialize sorted and
+per-event update is array writes with no Python-object churn, which is
+what lets the compiled code own the state.  Seed lists serialize sorted and
 ``best_seeds`` in admission order; both are set-semantics surfaces
 (queries expose frozensets), so equivalence is up to entry order, like
 the cache/member maps.  The kernel is *behaviourally identical* to the
@@ -85,14 +93,15 @@ directions: object-plane snapshots open into columnar engines and vice
 versa, with no format bump.
 
 Supported scope: modular influence functions with **uniform** member
-weights and a
+weights and the stock ``sieve``/``threshold``
 :class:`~repro.core.oracles.streaming_base.StreamingThresholdOracle`
-subclass (``sieve``/``threshold``) over a shared
-:class:`~repro.core.influence_index.VersionedInfluenceIndex`.  Non-uniform
-weights stay on the object plane: their admission gains are float sums in
-per-object set-iteration order, which bitset popcounts cannot reproduce
-bit-for-bit.  Plane selection lives in
-:func:`repro.core.checkpoint.make_columnar_kernel`.
+classes over a shared
+:class:`~repro.core.influence_index.VersionedInfluenceIndex`, on a box
+where the compiled event loads.  Non-uniform weights stay on the object
+plane: their admission gains are float sums in per-object set-iteration
+order, which bitset popcounts cannot reproduce bit-for-bit.  Every check
+is in :meth:`ColumnarThresholdKernel.for_spec`, which
+:func:`repro.core.checkpoint.make_columnar_kernel` calls.
 """
 
 from __future__ import annotations
@@ -108,7 +117,6 @@ import numpy as np
 from repro.core.checkpoint import SuffixCheckpoint
 from repro.core.oracles import _ckernel
 from repro.core.oracles.streaming_base import (
-    _EPS,
     StreamingThresholdOracle,
     ThresholdInstance,
 )
@@ -127,8 +135,8 @@ _UZERO = np.uint64(0)
 def _stock_bar_mode(probe) -> Optional[int]:
     """The compiled kernel's bar mode for ``probe``'s oracle class, or
     ``None`` when the class customizes the bar rule (the C kernel
-    hard-codes the stock sieve/threshold formulas; anything else stays on
-    the numpy event path, which calls the real ``_instance_bar``)."""
+    hard-codes the stock sieve/threshold formulas; anything else runs on
+    the object plane, which calls the real ``_instance_bar``)."""
     from repro.core.oracles.sieve import SieveStreamingOracle
     from repro.core.oracles.threshold import ThresholdStreamOracle
 
@@ -146,6 +154,13 @@ def _stock_bar_mode(probe) -> Optional[int]:
     return None
 
 
+def _slot_budget(k: int, log_base: float) -> int:
+    """Instance-plane width: the guess ladder ``m <= (1+β)^j <= 2km`` spans
+    at most ``log(2k)/log(1+β) + O(1)`` exponents regardless of ``m``, so a
+    fixed per-column slot budget holds every live instance."""
+    return int(math.log(2 * k) / log_base) + 3
+
+
 class ColumnarThresholdKernel:
     """Array-backed state of every live checkpoint's threshold oracle."""
 
@@ -153,62 +168,56 @@ class ColumnarThresholdKernel:
     #: outnumber the live — amortised O(1) column work per retire.
     _MIN_COMPACT_DEAD = 32
 
-    def __init__(self, spec, shared):
-        """
+    @classmethod
+    def for_spec(cls, spec, shared) -> Optional["ColumnarThresholdKernel"]:
+        """A kernel for ``spec`` over ``shared`` — or ``None``, and the
+        engine runs per-checkpoint object oracles, when the compiled event
+        cannot reproduce the spec bit-for-bit or cannot be loaded here."""
+        func = spec.func
+        # Admission gains are ``uniform * popcount``: weighted members are
+        # float sums in each object oracle's set-iteration order, which a
+        # popcount cannot reproduce exactly.
+        if not func.modular or func.uniform_weight is None:
+            return None
+        try:
+            probe = spec.build(shared.view(1))
+        except KeyError:
+            # Unknown oracle names keep their pinned contract: the engine
+            # constructs fine and raises on the first checkpoint build.
+            return None
+        if not isinstance(probe, StreamingThresholdOracle):
+            return None
+        bar_mode = _stock_bar_mode(probe)
+        # Seed membership packs one bit per live guess instance into a
+        # uint64 per (user, column); a tiny beta overflows it.
+        if bar_mode is None or _slot_budget(spec.k, probe._log_base) > 64:
+            return None
+        lib = _ckernel.load()
+        if lib is None:
+            return None
+        return cls(spec, shared, probe, bar_mode, lib)
+
+    def __init__(self, spec, shared, probe, bar_mode, lib):
+        """Built by :meth:`for_spec`, which vets the arguments.
+
         Args:
-            spec: The framework's :class:`~repro.core.checkpoint.OracleSpec`
-                (must name a :class:`StreamingThresholdOracle` subclass and
-                carry a modular, uniform-weight influence function).
+            spec: The framework's :class:`~repro.core.checkpoint.OracleSpec`.
             shared: The framework's
                 :class:`~repro.core.influence_index.VersionedInfluenceIndex`.
+            probe: An oracle built from ``spec``: supplies the guess base
+                and the exact admission-bar rule columns restore through.
+            bar_mode: ``probe``'s :func:`_stock_bar_mode`.
+            lib: The loaded compiled kernel (:func:`_ckernel.load`).
         """
-        func = spec.func
-        if not func.modular:
-            raise ValueError(
-                "the columnar kernel supports modular influence functions "
-                f"only; got {type(func).__name__}"
-            )
-        if func.uniform_weight is None:
-            raise ValueError(
-                "the columnar kernel supports uniform member weights only "
-                "(admission gains are bitset popcounts); "
-                f"{type(func).__name__} weights members individually"
-            )
-        # A probe oracle supplies the admission-bar rule and its flags, so
-        # any registered StreamingThresholdOracle subclass works unchanged.
-        probe = spec.build(shared.view(1))
-        if not isinstance(probe, StreamingThresholdOracle):
-            raise TypeError(
-                "the columnar kernel requires a StreamingThresholdOracle "
-                f"subclass; oracle {spec.name!r} builds "
-                f"{type(probe).__name__}"
-            )
         self._spec = spec
         self._shared = shared
         self._k = spec.k
-        self._uniform = func.uniform_weight
+        self._uniform = spec.func.uniform_weight
         self._bar = probe._instance_bar
-        self._bar_tracks_value = type(probe).bar_tracks_value
-        self._beta = probe._beta
-        self._base = 1.0 + self._beta
+        self._base = 1.0 + probe._beta
         self._log_base = probe._log_base
-        # Instance-plane width: the guess ladder m <= (1+β)^j <= 2km spans
-        # at most log(2k)/log(1+β) + O(1) exponents regardless of m, so a
-        # fixed per-column slot budget holds every live instance; slot s of
-        # a column is the instance with exponent blow + s.  Membership
-        # masks pack one bit per slot into a uint64.
-        self._jcap = int(math.log(2 * self._k) / self._log_base) + 3
-        if self._jcap > 64:
-            raise ValueError(
-                f"beta={self._beta} is too small for the columnar kernel: "
-                f"the guess ladder spans up to {self._jcap} live instances "
-                "per checkpoint, past the 64-bit membership masks"
-            )
-        #: Scratch instance for evaluating the empty-instance bar exactly
-        #: through the oracle's own ``_instance_bar`` (never mutated apart
-        #: from ``guess``).
-        self._dummy = ThresholdInstance(guess=1.0)
-        self._jbits = np.arange(self._jcap, dtype=np.int64)
+        # Slot s of a column is the instance with exponent blow + s.
+        self._jcap = _slot_budget(self._k, self._log_base)
 
         # Telemetry plane counters (scraped via :meth:`stats`).
         self.slides_absorbed = 0
@@ -268,14 +277,10 @@ class ColumnarThresholdKernel:
         self._cache2d = np.zeros((self._urows_cap, cap))
         # Columns whose floor needs re-tightening at slide end.
         self._dirtyf = np.zeros(cap, dtype=np.uint8)
-        # Compiled event path: only for the stock sieve/threshold bar
-        # rules (the C code hard-codes their formulas) and only when the
-        # shared library builds/loads; otherwise _process_user runs the
-        # pure-numpy path below with identical results.
-        self._cfast = None
-        self._cbar_mode = _stock_bar_mode(probe)
-        if self._cbar_mode is not None:
-            self._cfast = _ckernel.load()
+        # The compiled event: its library, the context struct it reads the
+        # arrays through (refilled after any reallocation) and its scratch.
+        self._cfast = lib
+        self._cbar_mode = bar_mode
         self._cctx = None
         self._cstale = True
         self._sc_pairs = 64
@@ -495,12 +500,14 @@ class ColumnarThresholdKernel:
         self._cstale = False
 
     def _process_user_c(self, u: int, pairs, a: int, b: int) -> None:
-        """One user's merged slide event through the compiled kernel.
+        """One user's merged slide event over columns ``[a, b)``.
 
-        Python's share of the event: intern this slide's performers and
-        the user into their lanes/rows, copy the user's influence pairs
-        (hot map + live cold arrays) into the scratch columns, and make
-        one C call that runs the whole numpy event path natively.
+        ``pairs`` is the user's full slide — ``(feed_boundary, performer)``
+        in slide order — matching the object plane's merged ``(user,
+        new_members)`` delta.  Python's share of the event: intern this
+        slide's performers and the user into their lanes/rows, copy the
+        user's influence pairs (hot map + live cold arrays) into the
+        scratch columns, and make the one C call.
         """
         lane = self._lane
         lane_of = self._lane_of
@@ -589,10 +596,10 @@ class ColumnarThresholdKernel:
     # -- the per-slide kernel ----------------------------------------------
 
     def absorb_slide(self, roster, arrived, absorbed: int) -> None:
-        """Index ``arrived`` once and run the columnar passes for the slide.
+        """Index ``arrived`` once and run the slide's compiled events.
 
         The columnar twin of :func:`repro.core.checkpoint.feed_shared`:
-        one shared-index update per record, one vectorized pass per updated
+        one shared-index update per record, one compiled event per updated
         user, and one floor re-tightening sweep over the columns that
         admitted this slide.
         """
@@ -637,7 +644,7 @@ class ColumnarThresholdKernel:
         # checkpoint; a user whose later pair reaches *older* checkpoints
         # therefore appears at different positions in different maps, and
         # the chain tells exactly which column ranges belong to which
-        # position (see the ordering note in ``_process_user``).
+        # position (the ``segmented`` branch below replays them in order).
         per_user: Dict[int, list] = {}
         segmented = False
         for q, (performer, u, previous) in enumerate(updates):
@@ -663,7 +670,7 @@ class ColumnarThresholdKernel:
                 # and dict order == global first-update order == every
                 # column's local first-update order.
                 for u, (pairs, mins) in per_user.items():
-                    self._process_user(u, pairs, mins[0][1], n)
+                    self._process_user_c(u, pairs, mins[0][1], n)
             else:
                 # A user reached older columns with a later pair: emit one
                 # event per (user, column range) at the position of the
@@ -678,337 +685,13 @@ class ColumnarThresholdKernel:
                         hi = lo
                 events.sort()
                 for _q, u, lo, hi in events:
-                    self._process_user(u, per_user[u][0], lo, hi)
+                    self._process_user_c(u, per_user[u][0], lo, hi)
         dirty = np.flatnonzero(self._dirtyf[:n])
         if dirty.size:
             # Retired columns reset their flag, so every flagged column is
             # alive and its floor re-tightens to the row minimum.
             self._floor[dirty] = self._ibar[dirty].min(axis=1)
             self._dirtyf[dirty] = 0
-
-    def _process_user(self, u: int, pairs, a: int, b: int) -> None:
-        """One user's merged slide event over columns ``[a, b)``.
-
-        Vectorized singleton/cache update, ``m`` refresh, best-so-far
-        offer, and admission gating; gated columns continue into the
-        vectorized per-instance admission pass.  ``pairs`` is the user's
-        full slide — ``(feed_boundary, performer)`` in slide order —
-        matching the object plane's merged ``(user, new_members)`` delta.
-        """
-        if self._cfast is not None:
-            self._process_user_c(u, pairs, a, b)
-            return
-        urow = self._urow(u)
-        seg = self._cache2d[urow, a:b]
-        uniform = self._uniform
-        if len(pairs) == 1:
-            seg += uniform
-        else:
-            # gains[c] = uniform * #{pairs feeding column c}: one multiply
-            # and one add per column, bit-identical to the object plane's
-            # ``cache[u] + uniform * len(new_members)``.
-            counts = np.zeros(b - a, dtype=np.int64)
-            for lo, _performer in pairs:
-                if lo < b:  # pairs of later segments reach no column here
-                    counts[lo - a if lo > a else 0] += 1
-            np.cumsum(counts, out=counts)
-            seg += counts * uniform
-        # (1) m refresh — per grown column, the exact instance-range rebuild.
-        mseg = self._m[a:b]
-        grew = seg > mseg
-        if grew.any():
-            idxs = np.nonzero(grew)[0]
-            grown_m = seg[idxs]
-            mseg[idxs] = grown_m
-            # Only m growths that can move a bound pay the scalar-log
-            # refresh; the threshold is conservative, so sub-threshold
-            # growths provably leave the instance range untouched.
-            need = grown_m >= self._rthresh[a:b][idxs]
-            if need.any():
-                refresh = self._refresh_instances
-                for i in idxs[need].tolist():
-                    refresh(a + i)
-        # (2) best-so-far singleton offer (strict >, like _offer_solution).
-        bseg = self._best[a:b]
-        better = seg > bseg
-        if better.any():
-            idxs = np.nonzero(better)[0]
-            bseg[idxs] = seg[idxs]
-            cols = idxs + a
-            self._best_ns[cols] = 1
-            self._best_ids[cols, 0] = urow
-        # (3) admission gate: member columns always continue; non-member
-        # columns only when the singleton clears the floor (sound for
-        # modular f — the gain is bounded by the singleton value).  Dead
-        # columns never pass: their floor is +inf and their membership
-        # bits were cleared on retirement.
-        gate = seg >= self._floor[a:b]
-        mem = self._mem2d[urow]
-        gate |= mem[a:b] != _UZERO
-        if gate.any():
-            rows = np.flatnonzero(gate) + a
-            self._admit_pass(u, urow, rows, seg[gate], mem)
-
-    def _admit_pass(self, u: int, uidx: int, rows, sing, mem) -> None:
-        """The vectorized twin of the object plane's ``_dispatch`` walk.
-
-        ``rows`` are the gated columns, ``sing`` the user's singleton value
-        per gated column, ``mem`` the user's membership-mask row.  All
-        gated ``(column, slot)`` pairs are tested at once:
-
-        * candidate slots: ``singleton >= bar`` and not already seeded by
-          the user (filled/absent slots carry ``bar = +inf``);
-        * the members gained = ``suffix & ~covered`` — for member slots
-          this same expression is the refresh growth, since a seed's
-          covered set contains their older suffix (every new suffix member
-          is a performer delivered while the user was already a seed);
-        * admissions require ``gain >= bar`` and ``gain > 0`` — the exact
-          object-plane test, with the gain computed by the identical
-          ``uniform * count`` multiply.
-        """
-        jcap = self._jcap
-        blows = self._blow[rows]
-        # Clip the slot axis to the widest gated column — bars beyond a
-        # column's width are +inf, so the clip never drops a candidate.
-        jmax = int((self._bhigh[rows] - blows).max()) + 1
-        if jmax <= 0:
-            return
-        if jmax > jcap:  # pragma: no cover - guarded by _refresh_instances
-            jmax = jcap
-        bars = self._ibar[rows][:, :jmax]
-        cand = sing[:, None] >= bars
-        # Membership bits are keyed by guess exponent mod 64 (the live
-        # exponent span is < 64 wide, so bits are unambiguous and never
-        # need shifting when the range slides).
-        membits = mem[rows]
-        shifts = ((blows[:, None] + self._jbits[:jmax]) & 63).astype(
-            np.uint64
-        )
-        memm = (membits[:, None] >> shifts) & _UONE != _UZERO
-        inter = cand | memm
-        # From here on the pass is entry-wise: only the (column, slot)
-        # pairs that are admission candidates or existing memberships are
-        # gathered and tested — typically a handful per event.
-        er, es = np.nonzero(inter)
-        if not er.size:
-            return
-        masks = self._suffix_masks(u, rows)
-        if masks is None:
-            return
-        ecols = rows[er]
-        cov = self._icov[ecols, es]
-        fresh = masks[er] & ~cov
-        if self._wcap == 1:
-            cnt = np.bitwise_count(fresh[:, 0]).astype(np.int64)
-        else:
-            cnt = np.bitwise_count(fresh).sum(axis=1, dtype=np.int64)
-        gains = cnt * self._uniform
-        ebars = bars[er, es]
-        e_mem = memm[er, es]
-        eadmit = ~e_mem & (gains >= ebars) & (gains > 0.0)
-        eapply = eadmit | (e_mem & (cnt > 0))
-        ai = np.flatnonzero(eapply)
-        if not ai.size:
-            return
-        acols = ecols[ai]
-        asl = es[ai]
-        # Value growth and coverage absorption, applied entries only.
-        # Entries are distinct (column, slot) pairs, so the fancy in-place
-        # updates are race-free.
-        self._ival[acols, asl] += gains[ai]
-        self._icov[acols, asl] |= fresh[ai]
-        k = self._k
-        adm = np.flatnonzero(eadmit)
-        if adm.size:
-            ids = self._iseed_ids
-            blist = blows.tolist()
-            fills = self._inseed[ecols[adm], es[adm]].tolist()
-            for r, col, s, fill in zip(
-                er[adm].tolist(), ecols[adm].tolist(), es[adm].tolist(), fills
-            ):
-                ids[col, s, fill] = uidx
-                mem[col] |= _UONE << np.uint64((blist[r] + s) & 63)
-            self._inseed[ecols[adm], es[adm]] += 1
-        # Bars: sieve bars track value (refresh + admission recompute);
-        # threshold bars are static and only fill to +inf on the k-th seed.
-        ci = ai if self._bar_tracks_value else adm
-        if ci.size:
-            ccols = ecols[ci]
-            csl = es[ci]
-            nsc = self._inseed[ccols, csl].astype(np.int64)
-            filled = nsc >= k
-            newbars = np.full(ci.size, math.inf)
-            if self._bar_tracks_value:
-                uf = ~filled
-                if uf.any():
-                    newbars[uf] = (
-                        self._iguess[ccols[uf], csl[uf]] / 2.0
-                        - self._ival[ccols[uf], csl[uf]]
-                    ) / (k - nsc[uf])
-                self._ibar[ccols, csl] = newbars
-                # The object plane min-updates the floor with each changed
-                # bar as it walks; raises are healed by the slide-end dirty
-                # recompute.
-                np.minimum.at(self._floor, ccols, newbars)
-                if adm.size:
-                    self._dirtyf[ecols[adm]] = 1
-            else:
-                if filled.any():
-                    self._ibar[ccols[filled], csl[filled]] = math.inf
-                    self._dirtyf[ccols[filled]] = 1
-        # Best-so-far offers: the object plane folds strict-> offers in
-        # ascending slot order within each column, and only slots that just
-        # grew can improve the fold (an unchanged value was already
-        # offered).  Replaying the applied entries in row-major order is
-        # exactly that fold.
-        avals = self._ival[acols, asl].tolist()
-        best = self._best
-        best_ids = self._best_ids
-        best_ns = self._best_ns
-        ids = self._iseed_ids
-        nseed = self._inseed
-        for col, s, v in zip(acols.tolist(), asl.tolist(), avals):
-            if v > best[col]:
-                best[col] = v
-                nsv = int(nseed[col, s])
-                best_ids[col, :nsv] = ids[col, s, :nsv]
-                best_ns[col] = nsv
-
-    def _suffix_masks(self, u: int, rows) -> Optional[np.ndarray]:
-        """Per gated column, the bitset of ``u``'s suffix influence set.
-
-        Builds the user's influence pairs (hot dict + live cold arrays) as
-        a time-sorted lane sequence, cumulative-ORs it from the newest pair
-        backwards, and gathers one row per column at the position of the
-        column's start — ``cum[pos]`` is exactly ``{v : latest(u, v) >=
-        start}`` as bits.
-        """
-        shared = self._shared
-        lane = self._lane
-        lanes: List[int] = []
-        times: List[int] = []
-        hot = shared._latest.get(u)
-        if hot:
-            for v, t in hot.items():
-                lanes.append(lane(v))
-                times.append(t)
-        cold = shared._cold
-        if cold:
-            entry = cold.get(u)
-            if entry is not None and entry[2] < len(entry[0]):
-                for v, t in zip(entry[0].tolist(), entry[1].tolist()):
-                    if v >= 0:  # skip resurrection tombstones
-                        lanes.append(lane(v))
-                        times.append(t)
-        count = len(lanes)
-        if not count:
-            return None
-        times_arr = np.array(times, dtype=np.int64)
-        order = np.argsort(times_arr, kind="stable")
-        times_sorted = times_arr[order]
-        lanes_arr = np.array(lanes, dtype=np.int64)[order]
-        w = self._wcap
-        single = np.zeros((count, w), dtype=np.uint64)
-        single[np.arange(count), lanes_arr >> 6] = np.left_shift(
-            _UONE, (lanes_arr & 63).astype(np.uint64)
-        )
-        cum = np.zeros((count + 1, w), dtype=np.uint64)
-        cum[:count] = np.bitwise_or.accumulate(single[::-1], axis=0)[::-1]
-        pos = np.searchsorted(times_sorted, self._starts_arr[rows])
-        return cum[pos]
-
-    def _refresh_instances(self, col) -> None:
-        """Align column ``col``'s instances with ``{j: m ≤ (1+β)^j ≤ 2km}``.
-
-        The bounds only grow (``m`` is monotone), so the rebuild is a left
-        shift of the slot axis by ``low' - low`` — tearing down the
-        now-too-small exponents — plus fresh empty instances on the high
-        side, walking the same ``guess *= base`` chain as the object plane
-        so guesses stay bit-identical.
-        """
-        m = float(self._m[col])
-        if m <= 0.0:
-            return
-        low = math.ceil(math.log(m) / self._log_base - _EPS)
-        high = math.floor(
-            math.log(2 * self._k * m) / self._log_base + _EPS
-        )
-        old_low = int(self._blow[col])
-        old_high = int(self._bhigh[col])
-        # Re-arm the skip threshold for the bounds just derived: the next
-        # m that can bump ``low`` or ``high``, backed off a hair so float
-        # error in the power never lets a bound-moving growth slip by.
-        self._rthresh[col] = (
-            min(
-                self._base ** (low + _EPS),
-                self._base ** (high + 1 - _EPS) / (2.0 * self._k),
-            )
-            * (1.0 - 1e-9)
-        )
-        if low == old_low and high == old_high:
-            return
-        width = high - low + 1
-        assert width <= self._jcap, "guess ladder outgrew the slot budget"
-        old_width = old_high - old_low + 1 if old_high >= old_low else 0
-        self._blow[col] = low
-        self._bhigh[col] = high
-        shift = low - old_low if old_width else 0
-        if shift > 0:
-            # Membership bits are exponent-keyed (mod 64), so surviving
-            # slots keep their bits untouched; only the torn-down slots'
-            # seeds lose theirs.
-            ids = self._iseed_ids
-            nseed = self._inseed
-            mem2d = self._mem2d
-            for s in range(min(shift, old_width)):
-                cnt = int(nseed[col, s])
-                if cnt:
-                    clear = ~(_UONE << np.uint64((old_low + s) & 63))
-                    mem2d[ids[col, s, :cnt], col] &= clear
-            survivors = old_width - shift
-            if survivors > 0:
-                src = slice(shift, old_width)
-                dst = slice(0, survivors)
-                self._ival[col, dst] = self._ival[col, src].copy()
-                self._ibar[col, dst] = self._ibar[col, src].copy()
-                self._iguess[col, dst] = self._iguess[col, src].copy()
-                self._inseed[col, dst] = self._inseed[col, src].copy()
-                self._icov[col, dst] = self._icov[col, src].copy()
-                ids[col, dst] = ids[col, src].copy()
-        survivors = max(old_width - shift, 0)
-        if old_width > width:
-            # Slots beyond the new width hold shifted-from leftovers.
-            self._ival[col, width:old_width] = 0.0
-            self._ibar[col, width:old_width] = math.inf
-            self._iguess[col, width:old_width] = 0.0
-            self._inseed[col, width:old_width] = 0
-            self._icov[col, width:old_width] = _UZERO
-        news = width - survivors
-        if news > 0:
-            # Walk the object plane's exact guess chain from base**low;
-            # survivors keep their stored guesses, new slots take the
-            # chain's values at their positions.
-            base = self._base
-            guess = base ** low
-            guesses = []
-            for s in range(width):
-                if s >= survivors:
-                    guesses.append(guess)
-                guess *= base
-            dummy = self._dummy
-            bar_of = self._bar
-            bars_new = []
-            for g in guesses:
-                dummy.guess = g
-                bars_new.append(bar_of(dummy))
-            fill = slice(survivors, width)
-            self._iguess[col, fill] = guesses
-            self._ival[col, fill] = 0.0
-            self._inseed[col, fill] = 0
-            self._icov[col, fill] = _UZERO
-            self._ibar[col, fill] = bars_new
-        self._floor[col] = self._ibar[col].min()
-        self._dirtyf[col] = 0
 
     # -- persistence & introspection ---------------------------------------
 
@@ -1148,7 +831,7 @@ class ColumnarThresholdKernel:
         """Plane/counter document for the telemetry scrape."""
         return {
             "plane": "columnar",
-            "event_kernel": "c" if self._cfast is not None else "numpy",
+            "event_kernel": "c",
             "slides_absorbed": self.slides_absorbed,
             "pair_updates": self.pair_updates,
             "columns": int(self._n - self._dead),

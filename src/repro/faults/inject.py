@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import pathlib
 import time
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.faults.plan import Fault
 
@@ -68,27 +68,19 @@ class WorkerFaultInjector:
             for spent, fault in zip(self._spent, self._faults)
         )
 
-    def before_slide(
-        self, target_seq: int, abandoned: Optional[Callable[[], bool]] = None
-    ) -> bool:
+    def before_slide(self, target_seq: int) -> bool:
         """Fire the faults scheduled for ``target_seq``.
 
         Args:
             target_seq: The slide sequence number the worker is about to
                 process.
-            abandoned: Optional probe the ``hang`` kind checks after its
-                sleep — in-process workers cannot be killed from outside,
-                so a hung worker that the supervisor has given up on must
-                notice and die on its own (raising :class:`WorkerKilled`)
-                instead of touching shared durable state.
 
         Returns:
             ``True`` when a ``drop_reply`` fault fired: the worker should
             handle the command but never answer it.
 
         Raises:
-            WorkerKilled: a ``kill`` fault fired, or a ``hang`` fault woke
-                up to find itself abandoned.
+            WorkerKilled: a ``kill`` fault fired.
         """
         drop = False
         for index, fault in enumerate(self._faults):
@@ -99,11 +91,6 @@ class WorkerFaultInjector:
             self._spent[index] = True
             if fault.kind == "hang":
                 time.sleep(fault.seconds)
-                if abandoned is not None and abandoned():
-                    raise WorkerKilled(
-                        f"abandoned during scripted {fault.seconds}s hang "
-                        f"at slide {target_seq}"
-                    )
             elif fault.kind == "kill":
                 raise WorkerKilled(f"scripted kill at slide {target_seq}")
             elif fault.kind == "drop_reply":

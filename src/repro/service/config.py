@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
+from repro.sharding.backends import BACKENDS, DEFAULT_BACKEND
+
 __all__ = ["ServiceConfig"]
 
 
@@ -35,10 +37,11 @@ class ServiceConfig:
             The server validates this against the engine it is given (a
             mismatch raises), so a config cannot silently claim a
             sharding level the engine does not have.
-        shard_backend: Worker backend for ``shards > 1``: ``"thread"``
-            (default), ``"process"`` (one forked worker per shard — real
-            multi-core), or ``"serial"`` (debugging).  Validated against
-            the served engine like ``shards``.
+        shard_backend: Worker backend for ``shards > 1``, a
+            :data:`repro.sharding.backends.BACKENDS` name: ``"process"``
+            (default; one forked worker per shard — real multi-core) or
+            ``"serial"`` (in-process; debugging).  Validated against the
+            served engine like ``shards``.
         writer_retries: Extra attempts the ingest writer makes when a
             slide raises :class:`~repro.sharding.ShardingError` before it
             gives up and dies.  A sharded engine only escalates after its
@@ -81,7 +84,7 @@ class ServiceConfig:
     ack_every: int = 1000
     history: int = 128
     shards: int = 1
-    shard_backend: str = "thread"
+    shard_backend: str = DEFAULT_BACKEND
     writer_retries: int = 2
     trace_log: Optional[str] = None
     slow_slide_ms: Optional[float] = None
@@ -113,9 +116,9 @@ class ServiceConfig:
             raise ValueError(f"port must be in [0, 65535], got {self.port}")
         if self.shards < 1:
             raise ValueError(f"shards must be >= 1, got {self.shards}")
-        if self.shard_backend not in ("serial", "thread", "process"):
+        if self.shard_backend not in BACKENDS:
             raise ValueError(
-                f"shard_backend must be serial, thread or process, "
+                f"shard_backend must be one of {tuple(BACKENDS)}, "
                 f"got {self.shard_backend!r}"
             )
         if self.writer_retries < 0:

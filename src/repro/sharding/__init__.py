@@ -22,8 +22,8 @@ The division of labour:
   each shard only its owned influence records, with per-shard
   ``shard-<i>/`` WAL+snapshot directories for parallel, independent crash
   recovery;
-* :mod:`repro.sharding.backends` — the shard hosts and the in-process,
-  thread and ``multiprocessing`` worker backends that run them;
+* :mod:`repro.sharding.backends` — the shard hosts and the in-process
+  and ``multiprocessing`` worker backends that run them;
 * :mod:`repro.sharding.supervisor` — the
   :class:`~repro.sharding.supervisor.ShardSupervisor` running every
   fan-out under per-call timeouts, in-place restart with exponential

@@ -1,26 +1,22 @@
-"""Shard hosts and the three worker backends that run them.
+"""Shard hosts and the two worker backends that run them.
 
 A :class:`_ShardHost` is one shard's
 :class:`~repro.persistence.engine.RecoverableEngine` plus its command
-handler; it runs *inside* the worker.  Three interchangeable backends run
+handler; it runs *inside* the worker.  Two interchangeable backends run
 the hosts behind one per-shard protocol — ``start``/``send``/``recv``
 (with a deadline)/``kill`` — so a dead worker surfaces as ``dead`` and a
 hung one as ``timeout`` instead of wedging the caller:
 
-* ``serial`` — direct in-process calls (deterministic; tests, debugging);
-* ``thread`` — one worker thread per shard (the default; shares one
-  interpreter, so CPU scaling is GIL-bound but the interface and
-  durability behaviour are identical);
+* ``serial`` — direct in-process calls: the deterministic reference
+  (tests, debugging, ``bench/``'s answer check);
 * ``process`` — one ``multiprocessing`` (fork) worker per shard: real
-  multi-core ingest, per-shard crash domains.
+  multi-core ingest, per-shard crash domains.  The default.
 """
 
 from __future__ import annotations
 
 import os
-import queue
 import signal
-import threading
 import time
 from typing import Callable, List, Optional, Tuple
 
@@ -73,7 +69,6 @@ class _ShardHost:
                 factory(self.assignment),
                 where=f"shard {self.shard_id} state",
             )
-        self.abandoned_check: Optional[Callable[[], bool]] = None
         # Cumulative wall seconds this incarnation spent applying slides —
         # the per-shard heat signal (rides every info/apply reply).
         self.busy_seconds = 0.0
@@ -119,8 +114,7 @@ class _ShardHost:
             drop = False
             if self._injector is not None:
                 drop = self._injector.before_slide(
-                    self.engine.slides_processed + 1,
-                    abandoned=self.abandoned_check,
+                    self.engine.slides_processed + 1
                 )
             busy_started = time.perf_counter()
             self.engine.apply_resolved(ResolvedSlide.from_wire(payload))
@@ -172,7 +166,7 @@ class _SerialBackend:
     Calls execute synchronously in :meth:`send`; :meth:`recv` then reports
     the stored outcome, applying the deadline *post hoc* (a call that took
     longer than the timeout is reported as ``timeout``, giving the serial
-    backend the same supervision semantics as the others — the restarted
+    backend the process backend's supervision semantics — the restarted
     shard replays its WAL to the identical position, so the retry is a
     no-op suffix).
     """
@@ -258,158 +252,12 @@ class _SerialBackend:
             self.kill(shard)
 
 
-class _ThreadBackend:
-    """One worker thread per shard, fed through request/reply queues.
-
-    A restart builds a fresh thread with fresh queues; the old thread —
-    which cannot be killed from outside — is *abandoned*: its event is
-    set, so it exits (releasing its WAL handle, replying to nobody) the
-    next time it reaches a checkpoint.  Scripted hangs check the event
-    after sleeping, which keeps chaos drills free of WAL double-writers.
-    """
-
-    name = "thread"
-
-    def __init__(self, host_args: List[dict]):
-        n = len(host_args)
-        self._host_args = [dict(kwargs) for kwargs in host_args]
-        self._requests: List[Optional[queue.Queue]] = [None] * n
-        self._replies: List[Optional[queue.Queue]] = [None] * n
-        self._threads: List[Optional[threading.Thread]] = [None] * n
-        self._abandoned: List[Optional[threading.Event]] = [None] * n
-
-    def start(self, shard: int, overrides: Optional[dict] = None):
-        """(Re)start one shard worker thread."""
-        self.kill(shard)
-        requests: queue.Queue = queue.Queue()
-        replies: queue.Queue = queue.Queue()
-        abandoned = threading.Event()
-        kwargs = _merge_overrides(self._host_args[shard], overrides)
-        thread = threading.Thread(
-            target=self._worker,
-            args=(kwargs, requests, replies, abandoned),
-            name=f"repro-shard-{kwargs['shard_id']}",
-            daemon=True,
-        )
-        thread.start()
-        self._requests[shard] = requests
-        self._replies[shard] = replies
-        self._threads[shard] = thread
-        self._abandoned[shard] = abandoned
-        status, result = replies.get()
-        if status != "ok":
-            self.kill(shard)
-            return "fatal", result
-        return "ok", result
-
-    @staticmethod
-    def _worker(
-        kwargs: dict,
-        requests: queue.Queue,
-        replies: queue.Queue,
-        abandoned: threading.Event,
-    ):
-        try:
-            host = _ShardHost(**kwargs)
-        except BaseException as error:
-            replies.put(("fatal", _describe_error(error)))
-            return
-        host.abandoned_check = abandoned.is_set
-        replies.put(("ok", host.info()))
-        while True:
-            item = requests.get()
-            if item is None:
-                host.abandon()
-                return
-            cmd, payload = item
-            try:
-                result = host.handle(cmd, payload)
-            except WorkerKilled:
-                host.abandon()
-                return
-            except BaseException as error:
-                if abandoned.is_set():
-                    host.abandon()
-                    return
-                replies.put(("error", _describe_error(error)))
-                continue
-            if abandoned.is_set():
-                host.abandon()
-                return
-            if isinstance(result, _Dropped):
-                continue
-            replies.put(("ok", result))
-
-    def send(self, shard: int, cmd: str, payload) -> bool:
-        """Enqueue the command; False when no worker is installed."""
-        requests = self._requests[shard]
-        if requests is None:
-            return False
-        requests.put((cmd, payload))
-        return True
-
-    def recv(self, shard: int, timeout: Optional[float]):
-        """Wait for the reply, watching the deadline and the thread's life."""
-        replies = self._replies[shard]
-        thread = self._threads[shard]
-        if replies is None or thread is None:
-            return "dead", "no worker installed"
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while True:
-            wait = 0.05
-            if deadline is not None:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    return (
-                        "timeout",
-                        f"no reply within {timeout}s "
-                        f"(thread alive: {thread.is_alive()})",
-                    )
-                wait = min(wait, remaining)
-            try:
-                return replies.get(timeout=wait)
-            except queue.Empty:
-                if not thread.is_alive():
-                    try:  # a reply may have raced the thread's exit
-                        return replies.get_nowait()
-                    except queue.Empty:
-                        return (
-                            "dead",
-                            "worker thread exited without replying",
-                        )
-
-    def kill(self, shard: int) -> None:
-        """Abandon the shard's worker thread (it cannot be force-killed)."""
-        thread = self._threads[shard]
-        if thread is None:
-            return
-        self._abandoned[shard].set()
-        self._requests[shard].put(None)  # unblock an idle worker
-        self._requests[shard] = None
-        self._replies[shard] = None
-        self._threads[shard] = None
-        self._abandoned[shard] = None
-
-    @property
-    def pids(self) -> Optional[List[int]]:
-        """Worker process ids (None: threads share this process)."""
-        return None
-
-    def stop(self) -> None:
-        """Ask every worker thread to exit and join it."""
-        threads = []
-        for shard, requests in enumerate(self._requests):
-            if requests is None:
-                continue
-            requests.put(None)
-            threads.append(self._threads[shard])
-        for thread in threads:
-            if thread is not None:
-                thread.join(timeout=30)
-
-
-def _process_worker(conn, kwargs: dict) -> None:
+def _process_worker(conn, facade_end, kwargs: dict) -> None:
     """Entry point of one forked shard worker (ProcessBackend)."""
+    # The fork copied the facade's end of this pipe into the worker as
+    # well; while that copy is open ``recv`` never sees EOF, and a facade
+    # killed -9 would leave its workers blocked here forever.
+    facade_end.close()
     try:
         host = _ShardHost(**kwargs)
     except BaseException as error:
@@ -455,7 +303,7 @@ class _ProcessBackend:
             raise ShardingError(
                 "the process backend requires a fork-capable platform "
                 "(factories cross into workers by inheritance); use the "
-                "thread backend instead"
+                "serial backend instead"
             ) from error
         n = len(host_args)
         self._host_args = [dict(kwargs) for kwargs in host_args]
@@ -469,7 +317,7 @@ class _ProcessBackend:
         parent_conn, child_conn = self._context.Pipe()
         process = self._context.Process(
             target=_process_worker,
-            args=(child_conn, kwargs),
+            args=(child_conn, parent_conn, kwargs),
             name=f"repro-shard-{kwargs['shard_id']}",
             daemon=True,
         )
@@ -603,9 +451,10 @@ class _ProcessBackend:
         self._processes = [None] * len(self._processes)
 
 
-#: Backend name -> class, in the order ``ShardedEngine.open`` documents.
+#: Backend name -> class: the one place the names are spelled.
 BACKENDS = {
     "serial": _SerialBackend,
-    "thread": _ThreadBackend,
     "process": _ProcessBackend,
 }
+#: What ``ShardedEngine.open``, ``ServiceConfig`` and the CLI default to.
+DEFAULT_BACKEND = _ProcessBackend.name

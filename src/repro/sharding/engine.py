@@ -21,10 +21,11 @@ every shard's clock and redelivery re-resolves idempotently.  A board
 that cannot absorb pre-resolved slides (filtered queries need the raw
 actions) is refused at :meth:`ShardedEngine.open`: run it unsharded.
 
-The shard hosts run on one of three interchangeable backends (``serial``,
-``thread``, ``process`` — see :mod:`repro.sharding.backends`), all
-speaking the same per-shard protocol, so a dead worker surfaces as
-``dead`` and a hung one as ``timeout`` instead of wedging the caller.
+The shard hosts run on one of two interchangeable backends (``serial``,
+the in-process reference, and ``process``, the default — see
+:mod:`repro.sharding.backends`), both speaking the same per-shard
+protocol, so a dead worker surfaces as ``dead`` and a hung one as
+``timeout`` instead of wedging the caller.
 
 **Supervision.**  Every fan-out runs under a
 :class:`~repro.sharding.supervisor.ShardSupervisor`: a failed shard is
@@ -77,7 +78,7 @@ from repro.core.resolve import partition_slide
 from repro.faults.plan import FaultPlan
 from repro.persistence.engine import shard_state_dir
 from repro.persistence.serialize import PersistenceError
-from repro.sharding.backends import BACKENDS
+from repro.sharding.backends import BACKENDS, DEFAULT_BACKEND
 from repro.sharding.merge import (
     SeedCandidate,
     ShardAnswer,
@@ -225,7 +226,7 @@ class ShardedEngine:
         factory: Callable,
         shards: int,
         state_dir=None,
-        backend: str = "thread",
+        backend: str = DEFAULT_BACKEND,
         partitioner: Optional[Partitioner] = None,
         snapshot_every: int = 16,
         keep_snapshots: int = 3,
@@ -251,7 +252,8 @@ class ShardedEngine:
             shards: Number of shard engines (>= 1).
             state_dir: Durable state root (``shard-<i>/`` per shard plus a
                 ``sharding.json`` manifest), or ``None`` for in-memory.
-            backend: ``"serial"``, ``"thread"`` (default) or ``"process"``.
+            backend: A :data:`~repro.sharding.backends.BACKENDS` name:
+                ``"process"`` (default) or ``"serial"``.
             partitioner: Influencer partitioner; defaults to
                 :class:`~repro.sharding.partition.HashPartitioner`.
             snapshot_every: Per-shard auto-snapshot cadence in slides.

@@ -5,10 +5,10 @@ A daemon thread wakes every ``1 / hz`` seconds, snapshots
 collapsed-stack counter — the ``semicolon;separated;frames count``
 format flamegraph tooling consumes directly.  Stacks are prefixed with a
 *thread tag* derived from the thread's name (``repro-ingest`` executor
-threads → ``ingest``, the service event loop → ``server``,
-``repro-shard-<i>`` workers → ``shard-<i>``, the sampler itself is
-skipped), so a profile answers "where does the ingest loop spend its
-wall time" without symbol archaeology.
+threads → ``ingest``, the service event loop → ``server``, the sampler
+itself is skipped), so a profile answers "where does the ingest loop
+spend its wall time" without symbol archaeology.  Shard workers are
+separate processes, which an in-process sampler cannot see.
 
 Memory is bounded: at most ``max_stacks`` distinct collapsed stacks are
 retained; further novel stacks fold into a per-tag ``<other>`` bucket
@@ -38,7 +38,6 @@ __all__ = ["SamplingProfiler", "DEFAULT_THREAD_TAGS", "collapse_counts"]
 #: thread-name prefix -> tag, first match wins (checked in order).
 DEFAULT_THREAD_TAGS: Tuple[Tuple[str, str], ...] = (
     ("repro-ingest", "ingest"),
-    ("repro-shard", ""),  # empty tag: keep the full repro-shard-<i> name
     ("repro-service", "server"),
     ("repro-flight-recorder", "recorder"),
     ("MainThread", "main"),
@@ -70,8 +69,8 @@ class SamplingProfiler:
         max_stacks: Distinct collapsed stacks retained before novel ones
             fold into ``<tag>;<other>``.
         max_depth: Frames kept per stack (deepest-first truncation).
-        tags: ``(thread-name-prefix, tag)`` pairs; an empty tag keeps the
-            thread's own name.  Unmatched threads tag as ``other``.
+        tags: ``(thread-name-prefix, tag)`` pairs.  Unmatched threads tag
+            as ``other``.
         clock: Monotonic clock (injectable for tests).
     """
 
@@ -149,7 +148,7 @@ class SamplingProfiler:
     def _tag_for(self, name: str) -> str:
         for prefix, tag in self.tags:
             if name.startswith(prefix):
-                return tag or name
+                return tag
         return "other"
 
     def sample_once(self) -> int:

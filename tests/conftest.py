@@ -71,6 +71,32 @@ def small_random_stream() -> List[Action]:
     return random_stream(60, 8, seed=13)
 
 
+def require_ckernel() -> None:
+    """Skip the calling test, naming the loader's reason, on a box where
+    the compiled kernel is unavailable (default engines then *are* the
+    object plane, so a kernel-vs-object comparison proves nothing)."""
+    from repro.core.oracles import _ckernel
+
+    if _ckernel.load() is None:
+        pytest.skip(f"no compiled kernel: {_ckernel.unavailable_reason}")
+
+
+@pytest.fixture
+def ckernel_first_use(monkeypatch):
+    """``reset()`` clears the ``_ckernel`` module's per-process cache, so
+    the next ``load()`` is a first use, and returns the module; whatever
+    the process had loaded returns after the test."""
+    from repro.core.oracles import _ckernel
+
+    def reset():
+        monkeypatch.setattr(_ckernel, "_tried", False)
+        monkeypatch.setattr(_ckernel, "_lib", None)
+        monkeypatch.setattr(_ckernel, "unavailable_reason", None)
+        return _ckernel
+
+    return reset
+
+
 def parse_prometheus(text: str) -> dict:
     """Tiny prometheus text-exposition parser (no deps; tests only).
 

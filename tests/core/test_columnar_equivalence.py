@@ -3,9 +3,9 @@
 The columnar plane replaces every checkpoint's private sieve/threshold
 oracle object with one engine-owned :class:`ColumnarThresholdKernel` that
 stores all checkpoints' instance state in flat numpy columns and serves a
-slide with two vectorized passes (singleton-cache update, admission
-gains).  These tests drive the kernel and the object plane over identical
-random streams and assert they are indistinguishable, slide by slide:
+slide with one compiled event per updated user.  These tests drive the
+kernel and the object plane (``columnar=False``) over identical random
+streams and assert they are indistinguishable, slide by slide:
 
 * query answers (times, seeds, *exact* float values);
 * the retained checkpoint populations (starts, values, seeds, absorbed
@@ -14,9 +14,10 @@ random streams and assert they are indistinguishable, slide by slide:
   (the kernel emits caches/members/seeds in column order, the objects in
   set-iteration order; sorting both sides makes the comparison exact).
 
-Both kernel event paths are proven: the compiled C fast path (when a C
-compiler is available) and the pure-numpy fallback, forced per-run by
-nulling the kernel's loaded library handle.
+Where the compiled kernel cannot load (no ``cc``, ``REPRO_NO_CKERNEL``)
+the default engine *is* the object plane; the tests that need the kernel
+skip with the loader's reason, and the fallback is proven in
+``test_ckernel_loader.py``.
 
 The streams run well past the window, so checkpoints expire mid-run (the
 ``expired`` witness asserts it) — expiry/teardown bookkeeping in the
@@ -27,6 +28,8 @@ from __future__ import annotations
 
 import os
 import shutil
+import sys
+import warnings
 
 import pytest
 
@@ -34,7 +37,7 @@ from repro.core.ic import InfluentialCheckpoints
 from repro.core.sic import SparseInfluentialCheckpoints
 from repro.core.stream import batched
 from repro.influence.functions import WeightedCardinalityInfluence
-from tests.conftest import random_stream
+from tests.conftest import random_stream, require_ckernel
 
 FRAMEWORKS = {"ic": InfluentialCheckpoints, "sic": SparseInfluentialCheckpoints}
 
@@ -61,8 +64,9 @@ def canon(state):
     return state
 
 
-def run_plane(cls, oracle, slide, seed, columnar, force_numpy=False):
-    """Drive one plane over the stream; return per-slide snapshots.
+def run_plane(cls, oracle, slide, seed, columnar):
+    """Drive one plane (``None`` = the kernel, ``False`` = object oracles)
+    over the stream; return per-slide snapshots.
 
     Returns ``(snapshots, expired)`` where each snapshot is the query
     answer, the checkpoint populations, and every checkpoint's
@@ -73,9 +77,7 @@ def run_plane(cls, oracle, slide, seed, columnar, force_numpy=False):
     algorithm = cls(
         window_size=40, k=3, beta=0.25, oracle=oracle, columnar=columnar
     )
-    if force_numpy:
-        assert algorithm.columnar_kernel is not None
-        algorithm.columnar_kernel._cfast = None
+    assert algorithm.columnar == (columnar is None)
     snapshots = []
     starts_seen = set()
     for batch in batched(actions, slide):
@@ -103,81 +105,57 @@ def run_plane(cls, oracle, slide, seed, columnar, force_numpy=False):
 @pytest.mark.parametrize("oracle", ORACLES)
 @pytest.mark.parametrize("slide", [1, 5])
 def test_columnar_object_equivalence(framework, oracle, slide):
-    """The full matrix: IC+SIC × sieve/threshold × L∈{1, 5}, both kernel
-    event paths, three random streams each."""
+    """The full matrix: IC+SIC × sieve/threshold × L∈{1, 5}, three random
+    streams each."""
+    require_ckernel()
     cls = FRAMEWORKS[framework]
     for seed in (0, 1, 2):
         reference, ref_expired = run_plane(cls, oracle, slide, seed, False)
         # Checkpoints genuinely expired mid-run, so teardown is exercised.
         assert ref_expired, (framework, oracle, slide, seed)
-        for path in ("c", "numpy"):
-            snapshots, expired = run_plane(
-                cls, oracle, slide, seed, True, force_numpy=(path == "numpy")
-            )
-            key = (framework, oracle, slide, seed, path)
-            assert snapshots == reference, key
-            assert expired == ref_expired, key
+        snapshots, expired = run_plane(cls, oracle, slide, seed, None)
+        key = (framework, oracle, slide, seed)
+        assert snapshots == reference, key
+        assert expired == ref_expired, key
 
 
 def test_columnar_is_the_default_where_supported():
+    require_ckernel()
     ic = InfluentialCheckpoints(window_size=10, k=2, beta=0.3)
     assert ic.columnar
     assert ic.columnar_kernel is not None
 
 
 class TestPlaneFallback:
-    """Auto-selection (``columnar=None``) silently falls back to the
-    object plane on unsupported configs; ``columnar=True`` refuses."""
+    """Plane selection silently falls back to the object plane on configs
+    the kernel cannot serve."""
 
     def test_non_uniform_weights_fall_back(self):
         func = WeightedCardinalityInfluence({1: 2.0})
         ic = InfluentialCheckpoints(window_size=10, k=2, beta=0.3, func=func)
         assert not ic.columnar
         assert ic.columnar_kernel is None
-        with pytest.raises(ValueError, match="popcount"):
-            InfluentialCheckpoints(
-                window_size=10, k=2, beta=0.3, func=func, columnar=True
-            )
 
     def test_non_threshold_oracle_falls_back(self):
         ic = InfluentialCheckpoints(
             window_size=10, k=2, beta=0.3, oracle="greedy"
         )
         assert not ic.columnar
-        with pytest.raises(ValueError, match="greedy"):
-            InfluentialCheckpoints(
-                window_size=10, k=2, beta=0.3, oracle="greedy", columnar=True
-            )
 
     def test_oversized_guess_ladder_falls_back(self):
         """A tiny beta spreads the ladder over >64 instances, overflowing
         the kernel's per-column uint64 membership masks."""
         ic = InfluentialCheckpoints(window_size=10, k=2, beta=0.001)
         assert not ic.columnar
-        with pytest.raises(ValueError, match="64"):
-            InfluentialCheckpoints(
-                window_size=10, k=2, beta=0.001, columnar=True
-            )
 
-    def test_missing_numpy_raises_naming_the_flag(self, monkeypatch):
-        from repro.core import checkpoint as checkpoint_module
-
-        def unavailable():
-            raise ImportError("No module named 'numpy'")
-
-        monkeypatch.setattr(
-            checkpoint_module, "_columnar_module", unavailable
-        )
-        # Auto-selection degrades silently to a working object plane...
+    def test_missing_numpy_falls_back(self, monkeypatch):
+        # A None entry makes the kernel module's import raise ImportError,
+        # as it does on a box without numpy.
+        monkeypatch.setitem(sys.modules, "repro.core.oracles.columnar", None)
         ic = InfluentialCheckpoints(window_size=10, k=2, beta=0.3)
         assert not ic.columnar
         ic.process(random_stream(12, 4, seed=0))
         assert ic.query().value >= 0
-        # ...but the explicit flag fails loudly, naming flag and fix.
-        with pytest.raises(ImportError, match="columnar=True requires numpy"):
-            InfluentialCheckpoints(
-                window_size=10, k=2, beta=0.3, columnar=True
-            )
 
 
 def test_compiled_kernel_loads_where_a_compiler_exists():
@@ -188,23 +166,31 @@ def test_compiled_kernel_loads_where_a_compiler_exists():
     if os.environ.get(_ckernel.ENV_DISABLE):
         pytest.skip(f"{_ckernel.ENV_DISABLE} is set: compiled kernel disabled")
     if shutil.which("cc") is None:
-        pytest.skip("no C compiler (cc) on PATH: numpy event path only")
+        pytest.skip("no C compiler (cc) on PATH: object plane only")
     assert _ckernel.load() is not None
     ic = InfluentialCheckpoints(window_size=10, k=2, beta=0.3)
     ic.process(random_stream(12, 4, seed=0))
     assert ic.columnar_kernel.stats()["event_kernel"] == "c"
 
 
-def test_ckernel_env_kill_switch(monkeypatch):
-    """``REPRO_NO_CKERNEL`` forces the pure-numpy event path."""
-    from repro.core.oracles import _ckernel
+def test_ckernel_env_kill_switch(ckernel_first_use, monkeypatch):
+    """``REPRO_NO_CKERNEL`` keeps default engines on the object plane —
+    deliberately, so without the loader's warning — with equal answers."""
 
-    monkeypatch.setattr(_ckernel, "_tried", False)
-    monkeypatch.setattr(_ckernel, "_lib", None)
-    monkeypatch.setenv(_ckernel.ENV_DISABLE, "1")
-    assert _ckernel.load() is None
-    ic = InfluentialCheckpoints(window_size=10, k=2, beta=0.3)
-    assert ic.columnar
-    assert ic.columnar_kernel._cfast is None
-    ic.process(random_stream(12, 4, seed=0))
-    assert ic.query().value >= 0
+    def answers(**plane):
+        ic = InfluentialCheckpoints(window_size=10, k=2, beta=0.3, **plane)
+        out = []
+        for batch in batched(random_stream(40, 4, seed=0), 2):
+            ic.process(batch)
+            out.append(ic.query())
+        return ic, out
+
+    ckernel = ckernel_first_use()
+    monkeypatch.setenv(ckernel.ENV_DISABLE, "1")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert ckernel.load() is None
+        switched, got = answers()
+    assert ckernel.ENV_DISABLE in ckernel.unavailable_reason
+    assert not switched.columnar
+    assert got == answers(columnar=False)[1]

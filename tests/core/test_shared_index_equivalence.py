@@ -39,6 +39,7 @@ from hypothesis import strategies as st
 from repro.core.actions import Action
 from repro.core.checkpoint import Checkpoint
 from repro.core.ic import InfluentialCheckpoints
+from repro.core.oracles import _ckernel
 from repro.core.sic import SparseInfluentialCheckpoints
 from repro.core.stream import batched
 from repro.reference import ReferenceCheckpoint, ReferenceIC, ReferenceSIC
@@ -179,15 +180,16 @@ def factories(policy, oracle):
     """``(reference factory, {plane: engine factory})`` for one cell.
 
     ``object`` pins per-checkpoint object oracles, whose feeds the log
-    intercepts; ``default`` is added where it selects the columnar kernel,
-    which legitimately bypasses ``Checkpoint.feed*`` and is held to the
+    intercepts; ``default`` is added where it selects the columnar kernel
+    (a supported oracle on a box where the compiled event loads), which
+    legitimately bypasses ``Checkpoint.feed*`` and is held to the
     answers and populations only (its oracle-state proof lives in
     ``tests/core/test_columnar_equivalence.py``).
     """
     engine_cls, reference_cls, extra = POLICIES[policy]
     common = dict(window_size=40, k=3, beta=0.25, oracle=oracle, **extra)
     planes = {"object": lambda: engine_cls(columnar=False, **common)}
-    if oracle in KERNEL_ORACLES:
+    if oracle in KERNEL_ORACLES and _ckernel.load() is not None:
         planes["default"] = lambda: engine_cls(**common)
     return (lambda: reference_cls(**common)), planes
 

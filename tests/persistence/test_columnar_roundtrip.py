@@ -11,9 +11,14 @@ Three contracts:
   framework exactly (same harness as ``test_restore_equivalence``).
 * **Plane portability:** snapshots carry the plane as a runtime choice,
   not config.  An object-plane snapshot *without* the ``columnar`` key —
-  i.e. one written before the kernel existed — opens straight into the
-  columnar kernel and still continues identically, while an explicit
-  ``columnar: false`` snapshot stays on the object plane.
+  i.e. one written before the kernel existed — or with the retired
+  ``columnar: true`` opens straight into the columnar kernel and still
+  continues identically, an explicit ``columnar: false`` snapshot stays
+  on the object plane, and a kernel run's snapshot reopens and continues
+  identically on a box with no compiled kernel.
+
+Tests that need the kernel skip, naming the loader's reason, where it
+cannot load.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from repro.core.sic import SparseInfluentialCheckpoints
 from repro.core.stream import batched
 from repro.persistence.engine import RecoverableEngine
 from repro.persistence.serialize import algorithm_from_state, algorithm_to_state
-from tests.conftest import random_stream
+from tests.conftest import random_stream, require_ckernel
 from tests.core.test_columnar_equivalence import canon
 
 FRAMEWORKS = {"ic": InfluentialCheckpoints, "sic": SparseInfluentialCheckpoints}
@@ -48,12 +53,11 @@ def oracle_states(algorithm):
 @pytest.mark.parametrize("framework", ["ic", "sic"])
 @pytest.mark.parametrize("oracle", ["sieve", "threshold"])
 def test_columnar_state_roundtrip_continues_identically(framework, oracle):
+    require_ckernel()
     cls = FRAMEWORKS[framework]
 
     def factory():
-        return cls(
-            window_size=40, k=3, beta=0.25, oracle=oracle, columnar=True
-        )
+        return cls(window_size=40, k=3, beta=0.25, oracle=oracle)
 
     batches = list(batched(random_stream(120, 8, seed=1), 5))
     reference = factory()
@@ -73,10 +77,10 @@ def test_columnar_state_roundtrip_continues_identically(framework, oracle):
 
 
 def test_columnar_crash_recovery(tmp_path):
+    require_ckernel()
+
     def factory():
-        return InfluentialCheckpoints(
-            window_size=40, k=3, beta=0.25, columnar=True
-        )
+        return InfluentialCheckpoints(window_size=40, k=3, beta=0.25)
 
     batches = list(batched(random_stream(120, 8, seed=2), 5))
     expected = drive(factory(), batches)
@@ -99,10 +103,13 @@ def test_columnar_crash_recovery(tmp_path):
     assert answers == expected[10:]
 
 
-def test_pre_columnar_snapshot_opens_into_columnar_kernel():
-    """A snapshot written before the kernel existed (no ``columnar`` key)
-    auto-selects the columnar plane on restore — and the kernel continues
-    the object plane's stream bit-identically."""
+@pytest.mark.parametrize("stored", ["missing", True])
+def test_pre_columnar_snapshot_opens_into_columnar_kernel(stored):
+    """A snapshot written before the kernel existed (no ``columnar`` key),
+    or while ``columnar=True`` was still a value, auto-selects the columnar
+    plane on restore — and the kernel continues the object plane's stream
+    bit-identically."""
+    require_ckernel()
     batches = list(batched(random_stream(120, 8, seed=3), 5))
     reference = InfluentialCheckpoints(
         window_size=40, k=3, beta=0.25, columnar=False
@@ -114,7 +121,10 @@ def test_pre_columnar_snapshot_opens_into_columnar_kernel():
     assert not old.columnar
     document = algorithm_to_state(old)
     assert document["columnar"] is False
-    del document["columnar"]  # simulate the pre-kernel document schema
+    if stored == "missing":
+        del document["columnar"]  # simulate the pre-kernel document schema
+    else:
+        document["columnar"] = stored
     restored = algorithm_from_state(document)
     assert restored.columnar
     assert restored.columnar_kernel is not None
@@ -132,18 +142,22 @@ def test_explicit_object_plane_choice_survives_roundtrip():
     assert restored.columnar_kernel is None
 
 
-def test_columnar_snapshot_opens_on_numpy_event_path():
-    """A snapshot from a C-kernel run restores fine when the compiled
-    kernel is unavailable (the numpy path produces identical columns)."""
+def test_columnar_snapshot_opens_without_a_compiled_kernel(
+    ckernel_first_use, monkeypatch
+):
+    """A compiled run's snapshot reopens where no compiled kernel loads
+    (a state dir moved to a box without ``cc``) and the object plane
+    continues it bit-identically."""
+    require_ckernel()
     batches = list(batched(random_stream(120, 8, seed=5), 5))
-    reference = InfluentialCheckpoints(
-        window_size=40, k=3, beta=0.25, columnar=True
-    )
+    reference = InfluentialCheckpoints(window_size=40, k=3, beta=0.25)
     expected = drive(reference, batches)
-    half = InfluentialCheckpoints(
-        window_size=40, k=3, beta=0.25, columnar=True
-    )
+    half = InfluentialCheckpoints(window_size=40, k=3, beta=0.25)
     drive(half, batches[:12])
-    restored = algorithm_from_state(algorithm_to_state(half))
-    restored.columnar_kernel._cfast = None
+    assert half.columnar
+    document = algorithm_to_state(half)
+    monkeypatch.setenv(ckernel_first_use().ENV_DISABLE, "1")
+    restored = algorithm_from_state(document)
+    assert not restored.columnar
     assert drive(restored, batches[12:]) == expected[12:]
+    assert oracle_states(restored) == oracle_states(reference)

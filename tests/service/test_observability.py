@@ -52,7 +52,7 @@ def serve(**config_kwargs) -> ServiceRunner:
         from repro.sharding.engine import ShardedEngine
 
         engine = ShardedEngine.open(
-            board_factory, shards, backend=config_kwargs.get("shard_backend", "thread")
+            board_factory, shards, backend=config_kwargs["shard_backend"]
         )
     else:
         engine = RecoverableEngine.open(None, board_factory)
@@ -72,7 +72,7 @@ class TestHistoryEndpoint:
     def test_serves_downsampled_core_series(self):
         """Ingest rate, slide p99, per-shard busy-seconds all retained."""
         actions = random_stream(300, 20, seed=21)
-        with serve(shards=2, shard_backend="thread", slide=16) as runner:
+        with serve(shards=2, shard_backend="serial", slide=16) as runner:
             client = ServiceClient("127.0.0.1", runner.port)
 
             def samples_taken():

@@ -120,7 +120,7 @@ class TestRoutedReferenceEquivalence:
         routed = run_sharded(make, ACTIONS, 5, shards, partitioner=partitioner)
         assert routed == run_reference(make, ACTIONS, 5, partitioner)
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("backend", ["process"])
     def test_backends_agree_with_serial(self, backend):
         serial = run_sharded(MAKERS["ic"], ACTIONS, 5, 3)
         assert run_sharded(MAKERS["ic"], ACTIONS, 5, 3, backend=backend) == serial

@@ -14,14 +14,16 @@ Covers the PR's acceptance criteria:
   modular and non-modular influence functions.
 * **Crash recovery** — per-shard WAL/snapshot dirs recover independently:
   abandoning mid-stream and re-feeding converges to the uninterrupted
-  run (thread backend), and ``kill -9`` of a single worker process
+  run (both backends), and ``kill -9`` of a single worker process
   (process backend) surfaces as ``ShardingError``, after which reopening
   the whole engine heals the lagging shard on redelivery.
 """
 
 import itertools
+import multiprocessing
 import os
 import signal
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -116,9 +118,9 @@ class TestDegenerateEquivalence:
         make = MAKERS["ic"]
         answers = {
             backend: run_sharded(make, actions, 5, 3, backend=backend)
-            for backend in ("serial", "thread", "process")
+            for backend in ("serial", "process")
         }
-        assert answers["serial"] == answers["thread"] == answers["process"]
+        assert answers["serial"] == answers["process"]
 
 
 class TestMergeSoundness:
@@ -229,7 +231,7 @@ class TestRecovery:
                 continue
             engine.process([a for a in batch if a.time > resume])
 
-    @pytest.mark.parametrize("backend", ["serial", "thread"])
+    @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_abandon_reopen_refeed_matches_uninterrupted(
         self, tmp_path, backend
     ):
@@ -341,19 +343,73 @@ class TestRecovery:
         assert all(now == 200 for now in recovered._shard_nows)
         recovered.close()
 
+    def test_sigkill_of_the_facade_does_not_orphan_its_workers(self, tmp_path):
+        """kill -9 of the process holding the engine (the default ``serve
+        --shards`` after a crash): its workers see EOF and exit, instead of
+        blocking in ``recv`` forever behind their own inherited copy of the
+        facade's pipe end — including a worker restarted after a heal."""
+        context = multiprocessing.get_context("fork")
+        report, child_report = context.Pipe(duplex=False)
+        facade = context.Process(
+            target=_open_heal_report_and_hang,
+            args=(child_report, tmp_path / "state"),
+        )
+        facade.start()
+        child_report.close()
+        assert report.poll(60), "facade never reported its workers"
+        workers = report.recv()
+        assert len(workers) == 2 and all(_running(pid) for pid in workers)
+        facade.kill()
+        facade.join(timeout=30)
+        deadline = time.monotonic() + 30
+        while any(map(_running, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        orphans = [pid for pid in workers if _running(pid)]
+        for pid in orphans:  # a failure must not leak them into the suite
+            os.kill(pid, signal.SIGKILL)
+        assert not orphans
+
+
+def _open_heal_report_and_hang(report, state):
+    engine = ShardedEngine.open(
+        lambda assignment=None: MAKERS["ic"](shard=assignment), 2,
+        state_dir=state, backend="process", fsync=False,
+    )
+    batches = [list(b) for b in batched(random_stream(40, 8, seed=28), 5)]
+    engine.process(batches[0])
+    os.kill(engine.worker_pids[0], signal.SIGKILL)
+    for batch in batches[1:]:
+        engine.process(batch)  # heals shard 0 in place
+    report.send(list(engine.worker_pids))
+    signal.pause()
+
+
+def _running(pid):
+    """Whether ``pid`` is still executing (a zombie awaiting its reaper,
+    or a pid that is gone, is not)."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
+
 
 class TestRefusals:
     def test_manifest_mismatch_is_rejected(self, tmp_path):
         factory = lambda assignment=None: MAKERS["ic"](shard=assignment)
         state = tmp_path / "state"
-        engine = ShardedEngine.open(factory, 2, state_dir=state, fsync=False)
+        engine = ShardedEngine.open(
+            factory, 2, state_dir=state, fsync=False, backend="serial"
+        )
         engine.process([a for a in random_stream(10, 5, seed=1)])
         engine.close()
         with pytest.raises(PersistenceError, match="2 shards"):
-            ShardedEngine.open(factory, 4, state_dir=state, fsync=False)
+            ShardedEngine.open(
+                factory, 4, state_dir=state, fsync=False, backend="serial"
+            )
         with pytest.raises(PersistenceError, match="partitioner"):
             ShardedEngine.open(
-                factory, 2, state_dir=state, fsync=False,
+                factory, 2, state_dir=state, fsync=False, backend="serial",
                 partitioner=ConstantPartitioner(2, 0),
             )
 
@@ -372,7 +428,7 @@ class TestRefusals:
         with pytest.raises(PersistenceError, match=phrase) as refusal:
             ShardedEngine.open(
                 lambda a=None: MAKERS["ic"](shard=a), 2,
-                state_dir=tmp_path, fsync=False,
+                state_dir=tmp_path, fsync=False, backend="serial",
             )
         assert str(tmp_path / "sharding.json") in str(refusal.value)
 
@@ -385,6 +441,7 @@ class TestRefusals:
             2,
             state_dir=state,
             fsync=False,
+            backend="serial",
         )
         engine.process([a for a in random_stream(10, 5, seed=1)])
         engine.close()
@@ -396,16 +453,25 @@ class TestRefusals:
                 2,
                 state_dir=state,
                 fsync=False,
+                backend="serial",
             )
 
     def test_bad_knobs_are_rejected(self):
         factory = lambda a=None: MAKERS["ic"](shard=a)
         with pytest.raises(ShardingError, match="got 0"):
-            ShardedEngine.open(factory, 0)
-        with pytest.raises(ShardingError, match="unknown backend"):
-            ShardedEngine.open(factory, 2, backend="carrier-pigeon")
+            ShardedEngine.open(factory, 0, backend="serial")
+        # The retired thread backend is as unknown as any other name, and
+        # the refusal lists the two that remain.
+        for name in ("carrier-pigeon", "thread"):
+            with pytest.raises(
+                ShardingError,
+                match=rf"unknown backend '{name}'.*\('serial', 'process'\)",
+            ):
+                ShardedEngine.open(factory, 2, backend=name)
         with pytest.raises(ShardingError, match="4 shards"):
-            ShardedEngine.open(factory, 2, partitioner=HashPartitioner(4))
+            ShardedEngine.open(
+                factory, 2, backend="serial", partitioner=HashPartitioner(4)
+            )
 
     def test_out_of_order_batch_is_rejected(self):
         factory = lambda a=None: MAKERS["ic"](shard=a)

@@ -43,9 +43,10 @@ class TestShardedServiceInProcess:
             answers.append(offline.query())
         offline.close()
 
-        engine = ShardedEngine.open(_factory, 2, backend="thread")
+        engine = ShardedEngine.open(_factory, 2, backend="serial")
         config = ServiceConfig(
-            port=0, slide=slide, flush_interval=60.0, shards=2
+            port=0, slide=slide, flush_interval=60.0, shards=2,
+            shard_backend="serial",
         )
         with ServiceRunner(engine, config) as runner:
             client = ServiceClient("127.0.0.1", runner.port)
@@ -56,7 +57,7 @@ class TestShardedServiceInProcess:
             status, metrics = client.http_get("/metrics")
         assert status == 200
         assert metrics["engine"]["shards"] == 2
-        assert metrics["engine"]["shard_backend"] == "thread"
+        assert metrics["engine"]["shard_backend"] == "serial"
         assert metrics["queries"]["main"]["kind"] == "sharded"
         assert [a["time"] for a in served] == [a.time for a in answers]
         assert [a["value"] for a in served] == [a.value for a in answers]
@@ -273,7 +274,7 @@ class TestShardedServeSubprocess:
         server_args = [
             "--algorithm", "ic", "--window", "120", "--slide", "5",
             "-k", "3", "--beta", "0.3", "--shards", "2",
-            "--shard-backend", "thread", "--state-dir", str(state_dir),
+            "--shard-backend", "process", "--state-dir", str(state_dir),
             "--snapshot-every", "7", "--flush-interval", "60",
         ]
 

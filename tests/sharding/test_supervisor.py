@@ -101,7 +101,7 @@ class TestKillMatrix:
 
 class TestTimeoutFaults:
     def test_hang_trips_timeout_and_degraded_window_clears(self, tmp_path):
-        """A hung worker trips the per-call timeout, is abandoned and
+        """A hung worker trips the per-call timeout, is killed and
         restarted; the degraded window opens, then closes on the heal."""
         actions = random_stream(150, 20, seed=42)
         batches = [list(b) for b in batched(actions, SLIDE)]
@@ -116,8 +116,7 @@ class TestTimeoutFaults:
             batches,
             plan,
             tmp_path / "state",
-            backend="thread",
-            call_timeout=0.2,
+            call_timeout=0.5,
         )
         _assert_converged(observed, expected)
         assert stats["call_timeouts"] >= 1

@@ -56,23 +56,6 @@ class TestSampling:
             stop.set()
             thread.join()
 
-    def test_shard_threads_keep_their_own_name(self):
-        stop = threading.Event()
-        thread = threading.Thread(
-            target=stop.wait, name="repro-shard-3", daemon=True
-        )
-        thread.start()
-        try:
-            profiler = SamplingProfiler()
-            profiler.sample_once()
-            assert any(
-                stack.startswith("repro-shard-3;")
-                for stack in profiler.counts()
-            )
-        finally:
-            stop.set()
-            thread.join()
-
     def test_unmatched_threads_tag_as_other(self):
         stop = threading.Event()
         thread = threading.Thread(
@@ -221,4 +204,3 @@ class TestLifecycleEdgeCases:
     def test_default_tags_cover_service_threads(self):
         prefixes = [prefix for prefix, _ in DEFAULT_THREAD_TAGS]
         assert "repro-ingest" in prefixes
-        assert "repro-shard" in prefixes

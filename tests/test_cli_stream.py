@@ -53,6 +53,18 @@ class TestParser:
         assert exit_info.value.code == 2
         assert "--no-shared-index" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["track", "x.jsonl"], ["serve"]])
+    def test_shard_backend_is_process_or_serial(self, command, capsys):
+        """The thread backend is gone: both commands default to one forked
+        worker per shard, accept ``serial``, and refuse ``thread``."""
+        parse = build_parser().parse_args
+        assert parse(command).shard_backend == "process"
+        assert parse(command + ["--shard-backend", "serial"]).shard_backend == "serial"
+        with pytest.raises(SystemExit) as exit_info:
+            parse(command + ["--shard-backend", "thread"])
+        assert exit_info.value.code == 2
+        assert "'serial', 'process'" in capsys.readouterr().err
+
     def test_snapshot_subcommands(self):
         for sub in ("info", "save", "restore"):
             args = build_parser().parse_args(["snapshot", sub, "st"])
