@@ -791,11 +791,15 @@ def _cmd_snapshot(args) -> int:
             sequences = store.snapshots.sequences()
             print(f"state dir      {store.root}")
             for seq in sequences:
-                snapshot_path = store.snapshots.path_for(seq)
+                kind, size, sections = store.snapshots.describe(seq)
                 print(
-                    f"snapshot       slide {seq:>8}  "
-                    f"{snapshot_path.stat().st_size:>10,} bytes"
+                    f"snapshot       slide {seq:>8}  {size:>10,} bytes  {kind}"
                 )
+                for name, dtype, count, nbytes in sections:
+                    print(
+                        f"  section      {name}  {dtype}  {count:,}  "
+                        f"{nbytes:,} bytes"
+                    )
             for segment in store.wal.segments():
                 print(
                     f"wal segment    {segment.name}  "

@@ -18,7 +18,12 @@ from time import perf_counter
 from typing import Deque, FrozenSet, List, Optional, Sequence
 
 from repro.core.actions import Action
-from repro.core.diffusion import ActionRecord, DiffusionForest
+from repro.core.diffusion import (
+    ActionRecord,
+    DiffusionForest,
+    records_from_columns,
+    records_to_columns,
+)
 from repro.core.resolve import ResolvedSlide
 from repro.core.window import SlidingWindow
 from repro.telemetry.trace import active_trace
@@ -299,21 +304,18 @@ class SIMAlgorithm(ABC):
     # -- persistence ---------------------------------------------------------
 
     def _base_state(self) -> dict:
-        """JSON-safe state of the bookkeeping every SIM algorithm shares.
+        """State of the bookkeeping every SIM algorithm shares.
 
         Concrete algorithms embed this under ``"base"`` in their
         ``to_state`` document and restore it with :meth:`_restore_base`.
-        ``window_records`` are serialized in full (not as references into
-        the forest) because a retention horizon may already have pruned
-        them from the forest.
+        ``window_records`` are serialized in full (as record columns, not
+        as references into the forest) because a retention horizon may
+        already have pruned them from the forest.
         """
         return {
             "window": self._window.to_state(),
             "forest": self._forest.to_state(),
-            "window_records": [
-                [r.time, r.user, list(r.influencers), r.depth]
-                for r in self._window_records
-            ],
+            "window_records": records_to_columns(self._window_records),
             "actions_processed": self._actions_processed,
         }
 
@@ -322,13 +324,7 @@ class SIMAlgorithm(ABC):
         self._window = SlidingWindow.from_state(state["window"])
         self._forest = DiffusionForest.from_state(state["forest"])
         self._window_records = deque(
-            ActionRecord(
-                time=time,
-                user=user,
-                influencers=tuple(influencers),
-                depth=depth,
-            )
-            for time, user, influencers, depth in state["window_records"]
+            records_from_columns(state["window_records"])
         )
         self._actions_processed = state["actions_processed"]
 

@@ -306,8 +306,15 @@ class CheckpointRoster:
 
     # -- persistence -------------------------------------------------------
 
-    def to_state(self) -> dict:
-        """Explicit JSON-safe state: the ledger and every live checkpoint."""
+    def to_state(self, kernel=None) -> dict:
+        """Explicit state: the ledger and every live checkpoint — the
+        kernel's ``columns`` as arrays on the columnar plane, one
+        ``checkpoints`` document per oracle on the object plane."""
+        if kernel is not None:
+            return {
+                "absorbed": self.absorbed,
+                "columns": kernel.to_state(self.checkpoints),
+            }
         return {
             "absorbed": self.absorbed,
             "checkpoints": [c.to_state() for c in self.checkpoints],
@@ -327,28 +334,33 @@ class CheckpointRoster:
                 (checkpoints get fresh views of it).
             kernel: The framework's ``ColumnarThresholdKernel`` when the
                 columnar plane is active — checkpoints restore as kernel
-                columns instead of object oracles.  Snapshot documents are
-                plane-agnostic, so either plane opens either document.
+                columns instead of object oracles.  Either plane opens
+                either document: kernel ``columns`` decode into per-oracle
+                documents (numpy alone), and those load into a kernel.
         """
+        from repro.core.oracles.columnar import (
+            oracle_documents,
+            restore_checkpoint,
+        )
+
         roster = cls()
         roster.absorbed = state["absorbed"]
-        if kernel is not None:
-            from repro.core.oracles.columnar import restore_checkpoint
-
-            for checkpoint_state in state["checkpoints"]:
-                roster.append(
-                    restore_checkpoint(kernel, checkpoint_state, roster)
-                )
+        columns = state.get("columns")
+        if columns is None:
+            documents = state["checkpoints"]
+        elif kernel is not None:
+            kernel.load_state(columns, roster)
             return roster
-        for checkpoint_state in state["checkpoints"]:
-            roster.append(
-                Checkpoint.from_state(
-                    checkpoint_state,
-                    spec,
-                    shared.view(checkpoint_state["start"]),
-                    roster,
+        else:
+            documents = oracle_documents(columns)
+        for document in documents:
+            if kernel is not None:
+                checkpoint = restore_checkpoint(kernel, document, roster)
+            else:
+                checkpoint = Checkpoint.from_state(
+                    document, spec, shared.view(document["start"]), roster
                 )
-            )
+            roster.append(checkpoint)
         return roster
 
 

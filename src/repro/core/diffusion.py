@@ -28,11 +28,20 @@ response distance of the stream.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Tuple
+from itertools import chain
+from operator import attrgetter
+from typing import Dict, Iterable, Iterator, Optional, Tuple
+
+import numpy as np
 
 from repro.core.actions import Action
 
-__all__ = ["ActionRecord", "DiffusionForest"]
+__all__ = [
+    "ActionRecord",
+    "DiffusionForest",
+    "records_to_columns",
+    "records_from_columns",
+]
 
 
 @dataclass(frozen=True, slots=True)
@@ -58,6 +67,40 @@ class ActionRecord:
     def fanout(self) -> int:
         """The paper's ``d``: how many influence sets this action updates."""
         return len(self.influencers)
+
+
+def records_to_columns(records) -> dict:
+    """A sized collection of records as aligned int64 columns.
+
+    ``time``/``user``/``depth``/``fanout`` hold one entry per record;
+    ``influencers`` concatenates every record's influencer tuple in record
+    order (``fanout`` gives the run lengths).
+    """
+    count = len(records)
+    columns = {
+        name: np.fromiter(map(attrgetter(name), records), np.int64, count)
+        for name in ("time", "user", "depth")
+    }
+    chains = list(map(attrgetter("influencers"), records))
+    columns["fanout"] = np.fromiter(map(len, chains), np.int64, count)
+    columns["influencers"] = np.fromiter(
+        chain.from_iterable(chains), np.int64, int(columns["fanout"].sum())
+    )
+    return columns
+
+
+def records_from_columns(columns: dict) -> Iterator[ActionRecord]:
+    """The records :func:`records_to_columns` flattened, in order."""
+    influencers = columns["influencers"].tolist()
+    end = 0
+    for time, user, depth, fanout in zip(
+        columns["time"].tolist(),
+        columns["user"].tolist(),
+        columns["depth"].tolist(),
+        columns["fanout"].tolist(),
+    ):
+        start, end = end, end + fanout
+        yield ActionRecord(time, user, tuple(influencers[start:end]), depth)
 
 
 class DiffusionForest:
@@ -189,7 +232,8 @@ class DiffusionForest:
     # -- persistence -----------------------------------------------------
 
     def to_state(self) -> dict:
-        """Explicit JSON-safe state: retained records plus the statistics."""
+        """Explicit state: the statistics plus the retained records as
+        columns (:func:`records_to_columns`)."""
         return {
             "retention": self._retention,
             "oldest": self._oldest,
@@ -197,10 +241,7 @@ class DiffusionForest:
             "depth_sum": self._depth_sum,
             "max_depth": self._max_depth,
             "truncated": self._truncated,
-            "records": [
-                [r.time, r.user, list(r.influencers), r.depth]
-                for r in self._records.values()
-            ],
+            "records": records_to_columns(self._records.values()),
         }
 
     @classmethod
@@ -212,11 +253,6 @@ class DiffusionForest:
         forest._depth_sum = state["depth_sum"]
         forest._max_depth = state["max_depth"]
         forest._truncated = state["truncated"]
-        for time, user, influencers, depth in state["records"]:
-            forest._records[time] = ActionRecord(
-                time=time,
-                user=user,
-                influencers=tuple(influencers),
-                depth=depth,
-            )
+        for record in records_from_columns(state["records"]):
+            forest._records[record.time] = record
         return forest

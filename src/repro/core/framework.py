@@ -247,20 +247,12 @@ class CheckpointFramework(SIMAlgorithm):
 
     # -- persistence ---------------------------------------------------------
 
-    def to_state(self) -> dict:
-        """Explicit JSON-safe state of the whole framework (no pickle).
-
-        The document carries a format-version header, the construction
-        config (including the influence function's own state schema), the
-        :class:`~repro.core.base.SIMAlgorithm` bookkeeping, the versioned
-        index, every live checkpoint's oracle state, and the policy's own
-        fields.  :meth:`from_state` rebuilds an engine that continues the
-        stream with answers identical to an uninterrupted run.
-        """
+    def config_state(self) -> dict:
+        """The ``algorithm`` tag and construction ``config`` (including the
+        influence function's own state schema) :meth:`to_state` embeds —
+        cheap, so a resume compares two engines without serializing them."""
         spec = self._spec
-        policy_config, policy_fields = self._policy_to_state()
         return {
-            "format": STATE_FORMAT_VERSION,
             "algorithm": self.algorithm,
             "config": {
                 "window_size": self.window_size,
@@ -270,16 +262,32 @@ class CheckpointFramework(SIMAlgorithm):
                 "func": spec.func.to_state(),
                 "retention": self._forest._retention,
                 "shard": self._shard.to_state() if self._shard is not None else None,
-                **policy_config,
+                **self._policy_to_state()[0],
             },
+        }
+
+    def to_state(self) -> dict:
+        """Explicit state of the whole framework (no pickle).
+
+        The document carries a format-version header, :meth:`config_state`,
+        the :class:`~repro.core.base.SIMAlgorithm` bookkeeping, the
+        versioned index, every live checkpoint's oracle state, and the
+        policy's own fields — scalars plus numpy arrays at the leaves (the
+        snapshot container's sections).  :meth:`from_state` rebuilds an
+        engine that continues the stream with answers identical to an
+        uninterrupted run.
+        """
+        return {
+            "format": STATE_FORMAT_VERSION,
+            **self.config_state(),
             "base": self._base_state(),
             # The oracle plane is a runtime choice, not part of the engine
             # config: object-plane and columnar snapshots stay
             # config-compatible and open into either plane.
             "columnar": self._columnar_requested,
             "shared": self._shared.to_state(),
-            "roster": self._roster.to_state(),
-            **policy_fields,
+            "roster": self._roster.to_state(self._kernel),
+            **self._policy_to_state()[1],
         }
 
     @classmethod

@@ -184,16 +184,9 @@ class WindowedGreedy(SIMAlgorithm):
 
     # -- persistence -------------------------------------------------------
 
-    def to_state(self) -> dict:
-        """Explicit JSON-safe state: config, base bookkeeping, and index.
-
-        The window index is serialized order-preserving (its iteration
-        order seeds the greedy candidate list, which breaks ties in the
-        naive ``lazy=False`` mode), so a restored run selects exactly the
-        seeds an uninterrupted run would.
-        """
+    def config_state(self) -> dict:
+        """The ``algorithm`` tag and construction ``config`` of :meth:`to_state`."""
         return {
-            "format": STATE_FORMAT_VERSION,
             "algorithm": "greedy",
             "config": {
                 "window_size": self.window_size,
@@ -202,6 +195,19 @@ class WindowedGreedy(SIMAlgorithm):
                 "retention": self._forest._retention,
                 "lazy": self._lazy,
             },
+        }
+
+    def to_state(self) -> dict:
+        """Explicit state: config, base bookkeeping, and index.
+
+        The window index is serialized order-preserving (its iteration
+        order seeds the greedy candidate list, which breaks ties in the
+        naive ``lazy=False`` mode), so a restored run selects exactly the
+        seeds an uninterrupted run would.
+        """
+        return {
+            "format": STATE_FORMAT_VERSION,
+            **self.config_state(),
             "base": self._base_state(),
             "index": self._index.to_state(),
         }

@@ -39,14 +39,12 @@ the users credited.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.core.diffusion import ActionRecord
+import numpy as _np
 
-try:  # Cold-pair spill is array-backed; without numpy it simply stays off.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via monkeypatching
-    _np = None
+from repro.core.diffusion import ActionRecord
 
 __all__ = [
     "WindowInfluenceIndex",
@@ -404,11 +402,11 @@ class VersionedInfluenceIndex:
         amortised O(1) per :meth:`add` while bounding memory to twice the
         visible pairs.  Returns the number of pairs dropped.
 
-        When ``now`` (the current stream time) is given and numpy is
-        available, the sweep additionally *spills* visible-but-cold pairs —
-        latest credit older than the midpoint between ``cutoff`` and
-        ``now`` — into the compact array-backed cold store (still visible
-        to every view; see the class docstring).
+        When ``now`` (the current stream time) is given, the sweep
+        additionally *spills* visible-but-cold pairs — latest credit older
+        than the midpoint between ``cutoff`` and ``now`` — into the compact
+        array-backed cold store (still visible to every view; see the
+        class docstring).
         """
         if cutoff <= self._floor:
             return 0
@@ -417,7 +415,7 @@ class VersionedInfluenceIndex:
         ):
             return 0
         spill_before = cutoff
-        if now is not None and _np is not None and now > cutoff:
+        if now is not None and now > cutoff:
             spill_before = cutoff + (now - cutoff) // 2
         hot_dropped = 0
         moved: Dict[int, List[Tuple[int, int]]] = {}
@@ -492,32 +490,47 @@ class VersionedInfluenceIndex:
         return dropped
 
     def to_state(self) -> dict:
-        """Explicit JSON-safe state (latest-credit pairs, order-preserving).
+        """Explicit state: latest-credit pairs as CSR columns, in order.
 
-        Per-user pair order is part of the state: ``SuffixView`` methods
-        build fresh sets by iterating these dicts, and downstream float
-        accumulation (weighted/non-modular functions) follows that order,
-        so the rebuilt index must iterate exactly like the live one.
+        ``users``/``counts`` list the hot map's users and their pair
+        counts; ``v``/``t`` concatenate every user's ``(influenced, latest
+        credit)`` pairs.  Per-user pair order is part of the state:
+        ``SuffixView`` methods build fresh sets by iterating these dicts,
+        and downstream float accumulation (weighted/non-modular functions)
+        follows that order, so the rebuilt index must iterate exactly like
+        the live one.  ``cold`` holds the spilled pairs the same way, the
+        per-user arrays concatenated as they are (tombstones dropped).
         """
+        latest = self._latest
+        total = self._pair_total
         state = {
             "floor": self._floor,
             "live_at_sweep": self._live_at_sweep,
-            "pairs": [
-                [u, [[v, t] for v, t in pairs.items()]]
-                for u, pairs in self._latest.items()
-            ],
+            "users": _np.fromiter(latest, _np.int64, len(latest)),
+            "counts": _np.fromiter(map(len, latest.values()), _np.int64, len(latest)),
+            "v": _np.fromiter(chain.from_iterable(latest.values()), _np.int64, total),
+            "t": _np.fromiter(
+                chain.from_iterable(map(dict.values, latest.values())),
+                _np.int64,
+                total,
+            ),
         }
         if self._cold_total:
-            cold_pairs = []
-            for u, entry in self._cold.items():
-                items = [
-                    [v, t]
-                    for v, t in zip(entry[0].tolist(), entry[1].tolist())
-                    if v >= 0  # skip tombstones (resurrected into the hot dict)
-                ]
-                if items:
-                    cold_pairs.append([u, items])
-            state["cold"] = cold_pairs
+            users, vs, ts = [], [], []
+            for u, (v, t, tombstones, _max) in self._cold.items():
+                if tombstones:  # resurrected into the hot map
+                    live = v >= 0
+                    v, t = v[live], t[live]
+                if len(v):
+                    users.append(u)
+                    vs.append(v)
+                    ts.append(t)
+            state["cold"] = {
+                "users": _np.array(users, dtype=_np.int64),
+                "counts": _np.array([len(x) for x in vs], dtype=_np.int64),
+                "v": _np.concatenate(vs),
+                "t": _np.concatenate(ts),
+            }
         return state
 
     @classmethod
@@ -526,29 +539,26 @@ class VersionedInfluenceIndex:
         index = cls()
         index._floor = state["floor"]
         index._live_at_sweep = state["live_at_sweep"]
-        total = 0
-        for u, pairs in state["pairs"]:
-            index._latest[u] = {v: t for v, t in pairs}
-            total += len(pairs)
-        index._pair_total = total
-        cold_pairs = state.get("cold")
-        if cold_pairs:
-            if _np is None:
-                raise ImportError(
-                    "this index snapshot contains spilled cold pairs, "
-                    "which require numpy to load"
-                )
-            for u, items in cold_pairs:
-                # Live emits are already time-sorted; re-sorting (stable)
-                # also accepts older snapshots that stored pairs by v id.
-                items = sorted(items, key=_by_credit_time)
+        v, t = state["v"].tolist(), state["t"].tolist()
+        end = 0
+        for u, count in zip(state["users"].tolist(), state["counts"].tolist()):
+            start, end = end, end + count
+            index._latest[u] = dict(zip(v[start:end], t[start:end]))
+        index._pair_total = end
+        cold = state.get("cold")
+        if cold is not None:
+            end = 0
+            for u, count in zip(cold["users"].tolist(), cold["counts"].tolist()):
+                start, end = end, end + count
+                # Owned copies: resurrection tombstones them in place.
+                ts = _np.array(cold["t"][start:end], dtype=_np.int64)
                 index._cold[u] = [
-                    _np.array([v for v, _t in items], dtype=_np.int64),
-                    _np.array([t for _v, t in items], dtype=_np.int64),
+                    _np.array(cold["v"][start:end], dtype=_np.int64),
+                    ts,
                     0,
-                    items[-1][1],
+                    int(ts[-1]),
                 ]
-                index._cold_total += len(items)
+            index._cold_total = end
         return index
 
     @property

@@ -274,14 +274,13 @@ class MultiQueryEngine:
 
     # -- persistence -------------------------------------------------------
 
-    def to_state(self) -> dict:
-        """Explicit JSON-safe state of the whole board (no pickle).
+    def config_state(self) -> dict:
+        """The ``multi`` tag plus every member's own ``config_state``.
 
-        Serializes every registered algorithm through its own ``to_state``
-        schema.  Filtered queries are rejected: their predicates are
-        arbitrary callables with no durable representation, so a board
-        holding them must run without a state dir (or keep the filtered
-        queries outside the durable engine).
+        Filtered queries are rejected: their predicates are arbitrary
+        callables with no durable representation, so a board holding them
+        must run without a state dir (or keep the filtered queries outside
+        the durable engine).
         """
         if self._filtered:
             raise ValueError(
@@ -290,26 +289,27 @@ class MultiQueryEngine:
                 f"{sorted(self._filtered)}; remove them or run without "
                 "durable state"
             )
-        queries = {}
         config = {}
         for name, algorithm in self._algorithms.items():
-            to_state = getattr(algorithm, "to_state", None)
-            if to_state is None:
+            config_state = getattr(algorithm, "config_state", None)
+            if config_state is None:
                 raise ValueError(
                     f"query {name!r} ({type(algorithm).__name__}) does not "
                     "support state serialization (no to_state hook)"
                 )
-            state = to_state()
-            queries[name] = state
-            config[name] = {
-                "algorithm": state.get("algorithm"),
-                "config": state.get("config"),
-            }
+            config[name] = config_state()
+        return {"algorithm": "multi", "config": {"queries": config}}
+
+    def to_state(self) -> dict:
+        """Explicit state of the whole board (no pickle): :meth:`config_state`
+        plus every registered algorithm's own ``to_state`` document."""
         return {
             "format": STATE_FORMAT_VERSION,
-            "algorithm": "multi",
-            "config": {"queries": config},
-            "queries": queries,
+            **self.config_state(),
+            "queries": {
+                name: algorithm.to_state()
+                for name, algorithm in self._algorithms.items()
+            },
             "now": self._now,
             "actions_processed": self._actions_processed,
         }

@@ -86,11 +86,13 @@ sentinels no vector compare can fire on, membership bits cleared) and
 physically reclaimed by an amortised compaction once dead columns
 outnumber live ones.
 
-Checkpoint state is serialized per column in the *exact*
-``StreamingThresholdOracle.state_dict`` schema (coverage bitsets decode
-back to sorted member lists), so snapshots are plane-portable in both
-directions: object-plane snapshots open into columnar engines and vice
-versa, with no format bump.
+Checkpoint state is serialized as the live columns themselves
+(:meth:`ColumnarThresholdKernel.to_state`: arrays, the sparse matrices as
+their non-zero entries), and :func:`oracle_documents` decodes those, with
+numpy alone, into the *exact* ``StreamingThresholdOracle.state_dict``
+schema (coverage bitsets decode back to sorted member lists) — so
+snapshots are plane-portable in both directions: object-plane snapshots
+open into columnar engines (:func:`restore_checkpoint`) and vice versa.
 
 Supported scope: modular influence functions with **uniform** member
 weights and the stock ``sieve``/``threshold``
@@ -125,11 +127,18 @@ from repro.telemetry.trace import active_trace
 __all__ = [
     "ColumnarThresholdKernel",
     "ColumnarCheckpoint",
+    "oracle_documents",
     "restore_checkpoint",
 ]
 
 _UONE = np.uint64(1)
 _UZERO = np.uint64(0)
+
+#: The per-column arrays a snapshot carries verbatim, under the kernel's own
+#: names: the column scalars, then the instance plane.
+_COLUMN_ARRAYS = (
+    "m best floor blow bhigh best_ns best_ids ival iguess ibar inseed iseed_ids"
+).split()
 
 
 def _stock_bar_mode(probe) -> Optional[int]:
@@ -695,75 +704,81 @@ class ColumnarThresholdKernel:
 
     # -- persistence & introspection ---------------------------------------
 
-    def col_state(self, col: int) -> dict:
-        """One column in the exact ``StreamingThresholdOracle`` schema.
+    def to_state(self, checkpoints) -> dict:
+        """The columns of ``checkpoints`` (live handles, oldest first) as arrays.
 
-        Per-user entries are emitted sorted by user id — a canonical order
-        (the transposed arrays have no per-column insertion order to
-        preserve) that keeps serialization a fixed point under reload.
-        Object-plane ``load_state`` accepts any entry order.
+        Per-column arrays are fancy-indexed copies, verbatim; the interned
+        ``users``/``lanes`` tables ride along so row and lane numbers stay
+        meaningful; the sparse per-user matrices and the coverage bitsets
+        are stored as their non-zero entries, ``col`` counting positions in
+        this document.  :func:`oracle_documents` decodes the result.
         """
-        floor = float(self._floor[col])
-        users = self._uidx_user
-        cache_entries = sorted(
-            [users[row], val]
-            for row, val in enumerate(
-                self._cache2d[: len(users), col].tolist()
-            )
-            if val != 0.0
+        count = len(checkpoints)
+        cols = np.fromiter((c._col for c in checkpoints), np.int64, count)
+        state = {key: getattr(self, "_" + key)[cols] for key in _COLUMN_ARRAYS}
+        state["start"] = self._starts_arr[cols]
+        state["actions_processed"] = np.fromiter(
+            (c.actions_processed for c in checkpoints), np.int64, count
         )
-        member_entries = sorted(
-            [users[row], count]
-            for row, bits in enumerate(
-                self._mem2d[: len(users), col].tolist()
-            )
-            if (count := bits.bit_count())
-        )
-        low = int(self._blow[col])
-        high = int(self._bhigh[col])
-        width = high - low + 1 if high >= low else 0
-        lane_user = self._lane_user
-        w = self._w
-        instances = []
-        for s in range(width):
-            words = self._icov[col, s, :w] if w else ()
-            covered: List[int] = []
-            for wi, word in enumerate(np.asarray(words).tolist()):
-                while word:
-                    bit = (word & -word).bit_length() - 1
-                    covered.append(lane_user[(wi << 6) + bit])
-                    word &= word - 1
-            covered.sort()
-            cnt = int(self._inseed[col, s])
-            instances.append(
-                [
-                    low + s,
-                    {
-                        "guess": float(self._iguess[col, s]),
-                        "value": float(self._ival[col, s]),
-                        "seeds": sorted(
-                            users[i]
-                            for i in self._iseed_ids[col, s, :cnt].tolist()
-                        ),
-                        "covered": covered,
-                    },
-                ]
-            )
-        return {
-            "best_value": float(self._best[col]),
-            "best_seeds": [
-                users[i]
-                for i in self._best_ids[
-                    col, : int(self._best_ns[col])
-                ].tolist()
-            ],
-            "m": float(self._m[col]),
-            "bounds": [low, high],
-            "admit_floor": None if floor == math.inf else floor,
-            "singleton_cache": cache_entries,
-            "member_counts": member_entries,
-            "instances": instances,
+        state["users"] = np.array(self._uidx_user, dtype=np.int64)
+        state["lanes"] = np.array(self._lane_user, dtype=np.int64)
+        n = self._n
+        position = np.full(n, -1, dtype=np.int64)
+        position[cols] = np.arange(count)
+        users = len(self._uidx_user)
+        for name, matrix in (("cache", self._cache2d), ("member", self._mem2d)):
+            rows, at = np.nonzero(matrix[:users, :n])
+            keep = position[at] >= 0  # retired columns keep stale cache rows
+            rows, at = rows[keep], at[keep]
+            state[name] = {"row": rows, "col": position[at], "value": matrix[rows, at]}
+        at, slot, word = np.nonzero(self._icov[:n, :, : self._w])
+        keep = position[at] >= 0
+        at, slot, word = at[keep], slot[keep], word[keep]
+        state["covered"] = {
+            "col": position[at],
+            "slot": slot,
+            "word": word,
+            "bits": self._icov[at, slot, word],
         }
+        return state
+
+    def load_state(self, state: dict, roster) -> None:
+        """Restore a fresh kernel from :meth:`to_state` output, appending
+        the checkpoints' handles to ``roster``."""
+        for u in state["users"].tolist():
+            self._urow(u)
+        for v in state["lanes"].tolist():
+            self._lane(v)
+        # One reallocation, while the column axis is still empty: growing
+        # it under thousands of user rows copies every row per doubling.
+        cap = self._cap
+        while cap < len(state["start"]):
+            cap *= 2
+        if cap > self._cap:
+            self._grow(cap)
+        for start, done in zip(
+            state["start"].tolist(), state["actions_processed"].tolist()
+        ):
+            handle = self.new_checkpoint(start, roster)
+            handle._actions_processed = done
+            roster.append(handle)
+        # The compiled event trusts these as array indices and loop bounds.
+        rows, seeds = max(len(self._uidx_user), 1), self._k + 1
+        for key, limit in (
+            ("best_ids", rows), ("iseed_ids", rows), ("best_ns", seeds), ("inseed", seeds)
+        ):
+            values = state[key]
+            if values.size and not 0 <= values.min() <= values.max() < limit:
+                raise ValueError(f"kernel column {key!r} leaves [0, {limit})")
+        if (state["bhigh"].astype(np.int64) - state["blow"] >= self._jcap).any():
+            raise ValueError("kernel column bounds outgrow the slot budget")
+        for key in _COLUMN_ARRAYS:
+            getattr(self, "_" + key)[: self._n] = state[key]
+        for name, matrix in (("cache", self._cache2d), ("member", self._mem2d)):
+            entries = state[name]
+            matrix[entries["row"], entries["col"]] = entries["value"]
+        covered = state["covered"]
+        self._icov[covered["col"], covered["slot"], covered["word"]] = covered["bits"]
 
     def load_col_state(self, col: int, state: dict) -> None:
         """Restore one column from a ``StreamingThresholdOracle`` state dict
@@ -824,7 +839,7 @@ class ColumnarThresholdKernel:
     def materialize_oracle(self, col: int):
         """A real oracle object loaded from the column (read-only copy)."""
         oracle = self._spec.build(self._views[col])
-        oracle.load_state(self.col_state(col))
+        oracle.load_state(self._handles[col].oracle_state())
         return oracle
 
     def stats(self) -> dict:
@@ -906,7 +921,89 @@ class ColumnarCheckpoint(SuffixCheckpoint):
 
     def oracle_state(self) -> dict:
         """The column as an oracle ``state_dict`` (no oracle materialized)."""
-        return self._kernel.col_state(self._col)
+        return oracle_documents(self._kernel.to_state([self]))[0]["oracle"]
+
+
+def oracle_documents(state: dict) -> List[dict]:
+    """Kernel columns decoded into ``Checkpoint.to_state`` documents.
+
+    ``state`` is :meth:`ColumnarThresholdKernel.to_state` output; the
+    decoding needs numpy alone — no kernel, no compiler — which is how the
+    object plane opens a kernel-written roster.  Each ``"oracle"`` field is
+    in the exact ``StreamingThresholdOracle.state_dict`` schema, per-user
+    entries sorted by user id — a canonical order (the transposed arrays
+    have no per-column insertion order to preserve) that keeps
+    serialization a fixed point under reload.  Object-plane ``load_state``
+    accepts any entry order.
+    """
+    users = state["users"].tolist()
+    lanes = state["lanes"].tolist()
+    count = len(state["start"])
+
+    def per_column(name, weigh) -> List[list]:
+        entries = [[] for _ in range(count)]
+        triples = state[name]
+        for row, col, value in zip(
+            *(triples[key].tolist() for key in ("row", "col", "value"))
+        ):
+            entries[col].append([users[row], weigh(value)])
+        return entries
+
+    cache = per_column("cache", float)
+    members = per_column("member", int.bit_count)
+    covered: Dict[tuple, List[int]] = {}
+    words = state["covered"]
+    for col, slot, word, bits in zip(
+        *(words[key].tolist() for key in ("col", "slot", "word", "bits"))
+    ):
+        bucket = covered.setdefault((col, slot), [])
+        while bits:
+            bit = (bits & -bits).bit_length() - 1
+            bucket.append(lanes[(word << 6) + bit])
+            bits &= bits - 1
+    columns = {key: state[key].tolist() for key in _COLUMN_ARRAYS}
+    documents = []
+    for col, (start, done) in enumerate(
+        zip(state["start"].tolist(), state["actions_processed"].tolist())
+    ):
+        low, high = columns["blow"][col], columns["bhigh"][col]
+        floor = columns["floor"][col]
+        seed_rows, seed_count = columns["iseed_ids"][col], columns["inseed"][col]
+        oracle = {
+            "best_value": columns["best"][col],
+            "best_seeds": [
+                users[i]
+                for i in columns["best_ids"][col][: columns["best_ns"][col]]
+            ],
+            "m": columns["m"][col],
+            "bounds": [low, high],
+            "admit_floor": None if floor == math.inf else floor,
+            "singleton_cache": sorted(cache[col]),
+            "member_counts": sorted(members[col]),
+            "instances": [
+                [
+                    low + s,
+                    {
+                        "guess": columns["iguess"][col][s],
+                        "value": columns["ival"][col][s],
+                        "seeds": sorted(
+                            users[i] for i in seed_rows[s][: seed_count[s]]
+                        ),
+                        "covered": sorted(covered.get((col, s), ())),
+                    },
+                ]
+                for s in range(high - low + 1)
+            ],
+        }
+        documents.append(
+            {
+                "start": start,
+                "actions_processed": done,
+                "oracle": oracle,
+                "index": None,
+            }
+        )
+    return documents
 
 
 def restore_checkpoint(

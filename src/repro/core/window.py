@@ -13,7 +13,11 @@ batch of actions to :meth:`SlidingWindow.slide`.
 from __future__ import annotations
 
 from collections import deque
+from itertools import chain
+from operator import attrgetter
 from typing import Deque, Iterable, List, Sequence, Set
+
+import numpy as np
 
 from repro.core.actions import Action
 
@@ -123,11 +127,15 @@ class SlidingWindow:
         return set(self._user_counts)
 
     def to_state(self) -> dict:
-        """Explicit JSON-safe state: capacity, clock, and retained actions."""
+        """Explicit state: capacity, clock, and the retained actions as one
+        ``(n, 3)`` int64 array of ``time, user, parent`` rows."""
+        fields = map(attrgetter("time", "user", "parent"), self._window)
         return {
             "size": self._size,
             "last_time": self._last_time,
-            "actions": [[a.time, a.user, a.parent] for a in self._window],
+            "actions": np.fromiter(
+                chain.from_iterable(fields), np.int64, 3 * len(self._window)
+            ).reshape(-1, 3),
         }
 
     @classmethod
@@ -135,7 +143,7 @@ class SlidingWindow:
         """Rebuild a window from :meth:`to_state` output."""
         window = cls(state["size"])
         window._last_time = state["last_time"]
-        for time, user, parent in state["actions"]:
+        for time, user, parent in state["actions"].tolist():
             action = Action(time=time, user=user, parent=parent)
             window._window.append(action)
             window._user_counts[action.user] = (

@@ -5,12 +5,13 @@ but their state used to live only in process memory — a restart meant
 replaying the whole stream.  This package adds the missing database-style
 durability subsystem:
 
-* :mod:`repro.persistence.serialize` — shared codecs and the
-  algorithm-state dispatch (explicit JSON schemas, no pickle);
+* :mod:`repro.persistence.serialize` — shared codecs, the
+  algorithm-state dispatch (explicit schemas, no pickle) and the snapshot
+  container codec (JSON header + raw array sections);
 * :mod:`repro.persistence.wal` — the append-only action log (JSONL
   segments, fsync-on-slide, rotation, torn-tail truncation);
-* :mod:`repro.persistence.snapshots` — atomic write-rename snapshot files
-  with bounded retention;
+* :mod:`repro.persistence.snapshots` — atomic write-rename snapshot
+  containers with bounded retention;
 * :mod:`repro.persistence.engine` — :class:`RecoverableEngine`, which
   logs ahead, snapshots every S slides, and on
   :meth:`~repro.persistence.engine.RecoverableEngine.open` restores the

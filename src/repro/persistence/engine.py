@@ -6,9 +6,9 @@
 1. every arriving slide is appended to the action WAL *before* it is
    processed (write-ahead: a slide the engine acknowledged is on disk);
 2. every ``snapshot_every`` slides the full framework state — explicit
-   ``to_state()`` schemas, no pickle — is written atomically to the
-   snapshot store, and WAL segments older than the oldest retained
-   snapshot are pruned;
+   ``to_state()`` schemas with numpy arrays at the leaves, no pickle — is
+   written atomically to the snapshot store as one container, and WAL
+   segments older than the oldest retained snapshot are pruned;
 3. :meth:`RecoverableEngine.open` restores the newest valid snapshot and
    replays only the WAL records behind it, so a warm restart costs
    O(tail) work instead of re-streaming from t = 0 — with answers
@@ -18,7 +18,11 @@
 The state directory layout is owned by :class:`StateStore`::
 
     <state_dir>/
-      snapshots/snapshot-<slideseq>.json   atomic write-rename, last M kept
+      snapshots/snapshot-<slideseq>.snap   sectioned binary container (JSON
+                                           header + raw array sections, a
+                                           CRC32 each); atomic write-rename,
+                                           last M kept; older builds'
+                                           snapshot-<slideseq>.json still load
       wal/wal-<firstseq>.jsonl             fsync-on-slide, segment rotation
 
 A *sharded* engine (:mod:`repro.sharding`) nests one full ``StateStore``

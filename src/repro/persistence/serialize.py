@@ -1,10 +1,14 @@
 """Explicit-schema codecs shared by the persistence plane.
 
-Everything the state store writes — snapshots and WAL records — is plain
-JSON built from the ``to_state()`` documents the core classes expose.  No
-live object is ever pickled: each schema is explicit, carries a format
-version, and is rebuilt through ``from_state()`` constructors, so stored
-state survives process restarts, interpreter upgrades, and code review.
+Everything the state store writes is built from the ``to_state()``
+documents the core classes expose: WAL records are plain JSON lines, and a
+snapshot is one *container* — a JSON header holding the document's scalars
+and, per numpy array leaf, a declared ``name / dtype / shape / offset /
+crc32``, followed by the arrays as raw little-endian sections
+(:func:`pack_container`; DESIGN.md tabulates the layout).  No live object
+is ever pickled: each schema is explicit, carries a format version, and is
+rebuilt through ``from_state()`` constructors, so stored state survives
+process restarts, interpreter upgrades, and code review.
 
 This module holds the small shared pieces:
 
@@ -15,15 +19,25 @@ This module holds the small shared pieces:
   parent]`` triple used by WAL records and window snapshots;
 * :func:`algorithm_to_state` / :func:`algorithm_from_state` — dispatch
   between a framework instance and its serialized document, keyed by the
-  document's ``"algorithm"`` tag (``ic``, ``sic``, ``greedy``, ``multi``).
+  document's ``"algorithm"`` tag (``ic``, ``sic``, ``greedy``, ``multi``);
+* :func:`pack_container` / :func:`unpack_container` — the snapshot
+  container codec, and :func:`upgrade_legacy_snapshot`, the one-round
+  reader of the all-JSON snapshots older builds wrote.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Sequence
+import json
+import math
+import struct
+import zlib
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.core.actions import Action
 from repro.core.base import SIMAlgorithm
+from repro.core.diffusion import ActionRecord, records_to_columns
 from repro.core.greedy import WindowedGreedy
 from repro.core.ic import InfluentialCheckpoints
 from repro.core.multi import MultiQueryEngine
@@ -37,6 +51,10 @@ __all__ = [
     "algorithm_to_state",
     "algorithm_from_state",
     "ensure_same_engine_config",
+    "CONTAINER_VERSION",
+    "pack_container",
+    "unpack_container",
+    "upgrade_legacy_snapshot",
 ]
 
 #: Version tag of the snapshot *document* (the envelope around an
@@ -148,8 +166,8 @@ def ensure_same_engine_config(stored, requested, where: str = "state dir") -> No
     Raises:
         PersistenceError: when algorithm kind or config differ.
     """
-    stored_state = algorithm_to_state(stored)
-    requested_state = algorithm_to_state(requested)
+    stored_state = stored.config_state()
+    requested_state = requested.config_state()
     stored_key = (stored_state["algorithm"], stored_state["config"])
     requested_key = (requested_state["algorithm"], requested_state["config"])
     if stored_key != requested_key:
@@ -159,3 +177,195 @@ def ensure_same_engine_config(stored, requested, where: str = "state dir") -> No
             f"{requested_key[0]} {requested_key[1]}); rerun with matching "
             "settings or a fresh state dir"
         )
+
+
+# -- the snapshot container ---------------------------------------------------
+
+#: Version of the container layout (preamble + header + sections); the
+#: envelope's ``format`` and each algorithm's state version ride inside.
+CONTAINER_VERSION = 1
+
+#: Preamble: magic, container version, header bytes, header CRC32.
+_PREAMBLE = struct.Struct("<8sIII")
+_MAGIC = b"REPROSNP"
+#: Header placeholder standing where the document held an array.
+_SECTION = "$section"
+#: Section dtypes this build reads (all little-endian or single-byte).
+_DTYPES = frozenset("|i1 <i2 <i4 <i8 |u1 <u2 <u4 <u8 <f8 |b1".split())
+
+
+def _narrowed(array: np.ndarray) -> np.ndarray:
+    """``array`` in the narrowest signed dtype its values fit (integers
+    only; everything else keeps its width), contiguous and little-endian."""
+    if array.dtype.kind == "i" and array.size:
+        low, high = int(array.min()), int(array.max())
+        for code in ("|i1", "<i2", "<i4"):
+            info = np.iinfo(code)
+            if info.min <= low and high <= info.max:
+                return np.ascontiguousarray(array, dtype=code)
+    return np.ascontiguousarray(array, dtype=array.dtype.newbyteorder("<"))
+
+
+def pack_container(document: dict) -> List[bytes]:
+    """Encode ``document`` as container chunks (preamble, header, sections).
+
+    Arrays are lifted out of the document wherever they sit under dict
+    keys (lists are header material and never searched); each becomes one
+    8-byte-aligned section named by its dotted path.
+    """
+    sections: List[dict] = []
+    chunks: List[bytes] = []
+
+    def lift(node, path: str):
+        if isinstance(node, dict):
+            return {
+                key: lift(value, f"{path}.{key}" if path else key)
+                for key, value in node.items()
+            }
+        if not isinstance(node, np.ndarray):
+            return node
+        data = _narrowed(node)
+        raw = data.tobytes() + b"\0" * (-data.nbytes % 8)
+        sections.append(
+            {
+                "name": path,
+                "dtype": data.dtype.str,
+                "shape": list(data.shape),
+                "offset": sum(map(len, chunks)),
+                "crc32": zlib.crc32(raw),
+            }
+        )
+        chunks.append(raw)
+        return {_SECTION: len(chunks) - 1}
+
+    header = json.dumps(
+        {"document": lift(document, ""), "sections": sections},
+        separators=(",", ":"),
+    ).encode("utf-8")
+    header += b" " * (-(_PREAMBLE.size + len(header)) % 8)
+    preamble = _PREAMBLE.pack(
+        _MAGIC, CONTAINER_VERSION, len(header), zlib.crc32(header)
+    )
+    return [preamble, header, *chunks]
+
+
+def unpack_container(raw: bytes, name: str) -> Optional[Tuple[dict, List[dict]]]:
+    """Decode a container into ``(document, section declarations)``.
+
+    Arrays come back as read-only ``np.frombuffer`` views of ``raw``.
+    Returns ``None`` for a *torn* file — too short, wrong magic, a header
+    failing its CRC or not a JSON object, sections reaching past the end —
+    which the snapshot store treats like any unparseable file.
+
+    Raises:
+        PersistenceError: naming ``name`` for a container version this
+            build does not read, and naming the section too for a section
+            that fails its CRC or declares an unknown dtype or a malformed
+            extent — the file is whole, and wrong.
+    """
+    if len(raw) < _PREAMBLE.size:
+        return None
+    magic, version, header_bytes, header_crc = _PREAMBLE.unpack_from(raw)
+    if magic != _MAGIC:
+        return None
+    if version != CONTAINER_VERSION:
+        raise PersistenceError(
+            f"snapshot {name} has container version {version!r}; "
+            f"this build reads version {CONTAINER_VERSION}"
+        )
+    start = _PREAMBLE.size + header_bytes
+    header_raw = raw[_PREAMBLE.size : start]
+    if len(header_raw) != header_bytes or zlib.crc32(header_raw) != header_crc:
+        return None
+    try:
+        header = json.loads(header_raw)
+        document, sections = header["document"], header["sections"]
+        labels = [section["name"] for section in sections]
+    except (ValueError, TypeError, KeyError):
+        return None
+    arrays = []
+    for section, label in zip(sections, labels):
+        try:
+            dtype, shape = section["dtype"], section["shape"]
+            if dtype not in _DTYPES:
+                raise ValueError(f"unknown dtype {dtype!r}")
+            count = math.prod(shape)
+            at = start + section["offset"]
+            end = at + -(-count * int(dtype[2:]) // 8) * 8
+            if at < start or min(shape, default=0) < 0:
+                raise ValueError(f"malformed extent {shape} at {at}")
+            if end > len(raw):
+                return None
+            if zlib.crc32(memoryview(raw)[at:end]) != section["crc32"]:
+                raise ValueError("CRC32 mismatch (damaged on disk)")
+            arrays.append(np.frombuffer(raw, dtype, count, at).reshape(shape))
+        except (LookupError, TypeError, ValueError) as exc:
+            raise PersistenceError(
+                f"snapshot {name}: section {label!r}: {exc}"
+            ) from exc
+
+    def lower(node):
+        if isinstance(node, dict):
+            if len(node) == 1 and _SECTION in node:
+                return arrays[node[_SECTION]]
+            return {key: lower(value) for key, value in node.items()}
+        return node
+
+    try:
+        return lower(document), sections
+    except (LookupError, TypeError) as exc:
+        raise PersistenceError(f"snapshot {name}: malformed header: {exc}") from exc
+
+
+def upgrade_legacy_snapshot(document: dict) -> dict:
+    """A pre-container, all-JSON snapshot envelope rewritten (in place)
+    into the columnar document schema the ``from_state`` constructors read.
+
+    The whole of the one-round compatibility with ``snapshot-*.json``
+    files: rosters were per-oracle documents, which every build still
+    reads, so only the window, forest, record and index pair lists change
+    shape.  Deleted together with the ``.json`` reader in the next round.
+    """
+
+    def ints(values) -> np.ndarray:
+        return np.array(list(values), dtype=np.int64)
+
+    def records(rows) -> dict:
+        return records_to_columns(
+            [ActionRecord(t, u, tuple(chain), d) for t, u, chain, d in rows]
+        )
+
+    def pairs(entries) -> dict:
+        return {
+            "users": ints(u for u, _items in entries),
+            "counts": ints(len(items) for _u, items in entries),
+            "v": ints(v for _u, items in entries for v, _t in items),
+            "t": ints(t for _u, items in entries for _v, t in items),
+        }
+
+    def algorithm(state: dict) -> None:
+        for member in state.get("queries", {}).values():
+            algorithm(member)
+        base = state.get("base")
+        if base is not None:
+            window = base["window"]
+            window["actions"] = ints(window["actions"]).reshape(-1, 3)
+            base["forest"]["records"] = records(base["forest"]["records"])
+            base["window_records"] = records(base["window_records"])
+        shared = state.get("shared")
+        if shared is not None:
+            cold = shared.pop("cold", None)
+            shared.update(pairs(shared.pop("pairs")))
+            if cold:
+                # Older builds stored cold pairs by v id; the arrays must
+                # ascend by credit time (stable, so ties keep their order).
+                shared["cold"] = pairs(
+                    [[u, sorted(items, key=lambda item: item[1])] for u, items in cold]
+                )
+
+    if "algorithm" in document:
+        algorithm(document["algorithm"])
+    if "resolver" in document:
+        forest = document["resolver"]["forest"]
+        forest["records"] = records(forest["records"])
+    return document

@@ -1,29 +1,43 @@
 """Atomic snapshot files with bounded retention.
 
-A snapshot is one JSON document — the envelope written by
+A snapshot is one document — the envelope written by
 :class:`~repro.persistence.engine.RecoverableEngine` around a framework's
-``to_state()`` — stored as ``snapshot-<slideseq>.json``.  Two guarantees:
+``to_state()`` — stored as ``snapshot-<slideseq>.snap``: one sectioned
+binary container (:func:`~repro.persistence.serialize.pack_container`)
+whose JSON header keeps the scalars and whose raw little-endian sections
+are the document's numpy arrays, each with its own CRC32.  Two guarantees:
 
 * **Atomicity.**  Documents are written to a temporary file, fsynced, and
   ``os.replace``d into place, so a crash mid-snapshot leaves either the
   previous snapshot set or the new one — never a half-written file that
-  recovery could mistake for state.
+  recovery could mistake for state.  (The orphaned ``*.tmp`` of a writer
+  killed mid-save is swept the next time the store is opened.)
 * **Retention.**  Only the newest ``keep`` snapshots are kept.  Loading
-  prefers the newest parseable document and falls back to older ones when
-  the newest is damaged (e.g. storage corruption after the atomic write),
-  which is why more than one is retained at all.
+  prefers the newest parseable file and falls back to older ones when
+  the newest is torn (truncated, header failing its CRC), which is why
+  more than one is retained at all; a whole file with a damaged section
+  is refused by name instead.
+
+The all-JSON ``snapshot-<slideseq>.json`` files older builds wrote stay
+*loadable* for one round (:func:`~repro.persistence.serialize.upgrade_legacy_snapshot`);
+they are listed, pruned and superseded like containers, never written.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import pathlib
 from typing import List, Optional, Tuple
 
 from repro.persistence.serialize import (
+    CONTAINER_VERSION,
     SNAPSHOT_FORMAT_VERSION,
     PersistenceError,
+    pack_container,
+    unpack_container,
+    upgrade_legacy_snapshot,
 )
 
 __all__ = ["SnapshotStore"]
@@ -33,7 +47,9 @@ class SnapshotStore:
     """Directory of atomic, retained snapshot documents."""
 
     _PREFIX = "snapshot-"
-    _SUFFIX = ".json"
+    _SUFFIX = ".snap"
+    #: Read-only: the all-JSON snapshots of builds before the container.
+    _LEGACY_SUFFIX = ".json"
 
     def __init__(self, directory, keep: int = 3):
         """
@@ -46,36 +62,55 @@ class SnapshotStore:
         self._dir = pathlib.Path(directory)
         self._dir.mkdir(parents=True, exist_ok=True)
         self._keep = keep
+        # A writer SIGKILLed inside save() leaves its temp file behind; no
+        # reader ever matches it, so the store's next owner removes it.
+        for stale in self._dir.glob(f"{self._PREFIX}*.tmp"):
+            stale.unlink(missing_ok=True)
 
-    def path_for(self, seq: int) -> pathlib.Path:
-        """The file a snapshot of slide ``seq`` lives in."""
-        return self._dir / f"{self._PREFIX}{seq:010d}{self._SUFFIX}"
+    def path_for(self, seq: int, legacy: bool = False) -> pathlib.Path:
+        """The file a snapshot of slide ``seq`` lives in (``legacy``: the
+        ``.json`` file an older build would have written it to)."""
+        suffix = self._LEGACY_SUFFIX if legacy else self._SUFFIX
+        return self._dir / f"{self._PREFIX}{seq:010d}{suffix}"
+
+    def _locate(self, seq: int) -> Tuple[pathlib.Path, bool]:
+        """``(path, is_legacy)`` of snapshot ``seq``: its container, else
+        the legacy JSON file standing in for it."""
+        path = self.path_for(seq)
+        if path.exists():
+            return path, False
+        return self.path_for(seq, legacy=True), True
 
     def sequences(self) -> List[int]:
         """Slide sequence numbers of stored snapshots, oldest first."""
-        out = []
-        for path in sorted(self._dir.glob(f"{self._PREFIX}*{self._SUFFIX}")):
-            stem = path.name[len(self._PREFIX) : -len(self._SUFFIX)]
-            try:
-                out.append(int(stem))
-            except ValueError:
-                continue
-        return out
+        out = set()
+        for suffix in (self._SUFFIX, self._LEGACY_SUFFIX):
+            for path in self._dir.glob(f"{self._PREFIX}*{suffix}"):
+                stem = path.name[len(self._PREFIX) : -len(suffix)]
+                try:
+                    out.add(int(stem))
+                except ValueError:
+                    continue
+        return sorted(out)
 
     def save(self, seq: int, document: dict) -> pathlib.Path:
         """Atomically write a snapshot document; prune beyond retention."""
         target = self.path_for(seq)
         tmp = target.with_name(target.name + ".tmp")
-        payload = json.dumps(document, separators=(",", ":"))
-        with open(tmp, "w", encoding="utf-8") as handle:
-            handle.write(payload)
+        with open(tmp, "wb") as handle:
+            handle.writelines(pack_container(document))
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, target)
         self._fsync_dir()
-        for stale in self.sequences()[: -self._keep]:
-            self.path_for(stale).unlink(missing_ok=True)
+        self._drop(self.sequences()[: -self._keep])
         return target
+
+    def _drop(self, sequences: List[int]) -> None:
+        """Unlink the given snapshots, whichever suffix they carry."""
+        for seq in sequences:
+            self.path_for(seq).unlink(missing_ok=True)
+            self.path_for(seq, legacy=True).unlink(missing_ok=True)
 
     def prune(self, keep: int) -> List[int]:
         """Drop all but the newest ``keep`` snapshots; return dropped seqs.
@@ -92,48 +127,80 @@ class SnapshotStore:
         if keep < 1:
             raise ValueError(f"keep must be >= 1, got {keep}")
         dropped = self.sequences()[:-keep]
-        for seq in dropped:
-            self.path_for(seq).unlink(missing_ok=True)
+        self._drop(dropped)
         return dropped
 
     def load(self, seq: int) -> dict:
         """Load and validate one snapshot document.
 
         Raises:
-            PersistenceError: on unparseable content or an envelope format
-                this build does not read.
+            PersistenceError: on unparseable content, a damaged section, or
+                a container or envelope format this build does not read.
         """
-        path = self.path_for(seq)
-        document = self._parse(path)
+        document = self._parse(seq)
         if document is None:
-            raise PersistenceError(f"unreadable snapshot {path.name}")
-        self._check_version(path, document)
+            raise PersistenceError(f"unreadable snapshot {self._locate(seq)[0].name}")
         return document
 
     def load_latest(self) -> Optional[Tuple[int, dict]]:
         """The newest loadable snapshot as ``(seq, document)``, else ``None``.
 
-        Unparseable documents are skipped in favour of older retained
+        Torn or unparseable files are skipped in favour of older retained
         snapshots (recovery then re-derives the difference from the WAL);
-        a format-version mismatch is systemic and raises instead.
+        a format-version mismatch is systemic and raises instead, as does a
+        whole container with a damaged section.
         """
         for seq in reversed(self.sequences()):
-            path = self.path_for(seq)
-            document = self._parse(path)
-            if document is None:
-                continue
-            self._check_version(path, document)
-            return seq, document
+            document = self._parse(seq)
+            if document is not None:
+                return seq, document
         return None
 
-    @staticmethod
-    def _parse(path: pathlib.Path) -> Optional[dict]:
-        """The file's JSON document, or ``None`` when damaged/missing."""
+    def describe(self, seq: int) -> Tuple[str, int, List[tuple]]:
+        """``(format, total bytes, [(name, dtype, count, bytes), ...])`` of
+        one stored snapshot, a row per section — what ``snapshot info``
+        prints.  Legacy JSON files have no sections."""
+        path, legacy = self._locate(seq)
+        if legacy:
+            return "json (legacy)", path.stat().st_size, []
+        raw = path.read_bytes()
+        unpacked = unpack_container(raw, path.name)
+        if unpacked is None:
+            raise PersistenceError(f"unreadable snapshot {path.name}")
+        rows = []
+        for section in unpacked[1]:
+            count = math.prod(section["shape"])
+            width = int(section["dtype"][2:])
+            rows.append((section["name"], section["dtype"], count, count * width))
+        return f"container v{CONTAINER_VERSION}", len(raw), rows
+
+    def _parse(self, seq: int) -> Optional[dict]:
+        """Snapshot ``seq``'s document (a container, else a legacy JSON
+        file upgraded to today's schema), or ``None`` when torn/missing."""
+        path, legacy = self._locate(seq)
         try:
-            document = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
+            raw = path.read_bytes()
+        except OSError:
             return None
-        return document if isinstance(document, dict) else None
+        if legacy:
+            try:
+                document = json.loads(raw)
+            except ValueError:
+                return None
+        else:
+            unpacked = unpack_container(raw, path.name)
+            document = unpacked[0] if unpacked is not None else None
+        if not isinstance(document, dict):
+            return None
+        self._check_version(path, document)
+        if legacy:
+            try:
+                upgrade_legacy_snapshot(document)
+            except (LookupError, TypeError, ValueError, AttributeError) as exc:
+                raise PersistenceError(
+                    f"malformed legacy snapshot {path.name}: {exc!r}"
+                ) from exc
+        return document
 
     @staticmethod
     def _check_version(path: pathlib.Path, document: dict) -> None:

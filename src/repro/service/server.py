@@ -355,6 +355,13 @@ class ReproService:
             pass
         finally:
             self._connections.discard(task)
+            # A shard worker forked (healed) while this connection was open
+            # holds a copy of its socket, so close() alone would never send
+            # the peer its EOF; shutdown() does, whoever else holds the fd.
+            try:
+                writer.write_eof()
+            except (OSError, RuntimeError):
+                pass
             writer.close()
             try:
                 await writer.wait_closed()

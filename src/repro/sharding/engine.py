@@ -511,7 +511,7 @@ class ShardedEngine:
         maximum retention.
         """
         retentions = [
-            a.forest.to_state().get("retention") for a in algorithms
+            a.config_state()["config"].get("retention") for a in algorithms
         ]
         if any(r is None for r in retentions):
             return None

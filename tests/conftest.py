@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import random
+import tempfile
 from typing import List
 
+import numpy as np
 import pytest
 
 from repro.core.actions import Action
@@ -69,6 +71,34 @@ def random_stream(
 def small_random_stream() -> List[Action]:
     """A 60-action stream over 8 users (dense interactions)."""
     return random_stream(60, 8, seed=13)
+
+
+def store_roundtrip(state: dict) -> dict:
+    """The snapshot medium: one save/load cycle of a ``to_state`` document
+    through a :class:`SnapshotStore` (arrays come back as the container's
+    narrowed, read-only ``np.frombuffer`` views)."""
+    from repro.persistence.serialize import SNAPSHOT_FORMAT_VERSION
+    from repro.persistence.snapshots import SnapshotStore
+
+    with tempfile.TemporaryDirectory() as scratch:
+        store = SnapshotStore(scratch)
+        store.save(
+            1,
+            {"format": SNAPSHOT_FORMAT_VERSION, "slide_seq": 1, "algorithm": state},
+        )
+        return store.load(1)["algorithm"]
+
+
+def states_equal(left, right) -> bool:
+    """Deep equality of two state documents whose leaves may be arrays
+    (compared by value, whatever integer width the container chose)."""
+    if isinstance(left, dict) and isinstance(right, dict):
+        return left.keys() == right.keys() and all(
+            states_equal(left[key], right[key]) for key in left
+        )
+    if isinstance(left, np.ndarray) or isinstance(right, np.ndarray):
+        return np.array_equal(left, right)
+    return left == right
 
 
 def require_ckernel() -> None:

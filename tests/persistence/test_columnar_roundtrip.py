@@ -14,8 +14,9 @@ Three contracts:
   i.e. one written before the kernel existed — or with the retired
   ``columnar: true`` opens straight into the columnar kernel and still
   continues identically, an explicit ``columnar: false`` snapshot stays
-  on the object plane, and a kernel run's snapshot reopens and continues
-  identically on a box with no compiled kernel.
+  on the object plane, and a kernel run's snapshot — its roster stored as
+  the kernel's columns — reopens and continues identically on a box with
+  no compiled kernel, as does a whole state dir moved either way.
 
 Tests that need the kernel skip, naming the loader's reason, where it
 cannot load.
@@ -29,8 +30,12 @@ from repro.core.ic import InfluentialCheckpoints
 from repro.core.sic import SparseInfluentialCheckpoints
 from repro.core.stream import batched
 from repro.persistence.engine import RecoverableEngine
-from repro.persistence.serialize import algorithm_from_state, algorithm_to_state
-from tests.conftest import random_stream, require_ckernel
+from repro.persistence.serialize import (
+    PersistenceError,
+    algorithm_from_state,
+    algorithm_to_state,
+)
+from tests.conftest import random_stream, require_ckernel, store_roundtrip
 from tests.core.test_columnar_equivalence import canon
 
 FRAMEWORKS = {"ic": InfluentialCheckpoints, "sic": SparseInfluentialCheckpoints}
@@ -65,7 +70,10 @@ def test_columnar_state_roundtrip_continues_identically(framework, oracle):
 
     half = factory()
     drive(half, batches[:12])
-    document = algorithm_to_state(half)
+    # Through the container: the kernel restores from narrowed, read-only
+    # ``np.frombuffer`` views, not from the arrays it just wrote.
+    document = store_roundtrip(algorithm_to_state(half))
+    assert "columns" in document["roster"]
     restored = algorithm_from_state(document)
     assert restored.columnar, (framework, oracle)
     assert restored.columnar_kernel is not None
@@ -155,9 +163,65 @@ def test_columnar_snapshot_opens_without_a_compiled_kernel(
     half = InfluentialCheckpoints(window_size=40, k=3, beta=0.25)
     drive(half, batches[:12])
     assert half.columnar
-    document = algorithm_to_state(half)
+    document = store_roundtrip(algorithm_to_state(half))
     monkeypatch.setenv(ckernel_first_use().ENV_DISABLE, "1")
     restored = algorithm_from_state(document)
     assert not restored.columnar
     assert drive(restored, batches[12:]) == expected[12:]
     assert oracle_states(restored) == oracle_states(reference)
+
+
+@pytest.mark.parametrize(
+    "key, index, value",
+    [("iseed_ids", (0, 0, 0), 10**6), ("best_ns", (0,), 9), ("bhigh", (0,), 10**4)],
+)
+def test_kernel_columns_the_compiled_event_would_index_with_are_vetted(
+    key, index, value
+):
+    """Verbatim columns go straight under the C code: a row, count or
+    ladder bound outside its array is refused, not handed down."""
+    require_ckernel()
+    engine = InfluentialCheckpoints(window_size=40, k=3, beta=0.25)
+    drive(engine, list(batched(random_stream(60, 8, seed=7), 5)))
+    document = algorithm_to_state(engine)
+    document["roster"]["columns"][key][index] = value
+    with pytest.raises(PersistenceError, match="kernel column"):
+        algorithm_from_state(document)
+
+
+@pytest.mark.parametrize("writer_has_kernel", [True, False])
+def test_state_dir_moves_between_planes(
+    tmp_path, ckernel_first_use, monkeypatch, writer_has_kernel
+):
+    """Kernel-written container → ``REPRO_NO_CKERNEL=1`` reader, and
+    the reverse: same answers as the uninterrupted run."""
+    require_ckernel()
+
+    def factory():
+        return SparseInfluentialCheckpoints(window_size=40, k=3, beta=0.25)
+
+    batches = list(batched(random_stream(120, 8, seed=6), 5))
+    expected = drive(factory(), batches)
+
+    def open_engine(kernel: bool):
+        module = ckernel_first_use()
+        if kernel:
+            monkeypatch.delenv(module.ENV_DISABLE, raising=False)
+        else:
+            monkeypatch.setenv(module.ENV_DISABLE, "1")
+        engine = RecoverableEngine.open(
+            tmp_path, factory, snapshot_every=4, fsync=False
+        )
+        assert engine.algorithm.columnar is kernel
+        return engine
+
+    writer = open_engine(writer_has_kernel)
+    for batch in batches[:12]:
+        writer.process(batch)
+    writer.close(snapshot=False)
+    roster = writer.store.snapshots.load_latest()[1]["algorithm"]["roster"]
+    assert ("columns" in roster) is writer_has_kernel
+    reader = open_engine(not writer_has_kernel)
+    assert reader.replayed_slides == 0
+    assert drive(reader, batches[12:]) == expected[12:]
+    reader.close(snapshot=False)

@@ -1,0 +1,428 @@
+"""The snapshot container: every boundary has a named outcome.
+
+A container is a 20-byte preamble (magic, container version, header
+length, header CRC32), a JSON header (the document's scalars plus one
+``name / dtype / shape / offset / crc32`` declaration per array) and the
+arrays as raw little-endian sections.  Whatever happens to a file on disk
+must land in one of three outcomes, never in a bare ``KeyError`` /
+``struct.error`` / numpy error:
+
+* **torn** (truncated anywhere, wrong magic, header failing its CRC,
+  sections reaching past the end): ``load_latest`` skips the file in
+  favour of an older retained one, ``load`` raises "unreadable";
+* **whole and wrong** (a section failing its CRC, an unknown dtype): a
+  ``PersistenceError`` naming the file *and* the section;
+* **foreign** (unknown container or envelope version): a
+  ``PersistenceError`` — systemic, falling back cannot help.
+
+Also here: the either-plane rule through a committed kernel-written
+fixture (so the compiler-less reader runs under ``REPRO_NO_CKERNEL=1``
+too), the one-round legacy ``snapshot-*.json`` reader, and the ``*.tmp``
+sweep.  Regenerate the fixture (needs the compiled kernel) with
+``PYTHONPATH=src:. python tests/persistence/test_snapshot_container.py``.
+"""
+
+from __future__ import annotations
+
+import json
+import pathlib
+import struct
+import zlib
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.ic import InfluentialCheckpoints
+from repro.core.oracles.columnar import oracle_documents
+from repro.core.sic import SparseInfluentialCheckpoints
+from repro.core.stream import batched
+from repro.persistence.engine import RecoverableEngine
+from repro.persistence.serialize import (
+    CONTAINER_VERSION,
+    SNAPSHOT_FORMAT_VERSION,
+    PersistenceError,
+    algorithm_from_state,
+    pack_container,
+)
+from repro.persistence.snapshots import SnapshotStore
+from tests.conftest import random_stream
+
+FIXTURE = pathlib.Path(__file__).parent / "fixtures" / "kernel_plane.snap"
+PREAMBLE = struct.Struct("<8sIII")
+#: The good older snapshot (seq 1) every victim (seq 2) sits beside.
+OLDER = {"format": SNAPSHOT_FORMAT_VERSION, "slide_seq": 1, "algorithm": {}}
+QUICK = settings(max_examples=60, deadline=None, database=None, derandomize=True)
+
+
+def factory(**kwargs):
+    return SparseInfluentialCheckpoints(window_size=40, k=3, beta=0.25, **kwargs)
+
+
+def fixture_batches():
+    return list(batched(random_stream(120, 8, seed=21), 5))
+
+
+def drive(algorithm, batches):
+    answers = []
+    for batch in batches:
+        algorithm.process(batch)
+        answers.append(algorithm.query())
+    return answers
+
+
+def envelope(algorithm, seq=2):
+    return {
+        "format": SNAPSHOT_FORMAT_VERSION,
+        "slide_seq": seq,
+        "algorithm": algorithm.to_state(),
+    }
+
+
+def container_bytes() -> bytes:
+    """A real engine's container (object plane: runs with or without cc)."""
+    engine = factory(columnar=False)
+    drive(engine, fixture_batches()[:12])
+    return b"".join(pack_container(envelope(engine)))
+
+
+RAW = container_bytes()
+_, _, HEADER_BYTES, _ = PREAMBLE.unpack_from(RAW)
+DATA_START = PREAMBLE.size + HEADER_BYTES
+
+
+def reheadered(edit) -> bytes:
+    """``RAW`` with ``edit(header)`` applied and the header CRC recomputed —
+    a file whose header is *valid* and says something else."""
+    header = json.loads(RAW[PREAMBLE.size : DATA_START])
+    edit(header)
+    encoded = json.dumps(header).encode()
+    encoded += b" " * (-(PREAMBLE.size + len(encoded)) % 8)
+    preamble = PREAMBLE.pack(
+        b"REPROSNP", CONTAINER_VERSION, len(encoded), zlib.crc32(encoded)
+    )
+    return preamble + encoded + RAW[DATA_START:]
+
+
+def flipped(raw: bytes, bit: int) -> bytes:
+    damaged = bytearray(raw)
+    damaged[bit >> 3] ^= 1 << (bit & 7)
+    return bytes(damaged)
+
+
+@pytest.fixture
+def store(tmp_path):
+    """A store holding a good older snapshot (seq 1) beside the victim (2)."""
+    store = SnapshotStore(tmp_path)
+    store.save(1, OLDER)
+    return store
+
+
+def plant(store, raw: bytes) -> None:
+    store.path_for(2).write_bytes(raw)
+
+
+def assert_torn(store) -> None:
+    assert store.load_latest()[0] == 1
+    with pytest.raises(PersistenceError, match="unreadable snapshot snapshot-0000000002.snap"):
+        store.load(2)
+
+
+class TestTornFiles:
+    def test_undamaged_file_loads(self, store):
+        plant(store, RAW)
+        seq, document = store.load_latest()
+        assert seq == 2
+        assert algorithm_from_state(document["algorithm"]).query().time == 60
+
+    @QUICK
+    @given(cut=st.integers(0, len(RAW) - 1))
+    def test_truncation_at_any_byte_falls_back(self, tmp_path_factory, cut):
+        store = SnapshotStore(tmp_path_factory.mktemp("cut"))
+        store.save(1, OLDER)
+        plant(store, RAW[:cut])
+        assert_torn(store)
+
+    @QUICK
+    @given(bit=st.integers(PREAMBLE.size * 8, DATA_START * 8 - 1))
+    def test_flipped_header_bit_falls_back(self, tmp_path_factory, bit):
+        store = SnapshotStore(tmp_path_factory.mktemp("hdr"))
+        store.save(1, OLDER)
+        plant(store, flipped(RAW, bit))
+        assert_torn(store)
+
+    def test_wrong_magic_falls_back(self, store):
+        plant(store, b"NOTASNAP" + RAW[8:])
+        assert_torn(store)
+
+    def test_section_reaching_past_eof_falls_back(self, store):
+        def grow(header):
+            header["sections"][-1]["shape"] = [10**6]
+
+        plant(store, reheadered(grow))
+        assert_torn(store)
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda h: h.pop("sections"),
+            lambda h: h["sections"].__setitem__(0, [1, 2]),
+            lambda h: h["sections"][0].pop("name"),
+        ],
+        ids=["no-sections", "section-a-list", "nameless-section"],
+    )
+    def test_header_that_is_not_a_header_falls_back(self, store, damage):
+        plant(store, reheadered(damage))
+        assert_torn(store)
+
+
+class TestWholeAndWrong:
+    @QUICK
+    @given(bit=st.integers(DATA_START * 8, len(RAW) * 8 - 1))
+    def test_flipped_section_bit_is_refused_by_name(self, tmp_path_factory, bit):
+        store = SnapshotStore(tmp_path_factory.mktemp("sec"))
+        store.save(1, OLDER)
+        plant(store, flipped(RAW, bit))
+        header = json.loads(RAW[PREAMBLE.size : DATA_START])
+        at = (bit >> 3) - DATA_START
+        victim = [s for s in header["sections"] if s["offset"] <= at][-1]["name"]
+        for load in (store.load_latest, lambda: store.load(2)):
+            with pytest.raises(PersistenceError) as refusal:
+                load()
+            message = str(refusal.value)
+            assert "snapshot-0000000002.snap" in message
+            assert repr(victim) in message and "CRC32" in message
+
+    def test_unknown_dtype_is_refused_by_name(self, store):
+        def retype(header):
+            header["sections"][3]["dtype"] = "<c16"
+
+        plant(store, reheadered(retype))
+        name = json.loads(RAW[PREAMBLE.size : DATA_START])["sections"][3]["name"]
+        with pytest.raises(PersistenceError) as refusal:
+            store.load_latest()
+        assert "snapshot-0000000002.snap" in str(refusal.value)
+        assert repr(name) in str(refusal.value)
+        assert "unknown dtype '<c16'" in str(refusal.value)
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda h: h["sections"][0].pop("shape"),
+            lambda h: h["sections"][0].update(shape=[-4]),
+            lambda h: h["sections"][0].update(offset=-64),
+            lambda h: h["sections"][0].update(offset="x"),
+            lambda h: h["document"]["algorithm"]["base"]["window"].update(
+                actions={"$section": 10**6}
+            ),
+        ],
+        ids=["no-shape", "negative-shape", "negative-offset", "text-offset", "dangling"],
+    )
+    def test_malformed_declarations_raise_persistence_errors(self, store, damage):
+        plant(store, reheadered(damage))
+        with pytest.raises(PersistenceError, match="snapshot-0000000002.snap"):
+            store.load_latest()
+
+
+class TestForeign:
+    def test_unknown_container_version_raises(self, store):
+        plant(store, RAW[:8] + struct.pack("<I", CONTAINER_VERSION + 1) + RAW[12:])
+        for load in (store.load_latest, lambda: store.load(2)):
+            with pytest.raises(PersistenceError, match="container version 2"):
+                load()
+
+    def test_unknown_envelope_version_raises(self, store):
+        engine = factory(columnar=False)
+        document = envelope(engine)
+        document["format"] = SNAPSHOT_FORMAT_VERSION + 1
+        plant(store, b"".join(pack_container(document)))
+        with pytest.raises(PersistenceError, match="format version 2"):
+            store.load_latest()
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(bit=st.integers(0, len(RAW) * 8 - 1))
+def test_any_flipped_bit_has_a_named_outcome(tmp_path_factory, bit):
+    """Anywhere in the file: the older snapshot, or a ``PersistenceError``."""
+    store = SnapshotStore(tmp_path_factory.mktemp("any"))
+    store.save(1, OLDER)
+    plant(store, flipped(RAW, bit))
+    try:
+        assert store.load_latest()[0] == 1
+    except PersistenceError as refusal:
+        assert "snapshot-0000000002.snap" in str(refusal)
+
+
+class TestNarrowing:
+    def test_integer_sections_take_the_narrowest_dtype(self, tmp_path):
+        store = SnapshotStore(tmp_path)
+        arrays = {
+            "tiny": np.array([-3, 100], dtype=np.int64),
+            "short": np.array([0, 30_000], dtype=np.int64),
+            "wide": np.array([0, 2**31], dtype=np.int64),
+            "real": np.array([0.5, np.inf]),
+            "bits": np.array([2**63], dtype=np.uint64),
+            "empty": np.array([], dtype=np.int64),
+        }
+        store.save(1, {"format": SNAPSHOT_FORMAT_VERSION, "slide_seq": 1, "a": arrays})
+        loaded = store.load(1)["a"]
+        assert {k: v.dtype.str for k, v in loaded.items()} == {
+            "tiny": "|i1", "short": "<i2", "wide": "<i8",
+            "real": "<f8", "bits": "<u8", "empty": "<i8",
+        }
+        for key, array in arrays.items():
+            assert np.array_equal(loaded[key], array)
+            assert not loaded[key].flags.writeable
+        kind, size, rows = store.describe(1)
+        assert kind == "container v1" and size == store.path_for(1).stat().st_size
+        assert ("a.short", "<i2", 2, 4) in rows
+
+
+class TestTempSweep:
+    def test_orphaned_tmp_of_a_killed_writer_is_swept_on_open(self, tmp_path):
+        store = SnapshotStore(tmp_path)
+        store.save(3, {"format": SNAPSHOT_FORMAT_VERSION, "slide_seq": 3, "algorithm": {}})
+        orphan = tmp_path / "snapshot-0000000007.snap.tmp"
+        orphan.write_bytes(RAW[:100])  # SIGKILL landed inside save()
+        legacy_orphan = tmp_path / "snapshot-0000000005.json.tmp"
+        legacy_orphan.write_text("{")
+        assert SnapshotStore(tmp_path).sequences() == [3]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["snapshot-0000000003.snap"]
+
+
+# -- either plane opens either file --------------------------------------------
+
+
+class TestEitherPlane:
+    def test_kernel_written_fixture_opens_with_numpy_alone(self, tmp_path):
+        """The committed container was written on the kernel plane; a
+        stored ``columnar: false`` pins the reader to the object plane, so
+        this runs the compiler-less decode wherever the suite runs."""
+        batches = fixture_batches()
+        expected = drive(factory(columnar=False), batches)
+        store = SnapshotStore(tmp_path)
+        plant(store, FIXTURE.read_bytes())
+        seq, document = store.load_latest()
+        assert "columns" in document["algorithm"]["roster"]
+        document["algorithm"]["columnar"] = False
+        restored = algorithm_from_state(document["algorithm"])
+        assert not restored.columnar
+        assert drive(restored, batches[12:]) == expected[12:]
+
+
+# -- the one-round legacy reader -----------------------------------------------
+
+
+def legacy_state(state: dict) -> dict:
+    """Downgrade a ``to_state`` document to the all-JSON schema builds
+    before the container wrote (the deleted writer, kept as a helper)."""
+
+    def runs(flat: list, counts) -> list:
+        ends = np.cumsum(counts).tolist()
+        return [flat[end - n : end] for n, end in zip(counts.tolist(), ends)]
+
+    def rows(c) -> list:
+        chains = runs(c["influencers"].tolist(), c["fanout"])
+        columns = (c["time"].tolist(), c["user"].tolist(), chains, c["depth"].tolist())
+        return [list(row) for row in zip(*columns)]
+
+    def pairs(c) -> list:
+        items = [list(pair) for pair in zip(c["v"].tolist(), c["t"].tolist())]
+        return [list(p) for p in zip(c["users"].tolist(), runs(items, c["counts"]))]
+
+    base, shared, roster = state["base"], state["shared"], state["roster"]
+    base["window"]["actions"] = base["window"]["actions"].tolist()
+    base["forest"]["records"] = rows(base["forest"]["records"])
+    base["window_records"] = rows(base["window_records"])
+    shared["pairs"] = pairs({k: shared.pop(k) for k in ("users", "counts", "v", "t")})
+    if "cold" in shared:
+        shared["cold"] = pairs(shared["cold"])
+    if "columns" in roster:
+        roster["checkpoints"] = oracle_documents(roster.pop("columns"))
+    return state
+
+
+def downgrade_state_dir(snapshots: pathlib.Path) -> None:
+    """Rewrite every container under ``snapshots`` as a legacy JSON file."""
+    store = SnapshotStore(snapshots, keep=10)
+    for seq in store.sequences():
+        document = store.load(seq)
+        legacy_state(document["algorithm"])
+        store.path_for(seq, legacy=True).write_text(json.dumps(document))
+        store.path_for(seq).unlink()
+
+
+class TestLegacyJson:
+    @pytest.mark.parametrize("framework", [InfluentialCheckpoints, SparseInfluentialCheckpoints])
+    def test_legacy_state_dir_opens_continues_and_is_superseded(self, tmp_path, framework):
+        def build():
+            return framework(window_size=40, k=3, beta=0.25)
+
+        batches = list(batched(random_stream(200, 8, seed=22), 5))
+        expected = drive(build(), batches)
+        old = RecoverableEngine.open(tmp_path, build, snapshot_every=4, keep_snapshots=2, fsync=False)
+        for batch in batches[:18]:
+            old.process(batch)
+        old.close(snapshot=False)  # snapshots 12 and 16, WAL tail 17-18
+        snapshots = tmp_path / "snapshots"
+        downgrade_state_dir(snapshots)
+        assert sorted(p.name for p in snapshots.iterdir()) == [
+            "snapshot-0000000012.json",
+            "snapshot-0000000016.json",
+        ]
+        kind, _size, rows = SnapshotStore(snapshots).describe(16)
+        assert (kind, rows) == ("json (legacy)", [])
+
+        engine = RecoverableEngine.open(tmp_path, build, snapshot_every=4, keep_snapshots=2, fsync=False)
+        assert engine.replayed_slides == 2
+        assert engine.store.snapshots.sequences() == [12, 16]
+        answers = []
+        for batch in batches[18:24]:
+            engine.process(batch)
+            answers.append(engine.query())
+        # The next two snapshots are containers; retention counts across
+        # both suffixes, so they push both legacy files out.
+        assert sorted(p.name for p in snapshots.iterdir()) == [
+            "snapshot-0000000020.snap",
+            "snapshot-0000000024.snap",
+        ]
+        answers += drive(engine, batches[24:])
+        engine.close(snapshot=False)
+        assert answers == expected[18:]
+
+    def test_legacy_cold_pairs_stored_by_v_id_are_resorted(self, tmp_path):
+        """Builds before the time-sorted cold store wrote cold pairs in
+        ``v`` order; the upgrade sorts them by credit time."""
+        engine = factory(columnar=False)
+        drive(engine, fixture_batches())
+        document = envelope(engine, seq=24)
+        legacy_state(document["algorithm"])
+        document["algorithm"]["shared"]["cold"] = [[5, [[1, 90], [2, 70], [3, 80]]]]
+        store = SnapshotStore(tmp_path)
+        store.path_for(24, legacy=True).write_text(json.dumps(document))
+        cold = store.load(24)["algorithm"]["shared"]["cold"]
+        assert cold["v"].tolist() == [2, 3, 1] and cold["t"].tolist() == [70, 80, 90]
+
+    def test_malformed_legacy_document_is_a_persistence_error(self, tmp_path):
+        store = SnapshotStore(tmp_path)
+        store.path_for(4, legacy=True).write_text(
+            json.dumps({"format": 1, "slide_seq": 4, "algorithm": {"base": {}}})
+        )
+        with pytest.raises(PersistenceError, match="malformed legacy snapshot snapshot-0000000004.json"):
+            store.load_latest()
+
+    def test_unparseable_legacy_file_is_skipped(self, tmp_path):
+        store = SnapshotStore(tmp_path)
+        store.save(1, OLDER)
+        store.path_for(2, legacy=True).write_text("{ damaged")
+        assert store.load_latest()[0] == 1
+
+
+if __name__ == "__main__":  # regenerate the committed kernel-plane fixture
+    writer = factory()
+    assert writer.columnar, "the fixture must be written on the kernel plane"
+    drive(writer, fixture_batches()[:12])
+    FIXTURE.parent.mkdir(exist_ok=True)
+    FIXTURE.write_bytes(b"".join(pack_container(envelope(writer, seq=12))))
+    print(f"wrote {FIXTURE} ({FIXTURE.stat().st_size} bytes)")

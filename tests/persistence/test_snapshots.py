@@ -1,12 +1,11 @@
 """SnapshotStore: atomic writes, retention, corruption fallback."""
 
-import json
-
 import pytest
 
 from repro.persistence.serialize import (
     SNAPSHOT_FORMAT_VERSION,
     PersistenceError,
+    pack_container,
 )
 from repro.persistence.snapshots import SnapshotStore
 
@@ -25,7 +24,7 @@ class TestSaveLoad:
     def test_no_tmp_files_left_behind(self, tmp_path):
         store = SnapshotStore(tmp_path)
         store.save(1, document(1))
-        assert [p.name for p in tmp_path.iterdir()] == ["snapshot-0000000001.json"]
+        assert [p.name for p in tmp_path.iterdir()] == ["snapshot-0000000001.snap"]
 
     def test_sequences_sorted(self, tmp_path):
         store = SnapshotStore(tmp_path, keep=10)
@@ -78,7 +77,7 @@ class TestCorruption:
         store = SnapshotStore(tmp_path)
         store.save(1, document(1))
         store.save(2, document(2))
-        store.path_for(2).write_text("{ damaged")
+        store.path_for(2).write_bytes(b"{ damaged")
         assert store.load_latest() == (1, document(1))
 
     def test_all_corrupt_yields_none(self, tmp_path):
@@ -91,7 +90,7 @@ class TestCorruption:
         store = SnapshotStore(tmp_path)
         bad = document(3)
         bad["format"] = SNAPSHOT_FORMAT_VERSION + 1
-        store.path_for(3).write_text(json.dumps(bad))
+        store.path_for(3).write_bytes(b"".join(pack_container(bad)))
         with pytest.raises(PersistenceError):
             store.load(3)
         with pytest.raises(PersistenceError):

@@ -1,11 +1,10 @@
 """to_state()/from_state() roundtrips: explicit schemas, versioning, fidelity.
 
-Every framework state must survive a JSON dump/load cycle (the snapshot
-medium) and rebuild an engine whose observable state — query answers,
-counters, checkpoint populations — matches the original exactly.
+Every framework state must survive a save/load cycle through the snapshot
+container (the snapshot medium) and rebuild an engine whose observable
+state — query answers, counters, checkpoint populations — matches the
+original exactly.
 """
-
-import json
 
 import pytest
 
@@ -26,12 +25,7 @@ from repro.persistence.serialize import (
     algorithm_from_state,
     algorithm_to_state,
 )
-from tests.conftest import random_stream
-
-
-def json_roundtrip(state):
-    """The snapshot medium: a serialize/parse cycle."""
-    return json.loads(json.dumps(state))
+from tests.conftest import random_stream, states_equal, store_roundtrip
 
 
 def drive(algorithm, actions, slide):
@@ -59,7 +53,7 @@ class TestFrameworkRoundtrip:
         original = drive(
             FRAMEWORKS[framework](oracle=oracle), random_stream(90, 8, seed=1), 3
         )
-        restored = algorithm_from_state(json_roundtrip(original.to_state()))
+        restored = algorithm_from_state(store_roundtrip(original.to_state()))
         assert restored.query() == original.query()
         assert restored.actions_processed == original.actions_processed
         assert restored.checkpoint_count == original.checkpoint_count
@@ -79,9 +73,9 @@ class TestFrameworkRoundtrip:
         original = drive(
             FRAMEWORKS[framework](), random_stream(90, 8, seed=2), 1
         )
-        state = json_roundtrip(original.to_state())
-        again = json_roundtrip(algorithm_from_state(state).to_state())
-        assert again == state
+        state = store_roundtrip(original.to_state())
+        again = store_roundtrip(algorithm_from_state(state).to_state())
+        assert states_equal(again, state)
 
     @pytest.mark.parametrize("framework", ["ic", "sic"])
     def test_parent_written_document_continues_identically(self, framework):
@@ -95,7 +89,7 @@ class TestFrameworkRoundtrip:
         for batch in batches:
             uninterrupted.process(batch)
             expected.append(uninterrupted.query())
-        state = json_roundtrip(
+        state = store_roundtrip(
             drive(FRAMEWORKS[framework](), random_stream(120, 8, seed=3)[:60], 5)
             .to_state()
         )
@@ -111,9 +105,12 @@ class TestFrameworkRoundtrip:
     def test_per_checkpoint_mode_document_refused(self, framework):
         """A ``shared_index=False`` document (owned per-checkpoint indexes,
         no shared index) is refused whole, not half-loaded."""
-        state = json_roundtrip(
-            drive(FRAMEWORKS[framework](), random_stream(60, 8, seed=3), 3)
-            .to_state()
+        state = store_roundtrip(
+            drive(
+                FRAMEWORKS[framework](columnar=False),
+                random_stream(60, 8, seed=3),
+                3,
+            ).to_state()
         )
         state["config"].update({"shared_index": False, "batch_feeds": False})
         state["shared"] = None
@@ -128,7 +125,7 @@ class TestFrameworkRoundtrip:
             random_stream(90, 8, seed=4),
             2,
         )
-        restored = algorithm_from_state(json_roundtrip(original.to_state()))
+        restored = algorithm_from_state(store_roundtrip(original.to_state()))
         assert restored.checkpoint_interval == 3
         assert restored.checkpoint_count == original.checkpoint_count
         assert restored.query() == original.query()
@@ -136,7 +133,7 @@ class TestFrameworkRoundtrip:
     def test_sic_counters_roundtrip(self):
         original = drive(FRAMEWORKS["sic"](), random_stream(120, 8, seed=5), 1)
         assert original.pruned_total > 0
-        restored = algorithm_from_state(json_roundtrip(original.to_state()))
+        restored = algorithm_from_state(store_roundtrip(original.to_state()))
         assert restored.pruned_total == original.pruned_total
         assert restored.beta == original.beta
 
@@ -148,7 +145,7 @@ class TestFrameworkRoundtrip:
             random_stream(60, 8, seed=6),
             2,
         )
-        restored = algorithm_from_state(json_roundtrip(original.to_state()))
+        restored = algorithm_from_state(store_roundtrip(original.to_state()))
         assert restored._spec.params == {"beta": 0.4}
         assert restored.beta == 0.25
         assert restored.query() == original.query()
@@ -160,7 +157,7 @@ class TestFrameworkRoundtrip:
             random_stream(90, 8, seed=7),
             3,
         )
-        restored = algorithm_from_state(json_roundtrip(original.to_state()))
+        restored = algorithm_from_state(store_roundtrip(original.to_state()))
         assert restored.query() == original.query()
         # The candidate iteration order (greedy's tie-breaker) survives.
         assert list(restored.index.influencers()) == list(
@@ -176,7 +173,7 @@ class TestInfluenceFunctionStates:
             random_stream(80, 8, seed=8),
             2,
         )
-        restored = algorithm_from_state(json_roundtrip(original.to_state()))
+        restored = algorithm_from_state(store_roundtrip(original.to_state()))
         assert restored.query() == original.query()
 
     def test_conformity_function_roundtrip(self):
@@ -186,7 +183,7 @@ class TestInfluenceFunctionStates:
             random_stream(80, 8, seed=9),
             2,
         )
-        restored = algorithm_from_state(json_roundtrip(original.to_state()))
+        restored = algorithm_from_state(store_roundtrip(original.to_state()))
         assert restored.query() == original.query()
 
     def test_unknown_kind_rejected(self):
@@ -249,10 +246,10 @@ class TestVersioning:
     )
     @pytest.mark.parametrize("framework", ["ic", "sic"])
     def test_damaged_document_names_the_field(self, framework, damage, phrase):
-        """Valid JSON, right ``format``, damaged structure: one
+        """A whole container, right ``format``, damaged structure: one
         ``PersistenceError`` naming the field, never a raw
         ``KeyError``/``TypeError``/``AttributeError``."""
-        state = json_roundtrip(
+        state = store_roundtrip(
             drive(FRAMEWORKS[framework](), random_stream(30, 6, seed=0), 1)
             .to_state()
         )
@@ -274,7 +271,7 @@ class TestIndexRoundtrip:
             FRAMEWORKS["ic"](), random_stream(120, 8, seed=11), 1
         ).shared_index
         del index
-        state = json_roundtrip(original.to_state())
+        state = store_roundtrip(original.to_state())
         restored = VersionedInfluenceIndex.from_state(state)
         assert restored.floor == original.floor
         assert restored.pair_count == original.pair_count

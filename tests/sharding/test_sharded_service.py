@@ -376,6 +376,32 @@ class TestDegradedHealth:
         assert metrics["ingest"]["writer_retries"] == 0
 
 
+    def test_healing_write_gets_its_eof_inside_the_client_timeout(self, tmp_path):
+        """The worker forked by a healing write inherits a copy of the
+        ingest connection's socket; the server must still end the
+        conversation (shutdown, not just close), or the client's drain
+        thread sits in a read for its whole timeout after the sync reply."""
+        actions = random_stream(400, 30, seed=34)
+        engine = ShardedEngine.open(
+            _factory, 2, state_dir=tmp_path / "state",
+            backend="process", snapshot_every=4,
+        )
+        config = ServiceConfig(
+            port=0, slide=20, flush_interval=60.0,
+            shards=2, shard_backend="process",
+        )
+        with ServiceRunner(engine, config) as runner:
+            client = ServiceClient("127.0.0.1", runner.port, timeout=2.0)
+            client.ingest(actions[:200])
+            os.kill(engine.worker_pids[0], signal.SIGKILL)
+            started = time.monotonic()
+            summary = client.ingest(actions[200:])
+            elapsed = time.monotonic() - started
+        assert summary["slide"] == 20
+        assert engine.supervision_stats()["restarts"] == 1
+        assert elapsed < client.timeout, f"client waited {elapsed:.2f}s for EOF"
+
+
 class TestChaosServeSubprocess:
     def test_fault_plan_serve_shards2_converges(self, tmp_path):
         """The CI chaos smoke: ``serve --shards 2 --fault-plan`` with a

@@ -245,6 +245,29 @@ class TestTrackStateDir:
         assert record["value"] == final["value"]
         assert record["seeds"] == final["seeds"]
 
+    def test_snapshot_info_lists_format_and_sections(
+        self, stream_file, tmp_path, capsys
+    ):
+        """Per snapshot: the format, the total bytes and one line per
+        section (name dtype count bytes) — "what grew" without a debugger."""
+        state = tmp_path / "state"
+        self._track(
+            stream_file, tmp_path, capsys, "--state-dir", str(state),
+            "--snapshot-every", "3",
+        )
+        assert main(["snapshot", "info", str(state)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        snapshots = [l.split() for l in lines if l.startswith("snapshot ")]
+        assert [row[2] for row in snapshots] == ["3", "6", "8"]
+        assert all(row[-2:] == ["container", "v1"] for row in snapshots)
+        sections = [l.split() for l in lines if l.startswith("  section")]
+        window = [row for row in sections if row[1] == "algorithm.base.window.actions"]
+        # 200 retained actions × (time, user, parent), two bytes each (<i2).
+        assert [row[2:] for row in window] == [["<i2", "600", "1,200", "bytes"]] * 3
+        sizes = [int(row[3].replace(",", "")) for row in snapshots]
+        section_bytes = sum(int(row[4].replace(",", "")) for row in sections)
+        assert 0 < section_bytes < sum(sizes)
+
     def test_snapshot_on_empty_state_dir_fails_cleanly(self, tmp_path, capsys):
         void = tmp_path / "void"
         assert main(["snapshot", "restore", str(void)]) == 1
@@ -275,14 +298,16 @@ class TestTrackStateDir:
     def test_damaged_snapshot_document_fails_with_one_error_line(
         self, stream_file, tmp_path, capsys
     ):
-        """Valid JSON, right format, engine document missing a field: a
-        one-line ``error:`` naming it, not a traceback."""
+        """A whole container, right format, engine document missing a
+        field: a one-line ``error:`` naming it, not a traceback."""
+        from repro.persistence.snapshots import SnapshotStore
+
         state = tmp_path / "state"
         self._track(stream_file, tmp_path, capsys, "--state-dir", str(state))
-        newest = sorted((state / "snapshots").glob("snapshot-*.json"))[-1]
-        document = json.loads(newest.read_text())
+        store = SnapshotStore(state / "snapshots")
+        seq, document = store.load_latest()
         del document["algorithm"]["roster"]
-        newest.write_text(json.dumps(document))
+        store.save(seq, document)
         code = main([
             "track", str(stream_file), "--window", "200", "--slide", "100",
             "-k", "3", "--format", "json", "--state-dir", str(state),
