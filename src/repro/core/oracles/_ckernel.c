@@ -1,10 +1,16 @@
-/* The columnar oracle kernel's event (its only implementation).
+/* The columnar oracle kernel's compiled half: the slide and the column
+ * lifecycle.
  *
- * One call per merged (user, slide) event over a column range:
- * singleton-cache update, m refresh (with the full instance-range
- * rebuild when a bound moves), best-so-far offer, admission gate, and
- * the per-(column, slot) admission pass over coverage bitsets -- the
- * object plane's _dispatch walk, for every fed checkpoint at once.
+ * process_slide takes one slide's flat (user, previous) pair updates and
+ * runs everything between the shared-index update and the answers: the
+ * lower bound over the column starts, per-user grouping with the
+ * prefix-min chain of feed boundaries, one event per (user, column range)
+ * in slide position order, and the dirty-floor re-tightening.  An event
+ * is the object plane's _dispatch walk for every fed checkpoint at once:
+ * singleton-cache update, m refresh (with the full instance-range rebuild
+ * when a bound moves), best-so-far offer, admission gate, and the
+ * per-(column, slot) admission pass over coverage bitsets.
+ * retire_column and compact own what happens to a column afterwards.
  *
  * Float semantics must match CPython bit-for-bit -- this is an exact
  * replica of the object plane, not an approximation:
@@ -16,7 +22,17 @@
  *
  * All state lives in numpy arrays owned by the Python kernel; this file
  * only ever writes through the pointers in EventCtx.  Python re-fills
- * the context whenever an array is reallocated (growth/compaction).
+ * the context whenever an array is reallocated (growth).
+ *
+ * Two column invariants hold between calls and are what the lifecycle
+ * entries rely on:
+ *   - mem2d[row, col] has bit (j & 63) set iff row is listed among the
+ *     first inseed[col, s] entries of iseed_ids[col, s], s = j - blow[col]
+ *     (admit_col sets both, refresh_col's tear-down clears both), so a
+ *     column's membership is cleared by walking its own seed lists;
+ *   - every unused physical column (>= n) is in the open state -- zero
+ *     scalars, floor/bars +inf, empty ladder, zero coverage, membership
+ *     and caches -- so opening a column writes nothing but its start.
  */
 #include <math.h>
 #include <stdint.h>
@@ -54,13 +70,18 @@ typedef struct {
     uint64_t *icov;     /* (cap, jcap, wcap) */
     uint64_t *mem2d;    /* (urows, cap) */
     double *cache2d;    /* (urows, cap) */
-    /* scratch (sized by Python, see _ensure_scratch) */
-    int64_t *lanes;   /* influence-pair lanes, slide order */
-    int64_t *times;   /* influence-pair latest times, slide order */
+    /* the slide, filled by Python (see _absorb); U = its update count */
+    int64_t *upd_user; /* (U) touched-user slot per update, slide order */
+    int64_t *upd_prev; /* (U) the pair's previous credit time */
+    int64_t *usr_row;  /* (users) interned row, slots in first-seen order */
+    int64_t *usr_off;  /* (users + 1) each user's range in lanes/times */
+    int64_t *lanes;    /* touched users' influence-pair lanes, concatenated */
+    int64_t *times;    /* ... and latest credit times */
+    /* scratch (sized by Python, see _context) */
+    int64_t *work;    /* (4U + 2) feed boundaries, grouping, chain minima */
     int64_t *skeys;   /* (time, idx) pairs for the stable sort */
     uint64_t *cum;    /* (pairs + 1, w) suffix cumulative-OR table */
-    int64_t *counts;  /* (cap) multi-pair gain counts */
-    int64_t *los;     /* this slide's pair feed boundaries */
+    int64_t *counts;  /* (cap) multi-pair gain counts; compaction runs */
     uint64_t *freshb; /* (wcap) per-entry fresh-member words */
 } EventCtx;
 
@@ -72,6 +93,15 @@ static double empty_bar(const EventCtx *c, double guess) {
     if (c->bar_mode)
         return (guess / 2.0 - 0.0) / (double)(c->k);
     return guess / (2.0 * (double)c->k);
+}
+
+/* A column's tight admission floor: the minimum of its bar row. */
+static double tight_floor(const double *ibar, int64_t jc) {
+    double fl = INFINITY;
+    for (int64_t s = 0; s < jc; s++)
+        if (ibar[s] < fl)
+            fl = ibar[s];
+    return fl;
 }
 
 /* Align column col's instances with {j : m <= (1+beta)^j <= 2km}.
@@ -160,11 +190,7 @@ static int refresh_col(EventCtx *c, int64_t col) {
             guess *= c->base;
         }
     }
-    double fl = INFINITY;
-    for (int64_t s = 0; s < jc; s++)
-        if (ibar[s] < fl)
-            fl = ibar[s];
-    c->floor_[col] = fl;
+    c->floor_[col] = tight_floor(ibar, jc);
     c->dirtyf[col] = 0;
     return 0;
 }
@@ -182,10 +208,11 @@ static int cmp_pair(const void *x, const void *y) {
  * cum[i] = OR of lane bits of pairs with sort position >= i, so cum at
  * lower_bound(times, start) is the user's suffix influence set at start.
  */
-static void build_suffix(EventCtx *c, int64_t count, int64_t w) {
+static void build_suffix(EventCtx *c, const int64_t *lanes,
+                         const int64_t *times, int64_t count, int64_t w) {
     int64_t *sk = c->skeys;
     for (int64_t i = 0; i < count; i++) {
-        sk[2 * i] = c->times[i];
+        sk[2 * i] = times[i];
         sk[2 * i + 1] = i;
     }
     qsort(sk, (size_t)count, 2 * sizeof(int64_t), cmp_pair);
@@ -196,7 +223,7 @@ static void build_suffix(EventCtx *c, int64_t count, int64_t w) {
         const uint64_t *nxt = cum + (i + 1) * w;
         for (int64_t j = 0; j < w; j++)
             dst[j] = nxt[j];
-        int64_t ln = c->lanes[sk[2 * i + 1]];
+        int64_t ln = lanes[sk[2 * i + 1]];
         dst[ln >> 6] |= 1ULL << (uint64_t)(ln & 63);
     }
 }
@@ -209,7 +236,18 @@ static void build_suffix(EventCtx *c, int64_t count, int64_t w) {
  * the refresh growth, since a seed's covered set contains their older
  * suffix.  Admission needs gain >= bar and gain > 0, the gain computed by
  * the identical uniform * count multiply.
+ *
+ * The count is a popcount per coverage word.  Without a target the
+ * builtin compiles to a libgcc table call, so on x86-64/glibc the pass is
+ * cloned: the loader's ifunc resolver picks the POPCNT clone when CPUID
+ * reports the instruction and the portable one otherwise -- one .so that
+ * is right on every box, and integer counts either way.
  */
+#if defined(__x86_64__) && defined(__gnu_linux__) && defined(__has_attribute)
+#if __has_attribute(target_clones)
+__attribute__((target_clones("popcnt", "default")))
+#endif
+#endif
 static void admit_col(EventCtx *c, int64_t col, int64_t urow, double sv,
                       uint64_t mbits, int64_t count, int64_t w,
                       uint64_t *mrow) {
@@ -290,13 +328,15 @@ static void admit_col(EventCtx *c, int64_t col, int64_t urow, double sv,
 }
 
 /* One merged (user, slide) event over columns [a, b).
- * urow: the user's interned row; nlos: this slide's pair count (los
- * holds the feed boundaries when > 1); pcount: the user's total
- * influence-pair count in lanes/times; w: live coverage words.
+ * urow: the user's interned row; los/nlos: the feed boundaries of the
+ * user's pairs this slide; lanes/times/pcount: the user's influence
+ * pairs; w: live coverage words.
  * Returns non-zero on invariant breach (ladder overflow).
  */
-int process_event(EventCtx *c, int64_t urow, int64_t a, int64_t b,
-                  int64_t nlos, int64_t pcount, int64_t w) {
+static int process_event(EventCtx *c, int64_t urow, int64_t a, int64_t b,
+                         const int64_t *los, int64_t nlos,
+                         const int64_t *lanes, const int64_t *times,
+                         int64_t pcount, int64_t w) {
     double *cache = c->cache2d + urow * c->cap;
     double uniform = c->uniform;
     if (nlos == 1) {
@@ -307,7 +347,7 @@ int process_event(EventCtx *c, int64_t urow, int64_t a, int64_t b,
         for (int64_t col = a; col < b; col++)
             counts[col] = 0;
         for (int64_t i = 0; i < nlos; i++) {
-            int64_t lo = c->los[i];
+            int64_t lo = los[i];
             if (lo < b)
                 counts[lo > a ? lo : a] += 1;
         }
@@ -346,10 +386,194 @@ int process_event(EventCtx *c, int64_t urow, int64_t a, int64_t b,
         if (!built) {
             if (pcount == 0)
                 break; /* no influence pairs -> no masks -> no-op */
-            build_suffix(c, pcount, w);
+            build_suffix(c, lanes, times, pcount, w);
             built = 1;
         }
         admit_col(c, col, urow, sv, mbits, pcount, w, mrow);
     }
     return 0;
+}
+
+/* One slide: nupd pair updates of nusers touched users over the n
+ * physical columns, of which those below head are dead.
+ *
+ * An update feeds the columns whose start exceeds the pair's previous
+ * credit time -- a suffix [lo, n), lo the upper bound of previous in the
+ * ascending starts.  The object plane positions a user in a checkpoint's
+ * delta map at the user's first update feeding that checkpoint, so a user
+ * whose later pair reaches *older* columns appears at different positions
+ * in different maps; the prefix-min chain of the user's boundaries tells
+ * which column range belongs to which position.  Walking the updates in
+ * slide order and running one event per chain step -- over [lo, previous
+ * minimum), with the user's whole slide of pairs -- therefore reproduces
+ * every column's per-user delivery order; a user whose pairs only reach
+ * newer columns (the common case) gets the single event [first lo, n).
+ * Dirty floors re-tighten to their bar row's minimum at the end.
+ * Returns non-zero on invariant breach (ladder overflow).
+ */
+int process_slide(EventCtx *c, int64_t n, int64_t head, int64_t nupd,
+                  int64_t nusers, int64_t w) {
+    int64_t *lo = c->work;           /* (nupd) feed boundary per update */
+    int64_t *grouped = lo + nupd;    /* (nupd) the same, grouped by user */
+    int64_t *pos = grouped + nupd;   /* (nusers + 1) group offsets */
+    int64_t *least = pos + nusers + 1; /* (nusers) chain minimum so far */
+    const int64_t *starts = c->starts;
+    for (int64_t s = 0; s <= nusers; s++)
+        pos[s] = 0;
+    for (int64_t q = 0; q < nupd; q++) {
+        int64_t previous = c->upd_prev[q], a = head, b = n;
+        while (a < b) {
+            int64_t mid = (a + b) >> 1;
+            if (starts[mid] <= previous)
+                a = mid + 1;
+            else
+                b = mid;
+        }
+        lo[q] = a;
+        pos[c->upd_user[q] + 1] += 1;
+    }
+    for (int64_t s = 0; s < nusers; s++) {
+        pos[s + 1] += pos[s];
+        least[s] = pos[s]; /* the fill cursor, until the replay below */
+    }
+    for (int64_t q = 0; q < nupd; q++)
+        grouped[least[c->upd_user[q]]++] = lo[q];
+    for (int64_t s = 0; s < nusers; s++)
+        least[s] = n;
+    for (int64_t q = 0; q < nupd; q++) {
+        int64_t s = c->upd_user[q];
+        if (lo[q] >= least[s])
+            continue;
+        int64_t off = c->usr_off[s];
+        int st = process_event(c, c->usr_row[s], lo[q], least[s],
+                               grouped + pos[s], pos[s + 1] - pos[s],
+                               c->lanes + off, c->times + off,
+                               c->usr_off[s + 1] - off, w);
+        if (st)
+            return st;
+        least[s] = lo[q];
+    }
+    int64_t jc = c->jcap;
+    for (int64_t col = head; col < n; col++) {
+        if (!c->dirtyf[col])
+            continue;
+        /* Retired columns reset their flag, so every flagged column is
+         * alive and its floor re-tightens to the row minimum. */
+        c->floor_[col] = tight_floor(c->ibar + col * jc, jc);
+        c->dirtyf[col] = 0;
+    }
+    return 0;
+}
+
+/* Leave column col in the open state (mark = 0) or masked dead (mark =
+ * +inf: singletons are finite, so no event compare can fire on it).
+ */
+static void reset_column(EventCtx *c, int64_t col, double mark) {
+    int64_t jc = c->jcap, wc = c->wcap;
+    c->m[col] = c->best[col] = c->rthresh[col] = mark;
+    c->floor_[col] = INFINITY;
+    c->blow[col] = 0;
+    c->bhigh[col] = -1;
+    c->best_ns[col] = 0;
+    c->dirtyf[col] = 0;
+    for (int64_t s = 0; s < jc; s++) {
+        c->ival[col * jc + s] = 0.0;
+        c->ibar[col * jc + s] = INFINITY;
+        c->iguess[col * jc + s] = 0.0;
+        c->inseed[col * jc + s] = 0;
+    }
+    memset(c->icov + col * jc * wc, 0, (size_t)(jc * wc) * sizeof(uint64_t));
+}
+
+/* Mask column col dead (expiry or SIC pruning).  Its membership words
+ * are found through its own seed lists -- O(jcap * k), not a strided
+ * sweep of every user row.  Singleton caches stay behind (nothing reads a
+ * dead column's; a strided clear is the cost this avoids) until compact.
+ */
+void retire_column(EventCtx *c, int64_t col) {
+    int64_t jc = c->jcap, kc = c->kcap;
+    const int16_t *inseed = c->inseed + col * jc;
+    const int64_t *ids = c->iseed_ids + col * jc * kc;
+    for (int64_t s = 0; s < jc; s++)
+        for (int64_t q = 0; q < inseed[s]; q++)
+            c->mem2d[ids[s * kc + q] * c->cap + col] = 0;
+    reset_column(c, col, INFINITY);
+}
+
+static void move_columns(void *base, size_t stride, int64_t dst, int64_t src,
+                         int64_t len) {
+    memmove((char *)base + (size_t)dst * stride,
+            (char *)base + (size_t)src * stride, (size_t)len * stride);
+}
+
+/* Physically drop dead columns: column keep[i] moves to i, for the n_new
+ * survivors of old_n columns.  keep ascends, so keep[i] >= i and ascending
+ * in-place moves never overwrite an unmoved survivor.  Membership words
+ * move through the seed lists, like retirement clears them (a seed listed
+ * in two slots finds its word already moved): the target is a dead
+ * column's or an earlier move's source, zero either way, and no user row
+ * is swept.  Everything else goes run by run (maximal stretches of
+ * consecutive survivors) -- IC's dead prefix is one memmove per array,
+ * SIC's interior holes a few -- in every per-column array and in the first
+ * urows (interned) rows of cache2d.  The vacated columns [n_new, old_n)
+ * are left in the open state.
+ */
+void compact(EventCtx *c, const int64_t *keep, int64_t n_new, int64_t old_n,
+             int64_t urows) {
+    int64_t jc = c->jcap, kc = c->kcap, wc = c->wcap;
+    int64_t *runs = c->counts; /* start index of each run, then n_new */
+    int64_t nruns = 0;
+    for (int64_t i = 0; i < n_new; i++) {
+        int64_t src = keep[i];
+        if (i == 0 || src != keep[i - 1] + 1)
+            runs[nruns++] = i;
+        if (src == i)
+            continue;
+        const int16_t *inseed = c->inseed + src * jc;
+        const int64_t *ids = c->iseed_ids + src * jc * kc;
+        for (int64_t s = 0; s < jc; s++)
+            for (int64_t q = 0; q < inseed[s]; q++) {
+                uint64_t *mem = c->mem2d + ids[s * kc + q] * c->cap;
+                if (mem[src]) {
+                    mem[i] = mem[src];
+                    mem[src] = 0;
+                }
+            }
+    }
+    runs[nruns] = n_new;
+    for (int64_t r = 0; r < nruns; r++) {
+        int64_t dst = runs[r], src = keep[dst], len = runs[r + 1] - dst;
+        if (src == dst)
+            continue;
+        move_columns(c->m, sizeof(double), dst, src, len);
+        move_columns(c->best, sizeof(double), dst, src, len);
+        move_columns(c->floor_, sizeof(double), dst, src, len);
+        move_columns(c->rthresh, sizeof(double), dst, src, len);
+        move_columns(c->blow, sizeof(int64_t), dst, src, len);
+        move_columns(c->bhigh, sizeof(int64_t), dst, src, len);
+        move_columns(c->starts, sizeof(int64_t), dst, src, len);
+        move_columns(c->best_ns, sizeof(int64_t), dst, src, len);
+        move_columns(c->dirtyf, sizeof(uint8_t), dst, src, len);
+        move_columns(c->ival, (size_t)jc * sizeof(double), dst, src, len);
+        move_columns(c->ibar, (size_t)jc * sizeof(double), dst, src, len);
+        move_columns(c->iguess, (size_t)jc * sizeof(double), dst, src, len);
+        move_columns(c->inseed, (size_t)jc * sizeof(int16_t), dst, src, len);
+        move_columns(c->iseed_ids, (size_t)(jc * kc) * sizeof(int64_t), dst,
+                     src, len);
+        move_columns(c->best_ids, (size_t)kc * sizeof(int64_t), dst, src, len);
+        move_columns(c->icov, (size_t)(jc * wc) * sizeof(uint64_t), dst, src,
+                     len);
+    }
+    for (int64_t row = 0; row < urows; row++) {
+        double *cache = c->cache2d + row * c->cap;
+        for (int64_t r = 0; r < nruns; r++) {
+            int64_t dst = runs[r], src = keep[dst];
+            if (src != dst)
+                move_columns(cache, sizeof(double), dst, src,
+                             runs[r + 1] - dst);
+        }
+        memset(cache + n_new, 0, (size_t)(old_n - n_new) * sizeof(double));
+    }
+    for (int64_t col = n_new; col < old_n; col++)
+        reset_column(c, col, 0.0);
 }

@@ -1,7 +1,9 @@
 """Loader for the compiled columnar event kernel.
 
 ``_ckernel.c`` is compiled on first use with the system C compiler into a
-content-addressed shared object and loaded via ctypes.  When that cannot
+shared object addressed by its content — the source bytes *and* the build
+flags, so changing either builds a new library instead of loading a stale
+one — and loaded via ctypes.  When that cannot
 happen — ``REPRO_NO_CKERNEL`` set, no ``cc``, a failed build, an unsafe
 cache directory, a library that does not load — :func:`load` returns
 ``None``, names why in :data:`unavailable_reason` (and, unless the
@@ -17,7 +19,10 @@ user and would run inside the server and every forked shard worker.
 The build deliberately avoids ``-ffast-math`` and forces
 ``-ffp-contract=off``: the kernel's contract is bit-identical float
 results versus the CPython object plane, and FMA contraction or unsafe
-math would silently break that.
+math would silently break that.  No flag names a CPU: the one
+instruction worth having (POPCNT, for the admission pass) is selected per
+function by the loader from what the CPU reports (``target_clones`` in the
+source), so the library built on a box never faults on it.
 """
 
 from __future__ import annotations
@@ -90,12 +95,16 @@ class EventCtx(ctypes.Structure):
             "icov",
             "mem2d",
             "cache2d",
+            "upd_user",
+            "upd_prev",
+            "usr_row",
+            "usr_off",
             "lanes",
             "times",
+            "work",
             "skeys",
             "cum",
             "counts",
-            "los",
             "freshb",
         )
     ]
@@ -132,34 +141,38 @@ def _require_private(cache: Path, path: Path) -> None:
         )
 
 
-def _first_use() -> ctypes.CDLL:
-    """Build (unless cached) and load the library; ``OSError`` names why not."""
+def _library_name() -> str:
+    """The cached library's file name: a digest of source and flags."""
     try:
-        digest = hashlib.sha256(_SOURCE.read_bytes()).hexdigest()[:16]
+        content = _SOURCE.read_bytes()
     except OSError as error:
         raise OSError(f"source unreadable: {error}") from error
+    content += b"\0" + " ".join(_CFLAGS).encode()
+    return f"repro_ckernel_{hashlib.sha256(content).hexdigest()[:16]}.so"
+
+
+def _first_use() -> ctypes.CDLL:
+    """Build (unless cached) and load the library; ``OSError`` names why not."""
+    name = _library_name()
     cache = Path(tempfile.gettempdir()) / f"repro-ckernel-{os.geteuid()}"
     try:
         cache.mkdir(mode=0o700, exist_ok=True)
     except OSError as error:
         raise OSError(f"unsafe cache directory {cache}: {error}") from error
     _require_private(cache, cache)
-    so_path = cache / f"repro_ckernel_{digest}.so"
+    so_path = cache / name
     if not so_path.exists():
         _build(_SOURCE, so_path)
     _require_private(cache, so_path)
     try:
         lib = ctypes.CDLL(str(so_path))
-        lib.process_event.restype = ctypes.c_int
-        lib.process_event.argtypes = [
-            ctypes.POINTER(EventCtx),
-            ctypes.c_int64,
-            ctypes.c_int64,
-            ctypes.c_int64,
-            ctypes.c_int64,
-            ctypes.c_int64,
-            ctypes.c_int64,
-        ]
+        context, i64 = ctypes.POINTER(EventCtx), ctypes.c_int64
+        lib.process_slide.restype = ctypes.c_int
+        lib.process_slide.argtypes = [context, i64, i64, i64, i64, i64]
+        lib.retire_column.restype = None
+        lib.retire_column.argtypes = [context, i64]
+        lib.compact.restype = None
+        lib.compact.argtypes = [context, ctypes.c_void_p, i64, i64, i64]
     except (OSError, AttributeError) as error:
         raise OSError(f"{so_path} did not load: {error}") from error
     return lib

@@ -1,4 +1,4 @@
-"""Columnar oracle kernel: one compiled event per updated user, all checkpoints.
+"""Columnar oracle kernel: one compiled call per slide, all checkpoints.
 
 The object plane maintains one
 :class:`~repro.core.oracles.streaming_base.StreamingThresholdOracle` per
@@ -30,12 +30,13 @@ checkpoint column:
 
 Checkpoints are column *ranges*: columns are appended in ascending start
 order, so the checkpoints a pair update feeds — those whose start exceeds
-the pair's previous credit time — form a contiguous suffix ``[lo, n)``
-located with one ``bisect``.  A slide then needs, per updated user, one
-**compiled event** (``process_event`` in ``_ckernel.c``, loaded by
-:mod:`~repro.core.oracles._ckernel`) over that column range — Python
-groups the slide's pair updates per user, copies the user's influence
-pairs into scratch columns and makes one call, which
+the pair's previous credit time — form a contiguous suffix ``[lo, n)``.
+A slide is **one compiled call** (``process_slide`` in ``_ckernel.c``,
+loaded by :mod:`~repro.core.oracles._ckernel`): Python interns the slide's
+users, copies each touched user's influence pairs once into scratch and
+hands down the flat ``(user, previous)`` updates; C finds each ``lo``,
+groups the updates per user and runs one **event** per (user, column
+range) in slide order, which
 
 1. adds the user's gains to ``cache[lo:n]``, raises ``m``/``best`` where
    the singleton beats them and realigns the guess ladder of any column
@@ -81,10 +82,13 @@ row — unchanged bars are always ``>=`` the current floor, so including
 them cannot drag the min below the object plane's changed-bars-only fold.
 
 **Expiry and pruning** (:meth:`ColumnarThresholdKernel.retire_checkpoint`)
-are column bookkeeping: the column is masked dead (``m/best/floor`` set to
-sentinels no vector compare can fire on, membership bits cleared) and
-physically reclaimed by an amortised compaction once dead columns
-outnumber live ones.
+are compiled too: ``retire_column`` masks the column dead (``m/best/floor``
+set to sentinels no event compare can fire on) and clears its membership
+bits by walking the column's own seed lists — bit ⇔ listed seed is an
+invariant — and ``compact`` reclaims dead columns in place once they
+outnumber live ones, leaving every unused column open-ready, so opening
+a column (:meth:`~ColumnarThresholdKernel.new_checkpoint`) writes only
+its start.
 
 Checkpoint state is serialized as the live columns themselves
 (:meth:`ColumnarThresholdKernel.to_state`: arrays, the sparse matrices as
@@ -110,7 +114,6 @@ from __future__ import annotations
 
 import ctypes
 import math
-from bisect import bisect_right
 from time import perf_counter
 from typing import Dict, FrozenSet, List, Optional
 
@@ -132,13 +135,28 @@ __all__ = [
 ]
 
 _UONE = np.uint64(1)
-_UZERO = np.uint64(0)
 
 #: The per-column arrays a snapshot carries verbatim, under the kernel's own
 #: names: the column scalars, then the instance plane.
 _COLUMN_ARRAYS = (
     "m best floor blow bhigh best_ns best_ids ival iguess ibar inseed iseed_ids"
 ).split()
+
+
+#: ``EventCtx`` pointer field -> the kernel attribute holding its array.
+_CTX_ARRAYS = {
+    **{name: "_" + name for name in _COLUMN_ARRAYS if name != "floor"},
+    **{name: "_" + name for name in "rthresh dirtyf icov mem2d cache2d".split()},
+    "floor_": "_floor",  # ``floor`` is libm's in C
+    "starts": "_starts_arr",
+    **{
+        name: "_sc_" + name
+        for name in (
+            "upd_user upd_prev usr_row usr_off lanes times work skeys cum "
+            "counts freshb"
+        ).split()
+    },
+}
 
 
 def _stock_bar_mode(probe) -> Optional[int]:
@@ -236,6 +254,8 @@ class ColumnarThresholdKernel:
         self._cap = cap
         self._n = 0
         self._dead = 0
+        # First live physical column: events never reach the dead prefix.
+        self._head = 0
         # Global per-checkpoint columns (physical layout; may contain dead
         # columns until the next compaction).
         self._m = np.zeros(cap)
@@ -247,7 +267,6 @@ class ColumnarThresholdKernel:
         self._rthresh = np.zeros(cap)
         self._blow = np.zeros(cap, dtype=np.int64)
         self._bhigh = np.full(cap, -1, dtype=np.int64)
-        self._alive = np.zeros(cap, dtype=bool)
         self._starts_arr = np.zeros(cap, dtype=np.int64)
         # The instance plane (column, slot).
         jcap = self._jcap
@@ -272,7 +291,6 @@ class ColumnarThresholdKernel:
         self._lane_user: List[int] = []
         # Python-side per-column state, aligned with the arrays.
         self._starts_list: List[int] = []
-        self._views: List[object] = []
         self._handles: List[Optional["ColumnarCheckpoint"]] = []
         # Transposed per-user state, one row per interned user (``_urow``):
         # singleton caches as float rows, seed membership as uint64 rows
@@ -286,13 +304,15 @@ class ColumnarThresholdKernel:
         self._cache2d = np.zeros((self._urows_cap, cap))
         # Columns whose floor needs re-tightening at slide end.
         self._dirtyf = np.zeros(cap, dtype=np.uint8)
-        # The compiled event: its library, the context struct it reads the
-        # arrays through (refilled after any reallocation) and its scratch.
+        # The compiled half: its library, the context struct it reads the
+        # arrays through (refilled after any reallocation) and its scratch,
+        # sized for a slide's pairs in all and its widest user's.
         self._cfast = lib
         self._cbar_mode = bar_mode
-        self._cctx = None
+        self._cref = None
         self._cstale = True
         self._sc_pairs = 64
+        self._sc_widest = 64
 
     # -- column lifecycle --------------------------------------------------
 
@@ -312,24 +332,11 @@ class ColumnarThresholdKernel:
             self._grow(self._cap * 2)
         col = self._n
         self._n += 1
-        self._m[col] = 0.0
-        self._best[col] = 0.0
-        self._floor[col] = math.inf
-        self._rthresh[col] = 0.0
-        self._blow[col] = 0
-        self._bhigh[col] = -1
-        self._alive[col] = True
+        # Every unused column is kept in the open state (allocation and
+        # growth fill it, ``compact`` resets what it vacates), so opening
+        # one writes its start and nothing else.
         self._starts_arr[col] = start
-        # The row may hold a reclaimed column's remains — reset it.
-        self._ival[col] = 0.0
-        self._ibar[col] = math.inf
-        self._iguess[col] = 0.0
-        self._inseed[col] = 0
-        self._icov[col] = _UZERO
-        self._best_ns[col] = 0
-        self._dirtyf[col] = 0
         self._starts_list.append(start)
-        self._views.append(self._shared.view(start))
         handle = ColumnarCheckpoint(self, col, start, ledger)
         self._handles.append(handle)
         return handle
@@ -337,26 +344,14 @@ class ColumnarThresholdKernel:
     def retire_checkpoint(self, checkpoint: "ColumnarCheckpoint") -> None:
         """Mask a checkpoint's column dead (expiry or SIC pruning)."""
         col = checkpoint._col
-        if not self._alive[col]:
-            return
-        self._alive[col] = False
-        # Sentinels no vector compare can fire on: singletons are finite,
-        # so ``seg > inf`` and ``seg >= inf`` are always False.
-        self._m[col] = math.inf
-        self._best[col] = math.inf
-        self._floor[col] = math.inf
-        self._rthresh[col] = math.inf
-        self._mem2d[:, col] = _UZERO
-        self._ival[col] = 0.0
-        self._ibar[col] = math.inf
-        self._iguess[col] = 0.0
-        self._inseed[col] = 0
-        self._icov[col] = _UZERO
-        self._best_ns[col] = 0
-        self._views[col] = None
+        if self._handles[col] is not checkpoint:
+            return  # already retired (its column index is stale)
         self._handles[col] = None
-        self._dirtyf[col] = 0
+        self._cfast.retire_column(self._context(), col)
         self._dead += 1
+        handles = self._handles
+        while self._head < self._n and handles[self._head] is None:
+            self._head += 1
         if self._dead >= self._MIN_COMPACT_DEAD and self._dead * 2 >= self._n:
             self._compact()
 
@@ -380,7 +375,6 @@ class ColumnarThresholdKernel:
         self._rthresh = grown(self._rthresh, 0.0)
         self._blow = grown(self._blow, 0)
         self._bhigh = grown(self._bhigh, -1)
-        self._alive = grown(self._alive, False)
         self._starts_arr = grown(self._starts_arr, 0)
         self._ival = grown2(self._ival, 0.0)
         self._ibar = grown2(self._ibar, math.inf)
@@ -448,28 +442,36 @@ class ColumnarThresholdKernel:
                 self._cstale = True
         return row
 
-    # -- compiled event path -------------------------------------------------
+    # -- the compiled half ---------------------------------------------------
 
-    def _ensure_scratch(self, count: int, nlos: int) -> None:
-        """Size the C call's scratch arrays and refresh the context struct
-        after any array reallocation (growth marks ``_cstale``)."""
-        need = max(count, nlos)
-        if need > self._sc_pairs:
-            while self._sc_pairs < need:
+    def _context(self, pairs: int = 0, widest: int = 0):
+        """The C entries' context argument, its scratch sized for a slide
+        of ``pairs`` influence pairs (and as many updates), ``widest`` of
+        them one user's; refilled after any array reallocation (growth
+        marks ``_cstale``)."""
+        if pairs > self._sc_pairs or widest > self._sc_widest:
+            while self._sc_pairs < pairs:
                 self._sc_pairs *= 2
+            while self._sc_widest < widest:
+                self._sc_widest *= 2
             self._cstale = True
         if self._cstale:
             self._refill_ctx()
+        return self._cref
 
     def _refill_ctx(self) -> None:
-        pairs = self._sc_pairs
+        pairs, widest = self._sc_pairs, self._sc_widest
+        self._sc_upd_user = np.zeros(pairs, dtype=np.int64)
+        self._sc_upd_prev = np.zeros(pairs, dtype=np.int64)
+        self._sc_usr_row = np.zeros(pairs, dtype=np.int64)
+        self._sc_usr_off = np.zeros(pairs + 1, dtype=np.int64)
         self._sc_lanes = np.zeros(pairs, dtype=np.int64)
         self._sc_times = np.zeros(pairs, dtype=np.int64)
-        self._sc_skeys = np.zeros(2 * pairs, dtype=np.int64)
-        self._sc_cum = np.zeros((pairs + 1) * self._wcap, dtype=np.uint64)
-        self._sc_los = np.zeros(pairs, dtype=np.int64)
-        self._sc_counts = np.zeros(self._cap, dtype=np.int64)
-        self._sc_fresh = np.zeros(self._wcap, dtype=np.uint64)
+        self._sc_work = np.zeros(4 * pairs + 2, dtype=np.int64)
+        self._sc_skeys = np.zeros(2 * widest, dtype=np.int64)
+        self._sc_cum = np.zeros((widest + 1) * self._wcap, dtype=np.uint64)
+        self._sc_counts = np.zeros(self._cap + 1, dtype=np.int64)
+        self._sc_freshb = np.zeros(self._wcap, dtype=np.uint64)
         ctx = _ckernel.EventCtx()
         ctx.cap = self._cap
         ctx.jcap = self._jcap
@@ -480,137 +482,36 @@ class ColumnarThresholdKernel:
         ctx.uniform = self._uniform
         ctx.base = self._base
         ctx.log_base = self._log_base
-        ctx.m = self._m.ctypes.data
-        ctx.best = self._best.ctypes.data
-        ctx.floor_ = self._floor.ctypes.data
-        ctx.rthresh = self._rthresh.ctypes.data
-        ctx.blow = self._blow.ctypes.data
-        ctx.bhigh = self._bhigh.ctypes.data
-        ctx.starts = self._starts_arr.ctypes.data
-        ctx.ival = self._ival.ctypes.data
-        ctx.ibar = self._ibar.ctypes.data
-        ctx.iguess = self._iguess.ctypes.data
-        ctx.inseed = self._inseed.ctypes.data
-        ctx.iseed_ids = self._iseed_ids.ctypes.data
-        ctx.best_ids = self._best_ids.ctypes.data
-        ctx.best_ns = self._best_ns.ctypes.data
-        ctx.dirtyf = self._dirtyf.ctypes.data
-        ctx.icov = self._icov.ctypes.data
-        ctx.mem2d = self._mem2d.ctypes.data
-        ctx.cache2d = self._cache2d.ctypes.data
-        ctx.lanes = self._sc_lanes.ctypes.data
-        ctx.times = self._sc_times.ctypes.data
-        ctx.skeys = self._sc_skeys.ctypes.data
-        ctx.cum = self._sc_cum.ctypes.data
-        ctx.counts = self._sc_counts.ctypes.data
-        ctx.los = self._sc_los.ctypes.data
-        ctx.freshb = self._sc_fresh.ctypes.data
-        self._cctx = ctx
+        for field, attribute in _CTX_ARRAYS.items():
+            setattr(ctx, field, getattr(self, attribute).ctypes.data)
+        self._cref = ctypes.byref(ctx)  # keeps the struct alive
         self._cstale = False
-
-    def _process_user_c(self, u: int, pairs, a: int, b: int) -> None:
-        """One user's merged slide event over columns ``[a, b)``.
-
-        ``pairs`` is the user's full slide — ``(feed_boundary, performer)``
-        in slide order — matching the object plane's merged ``(user,
-        new_members)`` delta.  Python's share of the event: intern this
-        slide's performers and the user into their lanes/rows, copy the
-        user's influence pairs (hot map + live cold arrays) into the
-        scratch columns, and make the one C call.
-        """
-        lane = self._lane
-        lane_of = self._lane_of
-        for _lo, p in pairs:
-            if p not in lane_of:
-                lane(p)
-        shared = self._shared
-        hot = shared._latest.get(u)
-        if hot:
-            try:
-                lanes = [lane_of[v] for v in hot]
-            except KeyError:
-                # Pairs restored from a snapshot may hold users this
-                # kernel has never laned — intern them all.
-                lanes = [lane(v) for v in hot]
-            times = list(hot.values())
-        else:
-            lanes = []
-            times = []
-        cold = shared._cold
-        if cold:
-            entry = cold.get(u)
-            if entry is not None and entry[2] < len(entry[0]):
-                for v, t in zip(entry[0].tolist(), entry[1].tolist()):
-                    if v >= 0:  # skip resurrection tombstones
-                        lanes.append(lane(v))
-                        times.append(t)
-        count = len(lanes)
-        urow = self._urow(u)
-        nlos = len(pairs)
-        self._ensure_scratch(count, nlos)
-        self._sc_lanes[:count] = lanes
-        self._sc_times[:count] = times
-        if nlos > 1:
-            self._sc_los[:nlos] = [lo for lo, _p in pairs]
-        status = self._cfast.process_event(
-            ctypes.byref(self._cctx), urow, a, b, nlos, count, self._w
-        )
-        if status:  # pragma: no cover - guarded by _jcap sizing
-            raise RuntimeError(
-                "columnar C kernel: guess ladder outgrew the slot budget"
-            )
 
     def _compact(self) -> None:
         """Physically drop dead columns (handles are re-pointed in place)."""
-        old_n = self._n
-        keep = np.flatnonzero(self._alive[:old_n])
-        n_new = int(keep.size)
-        for arr in (
-            self._m,
-            self._best,
-            self._floor,
-            self._rthresh,
-            self._blow,
-            self._bhigh,
-            self._starts_arr,
-            self._best_ns,
-            self._dirtyf,
-        ):
-            arr[:n_new] = arr[keep]
-        for arr in (
-            self._ival,
-            self._ibar,
-            self._iguess,
-            self._inseed,
-            self._iseed_ids,
-            self._best_ids,
-        ):
-            arr[:n_new] = arr[keep]
-        self._icov[:n_new] = self._icov[keep]
-        self._mem2d[:, :n_new] = self._mem2d[:, keep]
-        self._mem2d[:, n_new:old_n] = _UZERO
-        self._alive[:n_new] = True
-        self._alive[n_new:old_n] = False
-        keep_list = keep.tolist()
+        keep_list = [c for c, h in enumerate(self._handles) if h is not None]
+        keep = np.array(keep_list, dtype=np.int64)
+        n_new = len(keep_list)
+        self._cfast.compact(
+            self._context(), keep.ctypes.data, n_new, self._n, len(self._uidx_user)
+        )
         self._starts_list = [self._starts_list[c] for c in keep_list]
-        self._views = [self._views[c] for c in keep_list]
         self._handles = [self._handles[c] for c in keep_list]
         for col, handle in enumerate(self._handles):
             handle._col = col
-        self._cache2d[:, :n_new] = self._cache2d[:, keep]
-        self._cache2d[:, n_new:old_n] = 0.0
         self._n = n_new
         self._dead = 0
+        self._head = 0
 
     # -- the per-slide kernel ----------------------------------------------
 
     def absorb_slide(self, roster, arrived, absorbed: int) -> None:
-        """Index ``arrived`` once and run the slide's compiled events.
+        """Index ``arrived`` once and hand the slide to the compiled kernel.
 
         The columnar twin of :func:`repro.core.checkpoint.feed_shared`:
-        one shared-index update per record, one compiled event per updated
-        user, and one floor re-tightening sweep over the columns that
-        admitted this slide.
+        one shared-index update per record, then one ``process_slide``
+        call that runs a compiled event per updated user and re-tightens
+        the floors of the columns that admitted this slide.
         """
         if not len(roster):
             return
@@ -642,65 +543,65 @@ class ColumnarThresholdKernel:
         roster.absorbed += absorbed
 
     def _absorb(self, updates) -> None:
-        n = self._n
-        if not n or not updates:
+        """Python's share of the slide: intern its performers and touched
+        users into lanes and rows, copy each touched user's influence
+        pairs (hot map + live cold arrays) once into concatenated scratch,
+        and make the one ``process_slide`` call with the flat ``(user,
+        previous)`` updates — grouping and replay order are C's."""
+        if not self._n or not updates:
             return
-        starts = self._starts_list
-        first_start = starts[0]
-        # Group the slide's pair updates per user, tracking the prefix-min
-        # chain of feed boundaries.  The object plane positions a user in a
-        # checkpoint's delta map at the user's first update feeding that
-        # checkpoint; a user whose later pair reaches *older* checkpoints
-        # therefore appears at different positions in different maps, and
-        # the chain tells exactly which column ranges belong to which
-        # position (the ``segmented`` branch below replays them in order).
-        per_user: Dict[int, list] = {}
-        segmented = False
-        for q, (performer, u, previous) in enumerate(updates):
-            lo = (
-                0
-                if previous < first_start
-                else bisect_right(starts, previous)
+        newest = self._starts_list[-1]
+        lane, lane_of = self._lane, self._lane_of
+        latest, cold = self._shared._latest, self._shared._cold
+        slot_of: Dict[int, int] = {}
+        upd_user, upd_prev, rows, offsets = [], [], [], [0]
+        lanes: List[int] = []
+        times: List[int] = []
+        widest = 0
+        for performer, u, previous in updates:
+            if previous >= newest:
+                continue  # the pair was already credited in every column
+            if performer not in lane_of:
+                lane(performer)
+            slot = slot_of.get(u)
+            if slot is None:
+                slot = slot_of[u] = len(rows)
+                hot = latest.get(u)
+                if hot:
+                    try:
+                        lanes += [lane_of[v] for v in hot]
+                    except KeyError:
+                        # Pairs restored from a snapshot (or this slide's
+                        # later performers) may not be laned yet.
+                        lanes += [lane(v) for v in hot]
+                    times += hot.values()
+                entry = cold.get(u) if cold else None
+                if entry is not None and entry[2] < len(entry[0]):
+                    for v, t in zip(entry[0].tolist(), entry[1].tolist()):
+                        if v >= 0:  # skip resurrection tombstones
+                            lanes.append(lane(v))
+                            times.append(t)
+                rows.append(self._urow(u))
+                widest = max(widest, len(lanes) - offsets[-1])
+                offsets.append(len(lanes))
+            upd_user.append(slot)
+            upd_prev.append(previous)
+        if not rows:
+            return
+        nupd, nusers, pairs = len(upd_user), len(rows), len(lanes)
+        context = self._context(max(pairs, nupd), widest)
+        self._sc_upd_user[:nupd] = upd_user
+        self._sc_upd_prev[:nupd] = upd_prev
+        self._sc_usr_row[:nusers] = rows
+        self._sc_usr_off[: nusers + 1] = offsets
+        self._sc_lanes[:pairs] = lanes
+        self._sc_times[:pairs] = times
+        if self._cfast.process_slide(
+            context, self._n, self._head, nupd, nusers, self._w
+        ):  # pragma: no cover - guarded by _jcap sizing
+            raise RuntimeError(
+                "columnar C kernel: guess ladder outgrew the slot budget"
             )
-            if lo >= n:
-                continue
-            entry = per_user.get(u)
-            if entry is None:
-                per_user[u] = [[(lo, performer)], [(q, lo)]]
-            else:
-                pairs, mins = entry
-                pairs.append((lo, performer))
-                if lo < mins[-1][1]:
-                    mins.append((q, lo))
-                    segmented = True
-        if per_user:
-            if not segmented:
-                # Common case: every user's columns form one suffix range,
-                # and dict order == global first-update order == every
-                # column's local first-update order.
-                for u, (pairs, mins) in per_user.items():
-                    self._process_user_c(u, pairs, mins[0][1], n)
-            else:
-                # A user reached older columns with a later pair: emit one
-                # event per (user, column range) at the position of the
-                # first update feeding that range, and replay events in
-                # global position order — this reproduces each column's
-                # per-user delivery order exactly.
-                events = []
-                for u, (pairs, mins) in per_user.items():
-                    hi = n
-                    for q, lo in mins:
-                        events.append((q, u, lo, hi))
-                        hi = lo
-                events.sort()
-                for _q, u, lo, hi in events:
-                    self._process_user_c(u, per_user[u][0], lo, hi)
-        dirty = np.flatnonzero(self._dirtyf[:n])
-        if dirty.size:
-            # Retired columns reset their flag, so every flagged column is
-            # alive and its floor re-tightens to the row minimum.
-            self._floor[dirty] = self._ibar[dirty].min(axis=1)
-            self._dirtyf[dirty] = 0
 
     # -- persistence & introspection ---------------------------------------
 
@@ -838,7 +739,7 @@ class ColumnarThresholdKernel:
 
     def materialize_oracle(self, col: int):
         """A real oracle object loaded from the column (read-only copy)."""
-        oracle = self._spec.build(self._views[col])
+        oracle = self._spec.build(self._handles[col].index)
         oracle.load_state(self._handles[col].oracle_state())
         return oracle
 
@@ -856,13 +757,9 @@ class ColumnarThresholdKernel:
         """``(live instances, total covered entries)`` across live columns
         — the accounting the memory-footprint experiment reports without
         materializing per-checkpoint oracles."""
-        n = self._n
-        alive = self._alive[:n]
-        if not alive.any():
-            return 0, 0
-        widths = np.maximum(self._bhigh[:n] - self._blow[:n] + 1, 0)
-        instances = int(widths[alive].sum())
-        covered = int(np.bitwise_count(self._icov[:n][alive]).sum())
+        n = self._n  # dead columns hold an empty ladder and no coverage
+        instances = int((self._bhigh[:n] - self._blow[:n] + 1).sum())
+        covered = int(np.bitwise_count(self._icov[:n]).sum())
         return instances, covered
 
 
@@ -908,7 +805,7 @@ class ColumnarCheckpoint(SuffixCheckpoint):
     @property
     def index(self):
         """The checkpoint's suffix view of the shared index."""
-        return self._kernel._views[self._col]
+        return self._kernel._shared.view(self.start)
 
     def feed(self, user: int, new_member: int) -> None:
         """Columnar checkpoints are fed through the kernel, never directly."""

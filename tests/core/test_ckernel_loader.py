@@ -11,7 +11,6 @@ per-slide ``(time, value, seeds)`` equal a compiled run's.
 
 from __future__ import annotations
 
-import hashlib
 import multiprocessing
 import os
 import re
@@ -57,8 +56,7 @@ def cache_dir(root):
 
 
 def library_name(ckernel):
-    digest = hashlib.sha256(ckernel._SOURCE.read_bytes()).hexdigest()[:16]
-    return f"repro_ckernel_{digest}.so"
+    return ckernel._library_name()
 
 
 # Each arranger prepares one condition and returns the reason load() must
@@ -115,6 +113,27 @@ def two_forked_children_race_the_first_build(ckernel, root, monkeypatch):
     return None
 
 
+def changed_flag_builds_a_second_library(ckernel, root, monkeypatch):
+    first = ckernel.load()
+    built = library_name(ckernel)
+    assert first is not None and os.listdir(cache_dir(root)) == [built]
+    # Same source, one more flag: the cached library must not be reused.
+    monkeypatch.setattr(ckernel, "_CFLAGS", [*ckernel._CFLAGS, "-DREBUILT"])
+    assert library_name(ckernel) != built
+    for name, cleared in (("_tried", False), ("_lib", None)):
+        monkeypatch.setattr(ckernel, name, cleared)
+    second = ckernel.load()
+    assert second is not None
+    assert os.path.basename(second._name) == library_name(ckernel)
+    assert sorted(os.listdir(cache_dir(root))) == sorted(
+        [built, library_name(ckernel)]
+    )
+    # The parametrized body now loads the rebuilt library from the cache.
+    for name, cleared in (("_tried", False), ("_lib", None)):
+        monkeypatch.setattr(ckernel, name, cleared)
+    return None
+
+
 def _child_first_use():
     from repro.core.oracles import _ckernel
 
@@ -133,6 +152,7 @@ def _child_first_use():
         world_writable_cache_dir,
         garbage_library,
         two_forked_children_race_the_first_build,
+        changed_flag_builds_a_second_library,
     ],
     ids=lambda arrange: arrange.__name__,
 )
