@@ -640,19 +640,6 @@ def _prune_store(state_dir, keep: int) -> None:
         store.close()
 
 
-def _describe_partitioner(state: dict) -> str:
-    """A one-line partitioner identity; heat tables are summarized."""
-    kind = state.get("kind")
-    if kind == "heat":
-        heat = state.get("heat", {})
-        total = sum(heat.values())
-        return (
-            f"heat (shards={state.get('shards')}, {len(heat)} hot users, "
-            f"total heat {total:g})"
-        )
-    return str(state)
-
-
 def _shard_routed_tuples(shard_dir) -> tuple:
     """``(consumed_at_snapshot, wal_records, wal_tuples)`` for one shard.
 
@@ -720,7 +707,7 @@ def _cmd_snapshot(args) -> int:
             print(
                 f"sharded root   {root}  ({expected} shards, manifest "
                 f"format {manifest['format']}, partitioner "
-                f"{_describe_partitioner(manifest['partitioner'])})"
+                f"{manifest['partitioner']})"
             )
         if args.snapshot_command == "info":
             resolver_dir = root / "resolver"

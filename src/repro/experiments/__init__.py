@@ -2,7 +2,6 @@
 
 from repro.experiments.config import DATASETS, ExperimentConfig, Scale, make_config
 from repro.experiments.metrics import StreamEvaluator, ThroughputMeter
-from repro.experiments.recovery import CrashRecoveryReport, crash_recovery_run
 from repro.experiments.reporting import ExperimentTable, format_table
 from repro.experiments.runner import (
     RunResult,
@@ -13,7 +12,6 @@ from repro.experiments.runner import (
 
 __all__ = [
     "DATASETS",
-    "CrashRecoveryReport",
     "ExperimentConfig",
     "ExperimentTable",
     "RunResult",
@@ -21,7 +19,6 @@ __all__ = [
     "StreamEvaluator",
     "ThroughputMeter",
     "build_algorithm",
-    "crash_recovery_run",
     "format_table",
     "make_config",
     "make_stream",

@@ -1,19 +1,26 @@
-"""``repro-experiments`` — regenerate the paper's figures from the shell.
+"""``python -m repro.experiments.cli`` — regenerate the paper's figures.
 
 Examples::
 
-    repro-experiments table3
-    repro-experiments fig7 --scale small --datasets syn-n
-    repro-experiments fig9 --datasets twitter --csv out.csv
-    repro-experiments all --scale small
+    python -m repro.experiments.cli table3
+    python -m repro.experiments.cli fig7 --scale small --datasets syn-n
+    python -m repro.experiments.cli fig9 --datasets twitter --csv out.csv
+    python -m repro.experiments.cli all --scale tiny > RESULTS.md
 
-Every command prints the figure as an aligned text table (the paper's plots
-as series); ``--csv`` additionally writes machine-readable output.
+The commands are the artefacts of
+:data:`~repro.experiments.figures.REGISTRY` plus ``all``.  The output is
+Markdown: a header naming the command line and seed, then per artefact the
+paper's claim, the table (the paper's plot as series) and one PASS/FAIL
+line per checked claim.  ``--datasets`` is intersected with each
+artefact's own datasets; an artefact left with none is skipped with one
+line on stderr.  ``all`` runs each shared sweep once.  ``--csv``
+additionally writes machine-readable output.
 """
 
 from __future__ import annotations
 
 import argparse
+import shlex
 import sys
 from typing import List, Optional
 
@@ -22,25 +29,13 @@ from repro.experiments.config import DATASETS, Scale
 
 __all__ = ["main", "build_parser"]
 
-_COMMANDS = (
-    "fig5",
-    "fig6",
-    "fig7",
-    "fig8",
-    "fig9",
-    "fig10",
-    "fig11",
-    "fig12",
-    "table2",
-    "table3",
-    "all",
-)
+_COMMANDS = (*figures.REGISTRY, "all")
 
 
 def build_parser() -> argparse.ArgumentParser:
     """The CLI argument parser (exposed for testing)."""
     parser = argparse.ArgumentParser(
-        prog="repro-experiments",
+        prog="python -m repro.experiments.cli",
         description=(
             "Regenerate the figures/tables of 'Real-Time Influence "
             "Maximization on Dynamic Social Streams' (VLDB 2017)."
@@ -90,55 +85,66 @@ def _render_charts(table) -> str:
     return "\n\n".join(blocks)
 
 
-def _tables_for(command: str, scale: Scale, datasets, seed: int) -> List:
-    kwargs = {"scale": scale, "seed": seed}
-    if datasets:
-        kwargs["datasets"] = tuple(datasets)
-    if command in ("fig5", "fig6", "fig7"):
-        return [figures.fig5_6_7(**kwargs)[command]]
-    if command in ("fig8", "fig9"):
-        return [figures.fig8_9(**kwargs)[command]]
-    if command == "fig10":
-        return [figures.fig10(**kwargs)]
-    if command == "fig11":
-        return [figures.fig11(**kwargs)]
-    if command == "fig12":
-        return [figures.fig12(**kwargs)]
-    if command == "table2":
-        kwargs.pop("datasets", None)
-        return [figures.table2(scale=scale, seed=seed)]
-    if command == "table3":
-        return [figures.table3(**kwargs)]
-    if command == "all":
-        tables = list(fig5_6_7_tables := figures.fig5_6_7(**kwargs).values())
-        tables.extend(figures.fig8_9(**kwargs).values())
-        tables.append(figures.fig10(**kwargs))
-        tables.append(figures.fig11(**kwargs))
-        fig12_kwargs = dict(kwargs)
-        if datasets:
-            fig12_kwargs["datasets"] = tuple(
-                d for d in datasets if d.startswith("syn")
-            ) or ("syn-o", "syn-n")
-        tables.append(figures.fig12(**fig12_kwargs))
-        tables.append(figures.table2(scale=scale, seed=seed))
-        tables.append(figures.table3(**kwargs))
-        return tables
-    raise KeyError(command)
+def _indent(text: str) -> str:
+    """``text`` as a Markdown code block (four-space indent)."""
+    return "\n".join("    " + line if line else line for line in text.splitlines())
+
+
+def _verdict(claim, failing) -> str:
+    """One ``- PASS|FAIL`` line; a FAIL names the datasets it fails on."""
+    timed = " [timed]" if claim.timed else ""
+    if not failing:
+        return f"- PASS{timed} {claim.sentence}"
+    return f"- FAIL{timed} {claim.sentence} (fails on {', '.join(failing)})"
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(argv)
     scale = Scale(args.scale)
-    tables = _tables_for(args.command, scale, args.datasets, args.seed)
-    for table in tables:
-        print(table.render())
+    names = list(figures.REGISTRY) if args.command == "all" else [args.command]
+    print(f"# Paper figures and tables: {args.command}, scale {scale.value}")
+    print()
+    print(
+        f"Regenerated by `python -m repro.experiments.cli {shlex.join(argv)}` "
+        f"(stream seed {args.seed}).  Throughput cells are wall-clock rates "
+        "and differ from run to run; the PASS/FAIL lines are what a diff "
+        "reads, and those marked [timed] read a throughput."
+    )
+    print()
+    sweeps = {}
+    tables = []
+    for name in names:
+        artefact = figures.REGISTRY[name]
+        datasets = tuple(
+            d for d in artefact.datasets if args.datasets is None or d in args.datasets
+        )
+        if not datasets:
+            print(
+                f"skipping {name}: defined on {', '.join(artefact.datasets)} only",
+                file=sys.stderr,
+            )
+            continue
+        key = (artefact.sweep, datasets)
+        if key not in sweeps:
+            sweeps[key] = artefact.sweep(datasets, scale=scale, seed=args.seed)
+        table = sweeps[key][name]
+        tables.append(table)
+        print(f"## {name}")
+        print()
+        print(f"Paper: {artefact.paper}")
+        print()
+        print(_indent(table.render()))
         print()
         if args.chart:
             charts = _render_charts(table)
             if charts:
-                print(charts)
+                print(_indent(charts))
                 print()
+        for claim, failing in artefact.check(table):
+            print(_verdict(claim, failing))
+        print()
     if args.csv:
         with open(args.csv, "w") as handle:
             for table in tables:

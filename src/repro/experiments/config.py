@@ -13,10 +13,11 @@ parameter  values                                       default
 =========  ===========================================  =========
 
 Pure Python pays a 30–100× constant over the paper's Java/C++ testbed, so
-the grids are expressed *relative to a base scale* and three presets are
+the grids are expressed *relative to a base scale* and four presets are
 provided:
 
-* ``SMALL``  — seconds per experiment; used by tests and benchmarks.
+* ``TINY``   — seconds per artefact; used by the tests and ``RESULTS.md``.
+* ``SMALL``  — the experiments CLI's default.
 * ``MEDIUM`` — minutes; closer crossover positions.
 * ``PAPER``  — the original absolute numbers (hours in pure Python).
 
@@ -76,7 +77,7 @@ _BASE_K: Dict[Scale, int] = {
 
 #: Window/slide ratio per scale.  The paper's default is 100 (N=500K over
 #: L=5K); TINY relaxes to 40 so that IC's checkpoint population stays
-#: meaningful without making CI benchmarks minutes long.
+#: meaningful without making the tests minutes long.
 _SLIDE_DIVISOR: Dict[Scale, int] = {
     Scale.TINY: 40,
     Scale.SMALL: 100,
@@ -97,7 +98,6 @@ class ExperimentConfig:
     k: int
     beta: float
     seed: int = 7
-    mc_rounds: int = 200
     oracle: str = "sieve"
 
     def __post_init__(self) -> None:

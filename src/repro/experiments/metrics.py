@@ -2,9 +2,10 @@
 
 The paper's two metrics (Section 6.1):
 
-* **Throughput** — actions per second of CPU time spent maintaining (and,
-  for the recompute-on-query baselines, answering) each approach, measured
-  per window slide of ``L`` actions.
+* **Throughput** — actions per second of wall-clock time
+  (``time.perf_counter``) spent maintaining (and, for the recompute-on-query
+  baselines, answering) each approach, measured per window slide of ``L``
+  actions.
 * **Quality** — the expected IC-model spread of the returned seeds on the
   window's influence graph under WC probabilities, by Monte-Carlo
   simulation.

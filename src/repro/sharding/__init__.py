@@ -41,20 +41,16 @@ from repro.sharding.merge import SeedCandidate, ShardAnswer, merge_shard_answers
 from repro.sharding.partition import (
     ConstantPartitioner,
     HashPartitioner,
-    HeatPartitioner,
     Partitioner,
     ShardAssignment,
     assignment_from_state,
-    influencer_heat,
     partitioner_from_state,
 )
 
 __all__ = [
     "Partitioner",
     "HashPartitioner",
-    "HeatPartitioner",
     "ConstantPartitioner",
-    "influencer_heat",
     "ShardAssignment",
     "partitioner_from_state",
     "assignment_from_state",

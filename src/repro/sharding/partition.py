@@ -15,12 +15,7 @@ Partitioners are deliberately tiny and deterministic:
   processes and Python runs (``PYTHONHASHSEED`` never leaks in);
 * :class:`ConstantPartitioner` — everything to one shard.  Degenerate on
   purpose: with it, a sharded engine is *bit-identical* to a single
-  engine, which is what the shard-merge equivalence tests pin;
-* :class:`HeatPartitioner` — load-aware greedy bin-packing over a measured
-  influencer *heat* table (e.g. routed influence-pair counts from a warmup
-  window, see :func:`influencer_heat`), spreading the hottest influencers
-  across shards so routed ingest stays balanced under skew.  Users absent
-  from the heat table fall back to the Knuth hash.
+  engine, which is what the shard-merge equivalence tests pin.
 
 Like influence functions, partitioners serialize through an explicit
 ``kind``-tagged state schema (:func:`partitioner_from_state`), so per-shard
@@ -37,10 +32,7 @@ __all__ = [
     "Partitioner",
     "HashPartitioner",
     "ConstantPartitioner",
-    "HeatPartitioner",
     "ShardAssignment",
-    "influencer_heat",
-    "register_partitioner_state",
     "partitioner_from_state",
     "assignment_from_state",
 ]
@@ -143,91 +135,6 @@ class ConstantPartitioner(Partitioner):
         )
 
 
-class HeatPartitioner(Partitioner):
-    """Greedy bin-packing of measured influencer heat across shards.
-
-    Routed ingest sends each influence record only to the shard owning its
-    influencer, so a skewed stream (a few celebrity influencers carrying
-    most pairs) turns hash partitioning into one hot shard.  This
-    partitioner takes a *heat* table — influencer user id to observed load
-    (e.g. influence-pair counts from :func:`influencer_heat` over a warmup
-    window) — and assigns the listed users greedily, hottest first, each to
-    the currently least-loaded shard.  Ties break deterministically on
-    (load, shard id) and (heat, user id), so the assignment is identical
-    across processes.  Users not in the table fall back to the Knuth hash,
-    keeping cold-tail balance without bloating the serialized table.
-    """
-
-    def __init__(self, shards: int, heat: Mapping[int, float]):
-        """
-        Args:
-            shards: Number of shards (>= 1).
-            heat: Influencer user id -> measured load (any non-negative
-                number; relative magnitudes are all that matters).
-        """
-        super().__init__(shards)
-        self._heat: Dict[int, float] = {
-            int(user): float(load) for user, load in heat.items()
-        }
-        self._owner: Dict[int, int] = {}
-        loads = [0.0] * shards
-        # Hottest first; user id breaks heat ties so iteration order of
-        # the mapping never leaks into the assignment.
-        for user in sorted(self._heat, key=lambda u: (-self._heat[u], u)):
-            shard = min(range(shards), key=lambda s: (loads[s], s))
-            self._owner[user] = shard
-            loads[shard] += self._heat[user]
-
-    @property
-    def heat(self) -> Dict[int, float]:
-        """The measured heat table (copy; user id -> load)."""
-        return dict(self._heat)
-
-    def shard_of(self, user: int) -> int:
-        """The bin-packed shard for hot users, Knuth hash for the rest."""
-        owner = self._owner.get(user)
-        if owner is not None:
-            return owner
-        return ((user * _KNUTH) & _MASK) % self._shards
-
-    def to_state(self) -> dict:
-        """State schema: ``{"kind": "heat", "shards": S, "heat": {...}}``.
-
-        Heat keys are serialized as strings (JSON object keys); the
-        registered builder converts them back to ints.
-        """
-        return {
-            "kind": "heat",
-            "shards": self._shards,
-            "heat": {str(user): load for user, load in self._heat.items()},
-        }
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"HeatPartitioner(shards={self._shards}, "
-            f"heat={len(self._heat)} users)"
-        )
-
-
-def influencer_heat(actions) -> Dict[int, float]:
-    """Measure per-influencer load from a warmup stream of actions.
-
-    Feeds the actions through a throwaway diffusion forest and counts, for
-    every influencer, the influence pairs it appears in — exactly the
-    per-record routing cost of the routed ingest plane.  The result feeds
-    :class:`HeatPartitioner` directly.
-    """
-    from repro.core.diffusion import DiffusionForest
-
-    forest = DiffusionForest()
-    heat: Dict[int, float] = {}
-    for action in actions:
-        record = forest.add(action)
-        for influencer in record.influencers:
-            heat[influencer] = heat.get(influencer, 0.0) + 1.0
-    return heat
-
-
 class ShardAssignment:
     """One shard's view of a partitioner: "do I own this influencer?".
 
@@ -273,16 +180,10 @@ class ShardAssignment:
         return f"ShardAssignment({self.partitioner!r}, shard={self.shard})"
 
 
-_PARTITIONER_STATES: Dict[str, Callable[[dict], Partitioner]] = {}
-
-
-def register_partitioner_state(
-    kind: str, builder: Callable[[dict], Partitioner]
-) -> None:
-    """Register a constructor for :func:`partitioner_from_state` under ``kind``."""
-    if kind in _PARTITIONER_STATES:
-        raise ValueError(f"partitioner state kind {kind!r} already registered")
-    _PARTITIONER_STATES[kind] = builder
+_PARTITIONER_STATES: Dict[str, Callable[[dict], Partitioner]] = {
+    "hash": lambda state: HashPartitioner(state["shards"]),
+    "constant": lambda state: ConstantPartitioner(state["shards"], state["target"]),
+}
 
 
 def partitioner_from_state(state: Mapping) -> Partitioner:
@@ -306,19 +207,3 @@ def assignment_from_state(state: Mapping) -> ShardAssignment:
     return ShardAssignment(
         partitioner_from_state(state["partitioner"]), state["shard"]
     )
-
-
-register_partitioner_state(
-    "hash", lambda state: HashPartitioner(state["shards"])
-)
-register_partitioner_state(
-    "constant",
-    lambda state: ConstantPartitioner(state["shards"], state["target"]),
-)
-register_partitioner_state(
-    "heat",
-    lambda state: HeatPartitioner(
-        state["shards"],
-        {int(user): load for user, load in state["heat"].items()},
-    ),
-)

@@ -10,7 +10,6 @@ from repro.sharding.partition import (
     ShardAssignment,
     assignment_from_state,
     partitioner_from_state,
-    register_partitioner_state,
 )
 
 
@@ -81,9 +80,17 @@ class TestSerialization:
         with pytest.raises(ValueError, match="unknown partitioner"):
             partitioner_from_state({"kind": "nope"})
 
-    def test_duplicate_registration_is_rejected(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_partitioner_state("hash", lambda state: None)
+    def test_retired_heat_kind_is_refused(self):
+        """A stored assignment written with the removed load-aware
+        partitioner is refused by name, not rebuilt as something else."""
+        stored = {
+            "partitioner": {"kind": "heat", "shards": 2, "heat": {"7": 3.0}},
+            "shard": 0,
+        }
+        with pytest.raises(
+            ValueError, match="unknown partitioner state kind 'heat'"
+        ):
+            assignment_from_state(stored)
 
     def test_assignment_roundtrip_and_equality(self):
         assignment = ShardAssignment(HashPartitioner(4), 3)
@@ -96,74 +103,3 @@ class TestSerialization:
         with pytest.raises(ValueError, match="got 4"):
             ShardAssignment(HashPartitioner(4), 4)
 
-
-class TestHeatPartitioner:
-    def _skewed_heat(self):
-        """A celebrity distribution: user 0 carries half the load."""
-        return {0: 100.0, 1: 40.0, 2: 30.0, 3: 20.0, 4: 6.0, 5: 4.0}
-
-    def test_hot_users_balance_within_bins(self):
-        from repro.sharding.partition import HeatPartitioner
-
-        heat = self._skewed_heat()
-        part = HeatPartitioner(2, heat)
-        loads = [0.0, 0.0]
-        for user, load in heat.items():
-            loads[part.shard_of(user)] += load
-        # Greedy hottest-first packs 100 alone vs everything else (100).
-        assert loads == [100.0, 100.0]
-
-    def test_assignment_is_deterministic_across_orderings(self):
-        from repro.sharding.partition import HeatPartitioner
-
-        heat = self._skewed_heat()
-        shuffled = dict(sorted(heat.items(), key=lambda kv: -kv[0]))
-        a = HeatPartitioner(3, heat)
-        b = HeatPartitioner(3, shuffled)
-        assert [a.shard_of(u) for u in range(50)] == [
-            b.shard_of(u) for u in range(50)
-        ]
-
-    def test_cold_users_fall_back_to_hash(self):
-        from repro.sharding.partition import HeatPartitioner
-
-        part = HeatPartitioner(4, self._skewed_heat())
-        hashed = HashPartitioner(4)
-        for user in range(100, 200):  # nobody in the heat table
-            assert part.shard_of(user) == hashed.shard_of(user)
-
-    def test_state_round_trip(self):
-        from repro.sharding.partition import HeatPartitioner
-
-        part = HeatPartitioner(3, self._skewed_heat())
-        state = part.to_state()
-        assert state["kind"] == "heat"
-        assert set(state["heat"]) == {"0", "1", "2", "3", "4", "5"}
-        restored = partitioner_from_state(state)
-        assert isinstance(restored, HeatPartitioner)
-        assert restored.heat == part.heat
-        assert [restored.shard_of(u) for u in range(300)] == [
-            part.shard_of(u) for u in range(300)
-        ]
-
-    def test_influencer_heat_counts_influence_pairs(self):
-        from repro.core.actions import Action
-        from repro.sharding.partition import influencer_heat
-
-        # 1 roots; 2 responds to 1; 3 responds to 2.  Every action counts
-        # its full influencer chain, actor included (self-influence).
-        actions = [
-            Action.root(1, 1),
-            Action.response(2, 2, 1),
-            Action.response(3, 3, 2),
-        ]
-        assert influencer_heat(actions) == {1: 3.0, 2: 2.0, 3: 1.0}
-
-    def test_empty_heat_is_pure_hash(self):
-        from repro.sharding.partition import HeatPartitioner
-
-        part = HeatPartitioner(4, {})
-        hashed = HashPartitioner(4)
-        assert [part.shard_of(u) for u in range(200)] == [
-            hashed.shard_of(u) for u in range(200)
-        ]

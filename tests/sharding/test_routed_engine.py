@@ -6,8 +6,8 @@ Covers:
   between :class:`ShardedEngine` and S *standalone* shard engines
   (``IC/SIC(shard=ShardAssignment(p, i))``, each fed the raw stream, each
   resolving its own forest) combined with ``merge_shard_answers``: IC +
-  SIC at L ∈ {1, 5}, S ∈ {1, 2, 4}, hash and heat partitioners, across
-  the serial/thread/process backends;
+  SIC at L ∈ {1, 5}, S ∈ {1, 2, 4}, hash partitioner, across
+  the serial/process backends;
 * **Accounting** — per-shard stats report routed records consumed (not
   the stream-global action count) and the facade resolver position;
 * **Crash recovery on the routed WAL format** — unsealed crash + reopen
@@ -30,12 +30,7 @@ from repro.faults import Fault, FaultPlan
 from repro.persistence.serialize import PersistenceError
 from repro.sharding.engine import ShardedEngine, ShardingError
 from repro.sharding.merge import SeedCandidate, ShardAnswer, merge_shard_answers
-from repro.sharding.partition import (
-    HashPartitioner,
-    HeatPartitioner,
-    ShardAssignment,
-    influencer_heat,
-)
+from repro.sharding.partition import HashPartitioner, ShardAssignment
 from tests.conftest import random_stream
 
 MAKERS = {
@@ -111,14 +106,6 @@ class TestRoutedReferenceEquivalence:
         make = MAKERS[algorithm]
         reference = run_reference(make, ACTIONS, slide, HashPartitioner(shards))
         assert run_sharded(make, ACTIONS, slide, shards) == reference
-
-    @pytest.mark.parametrize("algorithm", ["ic", "sic"])
-    @pytest.mark.parametrize("shards", [2, 4])
-    def test_heat_partitioner_matrix(self, algorithm, shards):
-        partitioner = HeatPartitioner(shards, influencer_heat(ACTIONS[:75]))
-        make = MAKERS[algorithm]
-        routed = run_sharded(make, ACTIONS, 5, shards, partitioner=partitioner)
-        assert routed == run_reference(make, ACTIONS, 5, partitioner)
 
     @pytest.mark.parametrize("backend", ["process"])
     def test_backends_agree_with_serial(self, backend):
