@@ -21,8 +21,7 @@ The state directory layout is owned by :class:`StateStore`::
       snapshots/snapshot-<slideseq>.snap   sectioned binary container (JSON
                                            header + raw array sections, a
                                            CRC32 each); atomic write-rename,
-                                           last M kept; older builds'
-                                           snapshot-<slideseq>.json still load
+                                           last M kept
       wal/wal-<firstseq>.jsonl             fsync-on-slide, segment rotation
 
 A *sharded* engine (:mod:`repro.sharding`) nests one full ``StateStore``

@@ -21,8 +21,7 @@ This module holds the small shared pieces:
   between a framework instance and its serialized document, keyed by the
   document's ``"algorithm"`` tag (``ic``, ``sic``, ``greedy``, ``multi``);
 * :func:`pack_container` / :func:`unpack_container` — the snapshot
-  container codec, and :func:`upgrade_legacy_snapshot`, the one-round
-  reader of the all-JSON snapshots older builds wrote.
+  container codec.
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ import numpy as np
 
 from repro.core.actions import Action
 from repro.core.base import SIMAlgorithm
-from repro.core.diffusion import ActionRecord, records_to_columns
 from repro.core.greedy import WindowedGreedy
 from repro.core.ic import InfluentialCheckpoints
 from repro.core.multi import MultiQueryEngine
@@ -54,7 +52,6 @@ __all__ = [
     "CONTAINER_VERSION",
     "pack_container",
     "unpack_container",
-    "upgrade_legacy_snapshot",
 ]
 
 #: Version tag of the snapshot *document* (the envelope around an
@@ -316,56 +313,3 @@ def unpack_container(raw: bytes, name: str) -> Optional[Tuple[dict, List[dict]]]
     except (LookupError, TypeError) as exc:
         raise PersistenceError(f"snapshot {name}: malformed header: {exc}") from exc
 
-
-def upgrade_legacy_snapshot(document: dict) -> dict:
-    """A pre-container, all-JSON snapshot envelope rewritten (in place)
-    into the columnar document schema the ``from_state`` constructors read.
-
-    The whole of the one-round compatibility with ``snapshot-*.json``
-    files: rosters were per-oracle documents, which every build still
-    reads, so only the window, forest, record and index pair lists change
-    shape.  Deleted together with the ``.json`` reader in the next round.
-    """
-
-    def ints(values) -> np.ndarray:
-        return np.array(list(values), dtype=np.int64)
-
-    def records(rows) -> dict:
-        return records_to_columns(
-            [ActionRecord(t, u, tuple(chain), d) for t, u, chain, d in rows]
-        )
-
-    def pairs(entries) -> dict:
-        return {
-            "users": ints(u for u, _items in entries),
-            "counts": ints(len(items) for _u, items in entries),
-            "v": ints(v for _u, items in entries for v, _t in items),
-            "t": ints(t for _u, items in entries for _v, t in items),
-        }
-
-    def algorithm(state: dict) -> None:
-        for member in state.get("queries", {}).values():
-            algorithm(member)
-        base = state.get("base")
-        if base is not None:
-            window = base["window"]
-            window["actions"] = ints(window["actions"]).reshape(-1, 3)
-            base["forest"]["records"] = records(base["forest"]["records"])
-            base["window_records"] = records(base["window_records"])
-        shared = state.get("shared")
-        if shared is not None:
-            cold = shared.pop("cold", None)
-            shared.update(pairs(shared.pop("pairs")))
-            if cold:
-                # Older builds stored cold pairs by v id; the arrays must
-                # ascend by credit time (stable, so ties keep their order).
-                shared["cold"] = pairs(
-                    [[u, sorted(items, key=lambda item: item[1])] for u, items in cold]
-                )
-
-    if "algorithm" in document:
-        algorithm(document["algorithm"])
-    if "resolver" in document:
-        forest = document["resolver"]["forest"]
-        forest["records"] = records(forest["records"])
-    return document

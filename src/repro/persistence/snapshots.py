@@ -18,14 +18,12 @@ are the document's numpy arrays, each with its own CRC32.  Two guarantees:
   more than one is retained at all; a whole file with a damaged section
   is refused by name instead.
 
-The all-JSON ``snapshot-<slideseq>.json`` files older builds wrote stay
-*loadable* for one round (:func:`~repro.persistence.serialize.upgrade_legacy_snapshot`);
-they are listed, pruned and superseded like containers, never written.
+A directory still holding an all-JSON ``snapshot-<slideseq>.json`` file,
+as builds before the container wrote, is refused when the store opens.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import pathlib
@@ -37,7 +35,6 @@ from repro.persistence.serialize import (
     PersistenceError,
     pack_container,
     unpack_container,
-    upgrade_legacy_snapshot,
 )
 
 __all__ = ["SnapshotStore"]
@@ -48,14 +45,16 @@ class SnapshotStore:
 
     _PREFIX = "snapshot-"
     _SUFFIX = ".snap"
-    #: Read-only: the all-JSON snapshots of builds before the container.
-    _LEGACY_SUFFIX = ".json"
 
     def __init__(self, directory, keep: int = 3):
         """
         Args:
             directory: Snapshot directory (created if missing).
             keep: Newest snapshots retained after each save (>= 1).
+
+        Raises:
+            PersistenceError: when the directory holds an all-JSON
+                snapshot, which this build does not read.
         """
         if keep < 1:
             raise ValueError(f"keep must be >= 1, got {keep}")
@@ -66,31 +65,28 @@ class SnapshotStore:
         # reader ever matches it, so the store's next owner removes it.
         for stale in self._dir.glob(f"{self._PREFIX}*.tmp"):
             stale.unlink(missing_ok=True)
+        legacy = sorted(self._dir.glob(f"{self._PREFIX}*.json"))
+        if legacy:
+            raise PersistenceError(
+                f"snapshot {legacy[0]} is an all-JSON snapshot, which this "
+                "build does not read; start from a fresh state dir (JSON "
+                "snapshots predate the snapshot container: to convert the "
+                "dir, run `snapshot save` with an older build that reads "
+                "them, then delete the *.json files)"
+            )
 
-    def path_for(self, seq: int, legacy: bool = False) -> pathlib.Path:
-        """The file a snapshot of slide ``seq`` lives in (``legacy``: the
-        ``.json`` file an older build would have written it to)."""
-        suffix = self._LEGACY_SUFFIX if legacy else self._SUFFIX
-        return self._dir / f"{self._PREFIX}{seq:010d}{suffix}"
-
-    def _locate(self, seq: int) -> Tuple[pathlib.Path, bool]:
-        """``(path, is_legacy)`` of snapshot ``seq``: its container, else
-        the legacy JSON file standing in for it."""
-        path = self.path_for(seq)
-        if path.exists():
-            return path, False
-        return self.path_for(seq, legacy=True), True
+    def path_for(self, seq: int) -> pathlib.Path:
+        """The file a snapshot of slide ``seq`` lives in."""
+        return self._dir / f"{self._PREFIX}{seq:010d}{self._SUFFIX}"
 
     def sequences(self) -> List[int]:
         """Slide sequence numbers of stored snapshots, oldest first."""
-        out = set()
-        for suffix in (self._SUFFIX, self._LEGACY_SUFFIX):
-            for path in self._dir.glob(f"{self._PREFIX}*{suffix}"):
-                stem = path.name[len(self._PREFIX) : -len(suffix)]
-                try:
-                    out.add(int(stem))
-                except ValueError:
-                    continue
+        out = []
+        for path in self._dir.glob(f"{self._PREFIX}*{self._SUFFIX}"):
+            try:
+                out.append(int(path.name[len(self._PREFIX) : -len(self._SUFFIX)]))
+            except ValueError:
+                continue
         return sorted(out)
 
     def save(self, seq: int, document: dict) -> pathlib.Path:
@@ -103,14 +99,8 @@ class SnapshotStore:
             os.fsync(handle.fileno())
         os.replace(tmp, target)
         self._fsync_dir()
-        self._drop(self.sequences()[: -self._keep])
+        self.prune(self._keep)
         return target
-
-    def _drop(self, sequences: List[int]) -> None:
-        """Unlink the given snapshots, whichever suffix they carry."""
-        for seq in sequences:
-            self.path_for(seq).unlink(missing_ok=True)
-            self.path_for(seq, legacy=True).unlink(missing_ok=True)
 
     def prune(self, keep: int) -> List[int]:
         """Drop all but the newest ``keep`` snapshots; return dropped seqs.
@@ -127,7 +117,8 @@ class SnapshotStore:
         if keep < 1:
             raise ValueError(f"keep must be >= 1, got {keep}")
         dropped = self.sequences()[:-keep]
-        self._drop(dropped)
+        for seq in dropped:
+            self.path_for(seq).unlink(missing_ok=True)
         return dropped
 
     def load(self, seq: int) -> dict:
@@ -139,7 +130,7 @@ class SnapshotStore:
         """
         document = self._parse(seq)
         if document is None:
-            raise PersistenceError(f"unreadable snapshot {self._locate(seq)[0].name}")
+            raise PersistenceError(f"unreadable snapshot {self.path_for(seq).name}")
         return document
 
     def load_latest(self) -> Optional[Tuple[int, dict]]:
@@ -159,10 +150,8 @@ class SnapshotStore:
     def describe(self, seq: int) -> Tuple[str, int, List[tuple]]:
         """``(format, total bytes, [(name, dtype, count, bytes), ...])`` of
         one stored snapshot, a row per section — what ``snapshot info``
-        prints.  Legacy JSON files have no sections."""
-        path, legacy = self._locate(seq)
-        if legacy:
-            return "json (legacy)", path.stat().st_size, []
+        prints."""
+        path = self.path_for(seq)
         raw = path.read_bytes()
         unpacked = unpack_container(raw, path.name)
         if unpacked is None:
@@ -175,31 +164,17 @@ class SnapshotStore:
         return f"container v{CONTAINER_VERSION}", len(raw), rows
 
     def _parse(self, seq: int) -> Optional[dict]:
-        """Snapshot ``seq``'s document (a container, else a legacy JSON
-        file upgraded to today's schema), or ``None`` when torn/missing."""
-        path, legacy = self._locate(seq)
+        """Snapshot ``seq``'s document, or ``None`` when torn/missing."""
+        path = self.path_for(seq)
         try:
             raw = path.read_bytes()
         except OSError:
             return None
-        if legacy:
-            try:
-                document = json.loads(raw)
-            except ValueError:
-                return None
-        else:
-            unpacked = unpack_container(raw, path.name)
-            document = unpacked[0] if unpacked is not None else None
+        unpacked = unpack_container(raw, path.name)
+        document = unpacked[0] if unpacked is not None else None
         if not isinstance(document, dict):
             return None
         self._check_version(path, document)
-        if legacy:
-            try:
-                upgrade_legacy_snapshot(document)
-            except (LookupError, TypeError, ValueError, AttributeError) as exc:
-                raise PersistenceError(
-                    f"malformed legacy snapshot {path.name}: {exc!r}"
-                ) from exc
         return document
 
     @staticmethod

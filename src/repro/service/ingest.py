@@ -9,7 +9,13 @@ server never buffers unboundedly and never drops an accepted action.
 Arriving actions are coalesced into slides of at most ``slide`` actions
 (the serving plane's ``L``).  A full slide flushes immediately; a partial
 slide flushes after ``flush_interval`` seconds so answers stay fresh on a
-trickling stream.  Each flush is one engine slide: WAL-logged ahead by the
+trickling stream.  The writer takes queued items with ``get_nowait()``,
+checking the pending slide's deadline before each one, and awaits the
+queue only when it is empty — a plain ``get()`` with nothing pending, one
+``wait_for`` bounded by the deadline otherwise — so a busy stream pays no
+task or timer per action.
+
+Each flush is one engine slide: WAL-logged ahead by the
 :class:`~repro.persistence.engine.RecoverableEngine`, processed, and
 published to the immutable :class:`~repro.service.cache.AnswerCache` at the
 slide boundary (via the :class:`~repro.core.multi.MultiQueryEngine` publish
@@ -158,6 +164,11 @@ class IngestLoop:
             raise ValueError(
                 f"flush_interval must be positive, got {flush_interval}"
             )
+        if queue_capacity < 1:
+            # asyncio.Queue(0) is unbounded: backpressure would silently go.
+            raise ValueError(
+                f"queue_capacity must be >= 1, got {queue_capacity}"
+            )
         if writer_retries < 0:
             raise ValueError(
                 f"writer_retries must be >= 0, got {writer_retries}"
@@ -291,24 +302,34 @@ class IngestLoop:
 
     async def _run(self) -> None:
         loop = asyncio.get_running_loop()
-        deadline: Optional[float] = None
+        queue = self._queue
+        deadline = 0.0  # of the pending slide; read only while one is pending
         try:
             while True:
-                timeout = None
-                if self._pending:
-                    timeout = max(deadline - loop.time(), 0.0)
-                try:
-                    item = await asyncio.wait_for(self._queue.get(), timeout)
-                except asyncio.TimeoutError:  # builtin alias on 3.11+
+                # Checked before every item, so a partial slide whose
+                # interval expired flushes even while the queue never
+                # empties (queued items are taken without a timer).
+                if self._pending and loop.time() >= deadline:
                     await self._flush("interval")
-                    deadline = None
                     continue
+                try:
+                    item = queue.get_nowait()
+                except asyncio.QueueEmpty:
+                    if not self._pending:
+                        item = await queue.get()
+                    else:
+                        try:
+                            item = await asyncio.wait_for(
+                                queue.get(), deadline - loop.time()
+                            )
+                        except asyncio.TimeoutError:  # builtin alias on 3.11+
+                            await self._flush("interval")
+                            continue
                 if item is _STOP:
                     await self._flush("forced")
                     return
                 if isinstance(item, _Flush):
                     await self._flush("forced")
-                    deadline = None
                     continue
                 if isinstance(item, _Sync):
                     try:
@@ -318,7 +339,6 @@ class IngestLoop:
                         # error is recorded before the waiter resumes, so
                         # sync() re-raises it instead of hanging).
                         item.event.set()
-                    deadline = None
                     continue
                 enqueued_at, action = item
                 waited = loop.time() - enqueued_at
@@ -336,7 +356,6 @@ class IngestLoop:
                 self.stats.accepted += 1
                 if len(self._pending) >= self._slide:
                     await self._flush("count")
-                    deadline = None
         except BaseException as error:  # writer death must not hang clients
             # Record and swallow: the failure is surfaced to producers via
             # submit()/sync() and to readers via /healthz, and a swallowed

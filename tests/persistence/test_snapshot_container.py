@@ -12,13 +12,13 @@ must land in one of three outcomes, never in a bare ``KeyError`` /
   favour of an older retained one, ``load`` raises "unreadable";
 * **whole and wrong** (a section failing its CRC, an unknown dtype): a
   ``PersistenceError`` naming the file *and* the section;
-* **foreign** (unknown container or envelope version): a
-  ``PersistenceError`` — systemic, falling back cannot help.
+* **foreign** (unknown container or envelope version, or an all-JSON
+  ``snapshot-*.json`` in the directory): a ``PersistenceError`` —
+  systemic, falling back cannot help.
 
 Also here: the either-plane rule through a committed kernel-written
 fixture (so the compiler-less reader runs under ``REPRO_NO_CKERNEL=1``
-too), the one-round legacy ``snapshot-*.json`` reader, and the ``*.tmp``
-sweep.  Regenerate the fixture (needs the compiled kernel) with
+too) and the ``*.tmp`` sweep.  Regenerate the fixture (needs the compiled kernel) with
 ``PYTHONPATH=src:. python tests/persistence/test_snapshot_container.py``.
 """
 
@@ -34,8 +34,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.ic import InfluentialCheckpoints
-from repro.core.oracles.columnar import oracle_documents
 from repro.core.sic import SparseInfluentialCheckpoints
 from repro.core.stream import batched
 from repro.persistence.engine import RecoverableEngine
@@ -240,6 +238,17 @@ class TestForeign:
         with pytest.raises(PersistenceError, match="format version 2"):
             store.load_latest()
 
+    def test_json_snapshot_is_refused_by_name_when_the_store_opens(self, tmp_path):
+        engine = RecoverableEngine.open(tmp_path, factory, snapshot_every=2, fsync=False)
+        drive(engine, fixture_batches()[:4])
+        engine.close()
+        json_file = tmp_path / "snapshots" / "snapshot-0000000002.json"
+        json_file.write_text(json.dumps(OLDER))
+        with pytest.raises(PersistenceError) as refusal:
+            RecoverableEngine.open(tmp_path, factory)
+        assert f"snapshot {json_file} is an all-JSON snapshot" in str(refusal.value)
+        assert "start from a fresh state dir" in str(refusal.value)
+
 
 @settings(max_examples=200, deadline=None, database=None, derandomize=True)
 @given(bit=st.integers(0, len(RAW) * 8 - 1))
@@ -309,114 +318,6 @@ class TestEitherPlane:
         restored = algorithm_from_state(document["algorithm"])
         assert not restored.columnar
         assert drive(restored, batches[12:]) == expected[12:]
-
-
-# -- the one-round legacy reader -----------------------------------------------
-
-
-def legacy_state(state: dict) -> dict:
-    """Downgrade a ``to_state`` document to the all-JSON schema builds
-    before the container wrote (the deleted writer, kept as a helper)."""
-
-    def runs(flat: list, counts) -> list:
-        ends = np.cumsum(counts).tolist()
-        return [flat[end - n : end] for n, end in zip(counts.tolist(), ends)]
-
-    def rows(c) -> list:
-        chains = runs(c["influencers"].tolist(), c["fanout"])
-        columns = (c["time"].tolist(), c["user"].tolist(), chains, c["depth"].tolist())
-        return [list(row) for row in zip(*columns)]
-
-    def pairs(c) -> list:
-        items = [list(pair) for pair in zip(c["v"].tolist(), c["t"].tolist())]
-        return [list(p) for p in zip(c["users"].tolist(), runs(items, c["counts"]))]
-
-    base, shared, roster = state["base"], state["shared"], state["roster"]
-    base["window"]["actions"] = base["window"]["actions"].tolist()
-    base["forest"]["records"] = rows(base["forest"]["records"])
-    base["window_records"] = rows(base["window_records"])
-    shared["pairs"] = pairs({k: shared.pop(k) for k in ("users", "counts", "v", "t")})
-    if "cold" in shared:
-        shared["cold"] = pairs(shared["cold"])
-    if "columns" in roster:
-        roster["checkpoints"] = oracle_documents(roster.pop("columns"))
-    return state
-
-
-def downgrade_state_dir(snapshots: pathlib.Path) -> None:
-    """Rewrite every container under ``snapshots`` as a legacy JSON file."""
-    store = SnapshotStore(snapshots, keep=10)
-    for seq in store.sequences():
-        document = store.load(seq)
-        legacy_state(document["algorithm"])
-        store.path_for(seq, legacy=True).write_text(json.dumps(document))
-        store.path_for(seq).unlink()
-
-
-class TestLegacyJson:
-    @pytest.mark.parametrize("framework", [InfluentialCheckpoints, SparseInfluentialCheckpoints])
-    def test_legacy_state_dir_opens_continues_and_is_superseded(self, tmp_path, framework):
-        def build():
-            return framework(window_size=40, k=3, beta=0.25)
-
-        batches = list(batched(random_stream(200, 8, seed=22), 5))
-        expected = drive(build(), batches)
-        old = RecoverableEngine.open(tmp_path, build, snapshot_every=4, keep_snapshots=2, fsync=False)
-        for batch in batches[:18]:
-            old.process(batch)
-        old.close(snapshot=False)  # snapshots 12 and 16, WAL tail 17-18
-        snapshots = tmp_path / "snapshots"
-        downgrade_state_dir(snapshots)
-        assert sorted(p.name for p in snapshots.iterdir()) == [
-            "snapshot-0000000012.json",
-            "snapshot-0000000016.json",
-        ]
-        kind, _size, rows = SnapshotStore(snapshots).describe(16)
-        assert (kind, rows) == ("json (legacy)", [])
-
-        engine = RecoverableEngine.open(tmp_path, build, snapshot_every=4, keep_snapshots=2, fsync=False)
-        assert engine.replayed_slides == 2
-        assert engine.store.snapshots.sequences() == [12, 16]
-        answers = []
-        for batch in batches[18:24]:
-            engine.process(batch)
-            answers.append(engine.query())
-        # The next two snapshots are containers; retention counts across
-        # both suffixes, so they push both legacy files out.
-        assert sorted(p.name for p in snapshots.iterdir()) == [
-            "snapshot-0000000020.snap",
-            "snapshot-0000000024.snap",
-        ]
-        answers += drive(engine, batches[24:])
-        engine.close(snapshot=False)
-        assert answers == expected[18:]
-
-    def test_legacy_cold_pairs_stored_by_v_id_are_resorted(self, tmp_path):
-        """Builds before the time-sorted cold store wrote cold pairs in
-        ``v`` order; the upgrade sorts them by credit time."""
-        engine = factory(columnar=False)
-        drive(engine, fixture_batches())
-        document = envelope(engine, seq=24)
-        legacy_state(document["algorithm"])
-        document["algorithm"]["shared"]["cold"] = [[5, [[1, 90], [2, 70], [3, 80]]]]
-        store = SnapshotStore(tmp_path)
-        store.path_for(24, legacy=True).write_text(json.dumps(document))
-        cold = store.load(24)["algorithm"]["shared"]["cold"]
-        assert cold["v"].tolist() == [2, 3, 1] and cold["t"].tolist() == [70, 80, 90]
-
-    def test_malformed_legacy_document_is_a_persistence_error(self, tmp_path):
-        store = SnapshotStore(tmp_path)
-        store.path_for(4, legacy=True).write_text(
-            json.dumps({"format": 1, "slide_seq": 4, "algorithm": {"base": {}}})
-        )
-        with pytest.raises(PersistenceError, match="malformed legacy snapshot snapshot-0000000004.json"):
-            store.load_latest()
-
-    def test_unparseable_legacy_file_is_skipped(self, tmp_path):
-        store = SnapshotStore(tmp_path)
-        store.save(1, OLDER)
-        store.path_for(2, legacy=True).write_text("{ damaged")
-        assert store.load_latest()[0] == 1
 
 
 if __name__ == "__main__":  # regenerate the committed kernel-plane fixture

@@ -105,6 +105,112 @@ class TestCoalescing:
         assert cache.published == 1
 
 
+class TestWriterDrain:
+    """How the writer takes queued items, pinned without sleeping."""
+
+    def test_expired_deadline_flushes_while_queue_is_nonempty(self):
+        async def body():
+            engine = make_engine()
+            cache = AnswerCache()
+            loop = IngestLoop(engine, cache, slide=100, flush_interval=1e-9)
+            for action in random_stream(3, 5, seed=10):
+                await loop.submit(action)
+            loop.start()
+            await loop.stop()
+            return loop, cache
+
+        loop, cache = run(body())
+        # Each action's deadline has passed before the next item is taken,
+        # though the queue still holds it (and then the stop sentinel).
+        assert loop.stats.interval_flushes == 3
+        assert loop.stats.slides == 3
+        assert loop.stats.forced_flushes == 0
+        assert cache.board.time == 3
+
+    def test_queued_actions_take_no_timer(self, monkeypatch):
+        """``asyncio.wait_for`` costs a task and a timer; the writer only
+        calls it when the queue is empty."""
+        real_wait_for = asyncio.wait_for
+        depths = []
+
+        async def body():
+            engine = make_engine()
+            loop = IngestLoop(engine, AnswerCache(), slide=4, flush_interval=60.0)
+            for action in random_stream(12, 5, seed=11):
+                await loop.submit(action)
+
+            def counting_wait_for(awaitable, timeout):
+                depths.append(loop.queue_depth)
+                return real_wait_for(awaitable, timeout)
+
+            monkeypatch.setattr(asyncio, "wait_for", counting_wait_for)
+            loop.start()
+            await loop.sync()
+            await loop.stop()
+            return loop
+
+        loop = run(body())
+        assert loop.stats.count_flushes == 3
+        assert [depth for depth in depths if depth] == []
+
+    def test_idle_writer_takes_no_timer(self, monkeypatch):
+        """With no partial slide pending, the writer waits on a plain
+        ``get()``: an idle server arms no timer at all."""
+        real_wait_for = asyncio.wait_for
+        timeouts = []
+
+        def counting_wait_for(awaitable, timeout):
+            timeouts.append(timeout)
+            return real_wait_for(awaitable, timeout)
+
+        async def body():
+            loop = IngestLoop(make_engine(), AnswerCache(), slide=4, flush_interval=60.0)
+            monkeypatch.setattr(asyncio, "wait_for", counting_wait_for)
+            loop.start()
+            for _ in range(10):
+                await asyncio.sleep(0)
+            await loop.sync()
+            await loop.stop()
+            return loop
+
+        loop = run(body())
+        assert loop.stats.slides == 0
+        assert timeouts == []
+
+    def test_partial_slide_on_an_empty_queue_waits_once_for_its_deadline(self, monkeypatch):
+        """A pending partial slide and an empty queue: one ``wait_for``,
+        bounded by the slide's remaining ``flush_interval``."""
+        real_wait_for = asyncio.wait_for
+        timeouts = []
+
+        def counting_wait_for(awaitable, timeout):
+            timeouts.append(timeout)
+            return real_wait_for(awaitable, timeout)
+
+        async def body():
+            cache = AnswerCache()
+            loop = IngestLoop(make_engine(), cache, slide=100, flush_interval=60.0)
+            monkeypatch.setattr(asyncio, "wait_for", counting_wait_for)
+            loop.start()
+            await asyncio.sleep(0)  # the writer blocks on the empty queue
+            await loop.submit(random_stream(1, 5, seed=12)[0])
+            for _ in range(100):  # yield until the writer waits with it pending
+                if timeouts:
+                    break
+                await asyncio.sleep(0)
+            published_while_waiting = cache.published
+            await loop.sync()  # wakes the wait with a forced flush
+            await loop.stop()
+            return loop, published_while_waiting
+
+        loop, published_while_waiting = run(body())
+        assert published_while_waiting == 0
+        assert len(timeouts) == 1
+        assert 0.0 < timeouts[0] <= 60.0
+        assert loop.stats.forced_flushes == 1
+        assert loop.stats.interval_flushes == 0
+
+
 class TestStaleDrop:
     def test_replayed_actions_are_dropped_idempotently(self):
         actions = random_stream(20, 6, seed=5)
@@ -237,6 +343,9 @@ class TestValidation:
             IngestLoop(engine, cache, slide=0)
         with pytest.raises(ValueError, match="flush_interval"):
             IngestLoop(engine, cache, flush_interval=0)
+        for capacity in (0, -1):  # asyncio.Queue(<= 0) would be unbounded
+            with pytest.raises(ValueError, match="queue_capacity"):
+                IngestLoop(engine, cache, queue_capacity=capacity)
 
     def test_single_algorithm_publishes_as_main(self):
         async def body():

@@ -482,6 +482,15 @@ def _spawn_server(args, cwd):
     return process, host, int(port)
 
 
+def _reap(process) -> None:
+    """Kill the server if it still runs and close its stdout pipe (left
+    open, the pipe is a ``ResourceWarning`` under ``python -X dev``)."""
+    if process.poll() is None:
+        process.kill()
+        process.wait()
+    process.stdout.close()
+
+
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent.parent
 
 
@@ -509,9 +518,7 @@ class TestServeSubprocess:
             process.send_signal(signal.SIGTERM)
             assert process.wait(timeout=30) == 0
         finally:
-            if process.poll() is None:
-                process.kill()
-                process.wait()
+            _reap(process)
         # The SIGTERM seal: a snapshot at the final slide, zero WAL tail.
         engine = RecoverableEngine.open(state_dir, factory=None)
         try:
@@ -545,9 +552,7 @@ class TestServeSubprocess:
             process.send_signal(signal.SIGKILL)
             process.wait(timeout=30)
         finally:
-            if process.poll() is None:
-                process.kill()
-                process.wait()
+            _reap(process)
 
         process, host, port = _spawn_server(server_args, cwd=REPO_ROOT)
         try:
@@ -561,9 +566,7 @@ class TestServeSubprocess:
             process.send_signal(signal.SIGTERM)
             assert process.wait(timeout=30) == 0
         finally:
-            if process.poll() is None:
-                process.kill()
-                process.wait()
+            _reap(process)
 
         assert answer["time"] == expected.time
         assert answer["value"] == expected.value
