@@ -310,12 +310,19 @@ class SIMAlgorithm(ABC):
         ``to_state`` document and restore it with :meth:`_restore_base`.
         ``window_records`` are serialized in full (as record columns, not
         as references into the forest) because a retention horizon may
-        already have pruned them from the forest.
+        already have pruned them from the forest.  They are the forest's
+        newest rows, copied as columns, unless such a horizon has pruned
+        one; only then are the records themselves walked.
         """
+        records = self._window_records
+        window_records = self._forest.columns(newest=len(records))
+        times = window_records["time"]
+        if records and (len(times) < len(records) or times[0] != records[0].time):
+            window_records = records_to_columns(records)
         return {
             "window": self._window.to_state(),
             "forest": self._forest.to_state(),
-            "window_records": records_to_columns(self._window_records),
+            "window_records": window_records,
             "actions_processed": self._actions_processed,
         }
 

@@ -316,8 +316,8 @@ class SlideResolver:
         The batch must be strictly ascending in time.  Actions at or
         below the resolver clock are redeliveries: their stored records
         are reused (or, when a retention horizon already pruned them,
-        re-resolved — the chain may truncate, matching what a
-        retention-bounded single engine would have produced).
+        re-resolved as roots: their parents are older still, so pruned
+        too).
         """
         if not batch:
             return ResolvedSlide.empty()
@@ -335,10 +335,8 @@ class SlideResolver:
                     records.append(self._forest.record(action.time))
                     continue
                 except KeyError:
-                    # Redelivered but already pruned by retention:
-                    # re-resolve (the parent may be gone too — the chain
-                    # truncates exactly as the original pass would have
-                    # under the same horizon).
+                    # Redelivered but already pruned by retention: the
+                    # forest resolves it as a root and does not store it.
                     records.append(self._forest.add(action))
                     continue
             records.append(self._forest.add(action))

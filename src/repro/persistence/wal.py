@@ -39,7 +39,9 @@ Design points, all standard WAL practice:
   line.  On open, the tail segment is scanned and truncated back to its
   last complete, parseable record; replay likewise stops cleanly at a
   torn tail.  Only the *final* line of the *final* segment may be torn —
-  anywhere else it is corruption and raises.
+  anywhere else it is corruption and raises.  A final line that starts
+  with a whole, checksum-valid record and goes on past it is not torn
+  either: its newline was damaged, and it raises too.
 * **Per-record CRC32.**  Every record carries a ``crc`` checksum of its
   payload, so bit rot that still parses as JSON is caught: a checksum
   mismatch mid-segment raises a :class:`PersistenceError` naming the
@@ -102,6 +104,34 @@ def _crc_mismatch(record: dict) -> Optional[int]:
     if stored == _record_crc(_record_payload(record)):
         return None
     return stored
+
+
+def _refuse_merged_record(path: pathlib.Path, raw: bytes) -> None:
+    """Raise unless the unparseable final line ``raw`` can be a torn append.
+
+    A torn append only cuts the last record short; a whole, checksummed
+    record with more bytes behind it on its line is a damaged newline, and
+    that record is durable.  Unchecksummed (legacy) lines stay torn-ok.
+
+    Raises:
+        PersistenceError: naming the segment and the record's seq.
+    """
+    text = raw.decode("utf-8", "replace")
+    try:
+        record, end = json.JSONDecoder().raw_decode(text)
+        whole = (
+            isinstance(record, dict)
+            and record.get("crc") is not None
+            and _crc_mismatch(record) is None
+        )
+    except (ValueError, KeyError, TypeError):
+        return
+    if whole and end < len(text):
+        raise PersistenceError(
+            f"WAL segment {path.name}: record seq {record['seq']} is "
+            "followed by more bytes on its line; its newline is damaged, "
+            "which a torn append cannot do"
+        )
 
 
 def _decode_record_payload(record: dict):
@@ -235,6 +265,7 @@ class ActionWAL:
                     bad_crc = _crc_mismatch(record)
                 except (ValueError, KeyError, TypeError) as exc:
                     if torn_ok:
+                        _refuse_merged_record(path, raw)
                         return
                     raise PersistenceError(
                         f"corrupt WAL record {path.name}:{line_number} ({exc})"
@@ -341,6 +372,7 @@ class ActionWAL:
                         bad_crc = _crc_mismatch(record)
                     except (ValueError, KeyError, TypeError) as exc:
                         if torn_ok:
+                            _refuse_merged_record(path, raw)
                             torn = True
                             break
                         raise PersistenceError(

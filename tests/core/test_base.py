@@ -4,7 +4,9 @@ import pytest
 
 from repro.core.actions import Action
 from repro.core.base import SIMAlgorithm, SIMResult
-from tests.conftest import random_stream
+from repro.core.diffusion import records_to_columns
+from repro.core.stream import batched
+from tests.conftest import random_stream, states_equal, store_roundtrip
 
 
 class Recorder(SIMAlgorithm):
@@ -32,6 +34,29 @@ class TestValidation:
 
     def test_accepts_retention_equal_to_window(self):
         Recorder(window_size=10, k=1, retention=10)
+
+
+class TestBaseState:
+    @pytest.mark.parametrize("gap", [0, 40], ids=["dense", "window-record-pruned"])
+    def test_window_records_state_is_the_window_records(self, gap):
+        """Copied from the forest's newest rows, or — once a retention
+        horizon pruned a window record, which needs a gap in the
+        timestamps — written from the records themselves."""
+        shift = lambda time: time + gap if time > 27 else time
+        actions = [
+            Action(shift(a.time), a.user, a.parent if a.is_root else shift(a.parent))
+            for a in random_stream(30, 5, seed=4, recent_bias=6)
+        ]
+        algorithm = Recorder(window_size=6, k=1, retention=6)
+        for batch in batched(actions, 4):
+            algorithm.process(batch)
+        window = list(algorithm._window_records)
+        assert (window[0].time in algorithm.forest) == (gap == 0)
+        state = algorithm._base_state()
+        assert states_equal(state["window_records"], records_to_columns(window))
+        restored = Recorder(window_size=6, k=1, retention=6)
+        restored._restore_base(store_roundtrip(state))
+        assert list(restored._window_records) == window
 
 
 class TestSliding:

@@ -18,12 +18,14 @@ must land in one of three outcomes, never in a bare ``KeyError`` /
 
 Also here: the either-plane rule through a committed kernel-written
 fixture (so the compiler-less reader runs under ``REPRO_NO_CKERNEL=1``
-too) and the ``*.tmp`` sweep.  Regenerate the fixture (needs the compiled kernel) with
+too), the ``*.tmp`` sweep, and the SHA-256 of the files two seeded engines
+write on each plane.  Regenerate the fixture (needs the compiled kernel) with
 ``PYTHONPATH=src:. python tests/persistence/test_snapshot_container.py``.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import pathlib
 import struct
@@ -34,8 +36,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.ic import InfluentialCheckpoints
 from repro.core.sic import SparseInfluentialCheckpoints
 from repro.core.stream import batched
+from repro.datasets.synthetic import syn_n
 from repro.persistence.engine import RecoverableEngine
 from repro.persistence.serialize import (
     CONTAINER_VERSION,
@@ -45,7 +49,7 @@ from repro.persistence.serialize import (
     pack_container,
 )
 from repro.persistence.snapshots import SnapshotStore
-from tests.conftest import random_stream
+from tests.conftest import random_stream, require_ckernel
 
 FIXTURE = pathlib.Path(__file__).parent / "fixtures" / "kernel_plane.snap"
 PREAMBLE = struct.Struct("<8sIII")
@@ -318,6 +322,39 @@ class TestEitherPlane:
         restored = algorithm_from_state(document["algorithm"])
         assert not restored.columnar
         assert drive(restored, batches[12:]) == expected[12:]
+
+
+# -- the bytes themselves --------------------------------------------------------
+
+#: SHA-256 of the snapshot file a seeded engine writes after 300 slides of
+#: ``syn_n(500, 3000, seed=1)``, per algorithm and oracle plane.  A change
+#: to what a snapshot holds or how it is laid out changes these; update
+#: them in that change, on purpose.
+SNAPSHOT_SHA256 = {
+    ("ic", "kernel"): "68a19b2cb756f1734552f0fc4056d0736d49d7fe5f6c82de3b55d685f49f86be",
+    ("ic", "object"): "49494e935e7eabb8fe56cd748c106e975ef48bc9934da5c5df5d514acb00d7de",
+    ("sic", "kernel"): "6666adff78b157cba259c9db5c01ddeba4b8c1289ccbf591453c58289c7c7cd7",
+    ("sic", "object"): "e51d892829f4409bf93517a1c503e4ee00ce6904ac3520e7afa10e1bd6babf57",
+}
+
+
+@pytest.mark.parametrize(("algorithm", "plane"), sorted(SNAPSHOT_SHA256))
+def test_snapshot_bytes_are_pinned(tmp_path, algorithm, plane):
+    if plane == "kernel":
+        require_ckernel()
+    cls = {"ic": InfluentialCheckpoints, "sic": SparseInfluentialCheckpoints}[algorithm]
+    columnar = None if plane == "kernel" else False
+    engine = RecoverableEngine.open(
+        tmp_path,
+        lambda: cls(window_size=1000, k=5, beta=0.3, columnar=columnar),
+        snapshot_every=300,
+        fsync=False,
+    )
+    for batch in batched(syn_n(500, 3000, seed=1), 10):
+        engine.process(batch)
+    engine.close()
+    raw = SnapshotStore(tmp_path / "snapshots").path_for(300).read_bytes()
+    assert hashlib.sha256(raw).hexdigest() == SNAPSHOT_SHA256[algorithm, plane]
 
 
 if __name__ == "__main__":  # regenerate the committed kernel-plane fixture

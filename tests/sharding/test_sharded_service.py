@@ -85,6 +85,15 @@ def _spawn_server(args, cwd):
     return process, host, int(port)
 
 
+def _reap(process) -> None:
+    """Kill the server if it still runs and close its stdout pipe (left
+    open, the pipe is a ``ResourceWarning`` under ``python -X dev``)."""
+    if process.poll() is None:
+        process.kill()
+        process.wait()
+    process.stdout.close()
+
+
 class TestShardedServeSubprocess:
     def test_smoke_shards2_loadgen_sigterm_seal(self, tmp_path):
         """The CI sharded smoke: ``serve --shards 2``, 2k+ actions through
@@ -251,9 +260,7 @@ class TestShardedServeSubprocess:
             process.send_signal(signal.SIGTERM)
             assert process.wait(timeout=30) == 0
         finally:
-            if process.poll() is None:
-                process.kill()
-                process.wait()
+            _reap(process)
         # The SIGTERM seal, per shard: snapshot at the final slide, no
         # WAL tail to replay.
         shard_dirs = list_shard_state_dirs(state_dir)
@@ -297,9 +304,7 @@ class TestShardedServeSubprocess:
             process.send_signal(signal.SIGKILL)
             process.wait(timeout=30)
         finally:
-            if process.poll() is None:
-                process.kill()
-                process.wait()
+            _reap(process)
 
         process, host, port = _spawn_server(server_args, cwd=REPO_ROOT)
         try:
@@ -311,9 +316,7 @@ class TestShardedServeSubprocess:
             process.send_signal(signal.SIGTERM)
             assert process.wait(timeout=30) == 0
         finally:
-            if process.poll() is None:
-                process.kill()
-                process.wait()
+            _reap(process)
 
         assert answer["time"] == expected.time
         assert answer["value"] == expected.value
@@ -453,9 +456,7 @@ class TestChaosServeSubprocess:
             process.send_signal(signal.SIGTERM)
             assert process.wait(timeout=30) == 0
         finally:
-            if process.poll() is None:
-                process.kill()
-                process.wait()
+            _reap(process)
         assert answer["time"] == expected.time
         assert answer["value"] == expected.value
         assert set(answer["seeds"]) == set(expected.seeds)
