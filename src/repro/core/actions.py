@@ -15,10 +15,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-__all__ = ["Action", "ROOT"]
+__all__ = ["Action", "ROOT", "int64_field_error"]
 
 #: Sentinel parent id marking a root action (the paper's ``nil``).
 ROOT: int = -1
+
+#: Times and users are stored in int64 columns (the diffusion forest's).
+_INT64_END = 1 << 63
+
+
+def int64_field_error(time, user, parent) -> Optional[str]:
+    """Why these fields do not fit the int64 columns (each an ``int``, not a
+    ``bool`` or float; ``time``, ``user`` below ``2**63``), or ``None``."""
+    if not type(time) is type(user) is type(parent) is int:
+        return f"fields must be integers, got {time!r}, {user!r}, {parent!r}"
+    if time >= _INT64_END or user >= _INT64_END:
+        return f"time and user must be below 2**63, got {time} and {user}"
+    return None
 
 
 @dataclass(frozen=True, slots=True)

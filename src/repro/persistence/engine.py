@@ -41,6 +41,7 @@ import pathlib
 import time
 from typing import Callable, Optional
 
+from repro.core.actions import int64_field_error
 from repro.core.base import SIMAlgorithm, SIMResult
 from repro.core.resolve import ResolvedSlide
 from repro.persistence.serialize import (
@@ -257,14 +258,18 @@ class RecoverableEngine:
         """Log one slide ahead, then process it (write-ahead ordering).
 
         The slide is validated against the stream contract *before* it is
-        logged, so a rejected batch never reaches the WAL and recovery
-        never replays a poisoned record.
+        logged — increasing times, and fields the int64 columns can hold —
+        so a rejected batch never reaches the WAL and recovery never
+        replays a poisoned record.
         """
         batch = list(batch)
         if not batch:
             return
         last = self._algorithm.now
         for action in batch:
+            problem = int64_field_error(action.time, action.user, action.parent)
+            if problem is not None:
+                raise ValueError(f"engine received an invalid action: {problem}")
             if action.time <= last:
                 raise ValueError(
                     f"engine received out-of-order action {action.time} "

@@ -23,8 +23,9 @@ class ServiceConfig:
             immediately.
         flush_interval: Seconds a *partial* slide may sit pending before a
             time-based flush, so answers stay fresh on a trickling stream.
-        queue_capacity: Bound of the ingest queue.  When full, connection
-            readers block on ``put`` and TCP backpressure propagates to
+        queue_capacity: Bound of the ingest queue, in actions.  A
+            connection reader whose run does not fit blocks in
+            ``IngestLoop.submit_run`` and TCP backpressure propagates to
             clients — the server never buffers unboundedly.
         ack_every: Ingest connections receive one batched ack line per
             this many received lines (plus an exact one per ``sync``).

@@ -2,18 +2,19 @@
 
 Exactly one asyncio task (the *writer*) consumes the bounded ingest queue
 and is the only code that ever calls ``engine.process``.  Connection
-handlers just ``await queue.put(...)`` — when the queue is full they block,
-stop reading their sockets, and TCP backpressure reaches the client; the
-server never buffers unboundedly and never drops an accepted action.
+handlers ``await submit_run(...)``, one queue item per run of actions; the
+bound counts actions, and a run that does not fit blocks its reader, so
+TCP backpressure reaches the client — the server never buffers
+unboundedly and never drops an accepted action.
 
 Arriving actions are coalesced into slides of at most ``slide`` actions
 (the serving plane's ``L``).  A full slide flushes immediately; a partial
 slide flushes after ``flush_interval`` seconds so answers stay fresh on a
-trickling stream.  The writer takes queued items with ``get_nowait()``,
-checking the pending slide's deadline before each one, and awaits the
-queue only when it is empty — a plain ``get()`` with nothing pending, one
-``wait_for`` bounded by the deadline otherwise — so a busy stream pays no
-task or timer per action.
+trickling stream.  The writer takes one run per ``get_nowait()`` and walks
+its actions in a local loop, checking the pending slide's deadline before
+each one; it awaits the queue only when it is empty — a plain ``get()``
+with nothing pending, one ``wait_for`` bounded by the deadline otherwise —
+so a busy stream pays no task, timer or queue operation per action.
 
 Each flush is one engine slide: WAL-logged ahead by the
 :class:`~repro.persistence.engine.RecoverableEngine`, processed, and
@@ -127,6 +128,31 @@ class _Flush:
 _STOP = object()
 
 
+class _RunQueue(asyncio.Queue):
+    """The ingest queue of ``(enqueued_at, actions)`` runs and controls:
+    the bound and :meth:`qsize` count actions, a control counts none."""
+
+    def _init(self, maxsize: int) -> None:
+        super()._init(maxsize)
+        self._actions = 0
+        self.room = asyncio.Event()  # set by every get and by writer death
+
+    def _put(self, item) -> None:
+        super()._put(item)
+        if type(item) is tuple:
+            self._actions += len(item[1])
+
+    def _get(self):
+        item = super()._get()
+        if type(item) is tuple:
+            self._actions -= len(item[1])
+        self.room.set()
+        return item
+
+    def qsize(self) -> int:
+        return self._actions
+
+
 class IngestLoop:
     """Bounded-queue, slide-coalescing, single-writer engine feeder."""
 
@@ -149,7 +175,7 @@ class IngestLoop:
             cache: Answer cache to publish each slide boundary into.
             slide: Maximum actions per coalesced slide (>= 1).
             flush_interval: Seconds before a partial slide is flushed.
-            queue_capacity: Ingest queue bound (backpressure threshold).
+            queue_capacity: Ingest queue bound, in actions (backpressure).
             writer_retries: Extra ``engine.process`` attempts after a
                 :class:`~repro.sharding.ShardingError` before the writer
                 dies (safe: the sharded engine's per-shard catch-up
@@ -178,7 +204,7 @@ class IngestLoop:
         self._slide = slide
         self._flush_interval = flush_interval
         self._writer_retries = writer_retries
-        self._queue: asyncio.Queue = asyncio.Queue(queue_capacity)
+        self._queue = _RunQueue(queue_capacity)
         # Slides run on this dedicated, *named* worker thread (not the
         # loop's anonymous default executor) so the sampling profiler
         # can attribute engine time to the ingest loop by thread name.
@@ -236,12 +262,12 @@ class IngestLoop:
 
     @property
     def queue_depth(self) -> int:
-        """Actions (and control items) currently queued."""
+        """Actions currently queued."""
         return self._queue.qsize()
 
     @property
     def queue_capacity(self) -> int:
-        """The ingest queue bound."""
+        """The ingest queue bound, in actions."""
         return self._queue.maxsize
 
     @property
@@ -268,10 +294,24 @@ class IngestLoop:
     # -- producer side (connection handlers) -------------------------------
 
     async def submit(self, action: Action) -> None:
-        """Enqueue one action; blocks when the queue is full (backpressure)."""
-        if self._error is not None:
-            raise RuntimeError(f"ingest loop failed: {self._error}")
-        await self._queue.put((asyncio.get_running_loop().time(), action))
+        """Enqueue one action (a run of one)."""
+        await self.submit_run([action])
+
+    async def submit_run(self, actions: List[Action]) -> None:
+        """Enqueue a run of actions as one queue item; blocks while it does
+        not fit under ``queue_capacity`` actions (longer runs go in pieces)."""
+        queue = self._queue
+        enqueued_at = asyncio.get_running_loop().time()
+        size = queue.maxsize
+        for start in range(0, len(actions), size):
+            piece = actions[start : start + size]
+            # Re-checked after every wake: a dead writer never makes room.
+            while self._error is None and queue.qsize() + len(piece) > size:
+                queue.room.clear()
+                await queue.room.wait()
+            if self._error is not None:
+                raise RuntimeError(f"ingest loop failed: {self._error}")
+            queue.put_nowait((enqueued_at, piece))
 
     async def sync(self) -> None:
         """Barrier: flush pending actions and wait until they are processed.
@@ -306,9 +346,9 @@ class IngestLoop:
         deadline = 0.0  # of the pending slide; read only while one is pending
         try:
             while True:
-                # Checked before every item, so a partial slide whose
-                # interval expired flushes even while the queue never
-                # empties (queued items are taken without a timer).
+                # Checked before every item and action, so an expired
+                # partial slide flushes even while the queue never empties
+                # (queued items are taken without a timer).
                 if self._pending and loop.time() >= deadline:
                     await self._flush("interval")
                     continue
@@ -340,22 +380,26 @@ class IngestLoop:
                         # sync() re-raises it instead of hanging).
                         item.event.set()
                     continue
-                enqueued_at, action = item
+                # A run's actions leave the queue together: one wait each.
+                enqueued_at, run = item
                 waited = loop.time() - enqueued_at
                 if self._queue_wait_hist is not None:
-                    self._queue_wait_hist.observe(waited)
-                if action.time <= self._floor:
-                    self.stats.dropped_stale += 1
-                    continue
-                self._floor = action.time
-                if not self._pending:
-                    deadline = loop.time() + self._flush_interval
-                    self._pending_since = loop.time()
-                self._pending.append(action)
-                self._pending_wait += waited
-                self.stats.accepted += 1
-                if len(self._pending) >= self._slide:
-                    await self._flush("count")
+                    self._queue_wait_hist.observe(waited, len(run))
+                for action in run:
+                    if self._pending and loop.time() >= deadline:
+                        await self._flush("interval")
+                    if action.time <= self._floor:
+                        self.stats.dropped_stale += 1
+                        continue
+                    self._floor = action.time
+                    if not self._pending:
+                        deadline = loop.time() + self._flush_interval
+                        self._pending_since = loop.time()
+                    self._pending.append(action)
+                    self._pending_wait += waited
+                    self.stats.accepted += 1
+                    if len(self._pending) >= self._slide:
+                        await self._flush("count")
         except BaseException as error:  # writer death must not hang clients
             # Record and swallow: the failure is surfaced to producers via
             # submit()/sync() and to readers via /healthz, and a swallowed
@@ -365,14 +409,15 @@ class IngestLoop:
             self._release_waiters()
 
     def _release_waiters(self) -> None:
-        """Wake queued sync barriers after a writer failure."""
+        """Wake sync barriers and blocked runs after a writer failure."""
         while True:
             try:
                 item = self._queue.get_nowait()
             except asyncio.QueueEmpty:
-                return
+                break
             if isinstance(item, _Sync):
                 item.event.set()
+        self._queue.room.set()
 
     async def _flush(self, reason: str) -> None:
         """Dispatch the pending slide to the engine (in a worker thread)."""

@@ -12,7 +12,10 @@ connection's first line:
   ride the same stream: ``{"cmd": "flush"}`` forces the partial slide
   out and ``{"cmd": "sync"}`` is a barrier that answers with the engine
   position once everything submitted before it is processed and
-  published;
+  published.  The connection reads what its socket has buffered, 64 KiB
+  at a time; a :class:`~repro.service.wire.WireDecoder` turns it into
+  runs of actions, each queued to the writer as one item, and the
+  commands, acks and error replies between them;
 * anything else is parsed as an **HTTP request** — the lock-free read
   path.  ``GET /healthz``, ``GET /metrics``, ``GET /queries``,
   ``GET /queries/<name>/topk`` and ``GET /queries/<name>/history?limit=n``
@@ -37,11 +40,11 @@ import time
 from typing import Callable, Optional, Tuple
 from urllib.parse import unquote
 
-from repro.core.actions import ROOT, Action
 from repro.persistence.engine import RecoverableEngine
 from repro.service.cache import AnswerCache
 from repro.service.config import ServiceConfig
 from repro.service.ingest import IngestLoop, as_board
+from repro.service.wire import LINE_LIMIT, WireDecoder
 from repro.telemetry import (
     MetricsFlightRecorder,
     MetricsRegistry,
@@ -262,7 +265,7 @@ class ReproService:
             self._handle_connection,
             self._config.host,
             self._config.port,
-            limit=1 << 20,  # one action per line: 1 MiB is already generous
+            limit=LINE_LIMIT,  # readline()'s: the sniffed first line, HTTP's
         )
         self._port = self._server.sockets[0].getsockname()[1]
         if self._flight is not None:
@@ -348,7 +351,6 @@ class ReproService:
                     await self._serve_http(first, reader, writer)
         except (
             ConnectionError,
-            asyncio.IncompleteReadError,
             asyncio.CancelledError,
             ValueError,  # readline() raises it for over-limit lines
         ):
@@ -371,115 +373,60 @@ class ReproService:
     # -- ingest protocol ---------------------------------------------------
 
     async def _serve_ingest(self, first: bytes, reader, writer) -> None:
-        received = 0
-        line = first
-        while line:
-            stripped = line.strip()
-            if stripped:
-                before = received
-                response, received = await self._ingest_line(stripped, received)
-                if response is not None:
-                    writer.write(_encode_json_line(response))
-                    await writer.drain()
-                else:
-                    # Acks count *actions* (a batched line advances the
-                    # counter by its batch size), firing once per crossed
-                    # ack_every boundary.
-                    every = self._config.ack_every
-                    if received // every > before // every:
-                        writer.write(_encode_json_line(self._ack(received)))
-                        await writer.drain()
-            line = await reader.readline()
+        """Act on a :class:`WireDecoder`'s events for the socket's bytes."""
+        ingest = self._ingest
+        decoder = WireDecoder(
+            ack_every=self._config.ack_every, run_limit=self._config.slide
+        )
+        data = first
+        while True:
+            for kind, value in decoder.feed(data):
+                if kind == "run":
+                    try:
+                        await ingest.submit_run(value)
+                    except RuntimeError as error:
+                        reply = {"error": str(error), "line": decoder.received}
+                    else:
+                        # Readers and the writer get the loop between runs.
+                        await asyncio.sleep(0)
+                        continue
+                elif kind == "ack":
+                    reply = self._ack(value)
+                elif kind in ("sync", "flush"):
+                    reply = await self._ingest_command(kind, value)
+                    if reply is None:
+                        continue
+                else:  # "error" or "close": a rejected line's reply
+                    ingest.stats.rejected_lines += 1
+                    reply = value
+                writer.write(_encode_json_line(reply))
+                await writer.drain()
+                if kind == "close":
+                    return
+            if not data:
+                return
+            data = await reader.read(1 << 16)
 
-    async def _ingest_line(
-        self, raw: bytes, received: int
-    ) -> Tuple[Optional[dict], int]:
-        """Process one ingest line (action, batch, or command).
-
-        Returns ``(response, new_received)``: a dict response is written
-        immediately, and ``new_received`` is the running *action* count
-        (a batched line — a JSON array whose first element is itself an
-        action object or triple — advances it by the batch size).
-        """
+    async def _ingest_command(self, command: str, line: int) -> Optional[dict]:
+        """Run ``sync`` or ``flush``; the reply, if the command has one."""
         try:
-            document = json.loads(raw)
-        except ValueError as error:
-            self._ingest.stats.rejected_lines += 1
-            received += 1
-            return {"error": f"unparseable line: {error}", "line": received}, received
-        if isinstance(document, dict) and "cmd" in document:
-            return await self._ingest_command(document, received), received
-        if (
-            isinstance(document, (list, tuple))
-            and document
-            and isinstance(document[0], (list, tuple, dict))
-        ):
-            batch = document
-        else:
-            batch = [document]
-        try:
-            actions = [self._decode_action(item) for item in batch]
-        except (ValueError, TypeError, KeyError) as error:
-            # A batch rejects atomically: no prefix is submitted.
-            self._ingest.stats.rejected_lines += 1
-            received += 1
-            return {"error": f"invalid action: {error}", "line": received}, received
-        received += len(actions)
-        for action in actions:
-            try:
-                await self._ingest.submit(action)
-            except RuntimeError as error:
-                return {"error": str(error), "line": received}, received
-        return None, received
-
-    async def _ingest_command(self, document: dict, received: int) -> Optional[dict]:
-        command = document["cmd"]
-        if command == "flush":
-            try:
+            if command == "flush":
                 await self._ingest.request_flush()
-            except RuntimeError as error:
-                return {"error": str(error), "line": received}
-            return None
-        if command == "sync":
-            try:
-                await self._ingest.sync()
-            except RuntimeError as error:
-                return {"error": str(error), "line": received}
-            stats = self._ingest.stats
-            board = self._cache.board
-            return {
-                "synced": True,
-                "slide": self._ingest.slides_processed,
-                "time": self._engine.now,
-                "accepted": stats.accepted,
-                "dropped_stale": stats.dropped_stale,
-                "rejected": stats.rejected_lines,
-                "published_slide": board.slide if board is not None else 0,
-            }
-        self._ingest.stats.rejected_lines += 1
-        return {"error": f"unknown cmd {command!r}", "line": received}
-
-    @staticmethod
-    def _decode_action(document) -> Action:
-        """An Action from ``[t, u, p]`` or ``{"time", "user", "parent"}``."""
-        if isinstance(document, (list, tuple)):
-            if len(document) != 3:
-                raise ValueError(
-                    f"action triple needs 3 fields, got {len(document)}"
-                )
-            time_, user, parent = document
-        elif isinstance(document, dict):
-            time_ = document["time"]
-            user = document["user"]
-            parent = document.get("parent", ROOT)
-        else:
-            raise TypeError(
-                f"expected an action object or triple, got "
-                f"{type(document).__name__}"
-            )
-        if parent is None:
-            parent = ROOT
-        return Action(time=time_, user=user, parent=parent)
+                return None
+            await self._ingest.sync()
+        except RuntimeError as error:
+            return {"error": str(error), "line": line}
+        stats = self._ingest.stats
+        board = self._cache.board
+        return {
+            "synced": True,
+            "slide": self._ingest.slides_processed,
+            "time": self._engine.now,
+            "accepted": stats.accepted,
+            "dropped_stale": stats.dropped_stale,
+            "rejected": stats.rejected_lines,
+            "published_slide": board.slide if board is not None else 0,
+        }
 
     def _ack(self, received: int) -> dict:
         stats = self._ingest.stats

@@ -86,11 +86,11 @@ class Histogram:
         self.sum = 0.0
         self.max = 0.0
 
-    def observe(self, value: float) -> None:
-        """Record one value: one bucket bump plus count/sum/max updates."""
-        self.counts[bisect_left(self.bounds, value)] += 1
-        self.count += 1
-        self.sum += value
+    def observe(self, value: float, count: int = 1) -> None:
+        """Record ``value`` ``count`` times: one bucket bump, count/sum/max."""
+        self.counts[bisect_left(self.bounds, value)] += count
+        self.count += count
+        self.sum += value * count
         if value > self.max:
             self.max = value
 

@@ -286,6 +286,40 @@ class TestBackpressure:
         loop = run(body())
         assert loop.stats.accepted == 3
 
+    def test_a_run_waits_until_it_fits_and_a_longer_one_splits(self):
+        """The bound counts actions: a run that does not fit waits whole,
+        and one longer than the capacity goes in capacity-sized pieces."""
+        pieces = []
+
+        async def body():
+            loop = IngestLoop(
+                make_engine(), AnswerCache(), slide=100, flush_interval=60.0,
+                queue_capacity=4,
+            )
+            put_nowait = loop._queue.put_nowait
+
+            def recording_put_nowait(item):
+                put_nowait(item)
+                if type(item) is tuple:  # a run, not a control
+                    pieces.append((len(item[1]), loop.queue_depth))
+
+            loop._queue.put_nowait = recording_put_nowait
+            actions = random_stream(13, 5, seed=7)
+            await loop.submit_run(actions[:3])
+            with pytest.raises(TimeoutError):
+                await asyncio.wait_for(loop.submit_run(actions[3:5]), timeout=0.05)
+            assert loop.queue_depth == 3
+            loop.start()
+            await loop.submit_run(actions[3:])
+            await loop.sync()
+            await loop.stop()
+            return loop
+
+        loop = run(body())
+        assert [size for size, _ in pieces] == [3, 4, 4, 2]
+        assert max(depth for _, depth in pieces) <= 4
+        assert loop.stats.accepted == 13
+
 
 class TestWriterFailure:
     def test_sync_in_flight_when_flush_fails_wakes_with_error(self):
@@ -331,6 +365,40 @@ class TestWriterFailure:
                 await loop.submit(random_stream(2, 5, seed=8)[1])
             await loop.stop()  # joins cleanly even after a writer failure
             return loop
+
+        run(body())
+
+    def test_blocked_runs_fail_when_the_writer_dies(self):
+        """A writer that dies while runs wait for room answers every
+        waiting producer with its error — including the later pieces of a
+        run split because it is longer than the capacity."""
+
+        async def body():
+            engine = make_engine()
+
+            def boom(batch):
+                raise RuntimeError("disk on fire")
+
+            engine.process = boom
+            loop = IngestLoop(
+                engine, AnswerCache(), slide=2, flush_interval=60.0,
+                queue_capacity=4,
+            )
+            actions = random_stream(16, 5, seed=10)
+            producers = [
+                asyncio.ensure_future(loop.submit_run(actions[:13])),
+                asyncio.ensure_future(loop.submit_run(actions[13:])),
+            ]
+            await asyncio.sleep(0)
+            assert loop.queue_depth == 4  # the first piece; the rest wait
+            loop.start()
+            outcomes = await asyncio.wait_for(
+                asyncio.gather(*producers, return_exceptions=True), timeout=5
+            )
+            for outcome in outcomes:
+                assert isinstance(outcome, RuntimeError)
+                assert "ingest loop failed: disk on fire" in str(outcome)
+            await loop.stop()
 
         run(body())
 

@@ -38,6 +38,17 @@ class TestHistogram:
         assert hist.sum == pytest.approx(5.555)
         assert hist.max == 5.0
 
+    def test_observe_with_count_equals_repeated_observes(self):
+        once, repeated = Histogram(buckets=(0.01, 0.1)), Histogram(buckets=(0.01, 0.1))
+        once.observe(0.05, count=3)
+        for _ in range(3):
+            repeated.observe(0.05)
+        assert (once.counts, once.count, once.max) == ([0, 3, 0], 3, 0.05)
+        assert (once.counts, once.count, once.max) == (
+            repeated.counts, repeated.count, repeated.max,
+        )
+        assert once.sum == pytest.approx(repeated.sum)
+
     def test_boundary_value_lands_in_its_bucket(self):
         """`le` is inclusive: an observation equal to a bound counts under it."""
         hist = Histogram(buckets=(0.01, 0.1))
