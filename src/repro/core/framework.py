@@ -211,7 +211,7 @@ class CheckpointFramework(SIMAlgorithm):
             feed_shared(shared, roster, records, absorbed=absorbed)
         self._retire()
         if roster:
-            shared.compact(roster[0].start, now=self.now)
+            shared.compact(roster[0].start)
 
     def _pop_oldest(self) -> None:
         """Drop the head checkpoint (and its kernel column)."""

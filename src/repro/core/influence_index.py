@@ -30,7 +30,8 @@ Three variants are needed:
   checkpoints gained a *new* member — those whose start exceeds it — so
   per-action index work drops from O(d · N/L) set probes to O(d) dict
   writes plus the oracle feeds that were necessary anyway, and index memory
-  drops from the sum of all suffix sizes to the number of distinct pairs.
+  drops from the sum of all suffix sizes to the number of distinct pairs,
+  each held once in that one dict.
 
 All indexes work on :class:`~repro.core.diffusion.ActionRecord` inputs:
 ``record.user`` is the influenced performer and ``record.influencers`` lists
@@ -40,7 +41,7 @@ the users credited.
 from __future__ import annotations
 
 from itertools import chain
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Sequence, Set, Tuple
 
 import numpy as _np
 
@@ -55,16 +56,6 @@ __all__ = [
 
 #: Shared result for empty influence-set queries (never cached per user).
 _EMPTY_FROZENSET: FrozenSet[int] = frozenset()
-
-
-def _by_credit_time(item: Tuple[int, int]) -> int:
-    """Sort key for cold-store rebuilds: ascending latest credit time.
-
-    The sort is stable, so pair order at equal times (impossible within one
-    user on a live stream, but tolerated in hand-written snapshots) follows
-    the input order — which keeps serialization a fixed point under reload.
-    """
-    return item[1]
 
 
 class WindowInfluenceIndex:
@@ -243,33 +234,10 @@ class VersionedInfluenceIndex:
     Pairs whose latest credit predates every live checkpoint are invisible
     and reclaimed by :meth:`compact` with an amortised-O(1) doubling policy,
     so steady-state memory is O(distinct visible pairs), independent of the
-    checkpoint count.
-
-    **Cold-pair spill.**  Most visible pairs are *cold*: their latest credit
-    is far older than the newest window start, so they are read (suffix
-    membership) but essentially never re-credited.  When :meth:`compact` is
-    called with ``now``, pairs whose latest credit predates the midpoint
-    between the visibility cutoff and ``now`` are spilled out of the dicts
-    into compact per-user numpy arrays sorted by credit time (``v`` ids
-    aligned) — a fraction of the dict-entry footprint.  Because every view
-    start that matters exceeds the spill threshold, a suffix probe is one
-    ``searchsorted`` over the credit times plus a (usually empty) tail
-    slice; an O(1) cached max credit time short-circuits the common case
-    where none of a user's cold pairs are visible from the view.  A
-    re-credited cold pair is *resurrected*: moved back to the hot dict with
-    its exact previous credit time (so oracle-feed dispatch stays exact)
-    and tombstoned in place (``v = -1``, credit time kept so the arrays
-    stay sorted) until the next sweep rebuilds them.
+    checkpoint count.  The dict is the only store of a pair.
     """
 
-    __slots__ = (
-        "_latest",
-        "_pair_total",
-        "_floor",
-        "_live_at_sweep",
-        "_cold",
-        "_cold_total",
-    )
+    __slots__ = ("_latest", "_pair_total", "_floor", "_live_at_sweep")
 
     #: Sweep only once the index has doubled since the last sweep (with a
     #: small absolute floor so tiny streams never bother).
@@ -282,11 +250,6 @@ class VersionedInfluenceIndex:
         # therefore sees the *full* pair map of a user (fast path).
         self._floor = 0
         self._live_at_sweep = 0
-        # Cold store: user -> [v_ids (int64), credit_times (int64, sorted
-        # ascending), tombstone_count, max_live_credit_time].  Live cold
-        # pairs are disjoint from the hot dict.
-        self._cold: Dict[int, list] = {}
-        self._cold_total = 0
 
     def add(self, record: ActionRecord) -> List[Tuple[int, int]]:
         """Record one arriving action in O(d) dict writes.
@@ -300,19 +263,16 @@ class VersionedInfluenceIndex:
         time = record.time
         latest = self._latest
         updates: List[Tuple[int, int]] = []
-        cold = self._cold
         for u in record.influencers:
             pairs = latest.get(u)
             if pairs is None:
                 latest[u] = {v: time}
                 self._pair_total += 1
-                updates.append((u, self._cold_pop(u, v) if cold else 0))
+                updates.append((u, 0))
                 continue
             old = pairs.get(v, 0)
             if old == 0:
                 self._pair_total += 1
-                if cold:
-                    old = self._cold_pop(u, v)
             pairs[v] = time
             updates.append((u, old))
         return updates
@@ -329,7 +289,6 @@ class VersionedInfluenceIndex:
         influencer order within a record.
         """
         latest = self._latest
-        cold = self._cold
         updates: List[Tuple[int, int, int]] = []
         append = updates.append
         for record in records:
@@ -340,41 +299,14 @@ class VersionedInfluenceIndex:
                 if pairs is None:
                     latest[u] = {v: time}
                     self._pair_total += 1
-                    append((v, u, self._cold_pop(u, v) if cold else 0))
+                    append((v, u, 0))
                     continue
                 old = pairs.get(v, 0)
                 if old == 0:
                     self._pair_total += 1
-                    if cold:
-                        old = self._cold_pop(u, v)
                 pairs[v] = time
                 append((v, u, old))
         return updates
-
-    def _cold_pop(self, user: int, v: int) -> int:
-        """Resurrect a cold pair: return its credit time and tombstone it.
-
-        Returns 0 when the pair is not (live) in the cold store.  The exact
-        previous credit time matters: oracle-feed dispatch bisects on it,
-        and a checkpoint whose suffix already held the pair must not be fed
-        a spurious "new member".  Tombstoning overwrites the ``v`` id with
-        ``-1`` and keeps the credit time, so the time axis stays sorted for
-        the views' ``searchsorted`` probes (a tombstone can keep the cached
-        max credit time stale-high, which is conservative: the view then
-        slices an empty tail instead of short-circuiting).
-        """
-        entry = self._cold.get(user)
-        if entry is None:
-            return 0
-        vs = entry[0]
-        hits = _np.flatnonzero(vs == v)
-        if not hits.size:
-            return 0
-        i = int(hits[0])
-        vs[i] = -1
-        entry[2] += 1
-        self._cold_total -= 1
-        return int(entry[1][i])
 
     def view(self, start: int) -> "SuffixView":
         """A read-only ``I_t[i]`` facade for the suffix starting at ``start``."""
@@ -383,30 +315,15 @@ class VersionedInfluenceIndex:
     def latest(self, influencer: int, influenced: int) -> int:
         """Latest credit time of the pair, or 0 when never credited."""
         pairs = self._latest.get(influencer)
-        t = pairs.get(influenced, 0) if pairs else 0
-        if t == 0 and self._cold:
-            entry = self._cold.get(influencer)
-            if entry is not None:
-                hits = _np.flatnonzero(entry[0] == influenced)
-                if hits.size:
-                    t = int(entry[1][int(hits[0])])
-        return t
+        return pairs.get(influenced, 0) if pairs else 0
 
-    def compact(
-        self, cutoff: int, force: bool = False, now: Optional[int] = None
-    ) -> int:
+    def compact(self, cutoff: int, force: bool = False) -> int:
         """Reclaim pairs invisible to every checkpoint (latest < ``cutoff``).
 
         A full sweep costs O(pairs), so unless ``force`` is set it only runs
         once the stored pair count has doubled since the previous sweep —
         amortised O(1) per :meth:`add` while bounding memory to twice the
         visible pairs.  Returns the number of pairs dropped.
-
-        When ``now`` (the current stream time) is given, the sweep
-        additionally *spills* visible-but-cold pairs — latest credit older
-        than the midpoint between ``cutoff`` and ``now`` — into the compact
-        array-backed cold store (still visible to every view; see the
-        class docstring).
         """
         if cutoff <= self._floor:
             return 0
@@ -414,96 +331,35 @@ class VersionedInfluenceIndex:
             self._MIN_SWEEP_PAIRS, 2 * self._live_at_sweep
         ):
             return 0
-        spill_before = cutoff
-        if now is not None and now > cutoff:
-            spill_before = cutoff + (now - cutoff) // 2
-        hot_dropped = 0
-        moved: Dict[int, List[Tuple[int, int]]] = {}
+        dropped = 0
         latest = self._latest
         for u in list(latest):
             pairs = latest[u]
-            stale = None
-            move = None
-            for v, t in pairs.items():
-                if t >= spill_before:
-                    continue
-                if t < cutoff:
-                    if stale is None:
-                        stale = []
-                    stale.append(v)
-                else:
-                    if move is None:
-                        move = []
-                    move.append((v, t))
-            if stale:
-                for v in stale:
-                    del pairs[v]
-                hot_dropped += len(stale)
-            if move:
-                for v, _t in move:
-                    del pairs[v]
-                moved[u] = move
-                self._pair_total -= len(move)
+            stale = [v for v, t in pairs.items() if t < cutoff]
+            for v in stale:
+                del pairs[v]
+            dropped += len(stale)
             if not pairs:
                 del latest[u]
-        self._pair_total -= hot_dropped
-        cold_dropped = 0
-        if self._cold or moved:
-            cold_dropped = self._rebuild_cold(cutoff, moved)
+        self._pair_total -= dropped
         self._floor = cutoff
         self._live_at_sweep = self._pair_total
-        return hot_dropped + cold_dropped
-
-    def _rebuild_cold(self, cutoff: int, moved: dict) -> int:
-        """Re-pack the cold store: drop expired/tombstoned entries, add
-        freshly spilled ones.  Returns the number of cold pairs dropped."""
-        survivors: Dict[int, list] = {}
-        kept = 0
-        for u, entry in self._cold.items():
-            vs, ts = entry[0], entry[1]
-            # Tombstones carry v = -1; expired pairs predate the cutoff.
-            mask = (vs >= 0) & (ts >= cutoff)
-            if mask.any():
-                items = list(zip(vs[mask].tolist(), ts[mask].tolist()))
-                survivors[u] = items
-                kept += len(items)
-        dropped = self._cold_total - kept
-        for u, items in moved.items():
-            bucket = survivors.get(u)
-            if bucket is None:
-                survivors[u] = items
-            else:
-                bucket.extend(items)
-        cold: Dict[int, list] = {}
-        total = 0
-        for u, items in survivors.items():
-            items.sort(key=_by_credit_time)
-            cold[u] = [
-                _np.array([v for v, _t in items], dtype=_np.int64),
-                _np.array([t for _v, t in items], dtype=_np.int64),
-                0,
-                items[-1][1],
-            ]
-            total += len(items)
-        self._cold = cold
-        self._cold_total = total
         return dropped
 
     def to_state(self) -> dict:
         """Explicit state: latest-credit pairs as CSR columns, in order.
 
-        ``users``/``counts`` list the hot map's users and their pair
-        counts; ``v``/``t`` concatenate every user's ``(influenced, latest
+        ``users``/``counts`` list the map's users and their pair counts;
+        ``v``/``t`` concatenate every user's ``(influenced, latest
         credit)`` pairs.  Per-user pair order is part of the state:
         ``SuffixView`` methods build fresh sets by iterating these dicts,
         and downstream float accumulation (weighted/non-modular functions)
         follows that order, so the rebuilt index must iterate exactly like
-        the live one.  ``cold`` holds the spilled pairs the same way, the
-        per-user arrays concatenated as they are (tombstones dropped).
+        the live one.
         """
         latest = self._latest
         total = self._pair_total
-        state = {
+        return {
             "floor": self._floor,
             "live_at_sweep": self._live_at_sweep,
             "users": _np.fromiter(latest, _np.int64, len(latest)),
@@ -515,50 +371,30 @@ class VersionedInfluenceIndex:
                 total,
             ),
         }
-        if self._cold_total:
-            users, vs, ts = [], [], []
-            for u, (v, t, tombstones, _max) in self._cold.items():
-                if tombstones:  # resurrected into the hot map
-                    live = v >= 0
-                    v, t = v[live], t[live]
-                if len(v):
-                    users.append(u)
-                    vs.append(v)
-                    ts.append(t)
-            state["cold"] = {
-                "users": _np.array(users, dtype=_np.int64),
-                "counts": _np.array([len(x) for x in vs], dtype=_np.int64),
-                "v": _np.concatenate(vs),
-                "t": _np.concatenate(ts),
-            }
-        return state
 
     @classmethod
     def from_state(cls, state: dict) -> "VersionedInfluenceIndex":
-        """Rebuild an index from :meth:`to_state` output."""
+        """Rebuild an index from :meth:`to_state` output.
+
+        Snapshots written while the index kept a second, array-backed store
+        hold those pairs in a ``cold`` section laid out like the main one,
+        each user's pairs in credit-time order.  Views listed them after
+        the user's dict pairs, so they are appended to each user's pairs in
+        that order, and users that had only such pairs come last.
+        """
         index = cls()
         index._floor = state["floor"]
         index._live_at_sweep = state["live_at_sweep"]
-        v, t = state["v"].tolist(), state["t"].tolist()
-        end = 0
-        for u, count in zip(state["users"].tolist(), state["counts"].tolist()):
-            start, end = end, end + count
-            index._latest[u] = dict(zip(v[start:end], t[start:end]))
-        index._pair_total = end
-        cold = state.get("cold")
-        if cold is not None:
+        latest = index._latest
+        for section in (state, state.get("cold")):
+            if section is None:
+                continue
+            v, t = section["v"].tolist(), section["t"].tolist()
             end = 0
-            for u, count in zip(cold["users"].tolist(), cold["counts"].tolist()):
+            for u, count in zip(section["users"].tolist(), section["counts"].tolist()):
                 start, end = end, end + count
-                # Owned copies: resurrection tombstones them in place.
-                ts = _np.array(cold["t"][start:end], dtype=_np.int64)
-                index._cold[u] = [
-                    _np.array(cold["v"][start:end], dtype=_np.int64),
-                    ts,
-                    0,
-                    int(ts[-1]),
-                ]
-            index._cold_total = end
+                latest.setdefault(u, {}).update(zip(v[start:end], t[start:end]))
+            index._pair_total += end
         return index
 
     @property
@@ -568,36 +404,20 @@ class VersionedInfluenceIndex:
 
     @property
     def user_count(self) -> int:
-        """Users with at least one stored pair (hot or cold)."""
-        if not self._cold:
-            return len(self._latest)
-        users = set(self._latest)
-        for u, entry in self._cold.items():
-            if entry[2] < len(entry[0]):  # has live (non-tombstoned) pairs
-                users.add(u)
-        return len(users)
+        """Users with at least one stored pair."""
+        return len(self._latest)
 
     @property
     def pair_count(self) -> int:
         """Distinct stored ``(u, v)`` pairs — the index's physical size."""
-        return self._pair_total + self._cold_total
-
-    @property
-    def cold_pair_count(self) -> int:
-        """Pairs currently spilled into the array-backed cold store."""
-        return self._cold_total
+        return self._pair_total
 
     def __contains__(self, user: int) -> bool:
-        if user in self._latest:
-            return True
-        if self._cold:
-            entry = self._cold.get(user)
-            return entry is not None and entry[2] < len(entry[0])
-        return False
+        return user in self._latest
 
     def __len__(self) -> int:
-        """Number of users with at least one stored pair (hot or cold)."""
-        return self.user_count
+        """Number of users with at least one stored pair."""
+        return len(self._latest)
 
 
 class SuffixView:
@@ -618,71 +438,27 @@ class SuffixView:
         #: The checkpoint's start time (pairs credited earlier are hidden).
         self.start = start
 
-    def _cold_suffix(self, user: int):
-        """Live cold members of ``user`` visible from this view, or ``None``.
-
-        The arrays are sorted by credit time, so the visible pairs are one
-        ``searchsorted`` tail slice; the cached max live credit time makes
-        the dominant none-visible case an O(1) integer compare (a stale —
-        too high — max after resurrections only costs a futile slice).
-        Tombstones carry ``v = -1`` and are filtered from the tail.
-        """
-        entry = self._index._cold.get(user)
-        if entry is None:
-            return None
-        start = self.start
-        if start > entry[3]:
-            return None
-        vs, ts, stale = entry[0], entry[1], entry[2]
-        if stale >= len(vs):
-            return None
-        i = int(_np.searchsorted(ts, start))
-        if i >= len(vs):
-            return None
-        tail = vs[i:]
-        if stale:
-            tail = tail[tail >= 0]
-            if not tail.size:
-                return None
-        return tail
-
     def influence_set(self, user: int) -> Set[int]:
         """``I_t[i](user)``: pairs credited at or after the view's start."""
         pairs = self._index._latest.get(user)
-        start = self.start
         if not pairs:
-            members = set()
-        elif start <= self._index._floor:
-            members = set(pairs)
-        else:
-            members = {v for v, t in pairs.items() if t >= start}
-        if self._index._cold:
-            cold = self._cold_suffix(user)
-            if cold is not None:
-                members.update(cold.tolist())
-        return members
+            return set()
+        start = self.start
+        if start <= self._index._floor:
+            return set(pairs)
+        return {v for v, t in pairs.items() if t >= start}
 
     def fresh_members(self, user: int, covered) -> Set[int]:
         """``I_t[i](user) − covered`` in one pass (the admission hot path)."""
         index = self._index
         pairs = index._latest.get(user)
-        start = self.start
         if not pairs:
-            fresh = set()
-        elif start <= index._floor:
+            return set()
+        start = self.start
+        if start <= index._floor:
             # Dict keys are a set view: the difference runs at C level.
-            fresh = pairs.keys() - covered
-        else:
-            fresh = {
-                v for v, t in pairs.items() if t >= start and v not in covered
-            }
-        if index._cold:
-            cold = self._cold_suffix(user)
-            if cold is not None:
-                for v in cold.tolist():
-                    if v not in covered:
-                        fresh.add(v)
-        return fresh
+            return pairs.keys() - covered
+        return {v for v, t in pairs.items() if t >= start and v not in covered}
 
     def coverage(self, seeds) -> Set[int]:
         """Union of the influence sets of ``seeds``."""
@@ -690,7 +466,6 @@ class SuffixView:
         latest = index._latest
         start = self.start
         full = start <= index._floor
-        consult_cold = bool(index._cold)
         covered: Set[int] = set()
         for u in seeds:
             pairs = latest.get(u)
@@ -699,46 +474,23 @@ class SuffixView:
                     covered.update(pairs)
                 else:
                     covered.update(v for v, t in pairs.items() if t >= start)
-            if consult_cold:
-                cold = self._cold_suffix(u)
-                if cold is not None:
-                    covered.update(cold.tolist())
         return covered
 
     def __contains__(self, user: int) -> bool:
         index = self._index
         pairs = index._latest.get(user)
+        if not pairs:
+            return False
         start = self.start
-        if pairs:
-            if start <= index._floor:
-                return True
-            if any(t >= start for t in pairs.values()):
-                return True
-        if index._cold:
-            return self._cold_suffix(user) is not None
-        return False
+        return start <= index._floor or any(t >= start for t in pairs.values())
 
     def __len__(self) -> int:
         """Number of users with a non-empty suffix influence set."""
         index = self._index
         latest = index._latest
         start = self.start
-        if not index._cold:
-            if start <= index._floor:
-                return len(latest)
-            return sum(
-                1
-                for pairs in latest.values()
-                if any(t >= start for t in pairs.values())
-            )
-        full = start <= index._floor
-        count = 0
-        for u, pairs in latest.items():
-            if full or any(t >= start for t in pairs.values()):
-                count += 1
-            elif self._cold_suffix(u) is not None:
-                count += 1
-        for u in index._cold:
-            if u not in latest and self._cold_suffix(u) is not None:
-                count += 1
-        return count
+        if start <= index._floor:
+            return len(latest)
+        return sum(
+            1 for pairs in latest.values() if any(t >= start for t in pairs.values())
+        )

@@ -545,14 +545,14 @@ class ColumnarThresholdKernel:
     def _absorb(self, updates) -> None:
         """Python's share of the slide: intern its performers and touched
         users into lanes and rows, copy each touched user's influence
-        pairs (hot map + live cold arrays) once into concatenated scratch,
+        pairs from the shared index's dict once into concatenated scratch,
         and make the one ``process_slide`` call with the flat ``(user,
         previous)`` updates — grouping and replay order are C's."""
         if not self._n or not updates:
             return
         newest = self._starts_list[-1]
         lane, lane_of = self._lane, self._lane_of
-        latest, cold = self._shared._latest, self._shared._cold
+        latest = self._shared._latest
         slot_of: Dict[int, int] = {}
         upd_user, upd_prev, rows, offsets = [], [], [], [0]
         lanes: List[int] = []
@@ -566,21 +566,15 @@ class ColumnarThresholdKernel:
             slot = slot_of.get(u)
             if slot is None:
                 slot = slot_of[u] = len(rows)
-                hot = latest.get(u)
-                if hot:
+                pairs = latest.get(u)
+                if pairs:
                     try:
-                        lanes += [lane_of[v] for v in hot]
+                        lanes += [lane_of[v] for v in pairs]
                     except KeyError:
                         # Pairs restored from a snapshot (or this slide's
                         # later performers) may not be laned yet.
-                        lanes += [lane(v) for v in hot]
-                    times += hot.values()
-                entry = cold.get(u) if cold else None
-                if entry is not None and entry[2] < len(entry[0]):
-                    for v, t in zip(entry[0].tolist(), entry[1].tolist()):
-                        if v >= 0:  # skip resurrection tombstones
-                            lanes.append(lane(v))
-                            times.append(t)
+                        lanes += [lane(v) for v in pairs]
+                    times += pairs.values()
                 rows.append(self._urow(u))
                 widest = max(widest, len(lanes) - offsets[-1])
                 offsets.append(len(lanes))

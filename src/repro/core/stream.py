@@ -5,7 +5,8 @@ whose timestamps are strictly increasing.  This module provides:
 
 * :class:`ListStream` — an in-memory stream (used by tests and replays);
 * :func:`validate_stream` — a pass-through iterator enforcing the stream
-  contract (monotone timestamps, parents referencing the past);
+  contract (monotone timestamps, parents referencing the past), which
+  :func:`contract_error` states for one action;
 * :func:`renumber` — normalise arbitrary ``(user, parent)`` event logs to
   contiguous 1-based timestamps;
 * :func:`batched` — group a stream into the window-slide batches of size
@@ -17,11 +18,11 @@ datasets, file replays) can be consumed without materialising them.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Sequence
+from typing import Iterable, Iterator, List, Optional, Sequence
 
 from repro.core.actions import ROOT, Action
 
-__all__ = ["ListStream", "validate_stream", "renumber", "batched"]
+__all__ = ["ListStream", "contract_error", "validate_stream", "renumber", "batched"]
 
 
 class ListStream:
@@ -59,6 +60,19 @@ class ListStream:
         return f"ListStream({len(self._actions)} actions)"
 
 
+def contract_error(action: Action, last_time: int) -> Optional[str]:
+    """Why ``action`` cannot follow a stream whose newest action is at
+    ``last_time`` (0 before the first), or ``None``."""
+    if action.time <= last_time:
+        return (
+            f"timestamps must be strictly increasing: "
+            f"{action.time} after {last_time}"
+        )
+    if action.parent != ROOT and action.parent > last_time:
+        return f"action {action.time} responds to unseen action {action.parent}"
+    return None
+
+
 def validate_stream(actions: Iterable[Action]) -> Iterator[Action]:
     """Yield ``actions`` unchanged while enforcing the stream contract.
 
@@ -67,19 +81,11 @@ def validate_stream(actions: Iterable[Action]) -> Iterator[Action]:
             responds to a parent that has not appeared yet.
     """
     last_time = 0
-    seen_max = 0
     for action in actions:
-        if action.time <= last_time:
-            raise ValueError(
-                f"timestamps must be strictly increasing: "
-                f"{action.time} after {last_time}"
-            )
-        if action.parent != ROOT and action.parent > seen_max:
-            raise ValueError(
-                f"action {action.time} responds to unseen action {action.parent}"
-            )
+        problem = contract_error(action, last_time)
+        if problem is not None:
+            raise ValueError(problem)
         last_time = action.time
-        seen_max = max(seen_max, action.time)
         yield action
 
 

@@ -9,10 +9,12 @@ Kaggle dump plus API crawls.  Two interchange formats are supported:
   Loads into spreadsheets and pandas directly.
 
 Both readers are streaming (constant memory) and validate the stream
-contract on the fly.  :func:`ingest_events` converts *raw* logs — arbitrary
-ids, possibly out-of-order parents — into a valid stream by renumbering, so
-a scraped Reddit/Twitter export can be replayed through the frameworks with
-one call.
+contract on the fly: the first line that is not a valid next action —
+unparseable, a field that is not an int64 integer, or out of order —
+raises a ``ValueError`` naming ``path:line``.  :func:`ingest_events`
+converts *raw* logs — arbitrary ids, possibly out-of-order parents — into
+a valid stream by renumbering, so a scraped Reddit/Twitter export can be
+replayed through the frameworks with one call.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ import json
 import pathlib
 from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Tuple, Union
 
-from repro.core.actions import Action
-from repro.core.stream import validate_stream
+from repro.core.actions import ROOT, Action, int64_field_error
+from repro.core.stream import contract_error
 
 __all__ = [
     "write_jsonl",
@@ -50,29 +52,52 @@ def write_jsonl(actions: Iterable[Action], path: PathLike) -> int:
     return count
 
 
+def _next_action(time, user, parent, last_time: int) -> Action:
+    """The action decoded fields make (``parent`` ``None`` for a root), if
+    it fits the int64 columns and can follow an action at ``last_time``.
+
+    Raises:
+        ValueError: saying why not.
+    """
+    if parent is None:
+        parent = ROOT
+    problem = int64_field_error(time, user, parent)
+    if problem is None:
+        action = Action(time, user, parent)
+        problem = contract_error(action, last_time)
+        if problem is None:
+            return action
+    raise ValueError(problem)
+
+
 def read_jsonl(path: PathLike) -> Iterator[Action]:
-    """Stream actions back from a JSONL file (validates on the fly)."""
+    """Stream actions back from a JSONL file (validates on the fly).
 
-    def parse() -> Iterator[Action]:
-        with open(path, "r", encoding="utf-8") as handle:
-            for line_number, line in enumerate(handle, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                    time, user = record["t"], record["u"]
-                except (json.JSONDecodeError, KeyError, TypeError) as exc:
+    Raises:
+        ValueError: ``"<path>:<line>: invalid action: ..."`` for the first
+            line that is not a valid next action.
+    """
+    last_time = 0
+    with open(path, "r", encoding="utf-8") as handle:
+        for line_number, line in enumerate(handle, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                record = json.loads(line)
+                if not (isinstance(record, dict) and "t" in record and "u" in record):
                     raise ValueError(
-                        f"{path}:{line_number}: malformed record ({exc})"
-                    ) from exc
-                parent = record.get("p")
-                if parent is None:
-                    yield Action.root(time, user)
-                else:
-                    yield Action.response(time, user, parent)
-
-    return validate_stream(parse())
+                        "malformed record: expected an object with 't' and 'u'"
+                    )
+                action = _next_action(
+                    record["t"], record["u"], record.get("p"), last_time
+                )
+            except (ValueError, RecursionError) as exc:
+                raise ValueError(
+                    f"{path}:{line_number}: invalid action: {exc}"
+                ) from exc
+            last_time = action.time
+            yield action
 
 
 def write_csv(actions: Iterable[Action], path: PathLike) -> int:
@@ -89,37 +114,43 @@ def write_csv(actions: Iterable[Action], path: PathLike) -> int:
     return count
 
 
+def _integer(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"non-integer field {text[:40]!r}") from None
+
+
 def read_csv(path: PathLike) -> Iterator[Action]:
-    """Stream actions back from a CSV file (validates on the fly)."""
+    """Stream actions back from a CSV file (validates on the fly).
 
-    def parse() -> Iterator[Action]:
-        with open(path, "r", encoding="utf-8", newline="") as handle:
-            reader = csv.reader(handle)
-            header = next(reader, None)
-            if header != ["time", "user", "parent"]:
-                raise ValueError(
-                    f"{path}: expected header 'time,user,parent', got {header}"
-                )
-            for row_number, row in enumerate(reader, start=2):
-                if not row:
-                    continue
+    Raises:
+        ValueError: naming the file for a wrong header, and
+            ``"<path>:<line>: invalid action: ..."`` for the first row that
+            is not a valid next action.
+    """
+    last_time = 0
+    with open(path, "r", encoding="utf-8", newline="") as handle:
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if header != ["time", "user", "parent"]:
+            raise ValueError(
+                f"{path}: expected header 'time,user,parent', got {header}"
+            )
+        for row in reader:
+            if not row:
+                continue
+            try:
                 if len(row) != 3:
-                    raise ValueError(
-                        f"{path}:{row_number}: expected 3 columns, got {len(row)}"
-                    )
-                time_text, user_text, parent_text = row
-                try:
-                    time, user = int(time_text), int(user_text)
-                except ValueError as exc:
-                    raise ValueError(
-                        f"{path}:{row_number}: non-integer field"
-                    ) from exc
-                if parent_text == "":
-                    yield Action.root(time, user)
-                else:
-                    yield Action.response(time, user, int(parent_text))
-
-    return validate_stream(parse())
+                    raise ValueError(f"expected 3 columns, got {len(row)}")
+                time, user, parent = (_integer(text) if text else None for text in row)
+                action = _next_action(time, user, parent, last_time)
+            except ValueError as exc:
+                raise ValueError(
+                    f"{path}:{reader.line_num}: invalid action: {exc}"
+                ) from exc
+            last_time = action.time
+            yield action
 
 
 def ingest_events(

@@ -397,23 +397,23 @@ class ShardedEngine:
 
         Raises:
             PersistenceError: naming the file, when it is not a JSON
-                object with an integer ``format`` and ``shards`` and a
-                ``partitioner`` state object.
+                object with an integer (not bool) ``format`` and ``shards``
+                and a ``partitioner`` state object.
         """
         manifest_path = root / MANIFEST_NAME
         if not manifest_path.exists():
             return None
         try:
             manifest = json.loads(manifest_path.read_text())
-        except ValueError as error:
+        except (ValueError, RecursionError) as error:
             raise PersistenceError(
                 f"sharding manifest {manifest_path} is not valid JSON "
                 f"({error}); restore it or start from a fresh state dir"
             ) from error
         if not (
             isinstance(manifest, dict)
-            and isinstance(manifest.get("format"), int)
-            and isinstance(manifest.get("shards"), int)
+            and type(manifest.get("format")) is int
+            and type(manifest.get("shards")) is int
             and isinstance(manifest.get("partitioner"), dict)
         ):
             raise PersistenceError(
@@ -454,11 +454,11 @@ class ShardedEngine:
                 f"sharding manifest {root / MANIFEST_NAME} has format "
                 f"{stored['format']}, but this build reads format "
                 f"{MANIFEST_FORMAT}; start from a fresh state dir (format 1 "
-                "was written before routed ingest: a build ≤ PR 15 converts it)"
+                "was written when every shard consumed the raw stream)"
             )
         if stored != expected:
             raise PersistenceError(
-                f"sharded state dir {root} was created with "
+                f"sharding manifest {root / MANIFEST_NAME} records "
                 f"{stored['shards']} shards and partitioner "
                 f"{stored['partitioner']}, but "
                 f"{shards}/{partitioner.to_state()} were requested; "

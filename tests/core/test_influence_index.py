@@ -1,5 +1,6 @@
 """Unit and property tests for the influence indexes."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -322,3 +323,160 @@ class TestVersionedIndex:
         assert index.compact(30) == 0
         assert index.floor == 0
         assert index.compact(30, force=True) == 29
+
+
+# -- the one store, against a brute-force latest-credit map ---------------------
+
+INDEX_HISTORY = settings(
+    max_examples=200, deadline=None, derandomize=True, database=None
+)
+USERS = range(7)  # random_stream draws users 0..5; 6 never appears
+
+
+def index_history(seed, steps):
+    """Drive a shared index through ``steps`` of ``(slide, batched, lag,
+    force)``; yield ``(index, truth, cutoff, now)`` after each compaction.
+
+    ``truth`` is the brute-force ``{(u, v): latest credit}`` of every pair
+    ever credited; cutoffs trail the newest action by ``lag`` and never
+    decrease, so every start at or above the current cutoff may be queried.
+    """
+    from repro.core.influence_index import VersionedInfluenceIndex
+
+    actions = random_stream(sum(step[0] for step in steps), 6, seed=seed)
+    forest = DiffusionForest()
+    index = VersionedInfluenceIndex()
+    truth = {}
+    cutoff = position = 0
+    for slide, batched_add, lag, force in steps:
+        records = [forest.add(a) for a in actions[position:position + slide]]
+        position += slide
+        if batched_add:
+            expected = []
+            for record in records:
+                for u in record.influencers:
+                    expected.append((record.user, u, visible(index, truth, u, record.user)))
+                    truth[u, record.user] = record.time
+            assert index.add_batch(records) == expected
+        else:
+            for record in records:
+                expected = [(u, visible(index, truth, u, record.user)) for u in record.influencers]
+                assert index.add(record) == expected
+                for u in record.influencers:
+                    truth[u, record.user] = record.time
+        now = records[-1].time
+        cutoff = max(cutoff, now - lag)
+        index.compact(cutoff, force=force)
+        yield index, truth, cutoff, now
+
+
+def visible(index, truth, u, v):
+    """What ``latest(u, v)`` must read: the pair's latest credit, or 0 once
+    a sweep past it dropped the pair."""
+    t = truth.get((u, v), 0)
+    return t if t >= index.floor else 0
+
+
+def suffix_sets(truth, start):
+    sets = {}
+    for (u, v), t in truth.items():
+        if t >= start:
+            sets.setdefault(u, set()).add(v)
+    return sets
+
+
+STEPS = st.lists(
+    st.tuples(st.integers(1, 8), st.booleans(), st.integers(0, 6), st.booleans()),
+    min_size=1,
+    max_size=10,
+)
+
+
+@INDEX_HISTORY
+@given(seed=st.integers(0, 10_000), steps=STEPS)
+def test_one_store_matches_brute_force_across_compactions(seed, steps):
+    from repro.core.influence_index import VersionedInfluenceIndex
+
+    for index, truth, cutoff, now in index_history(seed, steps):
+        for u in USERS:
+            for v in USERS:
+                assert index.latest(u, v) == visible(index, truth, u, v), (u, v)
+        assert index.pair_count == sum(t >= index.floor for t in truth.values())
+        for start in range(max(cutoff, 1), now + 2):
+            view = index.view(start)
+            sets = suffix_sets(truth, start)
+            for u in USERS:
+                members = sets.get(u, set())
+                assert view.influence_set(u) == members, (start, u)
+                assert view.fresh_members(u, {0, 2, 4}) == members - {0, 2, 4}
+                assert (u in view) == bool(members)
+            assert len(view) == len(sets)
+            for seeds in ([0, 1, 2], [3, 4, 5, 6], []):
+                assert view.coverage(seeds) == set().union(
+                    *(sets.get(u, set()) for u in seeds)
+                )
+        state = index.to_state()
+        restored = VersionedInfluenceIndex.from_state(state).to_state()
+        assert restored.keys() == state.keys()
+        for key, value in state.items():  # users and each user's pairs, in order
+            assert np.array_equal(restored[key], value), key
+
+
+def legacy_state(index, before):
+    """``index.to_state()`` laid out as older builds wrote it: each user's
+    pairs credited before ``before`` moved to a ``cold`` section with the
+    same four columns, sorted by credit time; users left with no other
+    pairs drop out of the main section."""
+    state = index.to_state()
+    v, t = state["v"].tolist(), state["t"].tolist()
+    main = {"users": [], "counts": [], "v": [], "t": []}
+    cold = {"users": [], "counts": [], "v": [], "t": []}
+    end = 0
+    for u, count in zip(state["users"].tolist(), state["counts"].tolist()):
+        pairs = list(zip(v[end:end + count], t[end:end + count]))
+        end += count
+        warm = [pair for pair in pairs if pair[1] >= before]
+        chill = sorted((pair for pair in pairs if pair[1] < before), key=lambda p: p[1])
+        for section, part in ((main, warm), (cold, chill)):
+            if part:
+                section["users"].append(u)
+                section["counts"].append(len(part))
+                section["v"] += [pv for pv, _pt in part]
+                section["t"] += [pt for _pv, pt in part]
+    as_arrays = lambda section: {k: np.array(x, dtype=np.int64) for k, x in section.items()}
+    return {**state, **as_arrays(main), "cold": as_arrays(cold)}, main, cold
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 10_000), steps=STEPS, split=st.integers(0, 8))
+def test_legacy_cold_section_folds_into_the_one_store(seed, steps, split):
+    from repro.core.influence_index import VersionedInfluenceIndex
+
+    *_, (index, truth, cutoff, now) = index_history(seed, steps)
+    state, main, cold = legacy_state(index, before=max(cutoff, 1) + split)
+    loaded = VersionedInfluenceIndex.from_state(state)
+    assert loaded.pair_count == index.pair_count
+    assert loaded.user_count == index.user_count
+    assert loaded.floor == index.floor
+    for u in USERS:
+        for v in USERS:
+            assert loaded.latest(u, v) == index.latest(u, v)
+    for start in range(max(cutoff, 1), now + 2):
+        ours, theirs = index.view(start), loaded.view(start)
+        assert len(ours) == len(theirs)
+        for u in USERS:
+            assert theirs.influence_set(u) == ours.influence_set(u)
+            assert (u in theirs) == (u in ours)
+    # Main-section users first, then cold-only ones; each user's main pairs
+    # first, then the cold ones in credit-time order.
+    expected = {}
+    for section in (main, cold):
+        end = 0
+        for u, count in zip(section["users"], section["counts"]):
+            pairs = list(zip(section["v"][end:end + count], section["t"][end:end + count]))
+            expected.setdefault(u, []).extend(pairs)
+            end += count
+    folded = loaded.to_state()
+    assert folded["users"].tolist() == list(expected)
+    assert folded["v"].tolist() == [v for pairs in expected.values() for v, _t in pairs]
+    assert folded["t"].tolist() == [t for pairs in expected.values() for _v, t in pairs]

@@ -1,6 +1,11 @@
 """Unit tests for stream persistence (JSONL/CSV) and raw-log ingestion."""
 
+import json
+import re
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.datasets.io import (
     ingest_events,
@@ -49,6 +54,26 @@ class TestJsonlRoundtrip:
         with pytest.raises(ValueError, match="strictly increasing"):
             list(read_jsonl(path))
 
+    @pytest.mark.parametrize("line,phrase", [
+        ('{"t":"2","u":2}', "must be integers"),
+        ('{"t":2.5,"u":2,"p":1}', "must be integers"),
+        ('{"t":true,"u":2}', "must be integers"),
+        ('{"t":2,"u":%d}' % 2**70, "below 2\\*\\*63"),
+        ('{"t":2,"u":1,"p":9}', "earlier action id"),
+        ('{"t":3,"u":1,"p":2}', "unseen action 2"),
+        ("[" * 100_000, "recursion"),
+        ("[1, 2]", "malformed"),
+    ], ids=[
+        "string-time", "float-time", "bool-time", "huge-user",
+        "future-parent", "unseen-parent", "nested", "not-an-object",
+    ])
+    def test_bad_line_is_refused_naming_it(self, tmp_path, line, phrase):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"t":1,"u":2}\n' + line + "\n")
+        with pytest.raises(ValueError, match=phrase) as refusal:
+            list(read_jsonl(path))
+        assert str(refusal.value).startswith(f"{path}:2: invalid action: ")
+
 
 class TestCsvRoundtrip:
     def test_roundtrip(self, tmp_path, paper_stream):
@@ -74,6 +99,21 @@ class TestCsvRoundtrip:
         with pytest.raises(ValueError, match="non-integer"):
             list(read_csv(path))
 
+    @pytest.mark.parametrize("row,phrase", [
+        ("2,3,x", "non-integer field 'x'"),
+        ("2,x,1", "non-integer field 'x'"),
+        ("2,%d,1" % 2**70, "below 2\\*\\*63"),
+        ("2,3,2", "earlier action id"),
+        ("1,3,", "strictly increasing"),
+        (",3,", "must be integers"),
+    ])
+    def test_bad_row_is_refused_naming_it(self, tmp_path, row, phrase):
+        path = tmp_path / "bad.csv"
+        path.write_text("time,user,parent\n1,2,\n" + row + "\n")
+        with pytest.raises(ValueError, match=phrase) as refusal:
+            list(read_csv(path))
+        assert str(refusal.value).startswith(f"{path}:3: invalid action: ")
+
     def test_empty_parent_is_root(self, tmp_path):
         path = tmp_path / "s.csv"
         path.write_text("time,user,parent\n1,7,\n2,8,1\n")
@@ -83,9 +123,6 @@ class TestCsvRoundtrip:
 
 
 class TestRoundtripProperty:
-    from hypothesis import given, settings
-    from hypothesis import strategies as st
-
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 100_000), n=st.integers(1, 120))
     def test_jsonl_and_csv_preserve_any_stream(self, tmp_path_factory, seed, n):
@@ -97,6 +134,59 @@ class TestRoundtripProperty:
         write_csv(actions, csv_file)
         assert list(read_jsonl(jsonl)) == actions
         assert list(read_csv(csv_file)) == actions
+
+
+#: A field as a generated line might spell it: mostly plausible integers,
+#: plus every JSON type and the int64 edges.
+FIELDS = st.one_of(
+    st.integers(-3, 12),
+    st.sampled_from([0, 2**63 - 1, 2**63, 2**70, -(2**63)]),
+    st.none(),
+    st.booleans(),
+    st.floats(allow_nan=False),
+    st.text(max_size=4),
+    st.lists(st.integers(0, 3), max_size=2),
+)
+#: One line of text, no line break inside.
+TEXT = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\r\n"))
+
+
+@st.composite
+def jsonl_lines(draw):
+    keys = draw(st.lists(st.sampled_from("tup"), unique=True))
+    record = {key: draw(FIELDS) for key in keys}
+    return draw(st.one_of(st.just(json.dumps(record)), TEXT))
+
+
+@st.composite
+def csv_lines(draw):
+    cells = draw(st.lists(st.one_of(FIELDS.map(str), st.just("")), min_size=1, max_size=4))
+    return draw(st.one_of(st.just(",".join(cells)), TEXT))
+
+
+class TestAnyLine:
+    """Whatever one line of a file holds, a reader yields an ``Action`` or
+    raises a ``ValueError`` naming ``path:line`` — never anything else."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(line=jsonl_lines())
+    def test_jsonl_line_is_an_action_or_a_located_refusal(self, tmp_path_factory, line):
+        path = tmp_path_factory.mktemp("io") / "one.jsonl"
+        path.write_text('{"t":1,"u":0}\n' + line + "\n", encoding="utf-8")
+        try:
+            list(read_jsonl(path))
+        except ValueError as refusal:
+            assert re.match(re.escape(f"{path}:") + r"\d+: invalid action: ", str(refusal))
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(line=csv_lines())
+    def test_csv_line_is_an_action_or_a_located_refusal(self, tmp_path_factory, line):
+        path = tmp_path_factory.mktemp("io") / "one.csv"
+        path.write_text("time,user,parent\n1,0,\n" + line + "\n", encoding="utf-8")
+        try:
+            list(read_csv(path))
+        except ValueError as refusal:
+            assert re.match(re.escape(f"{path}:") + r"\d+: invalid action: ", str(refusal))
 
 
 class TestIngestEvents:

@@ -20,6 +20,7 @@ Covers the PR's acceptance criteria:
 """
 
 import itertools
+import json
 import multiprocessing
 import os
 import signal
@@ -394,6 +395,34 @@ def _running(pid):
         return False
 
 
+#: Any JSON value, small.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def mutated_manifests(draw):
+    """The manifest a 2-shard hash root holds, with one key — at the top
+    or inside the partitioner — replaced by any JSON value or deleted."""
+    manifest = {
+        "format": 2,
+        "shards": 2,
+        "partitioner": HashPartitioner(2).to_state(),
+        "ingest": "routed",
+    }
+    target = draw(st.sampled_from([manifest, manifest["partitioner"]]))
+    key = draw(st.sampled_from([*target, "extra"]))
+    if draw(st.booleans()):
+        target.pop(key, None)
+    else:
+        target[key] = draw(JSON_VALUES)
+    return json.dumps(manifest).encode()
+
+
 class TestRefusals:
     def test_manifest_mismatch_is_rejected(self, tmp_path):
         factory = lambda assignment=None: MAKERS["ic"](shard=assignment)
@@ -420,6 +449,9 @@ class TestRefusals:
         ('{"format": "2", "shards": 2, "partitioner": {}}', "malformed"),
         ('{"format": 2, "shards": "two", "partitioner": {}}', "malformed"),
         ('{"format": 2, "shards": 2, "partitioner": "hash"}', "malformed"),
+        pytest.param("[" * 100_000, "not valid JSON", id="nested"),
+        ('{"format": true, "shards": 2, "partitioner": {}}', "malformed"),
+        ('{"format": 2, "shards": true, "partitioner": {}}', "malformed"),
     ])
     def test_garbage_manifest_is_refused_naming_the_file(
         self, tmp_path, document, phrase
@@ -431,6 +463,23 @@ class TestRefusals:
                 state_dir=tmp_path, fsync=False, backend="serial",
             )
         assert str(tmp_path / "sharding.json") in str(refusal.value)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(document=st.one_of(st.binary(max_size=64), mutated_manifests()))
+    def test_any_manifest_opens_or_is_refused_naming_the_file(
+        self, tmp_path_factory, document
+    ):
+        root = tmp_path_factory.mktemp("manifest")
+        (root / "sharding.json").write_bytes(document)
+        try:
+            engine = ShardedEngine.open(
+                lambda a=None: MAKERS["ic"](shard=a), 2,
+                state_dir=root, fsync=False, backend="serial",
+            )
+        except PersistenceError as refusal:
+            assert str(root / "sharding.json") in str(refusal)
+        else:
+            engine.close()
 
     def test_per_shard_config_mismatch_is_rejected(self, tmp_path):
         state = tmp_path / "state"

@@ -357,6 +357,7 @@ class TestTrackStateDir:
             process.kill()  # SIGKILL on POSIX
         finally:
             process.wait()
+            process.stdout.close()
         assert process.returncode == -signal.SIGKILL
         assert killed_lines, "first run produced no output before the kill"
 
