@@ -1,15 +1,17 @@
 /* The columnar oracle kernel's compiled half: the slide and the column
  * lifecycle.
  *
- * process_slide takes one slide's flat (user, previous) pair updates and
- * runs everything between the shared-index update and the answers: the
- * lower bound over the column starts, per-user grouping with the
- * prefix-min chain of feed boundaries, one event per (user, column range)
- * in slide position order, and the dirty-floor re-tightening.  An event
- * is the object plane's _dispatch walk for every fed checkpoint at once:
- * singleton-cache update, m refresh (with the full instance-range rebuild
- * when a bound moves), best-so-far offer, admission gate, and the
- * per-(column, slot) admission pass over coverage bitsets.
+ * process_slide takes one slide's flat (user, previous, lane, time) pair
+ * updates and runs everything between the shared-index update and the
+ * answers: it applies the updates to the kernel's own copy of each user's
+ * influence pairs (the pair store below), then the lower bound over the
+ * column starts, per-user grouping with the prefix-min chain of feed
+ * boundaries, one event per (user, column range) in slide position order,
+ * and the dirty-floor re-tightening.  An event is the object plane's
+ * _dispatch walk for every fed checkpoint at once: singleton-cache update,
+ * m refresh (with the full instance-range rebuild when a bound moves),
+ * best-so-far offer, admission gate, and the per-(column, slot) admission
+ * pass over the user's suffix pairs and the coverage bitsets.
  * retire_column and compact own what happens to a column afterwards.
  *
  * Float semantics must match CPython bit-for-bit -- this is an exact
@@ -20,9 +22,21 @@
  *   - every formula below is transcribed operation-for-operation from
  *     the oracles (sieve bar, threshold bar, guess-chain walk).
  *
- * All state lives in numpy arrays owned by the Python kernel; this file
- * only ever writes through the pointers in EventCtx.  Python re-fills
- * the context whenever an array is reallocated (growth).
+ * All column and user-row state lives in numpy arrays owned by the Python
+ * kernel; this file writes it only through the pointers in EventCtx, and
+ * Python re-fills the context whenever an array is reallocated (growth).
+ * The one exception is the pair store, which this file allocates
+ * (store_new), grows and frees (store_free, from the Python kernel's
+ * finalizer).  It keeps, per interned user row, the user's live influence
+ * pairs as one (time, lane) array with four invariants:
+ *   - times ascend along the row;
+ *   - each lane appears at most once;
+ *   - the latest credit wins: a put no newer than the lane's stored time
+ *     changes nothing;
+ *   - pairs credited before starts[head] are invisible to every live
+ *     column, and are trimmed when a row must grow and by compact.
+ * A row equals the shared index's pairs of its user, less trimmed ones,
+ * from the slide Python seeds it on (the user's first event) onwards.
  *
  * Two column invariants hold between calls and are what the lifecycle
  * entries rely on:
@@ -38,6 +52,25 @@
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
+
+/* Status codes of process_slide (0 = done). */
+enum { LADDER_OVERFLOW = 1, OUT_OF_MEMORY = 2 };
+
+typedef struct {
+    int64_t time; /* latest credit time */
+    int64_t lane; /* the influenced user's coverage bit */
+} Pair;
+
+typedef struct {
+    Pair *pairs; /* time-ascending, one entry per lane */
+    int64_t len;
+    int64_t cap;
+} Row;
+
+typedef struct {
+    Row *rows; /* indexed by interned user row */
+    int64_t nrows;
+} Store;
 
 typedef struct {
     /* dims / scalars */
@@ -70,20 +103,92 @@ typedef struct {
     uint64_t *icov;     /* (cap, jcap, wcap) */
     uint64_t *mem2d;    /* (urows, cap) */
     double *cache2d;    /* (urows, cap) */
-    /* the slide, filled by Python (see _absorb); U = its update count */
-    int64_t *upd_user; /* (U) touched-user slot per update, slide order */
-    int64_t *upd_prev; /* (U) the pair's previous credit time */
+    /* the slide, filled by Python (see _absorb): P puts, of which the
+     * first seed rows and the last U are the slide's updates */
+    int64_t *upd_user; /* (P) touched-user slot per put, slide order */
+    int64_t *upd_prev; /* (P) the pair's previous credit time (updates) */
+    int64_t *upd_lane; /* (P) the influenced user's lane */
+    int64_t *upd_time; /* (P) the pair's latest credit time */
     int64_t *usr_row;  /* (users) interned row, slots in first-seen order */
-    int64_t *usr_off;  /* (users + 1) each user's range in lanes/times */
-    int64_t *lanes;    /* touched users' influence-pair lanes, concatenated */
-    int64_t *times;    /* ... and latest credit times */
+    Store *store;      /* the pair store, owned by this file */
     /* scratch (sized by Python, see _context) */
-    int64_t *work;    /* (4U + 2) feed boundaries, grouping, chain minima */
-    int64_t *skeys;   /* (time, idx) pairs for the stable sort */
-    uint64_t *cum;    /* (pairs + 1, w) suffix cumulative-OR table */
-    int64_t *counts;  /* (cap) multi-pair gain counts; compaction runs */
-    uint64_t *freshb; /* (wcap) per-entry fresh-member words */
+    int64_t *work;   /* (4U + 2) feed boundaries, grouping, chain minima */
+    int64_t *counts; /* (cap) multi-pair gain counts; compaction runs */
 } EventCtx;
+
+Store *store_new(void) { return calloc(1, sizeof(Store)); }
+
+void store_free(Store *st) {
+    for (int64_t r = 0; r < st->nrows; r++)
+        free(st->rows[r].pairs);
+    free(st->rows);
+    free(st);
+}
+
+/* Room for rows [0, need); new rows are empty. */
+static int reserve_rows(Store *st, int64_t need) {
+    if (need <= st->nrows)
+        return 0;
+    int64_t nrows = st->nrows ? st->nrows : 64;
+    while (nrows < need)
+        nrows *= 2;
+    Row *rows = realloc(st->rows, (size_t)nrows * sizeof(Row));
+    if (!rows)
+        return OUT_OF_MEMORY;
+    memset(rows + st->nrows, 0, (size_t)(nrows - st->nrows) * sizeof(Row));
+    st->rows = rows;
+    st->nrows = nrows;
+    return 0;
+}
+
+/* Drop the row's pairs credited before oldest (a prefix). */
+static void trim_row(Row *r, int64_t oldest) {
+    int64_t gone = 0, hi = r->len;
+    while (gone < hi) {
+        int64_t mid = (gone + hi) >> 1;
+        if (r->pairs[mid].time < oldest)
+            gone = mid + 1;
+        else
+            hi = mid;
+    }
+    if (gone) {
+        r->len -= gone;
+        memmove(r->pairs, r->pairs + gone, (size_t)r->len * sizeof(Pair));
+    }
+}
+
+/* Credit lane at time in row r, keeping the store's invariants; oldest is
+ * the oldest live column's start (pairs before it may go).  Times mostly
+ * arrive ascending, so the insertion is usually an append. */
+static int put_pair(Row *r, int64_t lane, int64_t time, int64_t oldest) {
+    Pair *p = r->pairs;
+    int64_t len = r->len, i = len - 1;
+    while (i >= 0 && p[i].lane != lane)
+        i--;
+    if (i >= 0) {
+        if (time <= p[i].time)
+            return 0;
+        memmove(p + i, p + i + 1, (size_t)(len - 1 - i) * sizeof(Pair));
+        len--;
+    } else if (len == r->cap) {
+        trim_row(r, oldest);
+        len = r->len;
+        if (len == r->cap) {
+            int64_t cap = r->cap ? 2 * r->cap : 4;
+            p = realloc(p, (size_t)cap * sizeof(Pair));
+            if (!p)
+                return OUT_OF_MEMORY;
+            r->pairs = p;
+            r->cap = cap;
+        }
+    }
+    for (i = len; i > 0 && p[i - 1].time > time; i--)
+        p[i] = p[i - 1];
+    p[i].time = time;
+    p[i].lane = lane;
+    r->len = len + 1;
+    return 0;
+}
 
 /* Empty-instance admission bar, matching the oracle formulas exactly:
  * sieve: (guess / 2.0 - value) / (k - len(seeds)) with value=0, seeds={}
@@ -128,7 +233,7 @@ static int refresh_col(EventCtx *c, int64_t col) {
         return 0;
     int64_t width = high - low + 1;
     if (width > c->jcap)
-        return 1; /* guess ladder outgrew the slot budget */
+        return LADDER_OVERFLOW; /* guess ladder outgrew the slot budget */
     int64_t old_width = old_high >= old_low ? old_high - old_low + 1 : 0;
     c->blow[col] = low;
     c->bhigh[col] = high;
@@ -195,77 +300,21 @@ static int refresh_col(EventCtx *c, int64_t col) {
     return 0;
 }
 
-/* Stable sort by (time, original index) == numpy argsort(kind="stable"). */
-static int cmp_pair(const void *x, const void *y) {
-    const int64_t *p = (const int64_t *)x;
-    const int64_t *q = (const int64_t *)y;
-    if (p[0] != q[0])
-        return p[0] < q[0] ? -1 : 1;
-    return p[1] < q[1] ? -1 : (p[1] > q[1] ? 1 : 0);
-}
-
-/* Time-sorted cumulative-OR table of the user's influence pairs:
- * cum[i] = OR of lane bits of pairs with sort position >= i, so cum at
- * lower_bound(times, start) is the user's suffix influence set at start.
- */
-static void build_suffix(EventCtx *c, const int64_t *lanes,
-                         const int64_t *times, int64_t count, int64_t w) {
-    int64_t *sk = c->skeys;
-    for (int64_t i = 0; i < count; i++) {
-        sk[2 * i] = times[i];
-        sk[2 * i + 1] = i;
-    }
-    qsort(sk, (size_t)count, 2 * sizeof(int64_t), cmp_pair);
-    uint64_t *cum = c->cum;
-    memset(cum + count * w, 0, (size_t)w * sizeof(uint64_t));
-    for (int64_t i = count - 1; i >= 0; i--) {
-        uint64_t *dst = cum + i * w;
-        const uint64_t *nxt = cum + (i + 1) * w;
-        for (int64_t j = 0; j < w; j++)
-            dst[j] = nxt[j];
-        int64_t ln = lanes[sk[2 * i + 1]];
-        dst[ln >> 6] |= 1ULL << (uint64_t)(ln & 63);
-    }
-}
-
 /* The admission pass for one gated column, slot-ascending -- the order
  * the object plane walks instances and folds strict-> best offers in.
  * A slot is tested when the singleton clears its bar (filled and absent
- * slots carry bar = +inf) or the user already seeds it.  The members
- * gained are suffix & ~covered; for a member slot the same expression is
- * the refresh growth, since a seed's covered set contains their older
- * suffix.  Admission needs gain >= bar and gain > 0, the gain computed by
- * the identical uniform * count multiply.
- *
- * The count is a popcount per coverage word.  Without a target the
- * builtin compiles to a libgcc table call, so on x86-64/glibc the pass is
- * cloned: the loader's ifunc resolver picks the POPCNT clone when CPUID
- * reports the instruction and the portable one otherwise -- one .so that
- * is right on every box, and integer counts either way.
+ * slots carry bar = +inf) or the user already seeds it.  suffix holds the
+ * user's count pairs credited at or after the column's start, so the
+ * members gained are its lanes whose covered bit is clear; for a member
+ * slot the same count is the refresh growth, since a seed's covered set
+ * contains their older suffix.  Admission needs gain >= bar and gain > 0,
+ * the gain computed by the identical uniform * count multiply.
  */
-#if defined(__x86_64__) && defined(__gnu_linux__) && defined(__has_attribute)
-#if __has_attribute(target_clones)
-__attribute__((target_clones("popcnt", "default")))
-#endif
-#endif
 static void admit_col(EventCtx *c, int64_t col, int64_t urow, double sv,
-                      uint64_t mbits, int64_t count, int64_t w,
+                      uint64_t mbits, const Pair *suffix, int64_t count,
                       uint64_t *mrow) {
     int64_t low = c->blow[col];
     int64_t width = c->bhigh[col] - low + 1;
-    if (width <= 0)
-        return;
-    int64_t start = c->starts[col];
-    const int64_t *sk = c->skeys;
-    int64_t loi = 0, hii = count;
-    while (loi < hii) {
-        int64_t mid = (loi + hii) >> 1;
-        if (sk[2 * mid] < start)
-            loi = mid + 1;
-        else
-            hii = mid;
-    }
-    const uint64_t *suffix = c->cum + loi * w;
     int64_t jc = c->jcap, kc = c->kcap, wc = c->wcap, k = c->k;
     double *ival = c->ival + col * jc;
     double *ibar = c->ibar + col * jc;
@@ -273,7 +322,6 @@ static void admit_col(EventCtx *c, int64_t col, int64_t urow, double sv,
     int16_t *inseed = c->inseed + col * jc;
     int64_t *ids = c->iseed_ids + col * jc * kc;
     uint64_t *icov = c->icov + col * jc * wc;
-    uint64_t *freshb = c->freshb;
     for (int64_t s = 0; s < width; s++) {
         int is_mem = (int)((mbits >> (uint64_t)((low + s) & 63)) & 1ULL);
         int is_cand = sv >= ibar[s];
@@ -281,10 +329,9 @@ static void admit_col(EventCtx *c, int64_t col, int64_t urow, double sv,
             continue;
         uint64_t *cov = icov + s * wc;
         int64_t cnt = 0;
-        for (int64_t j = 0; j < w; j++) {
-            uint64_t f = suffix[j] & ~cov[j];
-            freshb[j] = f;
-            cnt += (int64_t)__builtin_popcountll(f);
+        for (int64_t i = 0; i < count; i++) {
+            int64_t ln = suffix[i].lane;
+            cnt += (int64_t)((~cov[ln >> 6] >> (uint64_t)(ln & 63)) & 1ULL);
         }
         double gain = (double)cnt * c->uniform;
         int admit = !is_mem && gain >= ibar[s] && gain > 0.0;
@@ -292,8 +339,10 @@ static void admit_col(EventCtx *c, int64_t col, int64_t urow, double sv,
         if (!apply)
             continue;
         ival[s] += gain;
-        for (int64_t j = 0; j < w; j++)
-            cov[j] |= freshb[j];
+        for (int64_t i = 0; i < count; i++) {
+            int64_t ln = suffix[i].lane;
+            cov[ln >> 6] |= 1ULL << (uint64_t)(ln & 63);
+        }
         if (admit) {
             ids[s * kc + inseed[s]] = urow;
             mrow[col] |= 1ULL << (uint64_t)((low + s) & 63);
@@ -328,15 +377,12 @@ static void admit_col(EventCtx *c, int64_t col, int64_t urow, double sv,
 }
 
 /* One merged (user, slide) event over columns [a, b).
- * urow: the user's interned row; los/nlos: the feed boundaries of the
- * user's pairs this slide; lanes/times/pcount: the user's influence
- * pairs; w: live coverage words.
+ * urow: the user's interned row, whose store row holds their pairs;
+ * los/nlos: the feed boundaries of the user's pairs this slide.
  * Returns non-zero on invariant breach (ladder overflow).
  */
 static int process_event(EventCtx *c, int64_t urow, int64_t a, int64_t b,
-                         const int64_t *los, int64_t nlos,
-                         const int64_t *lanes, const int64_t *times,
-                         int64_t pcount, int64_t w) {
+                         const int64_t *los, int64_t nlos) {
     double *cache = c->cache2d + urow * c->cap;
     double uniform = c->uniform;
     if (nlos == 1) {
@@ -377,25 +423,29 @@ static int process_event(EventCtx *c, int64_t urow, int64_t a, int64_t b,
         }
     }
     uint64_t *mrow = c->mem2d + urow * c->cap;
-    int built = 0;
+    const Row *row = c->store->rows + urow;
+    int64_t at = 0; /* the column's first suffix pair: starts ascend with col */
     for (int64_t col = a; col < b; col++) {
         uint64_t mbits = mrow[col];
         double sv = cache[col];
         if (!(sv >= c->floor_[col]) && mbits == 0)
             continue;
-        if (!built) {
-            if (pcount == 0)
-                break; /* no influence pairs -> no masks -> no-op */
-            build_suffix(c, lanes, times, pcount, w);
-            built = 1;
-        }
-        admit_col(c, col, urow, sv, mbits, pcount, w, mrow);
+        while (at < row->len && row->pairs[at].time < c->starts[col])
+            at++;
+        if (at == row->len)
+            break; /* no pairs from here on -> no gains -> no-op */
+        admit_col(c, col, urow, sv, mbits, row->pairs + at, row->len - at,
+                  mrow);
     }
     return 0;
 }
 
-/* One slide: nupd pair updates of nusers touched users over the n
- * physical columns, of which those below head are dead.
+/* One slide over the n physical columns, of which those below head are
+ * dead: nseed + nupd puts of nusers touched users.  The first nseed puts
+ * fill rows Python is seeding from the shared index this slide; the last
+ * nupd are the slide's pair updates.  All of them go to the store first,
+ * so every event reads its user's pairs as of the slide's end -- the state
+ * the object plane's oracles read too.
  *
  * An update feeds the columns whose start exceeds the pair's previous
  * credit time -- a suffix [lo, n), lo the upper bound of previous in the
@@ -409,10 +459,23 @@ static int process_event(EventCtx *c, int64_t urow, int64_t a, int64_t b,
  * every column's per-user delivery order; a user whose pairs only reach
  * newer columns (the common case) gets the single event [first lo, n).
  * Dirty floors re-tighten to their bar row's minimum at the end.
- * Returns non-zero on invariant breach (ladder overflow).
+ * Returns LADDER_OVERFLOW or OUT_OF_MEMORY on failure, else 0.
  */
-int process_slide(EventCtx *c, int64_t n, int64_t head, int64_t nupd,
-                  int64_t nusers, int64_t w) {
+int process_slide(EventCtx *c, int64_t n, int64_t head, int64_t nseed,
+                  int64_t nupd, int64_t nusers) {
+    Store *store = c->store;
+    int64_t need = 0;
+    for (int64_t s = 0; s < nusers; s++)
+        if (c->usr_row[s] >= need)
+            need = c->usr_row[s] + 1;
+    if (reserve_rows(store, need))
+        return OUT_OF_MEMORY;
+    int64_t oldest = head < n ? c->starts[head] : INT64_MIN;
+    for (int64_t q = 0; q < nseed + nupd; q++)
+        if (put_pair(store->rows + c->usr_row[c->upd_user[q]], c->upd_lane[q],
+                     c->upd_time[q], oldest))
+            return OUT_OF_MEMORY;
+    const int64_t *user = c->upd_user + nseed, *prev = c->upd_prev + nseed;
     int64_t *lo = c->work;           /* (nupd) feed boundary per update */
     int64_t *grouped = lo + nupd;    /* (nupd) the same, grouped by user */
     int64_t *pos = grouped + nupd;   /* (nusers + 1) group offsets */
@@ -421,7 +484,7 @@ int process_slide(EventCtx *c, int64_t n, int64_t head, int64_t nupd,
     for (int64_t s = 0; s <= nusers; s++)
         pos[s] = 0;
     for (int64_t q = 0; q < nupd; q++) {
-        int64_t previous = c->upd_prev[q], a = head, b = n;
+        int64_t previous = prev[q], a = head, b = n;
         while (a < b) {
             int64_t mid = (a + b) >> 1;
             if (starts[mid] <= previous)
@@ -430,25 +493,22 @@ int process_slide(EventCtx *c, int64_t n, int64_t head, int64_t nupd,
                 b = mid;
         }
         lo[q] = a;
-        pos[c->upd_user[q] + 1] += 1;
+        pos[user[q] + 1] += 1;
     }
     for (int64_t s = 0; s < nusers; s++) {
         pos[s + 1] += pos[s];
         least[s] = pos[s]; /* the fill cursor, until the replay below */
     }
     for (int64_t q = 0; q < nupd; q++)
-        grouped[least[c->upd_user[q]]++] = lo[q];
+        grouped[least[user[q]]++] = lo[q];
     for (int64_t s = 0; s < nusers; s++)
         least[s] = n;
     for (int64_t q = 0; q < nupd; q++) {
-        int64_t s = c->upd_user[q];
+        int64_t s = user[q];
         if (lo[q] >= least[s])
             continue;
-        int64_t off = c->usr_off[s];
         int st = process_event(c, c->usr_row[s], lo[q], least[s],
-                               grouped + pos[s], pos[s + 1] - pos[s],
-                               c->lanes + off, c->times + off,
-                               c->usr_off[s + 1] - off, w);
+                               grouped + pos[s], pos[s + 1] - pos[s]);
         if (st)
             return st;
         least[s] = lo[q];
@@ -507,7 +567,8 @@ static void move_columns(void *base, size_t stride, int64_t dst, int64_t src,
 }
 
 /* Physically drop dead columns: column keep[i] moves to i, for the n_new
- * survivors of old_n columns.  keep ascends, so keep[i] >= i and ascending
+ * survivors of old_n columns, and trim the pair store to the new oldest
+ * column's start.  keep ascends, so keep[i] >= i and ascending
  * in-place moves never overwrite an unmoved survivor.  Membership words
  * move through the seed lists, like retirement clears them (a seed listed
  * in two slots finds its word already moved): the target is a dead
@@ -576,4 +637,13 @@ void compact(EventCtx *c, const int64_t *keep, int64_t n_new, int64_t old_n,
     }
     for (int64_t col = n_new; col < old_n; col++)
         reset_column(c, col, 0.0);
+    for (int64_t r = 0; n_new && r < c->store->nrows; r++) {
+        Row *row = c->store->rows + r;
+        trim_row(row, c->starts[0]);
+        if (row->len == 0) {
+            free(row->pairs);
+            row->pairs = NULL;
+            row->cap = 0;
+        }
+    }
 }

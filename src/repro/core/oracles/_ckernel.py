@@ -19,10 +19,8 @@ user and would run inside the server and every forked shard worker.
 The build deliberately avoids ``-ffast-math`` and forces
 ``-ffp-contract=off``: the kernel's contract is bit-identical float
 results versus the CPython object plane, and FMA contraction or unsafe
-math would silently break that.  No flag names a CPU: the one
-instruction worth having (POPCNT, for the admission pass) is selected per
-function by the loader from what the CPU reports (``target_clones`` in the
-source), so the library built on a box never faults on it.
+math would silently break that.  No flag names a CPU, so the library
+built on a box runs on any box of its architecture.
 """
 
 from __future__ import annotations
@@ -97,15 +95,12 @@ class EventCtx(ctypes.Structure):
             "cache2d",
             "upd_user",
             "upd_prev",
+            "upd_lane",
+            "upd_time",
             "usr_row",
-            "usr_off",
-            "lanes",
-            "times",
+            "store",
             "work",
-            "skeys",
-            "cum",
             "counts",
-            "freshb",
         )
     ]
 
@@ -169,6 +164,10 @@ def _first_use() -> ctypes.CDLL:
         context, i64 = ctypes.POINTER(EventCtx), ctypes.c_int64
         lib.process_slide.restype = ctypes.c_int
         lib.process_slide.argtypes = [context, i64, i64, i64, i64, i64]
+        lib.store_new.restype = ctypes.c_void_p
+        lib.store_new.argtypes = []
+        lib.store_free.restype = None
+        lib.store_free.argtypes = [ctypes.c_void_p]
         lib.retire_column.restype = None
         lib.retire_column.argtypes = [context, i64]
         lib.compact.restype = None

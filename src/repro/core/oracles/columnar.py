@@ -22,7 +22,7 @@ checkpoint column:
 * per-``(column, slot)`` **coverage bitsets**: each influenced user is
   assigned a bit lane on first sight, and an instance's covered set is a
   row of uint64 words — set membership, set difference and gain counting
-  become ``&``/``|``/popcount;
+  become bit tests over a user's suffix lanes;
 * transposed per-user state: singleton caches (``user ->
   float64[column]``) and seed membership (``user -> uint64[column]``, bit
   ``s`` set iff the user seeds slot ``s`` — the per-oracle
@@ -33,20 +33,22 @@ order, so the checkpoints a pair update feeds — those whose start exceeds
 the pair's previous credit time — form a contiguous suffix ``[lo, n)``.
 A slide is **one compiled call** (``process_slide`` in ``_ckernel.c``,
 loaded by :mod:`~repro.core.oracles._ckernel`): Python interns the slide's
-users, copies each touched user's influence pairs once into scratch and
-hands down the flat ``(user, previous)`` updates; C finds each ``lo``,
-groups the updates per user and runs one **event** per (user, column
-range) in slide order, which
+users and lanes and hands down the flat ``(user, previous, lane, time)``
+updates.  C keeps its own copy of every touched user's influence pairs —
+one time-ascending ``(time, lane)`` row per user row, seeded from the
+shared index the first time the kernel touches the user and kept current
+by those updates, so Python copies no pair.  It applies the updates, finds
+each ``lo``, groups the updates per user and runs one **event** per (user,
+column range) in slide order, which
 
 1. adds the user's gains to ``cache[lo:n]``, raises ``m``/``best`` where
    the singleton beats them and realigns the guess ladder of any column
    whose bounds moved;
-2. builds the user's suffix membership per column from a cumulative-OR
-   table of their time-sorted pairs, so the members an admission would
-   gain are ``suffix & ~covered`` per instance and the gain is
-   ``uniform * popcount`` — for *member* instances the same expression is
-   the refresh growth, because a seed's covered set always contains their
-   older suffix;
+2. takes the user's suffix per column as the row's pairs credited at or
+   after its start, so the members an admission would gain are the suffix
+   lanes whose covered bit is clear and the gain is ``uniform * count`` —
+   for *member* instances the same count is the refresh growth, because a
+   seed's covered set always contains their older suffix;
 3. admits where ``gain >= bar``, updating values, covered words, bars
    (sieve recomputes, fills go to ``+inf``) and floors, and folds the
    best-so-far offers in ascending slot order (the object plane's
@@ -105,7 +107,7 @@ classes over a shared
 :class:`~repro.core.influence_index.VersionedInfluenceIndex`, on a box
 where the compiled event loads.  Non-uniform weights stay on the object
 plane: their admission gains are float sums in per-object set-iteration
-order, which bitset popcounts cannot reproduce bit-for-bit.  Every check
+order, which counted coverage bits cannot reproduce bit-for-bit.  Every check
 is in :meth:`ColumnarThresholdKernel.for_spec`, which
 :func:`repro.core.checkpoint.make_columnar_kernel` calls.
 """
@@ -114,6 +116,7 @@ from __future__ import annotations
 
 import ctypes
 import math
+import weakref
 from time import perf_counter
 from typing import Dict, FrozenSet, List, Optional
 
@@ -151,10 +154,7 @@ _CTX_ARRAYS = {
     "starts": "_starts_arr",
     **{
         name: "_sc_" + name
-        for name in (
-            "upd_user upd_prev usr_row usr_off lanes times work skeys cum "
-            "counts freshb"
-        ).split()
+        for name in "upd_user upd_prev upd_lane upd_time usr_row work counts".split()
     },
 }
 
@@ -201,9 +201,9 @@ class ColumnarThresholdKernel:
         engine runs per-checkpoint object oracles, when the compiled event
         cannot reproduce the spec bit-for-bit or cannot be loaded here."""
         func = spec.func
-        # Admission gains are ``uniform * popcount``: weighted members are
+        # Admission gains are ``uniform * count``: weighted members are
         # float sums in each object oracle's set-iteration order, which a
-        # popcount cannot reproduce exactly.
+        # count cannot reproduce exactly.
         if not func.modular or func.uniform_weight is None:
             return None
         try:
@@ -305,14 +305,20 @@ class ColumnarThresholdKernel:
         # Columns whose floor needs re-tightening at slide end.
         self._dirtyf = np.zeros(cap, dtype=np.uint8)
         # The compiled half: its library, the context struct it reads the
-        # arrays through (refilled after any reallocation) and its scratch,
-        # sized for a slide's pairs in all and its widest user's.
+        # arrays through (refilled after any reallocation), its scratch,
+        # sized for a slide's puts, and its pair store, whose rows hold the
+        # users in ``_seeded`` (user -> row; interned but unseeded users,
+        # e.g. restored ones, are seeded on their first event).
         self._cfast = lib
         self._cbar_mode = bar_mode
         self._cref = None
         self._cstale = True
-        self._sc_pairs = 64
-        self._sc_widest = 64
+        self._sc_puts = 64
+        self._store = lib.store_new()
+        if not self._store:
+            raise MemoryError("columnar C kernel: no memory for its pair store")
+        self._free_store = weakref.finalize(self, lib.store_free, self._store)
+        self._seeded: Dict[int, int] = {}
 
     # -- column lifecycle --------------------------------------------------
 
@@ -444,34 +450,24 @@ class ColumnarThresholdKernel:
 
     # -- the compiled half ---------------------------------------------------
 
-    def _context(self, pairs: int = 0, widest: int = 0):
+    def _context(self, puts: int = 0):
         """The C entries' context argument, its scratch sized for a slide
-        of ``pairs`` influence pairs (and as many updates), ``widest`` of
-        them one user's; refilled after any array reallocation (growth
-        marks ``_cstale``)."""
-        if pairs > self._sc_pairs or widest > self._sc_widest:
-            while self._sc_pairs < pairs:
-                self._sc_pairs *= 2
-            while self._sc_widest < widest:
-                self._sc_widest *= 2
+        of ``puts`` store puts (updates and seeds); refilled after any
+        array reallocation (growth marks ``_cstale``)."""
+        if puts > self._sc_puts:
+            while self._sc_puts < puts:
+                self._sc_puts *= 2
             self._cstale = True
         if self._cstale:
             self._refill_ctx()
         return self._cref
 
     def _refill_ctx(self) -> None:
-        pairs, widest = self._sc_pairs, self._sc_widest
-        self._sc_upd_user = np.zeros(pairs, dtype=np.int64)
-        self._sc_upd_prev = np.zeros(pairs, dtype=np.int64)
-        self._sc_usr_row = np.zeros(pairs, dtype=np.int64)
-        self._sc_usr_off = np.zeros(pairs + 1, dtype=np.int64)
-        self._sc_lanes = np.zeros(pairs, dtype=np.int64)
-        self._sc_times = np.zeros(pairs, dtype=np.int64)
-        self._sc_work = np.zeros(4 * pairs + 2, dtype=np.int64)
-        self._sc_skeys = np.zeros(2 * widest, dtype=np.int64)
-        self._sc_cum = np.zeros((widest + 1) * self._wcap, dtype=np.uint64)
+        puts = self._sc_puts
+        for name in ("upd_user", "upd_prev", "upd_lane", "upd_time", "usr_row"):
+            setattr(self, "_sc_" + name, np.zeros(puts, dtype=np.int64))
+        self._sc_work = np.zeros(4 * puts + 2, dtype=np.int64)
         self._sc_counts = np.zeros(self._cap + 1, dtype=np.int64)
-        self._sc_freshb = np.zeros(self._wcap, dtype=np.uint64)
         ctx = _ckernel.EventCtx()
         ctx.cap = self._cap
         ctx.jcap = self._jcap
@@ -484,6 +480,7 @@ class ColumnarThresholdKernel:
         ctx.log_base = self._log_base
         for field, attribute in _CTX_ARRAYS.items():
             setattr(ctx, field, getattr(self, attribute).ctypes.data)
+        ctx.store = self._store
         self._cref = ctypes.byref(ctx)  # keeps the struct alive
         self._cstale = False
 
@@ -543,56 +540,64 @@ class ColumnarThresholdKernel:
         roster.absorbed += absorbed
 
     def _absorb(self, updates) -> None:
-        """Python's share of the slide: intern its performers and touched
-        users into lanes and rows, copy each touched user's influence
-        pairs from the shared index's dict once into concatenated scratch,
-        and make the one ``process_slide`` call with the flat ``(user,
-        previous)`` updates — grouping and replay order are C's."""
-        if not self._n or not updates:
+        """Python's share of the slide: intern its touched users into rows
+        and its performers into lanes, queue a seed (the user's pairs in the
+        shared index) for each touched user the pair store does not hold
+        yet, and make the one ``process_slide`` call with the seeds and the
+        flat ``(user, previous, lane, time)`` updates — the store, grouping
+        and replay order are C's.  An unseeded user's update that feeds no
+        column is skipped: their seed, whenever it comes, will hold it."""
+        if not updates:
             return
-        newest = self._starts_list[-1]
+        newest = self._starts_list[-1] if self._n else -1
         lane, lane_of = self._lane, self._lane_of
-        latest = self._shared._latest
+        seeded, latest = self._seeded, self._shared._latest
         slot_of: Dict[int, int] = {}
-        upd_user, upd_prev, rows, offsets = [], [], [], [0]
-        lanes: List[int] = []
-        times: List[int] = []
-        widest = 0
+        rows: List[int] = []
+        upd_user, upd_prev, upd_lane, upd_time = [], [], [], []
+        seed_user: List[int] = []
+        seed_lane: List[int] = []
+        seed_time: List[int] = []
         for performer, u, previous in updates:
-            if previous >= newest:
-                continue  # the pair was already credited in every column
-            if performer not in lane_of:
-                lane(performer)
             slot = slot_of.get(u)
             if slot is None:
-                slot = slot_of[u] = len(rows)
-                pairs = latest.get(u)
-                if pairs:
+                row = seeded.get(u)
+                if row is None:
+                    if previous >= newest:
+                        continue
+                    row = seeded[u] = self._urow(u)
+                    pairs = latest[u]
                     try:
-                        lanes += [lane_of[v] for v in pairs]
+                        seed_lane += [lane_of[v] for v in pairs]
                     except KeyError:
                         # Pairs restored from a snapshot (or this slide's
                         # later performers) may not be laned yet.
-                        lanes += [lane(v) for v in pairs]
-                    times += pairs.values()
-                rows.append(self._urow(u))
-                widest = max(widest, len(lanes) - offsets[-1])
-                offsets.append(len(lanes))
+                        seed_lane += [lane(v) for v in pairs]
+                    seed_time += pairs.values()
+                    seed_user += [len(rows)] * len(pairs)
+                slot = slot_of[u] = len(rows)
+                rows.append(row)
+            lane_v = lane_of.get(performer)
             upd_user.append(slot)
             upd_prev.append(previous)
+            upd_lane.append(lane(performer) if lane_v is None else lane_v)
+            upd_time.append(latest[u][performer])
         if not rows:
             return
-        nupd, nusers, pairs = len(upd_user), len(rows), len(lanes)
-        context = self._context(max(pairs, nupd), widest)
-        self._sc_upd_user[:nupd] = upd_user
-        self._sc_upd_prev[:nupd] = upd_prev
+        nseed, nusers = len(seed_user), len(rows)
+        puts = nseed + len(upd_user)
+        context = self._context(puts)
+        self._sc_upd_user[:puts] = seed_user + upd_user
+        self._sc_upd_prev[nseed:puts] = upd_prev
+        self._sc_upd_lane[:puts] = seed_lane + upd_lane
+        self._sc_upd_time[:puts] = seed_time + upd_time
         self._sc_usr_row[:nusers] = rows
-        self._sc_usr_off[: nusers + 1] = offsets
-        self._sc_lanes[:pairs] = lanes
-        self._sc_times[:pairs] = times
-        if self._cfast.process_slide(
-            context, self._n, self._head, nupd, nusers, self._w
-        ):  # pragma: no cover - guarded by _jcap sizing
+        status = self._cfast.process_slide(
+            context, self._n, self._head, nseed, puts - nseed, nusers
+        )
+        if status == 2:  # OUT_OF_MEMORY: the store could not grow
+            raise MemoryError("columnar C kernel: no memory for its pair store")
+        if status:  # pragma: no cover - guarded by _jcap sizing
             raise RuntimeError(
                 "columnar C kernel: guess ladder outgrew the slot budget"
             )
@@ -640,6 +645,9 @@ class ColumnarThresholdKernel:
     def load_state(self, state: dict, roster) -> None:
         """Restore a fresh kernel from :meth:`to_state` output, appending
         the checkpoints' handles to ``roster``."""
+        for key in ("users", "lanes"):
+            if len(np.unique(state[key])) != len(state[key]):
+                raise ValueError(f"kernel table {key!r} repeats an entry")
         for u in state["users"].tolist():
             self._urow(u)
         for v in state["lanes"].tolist():
@@ -657,12 +665,24 @@ class ColumnarThresholdKernel:
             handle = self.new_checkpoint(start, roster)
             handle._actions_processed = done
             roster.append(handle)
-        # The compiled event trusts these as array indices and loop bounds.
-        rows, seeds = max(len(self._uidx_user), 1), self._k + 1
-        for key, limit in (
-            ("best_ids", rows), ("iseed_ids", rows), ("best_ns", seeds), ("inseed", seeds)
+        # The compiled event trusts these as array indices and loop bounds,
+        # and numpy would wrap a negative entry into the last row or word.
+        users, seeds, columns = len(self._uidx_user), self._k + 1, self._n
+        rows = max(users, 1)  # unused seed slots hold row 0
+        covered = state["covered"]
+        for key, values, limit in (
+            ("best_ids", state["best_ids"], rows),
+            ("iseed_ids", state["iseed_ids"], rows),
+            ("best_ns", state["best_ns"], seeds),
+            ("inseed", state["inseed"], seeds),
+            ("cache.row", state["cache"]["row"], users),
+            ("cache.col", state["cache"]["col"], columns),
+            ("member.row", state["member"]["row"], users),
+            ("member.col", state["member"]["col"], columns),
+            ("covered.col", covered["col"], columns),
+            ("covered.slot", covered["slot"], self._jcap),
+            ("covered.word", covered["word"], -(-len(self._lane_user) // 64)),
         ):
-            values = state[key]
             if values.size and not 0 <= values.min() <= values.max() < limit:
                 raise ValueError(f"kernel column {key!r} leaves [0, {limit})")
         if (state["bhigh"].astype(np.int64) - state["blow"] >= self._jcap).any():
@@ -672,7 +692,6 @@ class ColumnarThresholdKernel:
         for name, matrix in (("cache", self._cache2d), ("member", self._mem2d)):
             entries = state[name]
             matrix[entries["row"], entries["col"]] = entries["value"]
-        covered = state["covered"]
         self._icov[covered["col"], covered["slot"], covered["word"]] = covered["bits"]
 
     def load_col_state(self, col: int, state: dict) -> None:

@@ -1,10 +1,13 @@
 """The compiled kernel under AddressSanitizer + UBSan, warnings as errors.
 
 ``_ckernel.c`` writes through raw pointers into numpy-owned arrays — the
-event's admissions, and since the lifecycle moved into it, retirement's
-seed-list walk and compaction's in-place moves.  A write one element past
-a row is silent in a normal build.  This test runs the object-plane
-equivalence matrix and the column-lifecycle history in a child process
+event's admissions, retirement's seed-list walk and compaction's in-place
+moves — and owns one allocation, the pair store, whose rows it grows,
+trims and reallocates.  A write one element past a row is silent in a
+normal build.  This test runs the object-plane equivalence matrix, the
+column-lifecycle history, the pair-store property (with its check that a
+dropped kernel's finalizer freed the store, which leak detection being off
+would otherwise hide) and the malformed-section refusals in a child process
 whose kernel is built with ``-Wall -Wextra -Werror -fsanitize=address,
 undefined -fno-sanitize-recover`` — by patching the loader's flag list in
 that child, so the product gains no switch — with the ASan runtime
@@ -61,6 +64,9 @@ def test_kernel_is_clean_under_asan_and_ubsan(tmp_path):
     tests = [
         "tests/core/test_columnar_equivalence.py::test_columnar_object_equivalence",
         "tests/core/test_column_lifecycle.py",
+        "tests/core/test_pair_store.py",
+        "tests/persistence/test_columnar_roundtrip.py::"
+        "test_malformed_kernel_section_is_refused_by_field",
     ]
     environment = {
         **os.environ,

@@ -105,6 +105,19 @@ def check_columns(kernel):
     assert not kernel._cache2d[:, n:].any()
 
 
+def columns_agree(kernel_engine, object_engine):
+    """Every live column decodes to its object-plane twin's oracle state."""
+    kernel = kernel_engine.columnar_kernel
+    documents = oracle_documents(kernel.to_state(list(kernel_engine.checkpoints)))
+    reference = object_engine.checkpoints
+    assert [d["start"] for d in documents] == [c.start for c in reference]
+    for document, checkpoint in zip(documents, reference):
+        assert document["actions_processed"] == checkpoint.actions_processed
+        assert canon(document["oracle"]) == canon(
+            checkpoint.oracle.state_dict()
+        ), checkpoint.start
+
+
 @pytest.fixture
 def witnesses(monkeypatch):
     """Count, on every kernel of the test (the restored one included), the
@@ -167,16 +180,7 @@ def test_lifecycle_history_matches_object_plane(history, witnesses):
         ), (history, index)
         kernel = kernel_engine.columnar_kernel
         check_columns(kernel)
-        documents = oracle_documents(
-            kernel.to_state(list(kernel_engine.checkpoints))
-        )
-        reference = object_engine.checkpoints
-        assert [d["start"] for d in documents] == [c.start for c in reference]
-        for document, checkpoint in zip(documents, reference):
-            assert document["actions_processed"] == checkpoint.actions_processed
-            assert canon(document["oracle"]) == canon(
-                checkpoint.oracle.state_dict()
-            ), (history, index, checkpoint.start)
+        columns_agree(kernel_engine, object_engine)
     # Dead columns (ic-l1 and sic-l3 end between compactions) count for
     # nothing in the kernel's own accounting.
     assert measure_footprint(kernel_engine) == measure_footprint(object_engine)

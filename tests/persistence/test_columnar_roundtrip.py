@@ -24,6 +24,8 @@ cannot load.
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro.core.ic import InfluentialCheckpoints
@@ -186,6 +188,28 @@ def test_kernel_columns_the_compiled_event_would_index_with_are_vetted(
     document = algorithm_to_state(engine)
     document["roster"]["columns"][key][index] = value
     with pytest.raises(PersistenceError, match="kernel column"):
+        algorithm_from_state(document)
+
+
+@pytest.mark.parametrize(
+    "field, mutate",
+    [
+        ("'users' repeats", lambda c: c["users"].__setitem__(1, c["users"][0])),
+        ("'covered.word' leaves", lambda c: c["covered"]["word"].__setitem__(0, -1)),
+        ("'member.row' leaves", lambda c: c["member"]["row"].__setitem__(0, -1)),
+        ("'cache.col' leaves", lambda c: c["cache"]["col"].__setitem__(0, len(c["start"]))),
+    ],
+)
+def test_malformed_kernel_section_is_refused_by_field(field, mutate):
+    """Numpy wraps a negative index and ``_urow`` dedups a repeated user,
+    so each of these would load silently and land bits in the wrong row or
+    word: it is refused, naming the field."""
+    require_ckernel()
+    engine = SparseInfluentialCheckpoints(window_size=40, k=3, beta=0.25)
+    drive(engine, list(batched(random_stream(120, 8, seed=7), 5)))
+    document = algorithm_to_state(engine)
+    mutate(document["roster"]["columns"])
+    with pytest.raises(PersistenceError, match=re.escape(field)):
         algorithm_from_state(document)
 
 

@@ -324,17 +324,39 @@ class TestEitherPlane:
         assert drive(restored, batches[12:]) == expected[12:]
 
 
+    def test_kernel_written_fixture_continues_on_both_planes(self, tmp_path):
+        """The committed container opens on the kernel plane too, with
+        every restored user's pairs seeded lazily into the kernel's store,
+        and the next 200 slides answer exactly as the object plane opened
+        from the same file does."""
+        require_ckernel()
+        batches = list(batched(random_stream(60 + 200 * 5, 8, seed=21), 5))
+        assert batches[:12] == fixture_batches()[:12]
+        store = SnapshotStore(tmp_path)
+        plant(store, FIXTURE.read_bytes())
+        answers = []
+        for columnar in (None, False):
+            document = store.load_latest()[1]["algorithm"]
+            document["columnar"] = columnar
+            restored = algorithm_from_state(document)
+            assert restored.columnar is (columnar is None)
+            answers.append(drive(restored, batches[12:]))
+        assert answers[0] == answers[1]
+
+
 # -- the bytes themselves --------------------------------------------------------
 
 #: SHA-256 of the snapshot file a seeded engine writes after 300 slides of
 #: ``syn_n(500, 3000, seed=1)``, per algorithm and oracle plane.  A change
 #: to what a snapshot holds or how it is laid out changes these; update
-#: them in that change, on purpose.  Last re-recorded when the shared index
-#: stopped spilling pairs to a ``cold`` section: its section changed.
+#: them in that change, on purpose.  Kernel pins last re-recorded when the
+#: kernel began interning a performer's lane at the update rather than at
+#: the first copy of a user's pairs: the ``lanes`` table holds the same
+#: users in another order, and the decoded columns are unchanged.
 SNAPSHOT_SHA256 = {
-    ("ic", "kernel"): "47056eb6b01a53cfc606be86792343ae9bae68a537eb069eca4ebedfe88c5625",
+    ("ic", "kernel"): "5777f5ea538c420485d4b47c785552966ee954b80f6bfe4e4daf30212c59d097",
     ("ic", "object"): "cf6b299c77ca1e43c421929daccb72b94db03532b1dcd7f59182f8c118b07b21",
-    ("sic", "kernel"): "b9ec73da4aed6f75d7fceb3948e79a3f695b0b54308226da9f3f036ef9f033ad",
+    ("sic", "kernel"): "b388892b4ec2e51c5d290a5268a292e76b001711b5122f7b05dbee6f367ffcfe",
     ("sic", "object"): "43ea0d75725db3e7dd328c0d9bd03ee476dea53fa07d62f6179a526bcad84317",
 }
 
