@@ -33,7 +33,6 @@ from repro.core import (
     OracleSpec,
     SIMAlgorithm,
     SIMResult,
-    SlidingWindow,
     SparseInfluentialCheckpoints,
     WindowInfluenceIndex,
     WindowedGreedy,
@@ -79,7 +78,6 @@ __all__ = [
     "Region",
     "SIMAlgorithm",
     "SIMResult",
-    "SlidingWindow",
     "SparseInfluentialCheckpoints",
     "TopicAwareSIM",
     "WeightedCardinalityInfluence",

@@ -8,7 +8,7 @@ rebuilt from the window's influence relationships (WC probabilities), then
 * **UBI** absorbs ``G_t`` as the next graph of its chronological sequence
   and interchanges seeds incrementally.
 
-Both adapters reuse :class:`~repro.core.base.SIMAlgorithm`'s window/forest
+Both adapters reuse :class:`~repro.core.base.SIMAlgorithm`'s clock/forest
 plumbing plus the exact windowed influence index, so graph construction is
 shared and identical across baselines.
 """
@@ -45,22 +45,15 @@ class IMMAlgorithm(SIMAlgorithm):
         self._ell = ell
         self._seed = seed
         self._max_rr_sets = max_rr_sets
-        self._index = WindowInfluenceIndex()
+        self._index = WindowInfluenceIndex(window_size)
 
     @property
     def index(self) -> WindowInfluenceIndex:
         """The exact windowed influence index the graph is built from."""
         return self._index
 
-    def _on_slide(
-        self,
-        arrived: Sequence[ActionRecord],
-        expired: Sequence[ActionRecord],
-    ) -> None:
-        for record in arrived:
-            self._index.add(record)
-        for record in expired:
-            self._index.remove(record)
+    def _on_slide(self, arrived: Sequence[ActionRecord]) -> None:
+        self._index.slide(arrived)
 
     def query(self) -> SIMResult:
         """Rebuild ``G_t`` and run IMM from scratch."""
@@ -93,7 +86,7 @@ class UBIAlgorithm(SIMAlgorithm):
         retention: Optional[int] = None,
     ):
         super().__init__(window_size=window_size, k=k, retention=retention)
-        self._index = WindowInfluenceIndex()
+        self._index = WindowInfluenceIndex(window_size)
         self._ubi = UpperBoundInterchange(
             k=k, gamma=gamma, rr_samples=rr_samples, seed=seed
         )
@@ -109,15 +102,8 @@ class UBIAlgorithm(SIMAlgorithm):
         """The underlying UBI state (for diagnostics)."""
         return self._ubi
 
-    def _on_slide(
-        self,
-        arrived: Sequence[ActionRecord],
-        expired: Sequence[ActionRecord],
-    ) -> None:
-        for record in arrived:
-            self._index.add(record)
-        for record in expired:
-            self._index.remove(record)
+    def _on_slide(self, arrived: Sequence[ActionRecord]) -> None:
+        self._index.slide(arrived)
         graph = build_influence_graph(self._index)
         self._ubi.update(graph)
         self._last_spread = self._ubi.spread_estimate(graph)

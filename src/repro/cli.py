@@ -956,8 +956,6 @@ def _cmd_serve(args) -> int:
         queue_capacity=args.queue_capacity,
         ack_every=args.ack_every,
         history=args.history,
-        shards=args.shards,
-        shard_backend=args.shard_backend,
         trace_log=args.trace_log,
         slow_slide_ms=args.slow_slide_ms,
         trace_ring=args.trace_ring,

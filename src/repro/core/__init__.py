@@ -3,8 +3,8 @@
 Public surface:
 
 * :class:`~repro.core.actions.Action` and stream helpers;
-* :class:`~repro.core.window.SlidingWindow` and
-  :class:`~repro.core.diffusion.DiffusionForest` substrates;
+* the :class:`~repro.core.diffusion.DiffusionForest` substrate and the
+  influence indexes of :mod:`repro.core.influence_index`;
 * :class:`~repro.core.ic.InfluentialCheckpoints` (Algorithm 1);
 * :class:`~repro.core.sic.SparseInfluentialCheckpoints` (Algorithm 2);
 * :class:`~repro.core.greedy.WindowedGreedy` (the ``1 − 1/e`` baseline);
@@ -26,7 +26,6 @@ from repro.core.influence_index import (
 from repro.core.multi import MultiQueryEngine
 from repro.core.sic import SparseInfluentialCheckpoints
 from repro.core.stream import ListStream, batched, renumber, validate_stream
-from repro.core.window import SlidingWindow
 
 __all__ = [
     "MultiQueryEngine",
@@ -43,7 +42,6 @@ __all__ = [
     "OracleSpec",
     "SIMAlgorithm",
     "SIMResult",
-    "SlidingWindow",
     "SparseInfluentialCheckpoints",
     "WindowInfluenceIndex",
     "WindowedGreedy",

@@ -4,28 +4,25 @@ Every algorithm in this library (IC, SIC, windowed greedy, and the adapted
 graph baselines) consumes the same inputs: batches of arriving actions that
 slide a sequence-based window of size ``N`` by ``L = len(batch)`` positions.
 :class:`SIMAlgorithm` centralises the bookkeeping each of them needs —
-sliding window, diffusion-forest ancestor resolution, and the parallel
-record queue used to report expiries — so that concrete algorithms only
-implement :meth:`SIMAlgorithm._on_slide` and :meth:`SIMAlgorithm.query`.
+the window size, the stream clock and diffusion-forest ancestor
+resolution — so that concrete algorithms only implement
+:meth:`SIMAlgorithm._on_slide` and :meth:`SIMAlgorithm.query`.  The window
+itself is a clock: a checkpoint expires when its start falls below
+``now − N + 1``, and the algorithms that need expired records (windowed
+greedy, the graph baselines) keep them in
+:class:`~repro.core.influence_index.WindowInfluenceIndex`.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from collections import deque
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Deque, FrozenSet, List, Optional, Sequence
+from typing import FrozenSet, Optional, Sequence
 
 from repro.core.actions import Action
-from repro.core.diffusion import (
-    ActionRecord,
-    DiffusionForest,
-    records_from_columns,
-    records_to_columns,
-)
+from repro.core.diffusion import ActionRecord, DiffusionForest
 from repro.core.resolve import ResolvedSlide
-from repro.core.window import SlidingWindow
 from repro.telemetry.trace import active_trace
 
 __all__ = [
@@ -134,11 +131,16 @@ class SIMAlgorithm(ABC):
             raise ValueError(
                 f"retention ({retention}) must be >= window size ({window_size})"
             )
+        if window_size <= 0:
+            raise ValueError(f"window size must be positive, got {window_size}")
         self._k = k
-        self._window = SlidingWindow(window_size)
+        #: The window capacity ``N``.
+        self.window_size = window_size
+        #: Timestamp of the latest processed action (0 before any).
+        self.now = 0
+        #: Total number of actions consumed.
+        self.actions_processed = 0
         self._forest = DiffusionForest(retention=retention)
-        self._window_records: Deque[ActionRecord] = deque()
-        self._actions_processed = 0
 
     # -- public interface ---------------------------------------------------
 
@@ -146,26 +148,6 @@ class SIMAlgorithm(ABC):
     def k(self) -> int:
         """The cardinality constraint."""
         return self._k
-
-    @property
-    def window_size(self) -> int:
-        """The window capacity ``N``."""
-        return self._window.size
-
-    @property
-    def now(self) -> int:
-        """Timestamp of the latest processed action (0 before any)."""
-        return self._window.end_time
-
-    @property
-    def actions_processed(self) -> int:
-        """Total number of actions consumed."""
-        return self._actions_processed
-
-    @property
-    def window(self) -> SlidingWindow:
-        """The underlying sliding window."""
-        return self._window
 
     @property
     def forest(self) -> DiffusionForest:
@@ -177,7 +159,7 @@ class SIMAlgorithm(ABC):
 
         Validates stream order against the engine clock, feeds the
         diffusion forest exactly once, and returns the slide's resolved
-        influence records — without advancing the window or touching the
+        influence records — without advancing the clock or touching the
         oracles.  Pair each ``resolve_slide`` with exactly one
         :meth:`process`-style application; :meth:`process` composes the
         two for the single-engine path, while the sharded facade
@@ -214,12 +196,6 @@ class SIMAlgorithm(ABC):
         algorithm, must already be narrowed to this shard's influencers
         (projection is idempotent, so sharded subclasses re-project
         defensively).
-
-        Unlike :meth:`process`, the window stores no actions — only the
-        clock advances — so ``active_users``/``start_time`` reflect an
-        empty window and expiry records are not reported.  IC/SIC never
-        consume either; algorithms that do (e.g. the windowed greedy
-        baseline) do not support pre-resolved slides.
         """
         if resolved.count == 0:
             return
@@ -230,12 +206,8 @@ class SIMAlgorithm(ABC):
             )
         trace = active_trace()
         started = perf_counter() if trace is not None else 0.0
-        self._window.advance_clock(resolved.last, resolved.count)
-        # Drain broadcast-era window records (a shard dir migrated from
-        # broadcast ingest restores a populated deque) at slide rate.
-        for _ in range(min(resolved.count, len(self._window_records))):
-            self._window_records.popleft()
-        self._actions_processed += len(resolved.records)
+        self.now = resolved.last
+        self.actions_processed += len(resolved.records)
         if trace is not None:
             self._on_slide_resolved(resolved)
             trace.add_stage(
@@ -248,36 +220,29 @@ class SIMAlgorithm(ABC):
         """Slide the window by ``len(batch)`` actions (Section 5.3's ``L``).
 
         The composed single-engine path of the two-phase ingest API:
-        :meth:`resolve_slide` (forest) followed by window bookkeeping and
-        the oracle application — with the window keeping the raw actions
-        for full state fidelity, which the routed :meth:`apply_resolved`
-        path skips.
+        :meth:`resolve_slide` (forest), the clock advance, then the
+        algorithm's :meth:`_on_slide` hook with the slide's records.
 
         When a :class:`~repro.telemetry.SlideTrace` is active on this
         thread (the serving plane's writer), the slide splits into two
-        recorded stages: ``forest_index`` (ancestor resolution + window
-        bookkeeping) and ``oracle`` (the algorithm's ``_on_slide``).
-        Without an active trace the cost is one thread-local lookup.
+        recorded stages: ``forest_index`` (ancestor resolution) and
+        ``oracle`` (the algorithm's ``_on_slide``).  Without an active
+        trace the cost is one thread-local lookup.
         """
         if not batch:
             return
         trace = active_trace()
         started = perf_counter() if trace is not None else 0.0
         resolved = self.resolve_slide(batch)
-        arrived: List[ActionRecord] = list(resolved.records)
-        self._window.slide(batch)
-        self._window_records.extend(arrived)
-        expired: List[ActionRecord] = []
-        while len(self._window_records) > self._window.size:
-            expired.append(self._window_records.popleft())
-        self._actions_processed += len(batch)
+        self.now = resolved.last
+        self.actions_processed += resolved.count
         if trace is not None:
             indexed = perf_counter()
-            trace.add_stage("forest_index", indexed - started, len(batch))
-            self._on_slide(arrived, expired)
-            trace.add_stage("oracle", perf_counter() - indexed, len(batch))
+            trace.add_stage("forest_index", indexed - started, resolved.count)
+            self._on_slide(resolved.records)
+            trace.add_stage("oracle", perf_counter() - indexed, resolved.count)
         else:
-            self._on_slide(arrived, expired)
+            self._on_slide(resolved.records)
 
     def process_stream(self, batches) -> None:
         """Consume an iterable of batches (see :func:`repro.core.stream.batched`)."""
@@ -308,42 +273,30 @@ class SIMAlgorithm(ABC):
 
         Concrete algorithms embed this under ``"base"`` in their
         ``to_state`` document and restore it with :meth:`_restore_base`.
-        ``window_records`` are serialized in full (as record columns, not
-        as references into the forest) because a retention horizon may
-        already have pruned them from the forest.  They are the forest's
-        newest rows, copied as columns, unless such a horizon has pruned
-        one; only then are the records themselves walked.
         """
-        records = self._window_records
-        window_records = self._forest.columns(newest=len(records))
-        times = window_records["time"]
-        if records and (len(times) < len(records) or times[0] != records[0].time):
-            window_records = records_to_columns(records)
         return {
-            "window": self._window.to_state(),
+            "window": {"size": self.window_size, "last_time": self.now},
             "forest": self._forest.to_state(),
-            "window_records": window_records,
-            "actions_processed": self._actions_processed,
+            "actions_processed": self.actions_processed,
         }
 
     def _restore_base(self, state: dict) -> None:
-        """Restore the shared bookkeeping from :meth:`_base_state` output."""
-        self._window = SlidingWindow.from_state(state["window"])
+        """Restore the shared bookkeeping from :meth:`_base_state` output.
+
+        Documents written while the base kept the window's actions and
+        records carry ``window.actions`` and ``window_records`` entries
+        too; nothing reads them.
+        """
+        self.window_size = state["window"]["size"]
+        self.now = state["window"]["last_time"]
         self._forest = DiffusionForest.from_state(state["forest"])
-        self._window_records = deque(
-            records_from_columns(state["window_records"])
-        )
-        self._actions_processed = state["actions_processed"]
+        self.actions_processed = state["actions_processed"]
 
     # -- to implement --------------------------------------------------------
 
     @abstractmethod
-    def _on_slide(
-        self,
-        arrived: Sequence[ActionRecord],
-        expired: Sequence[ActionRecord],
-    ) -> None:
-        """React to one window slide (records are already resolved)."""
+    def _on_slide(self, arrived: Sequence[ActionRecord]) -> None:
+        """React to one window slide (the arriving records, resolved)."""
 
     def _on_slide_resolved(self, resolved: ResolvedSlide) -> None:
         """React to one pre-resolved slide (the routed apply path).

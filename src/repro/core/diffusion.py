@@ -317,13 +317,11 @@ class DiffusionForest:
 
     # -- persistence -----------------------------------------------------
 
-    def columns(self, newest: Optional[int] = None) -> dict:
-        """The retained records, or only the ``newest`` of them, in the
-        :func:`records_to_columns` layout, copied from the columns."""
+    def columns(self) -> dict:
+        """The retained records in the :func:`records_to_columns` layout,
+        copied from the columns."""
         stop = len(self._time)
         start = self._first
-        if newest is not None:
-            start = max(start, stop - newest)
         bounds = _owned(self._bounds, start, stop + 1)
         influencers = _owned(self._influencers, bounds[0], bounds[-1])
         return {

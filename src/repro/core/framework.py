@@ -91,7 +91,7 @@ class CheckpointFramework(SIMAlgorithm):
                 object oracles (the kernel's equivalence reference).
         """
         # window_size and k are validated (with the offending value in the
-        # message) by SIMAlgorithm/SlidingWindow; tests/core/test_ic.py and
+        # message) by SIMAlgorithm; tests/core/test_ic.py and
         # test_sic.py pin that contract.
         if shared_index is not True:
             raise ValueError(
@@ -168,11 +168,7 @@ class CheckpointFramework(SIMAlgorithm):
 
     # -- the slide loop ------------------------------------------------------
 
-    def _on_slide(
-        self,
-        arrived: Sequence[ActionRecord],
-        expired: Sequence[ActionRecord],
-    ) -> None:
+    def _on_slide(self, arrived: Sequence[ActionRecord]) -> None:
         self._absorb_slide(arrived, arrived[0].time, len(arrived), False)
 
     def _on_slide_resolved(self, resolved) -> None:

@@ -153,7 +153,7 @@ class WindowedGreedy(SIMAlgorithm):
         """``lazy=False`` reproduces the paper's naive greedy baseline."""
         super().__init__(window_size=window_size, k=k, retention=retention)
         self._func = func if func is not None else CardinalityInfluence()
-        self._index = WindowInfluenceIndex()
+        self._index = WindowInfluenceIndex(window_size)
         self._lazy = lazy
 
     @property
@@ -161,15 +161,8 @@ class WindowedGreedy(SIMAlgorithm):
         """The exact windowed influence index the greedy runs on."""
         return self._index
 
-    def _on_slide(
-        self,
-        arrived: Sequence[ActionRecord],
-        expired: Sequence[ActionRecord],
-    ) -> None:
-        for record in arrived:
-            self._index.add(record)
-        for record in expired:
-            self._index.remove(record)
+    def _on_slide(self, arrived: Sequence[ActionRecord]) -> None:
+        self._index.slide(arrived)
 
     def query(self) -> SIMResult:
         """Run greedy over the current window from scratch."""
@@ -200,10 +193,11 @@ class WindowedGreedy(SIMAlgorithm):
     def to_state(self) -> dict:
         """Explicit state: config, base bookkeeping, and index.
 
-        The window index is serialized order-preserving (its iteration
-        order seeds the greedy candidate list, which breaks ties in the
-        naive ``lazy=False`` mode), so a restored run selects exactly the
-        seeds an uninterrupted run would.
+        The window's records ride in the index's state.  The index is
+        serialized order-preserving (its iteration order seeds the greedy
+        candidate list, which breaks ties in the naive ``lazy=False``
+        mode), so a restored run selects exactly the seeds an
+        uninterrupted run would.
         """
         return {
             "format": STATE_FORMAT_VERSION,
@@ -225,5 +219,7 @@ class WindowedGreedy(SIMAlgorithm):
             lazy=config["lazy"],
         )
         algorithm._restore_base(state["base"])
-        algorithm._index = WindowInfluenceIndex.from_state(state["index"])
+        algorithm._index = WindowInfluenceIndex.from_state(
+            state["index"], algorithm.window_size
+        )
         return algorithm

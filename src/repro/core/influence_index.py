@@ -3,12 +3,13 @@
 Three variants are needed:
 
 * :class:`WindowInfluenceIndex` — the *exact* influence sets with respect to
-  the current sliding window ``W_t`` (Definition 1).  It supports removal,
-  because influence contributed by an action disappears when that action
-  expires from the window.  Contributions are reference-counted per
-  ``(influencer, influenced)`` pair: ``v ∈ I_t(u)`` iff at least one window
-  action performed by ``v`` credits ``u`` (Example 1: ``u1`` still influences
-  ``u3`` in ``W_10`` through ``a_4`` even after ``a_1`` expired).
+  the current sliding window ``W_t`` (Definition 1).  It keeps the window's
+  records itself and is the one place a record expires, because influence
+  contributed by an action disappears when that action leaves the window.
+  Contributions are reference-counted per ``(influencer, influenced)``
+  pair: ``v ∈ I_t(u)`` iff at least one window action performed by ``v``
+  credits ``u`` (Example 1: ``u1`` still influences ``u3`` in ``W_10``
+  through ``a_4`` even after ``a_1`` expired).
 
 * :class:`AppendOnlyInfluenceIndex` — the influence sets ``I_t[i](u)`` over
   the *suffix* of actions covered by one checkpoint (Section 4.2).  Sets only
@@ -40,12 +41,17 @@ the users credited.
 
 from __future__ import annotations
 
+from collections import deque
 from itertools import chain
-from typing import Dict, FrozenSet, Iterator, List, Sequence, Set, Tuple
+from typing import Deque, Dict, FrozenSet, Iterator, List, Sequence, Set, Tuple
 
 import numpy as _np
 
-from repro.core.diffusion import ActionRecord
+from repro.core.diffusion import (
+    ActionRecord,
+    records_from_columns,
+    records_to_columns,
+)
 
 __all__ = [
     "WindowInfluenceIndex",
@@ -59,17 +65,33 @@ _EMPTY_FROZENSET: FrozenSet[int] = frozenset()
 
 
 class WindowInfluenceIndex:
-    """Exact windowed influence sets with reference-counted expiry."""
+    """Exact influence sets of the latest ``N`` records, reference-counted."""
 
-    def __init__(self) -> None:
+    def __init__(self, window_size: int) -> None:
+        self._window_size = window_size
+        self._records: Deque[ActionRecord] = deque()
         self._pair_counts: Dict[int, Dict[int, int]] = {}
         self._influence: Dict[int, Set[int]] = {}
         # Memoised frozenset per user, dropped whenever that user's set
         # actually changes (multiplicity-only updates keep it valid).
         self._frozen: Dict[int, FrozenSet[int]] = {}
 
-    def add(self, record: ActionRecord) -> None:
-        """Account for an arriving action."""
+    def slide(self, arrived: Sequence[ActionRecord]) -> None:
+        """Slide the window by ``arrived`` (resolved records, stream order).
+
+        Every arrival is added in order, then the records beyond the
+        window's ``N`` expire, oldest first.  The order is part of the
+        contract: :meth:`influencers` lists users in the order their sets
+        became non-empty, and that order breaks greedy ties.
+        """
+        records = self._records
+        for record in arrived:
+            records.append(record)
+            self._add(record)
+        while len(records) > self._window_size:
+            self._remove(records.popleft())
+
+    def _add(self, record: ActionRecord) -> None:
         v = record.user
         for u in record.influencers:
             counts = self._pair_counts.setdefault(u, {})
@@ -78,15 +100,10 @@ class WindowInfluenceIndex:
                 self._influence.setdefault(u, set()).add(v)
                 self._frozen.pop(u, None)
 
-    def remove(self, record: ActionRecord) -> None:
-        """Account for an expiring action (must have been added before)."""
+    def _remove(self, record: ActionRecord) -> None:
         v = record.user
         for u in record.influencers:
-            counts = self._pair_counts.get(u)
-            if counts is None or v not in counts:
-                raise KeyError(
-                    f"cannot expire pair ({u} -> {v}): it was never added"
-                )
+            counts = self._pair_counts[u]
             counts[v] -= 1
             if counts[v] == 0:
                 del counts[v]
@@ -147,7 +164,8 @@ class WindowInfluenceIndex:
                 yield u, v, count
 
     def to_state(self) -> dict:
-        """Explicit JSON-safe state (pair multiplicities, order-preserving).
+        """Explicit state: pair multiplicities (order-preserving) and the
+        window's records as record columns.
 
         Dict iteration order is part of the state: ``influencers()`` feeds
         greedy candidate lists whose order breaks ties, so the rebuilt
@@ -157,13 +175,16 @@ class WindowInfluenceIndex:
             "pairs": [
                 [u, [[v, count] for v, count in counts.items()]]
                 for u, counts in self._pair_counts.items()
-            ]
+            ],
+            "records": records_to_columns(self._records),
         }
 
     @classmethod
-    def from_state(cls, state: dict) -> "WindowInfluenceIndex":
-        """Rebuild an index from :meth:`to_state` output."""
-        index = cls()
+    def from_state(cls, state: dict, window_size: int) -> "WindowInfluenceIndex":
+        """Rebuild an index of window ``window_size`` from :meth:`to_state`
+        output."""
+        index = cls(window_size)
+        index._records.extend(records_from_columns(state["records"]))
         for u, counts in state["pairs"]:
             index._pair_counts[u] = {v: count for v, count in counts}
             index._influence[u] = {v for v, _count in counts}

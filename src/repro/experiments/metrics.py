@@ -19,8 +19,7 @@ the evaluator's cost never pollutes throughput numbers.
 from __future__ import annotations
 
 import time
-from collections import deque
-from typing import Deque, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.core.actions import Action
 from repro.core.diffusion import DiffusionForest
@@ -151,10 +150,7 @@ class StreamEvaluator:
 
     def __init__(self, window_size: int):
         self._forest = DiffusionForest()
-        self._index = WindowInfluenceIndex()
-        self._records: Deque = deque()
-        self._window_size = window_size
-        self._count = 0
+        self._index = WindowInfluenceIndex(window_size)
 
     @property
     def index(self) -> WindowInfluenceIndex:
@@ -163,13 +159,7 @@ class StreamEvaluator:
 
     def feed(self, batch: Sequence[Action]) -> None:
         """Advance the ground-truth window by one slide."""
-        for action in batch:
-            record = self._forest.add(action)
-            self._records.append(record)
-            self._index.add(record)
-            self._count += 1
-        while len(self._records) > self._window_size:
-            self._index.remove(self._records.popleft())
+        self._index.slide([self._forest.add(action) for action in batch])
 
     def influence_value(self, seeds) -> float:
         """Exact ``|I_t(seeds)|`` for the current window."""

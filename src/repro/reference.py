@@ -144,7 +144,7 @@ class ReferenceIC(_ReferenceFramework):
         self._interval = checkpoint_interval
         self._slides = 0
 
-    def _on_slide(self, arrived, expired) -> None:
+    def _on_slide(self, arrived) -> None:
         # Lines 2-3 and 6-8: a checkpoint for the arriving slide (every
         # ``checkpoint_interval``-th one), then all checkpoints absorb it.
         self._open_and_feed(arrived, opens=self._slides % self._interval == 0)
@@ -187,7 +187,7 @@ class ReferenceSIC(_ReferenceFramework):
         self._beta = beta
         self.pruned_total = 0
 
-    def _on_slide(self, arrived, expired) -> None:
+    def _on_slide(self, arrived) -> None:
         # Lines 2-8: a checkpoint for the arriving slide, then feed all.
         self._open_and_feed(arrived, opens=True)
         checkpoints = self._checkpoints

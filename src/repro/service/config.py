@@ -5,8 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from repro.sharding.backends import BACKENDS, DEFAULT_BACKEND
-
 __all__ = ["ServiceConfig"]
 
 
@@ -31,18 +29,6 @@ class ServiceConfig:
             this many received lines (plus an exact one per ``sync``).
         history: Published answer boards retained for historical
             ``/queries/<name>/history`` reads.
-        shards: Shard engines behind the ingest loop (the sharded
-            multi-core write plane, :mod:`repro.sharding`: each slide is
-            resolved once and every shard applies only the influence
-            records it owns).  ``1`` serves one engine exactly as before.
-            The server validates this against the engine it is given (a
-            mismatch raises), so a config cannot silently claim a
-            sharding level the engine does not have.
-        shard_backend: Worker backend for ``shards > 1``, a
-            :data:`repro.sharding.backends.BACKENDS` name: ``"process"``
-            (default; one forked worker per shard — real multi-core) or
-            ``"serial"`` (in-process; debugging).  Validated against the
-            served engine like ``shards``.
         writer_retries: Extra attempts the ingest writer makes when a
             slide raises :class:`~repro.sharding.ShardingError` before it
             gives up and dies.  A sharded engine only escalates after its
@@ -84,8 +70,6 @@ class ServiceConfig:
     queue_capacity: int = 4096
     ack_every: int = 1000
     history: int = 128
-    shards: int = 1
-    shard_backend: str = DEFAULT_BACKEND
     writer_retries: int = 2
     trace_log: Optional[str] = None
     slow_slide_ms: Optional[float] = None
@@ -115,13 +99,6 @@ class ServiceConfig:
             raise ValueError(f"history must be >= 1, got {self.history}")
         if not 0 <= self.port <= 65535:
             raise ValueError(f"port must be in [0, 65535], got {self.port}")
-        if self.shards < 1:
-            raise ValueError(f"shards must be >= 1, got {self.shards}")
-        if self.shard_backend not in BACKENDS:
-            raise ValueError(
-                f"shard_backend must be one of {tuple(BACKENDS)}, "
-                f"got {self.shard_backend!r}"
-            )
         if self.writer_retries < 0:
             raise ValueError(
                 f"writer_retries must be >= 0, got {self.writer_retries}"

@@ -86,19 +86,6 @@ class ReproService:
                 board (durable when opened with a state dir).
             config: Serving-plane knobs.
         """
-        engine_shards = getattr(engine, "shard_count", 1)
-        if config.shards != engine_shards:
-            raise ValueError(
-                f"config.shards={config.shards} but the engine has "
-                f"{engine_shards} shard(s); build the engine to match, "
-                "e.g. ShardedEngine.open(factory, config.shards, "
-                "backend=config.shard_backend)"
-            )
-        if engine_shards > 1 and engine.backend_name != config.shard_backend:
-            raise ValueError(
-                f"config.shard_backend={config.shard_backend!r} but the "
-                f"engine runs the {engine.backend_name!r} backend"
-            )
         self._engine = engine
         self._config = config
         self._cache = AnswerCache(history=config.history)

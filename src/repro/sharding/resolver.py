@@ -12,7 +12,7 @@ from __future__ import annotations
 import pathlib
 from typing import Optional, Sequence
 
-from repro.core.actions import Action
+from repro.core.actions import Action, int64_field_error
 from repro.core.resolve import ResolvedSlide, SlideResolver
 from repro.persistence.engine import StateStore
 from repro.persistence.serialize import PersistenceError
@@ -132,12 +132,16 @@ class _FacadeResolver:
     def log_and_resolve(self, batch: Sequence[Action]) -> ResolvedSlide:
         """Validate, write-ahead-log, then resolve one slide.
 
-        The batch is validated (strictly ascending) *before* it reaches
-        the WAL, so a poisoned slide is never logged; actions at or
-        below the resolver clock (redelivery) resolve idempotently.
+        The batch is validated (strictly ascending, fields the int64
+        columns can hold) *before* it reaches the WAL, so a poisoned slide
+        is never logged; actions at or below the resolver clock
+        (redelivery) resolve idempotently.
         """
         previous = 0
         for action in batch:
+            problem = int64_field_error(action.time, action.user, action.parent)
+            if problem is not None:
+                raise ValueError(f"resolver received an invalid action: {problem}")
             if action.time <= previous:
                 raise ValueError(
                     f"resolver received out-of-order action {action.time} "

@@ -2,7 +2,7 @@
 
 from repro.baselines.adapters import IMMAlgorithm, UBIAlgorithm
 from repro.core.stream import batched
-from tests.conftest import random_stream
+from tests.conftest import random_stream, window_index
 
 
 def drive(algorithm, actions, slide=5):
@@ -49,17 +49,6 @@ class TestUBIAdapter:
         actions = random_stream(80, 6, seed=6)
         drive(ubi, actions)
         # Compare against a freshly built exact index.
-        from repro.core.diffusion import DiffusionForest
-        from repro.core.influence_index import WindowInfluenceIndex
-
-        forest = DiffusionForest()
-        expected = WindowInfluenceIndex()
-        records = []
-        for action in actions:
-            record = forest.add(action)
-            records.append(record)
-            expected.add(record)
-            if len(records) > 25:
-                expected.remove(records.pop(0))
+        expected = window_index(actions, 25)
         for user in expected.influencers():
             assert ubi.index.influence_set(user) == expected.influence_set(user)

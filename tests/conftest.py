@@ -67,6 +67,19 @@ def random_stream(
     return actions
 
 
+def window_index(actions, window_size: int):
+    """The exact influence index of the last ``window_size`` actions,
+    slid one action at a time."""
+    from repro.core.diffusion import DiffusionForest
+    from repro.core.influence_index import WindowInfluenceIndex
+
+    forest = DiffusionForest()
+    index = WindowInfluenceIndex(window_size)
+    for action in actions:
+        index.slide([forest.add(action)])
+    return index
+
+
 @pytest.fixture
 def small_random_stream() -> List[Action]:
     """A 60-action stream over 8 users (dense interactions)."""

@@ -1,5 +1,6 @@
 """Unit tests for the SIMAlgorithm base plumbing."""
 
+import numpy as np
 import pytest
 
 from repro.core.actions import Action
@@ -16,8 +17,8 @@ class Recorder(SIMAlgorithm):
         super().__init__(**kwargs)
         self.slides = []
 
-    def _on_slide(self, arrived, expired):
-        self.slides.append((list(arrived), list(expired)))
+    def _on_slide(self, arrived):
+        self.slides.append(list(arrived))
 
     def query(self):
         return SIMResult(time=self.now, seeds=frozenset(), value=0.0)
@@ -28,6 +29,11 @@ class TestValidation:
         with pytest.raises(ValueError, match="k must be positive"):
             Recorder(window_size=5, k=0)
 
+    @pytest.mark.parametrize("size", [0, -3])
+    def test_rejects_non_positive_window(self, size):
+        with pytest.raises(ValueError, match="window size must be positive"):
+            Recorder(window_size=size, k=1)
+
     def test_rejects_small_retention(self):
         with pytest.raises(ValueError, match="retention"):
             Recorder(window_size=10, k=1, retention=9)
@@ -37,26 +43,35 @@ class TestValidation:
 
 
 class TestBaseState:
-    @pytest.mark.parametrize("gap", [0, 40], ids=["dense", "window-record-pruned"])
-    def test_window_records_state_is_the_window_records(self, gap):
-        """Copied from the forest's newest rows, or — once a retention
-        horizon pruned a window record, which needs a gap in the
-        timestamps — written from the records themselves."""
-        shift = lambda time: time + gap if time > 27 else time
-        actions = [
-            Action(shift(a.time), a.user, a.parent if a.is_root else shift(a.parent))
-            for a in random_stream(30, 5, seed=4, recent_bias=6)
-        ]
+    def test_base_state_is_the_clock_and_the_forest(self):
+        """The window is ``N`` and the clock; the base keeps no actions or
+        records of its own."""
         algorithm = Recorder(window_size=6, k=1, retention=6)
-        for batch in batched(actions, 4):
+        for batch in batched(random_stream(30, 5, seed=4, recent_bias=6), 4):
             algorithm.process(batch)
-        window = list(algorithm._window_records)
-        assert (window[0].time in algorithm.forest) == (gap == 0)
         state = algorithm._base_state()
-        assert states_equal(state["window_records"], records_to_columns(window))
+        assert set(state) == {"window", "forest", "actions_processed"}
+        assert state["window"] == {"size": 6, "last_time": 30}
         restored = Recorder(window_size=6, k=1, retention=6)
         restored._restore_base(store_roundtrip(state))
-        assert list(restored._window_records) == window
+        assert (restored.window_size, restored.now) == (6, 30)
+        assert restored.actions_processed == 30
+        assert states_equal(restored._base_state(), state)
+
+    def test_older_documents_window_entries_are_ignored(self):
+        """Documents written while the base kept the window's actions and
+        records still restore; those entries are not read."""
+        algorithm = Recorder(window_size=6, k=1)
+        for batch in batched(random_stream(30, 5, seed=4), 4):
+            algorithm.process(batch)
+        state = algorithm._base_state()
+        older = dict(state, window=dict(state["window"], actions=np.zeros((6, 3), np.int64)))
+        older["window_records"] = records_to_columns(
+            list(algorithm.forest.record(t) for t in range(25, 31))
+        )
+        restored = Recorder(window_size=6, k=1)
+        restored._restore_base(store_roundtrip(older))
+        assert states_equal(restored._base_state(), state)
 
 
 class TestSliding:
@@ -70,21 +85,17 @@ class TestSliding:
         algorithm = Recorder(window_size=4, k=1)
         batch = [Action.root(1, 5), Action.response(2, 6, 1)]
         algorithm.process(batch)
-        (arrived, expired), = algorithm.slides
+        arrived, = algorithm.slides
         assert [r.time for r in arrived] == [1, 2]
         assert [r.user for r in arrived] == [5, 6]
-        assert expired == []
 
-    def test_expired_records_reported_in_order(self):
+    def test_rejects_out_of_order(self):
         algorithm = Recorder(window_size=3, k=1)
-        actions = random_stream(10, 4, seed=1)
-        for action in actions:
-            algorithm.process([action])
-        # After 10 single slides with N=3, expiries are actions 1..7.
-        expired_times = [
-            r.time for _, expired in algorithm.slides for r in expired
-        ]
-        assert expired_times == list(range(1, 8))
+        algorithm.process([Action.root(5, 0)])
+        for time in (5, 4):
+            with pytest.raises(ValueError, match="out-of-order"):
+                algorithm.process([Action.root(time, 0)])
+        assert algorithm.now == 5
 
     def test_now_tracks_latest_action(self):
         algorithm = Recorder(window_size=4, k=1)
@@ -105,5 +116,4 @@ class TestSliding:
         algorithm = Recorder(window_size=7, k=3)
         assert algorithm.k == 3
         assert algorithm.window_size == 7
-        assert algorithm.window.size == 7
         assert algorithm.forest.actions_seen == 0

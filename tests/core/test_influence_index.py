@@ -1,30 +1,24 @@
 """Unit and property tests for the influence indexes."""
 
+from collections import deque
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.actions import Action
 from repro.core.diffusion import DiffusionForest
 from repro.core.influence_index import (
     AppendOnlyInfluenceIndex,
     WindowInfluenceIndex,
 )
-from tests.conftest import make_paper_stream, random_stream
-
-
-def feed_window(actions, window_size):
-    """Reference driver: exact window index over the last `window_size`."""
-    forest = DiffusionForest()
-    index = WindowInfluenceIndex()
-    records = []
-    for action in actions:
-        record = forest.add(action)
-        records.append(record)
-        index.add(record)
-        if len(records) > window_size:
-            index.remove(records.pop(0))
-    return index
+from tests.conftest import (
+    make_paper_stream,
+    random_stream,
+    store_roundtrip,
+    window_index,
+)
 
 
 def brute_force_influence(actions, window_size):
@@ -50,7 +44,7 @@ def brute_force_influence(actions, window_size):
 
 class TestPaperExample:
     def test_influence_sets_at_time_8(self):
-        index = feed_window(make_paper_stream()[:8], 8)
+        index = window_index(make_paper_stream()[:8], 8)
         assert index.influence_set(1) == {1, 2, 3}
         assert index.influence_set(2) == {2}
         assert index.influence_set(3) == {1, 3, 4, 5}
@@ -59,7 +53,7 @@ class TestPaperExample:
         assert index.influence_set(6) == frozenset()
 
     def test_influence_sets_at_time_10(self):
-        index = feed_window(make_paper_stream(), 8)
+        index = window_index(make_paper_stream(), 8)
         assert index.influence_set(1) == {1, 3}
         assert index.influence_set(2) == {2, 6}
         assert index.influence_set(3) == {1, 3, 4, 5}
@@ -68,58 +62,146 @@ class TestPaperExample:
         assert index.influence_set(6) == {6}
 
     def test_optimal_coverage_at_8_and_10(self):
-        index8 = feed_window(make_paper_stream()[:8], 8)
+        index8 = window_index(make_paper_stream()[:8], 8)
         assert index8.coverage([1, 3]) == {1, 2, 3, 4, 5}
-        index10 = feed_window(make_paper_stream(), 8)
+        index10 = window_index(make_paper_stream(), 8)
         assert index10.coverage([2, 3]) == {1, 2, 3, 4, 5, 6}
         # The old optimum loses u2 (Example 2).
         assert len(index10.coverage([1, 3])) == 4
 
 
+def window_times(index):
+    """Times of the records the index holds, oldest first."""
+    return index.to_state()["records"]["time"].tolist()
+
+
 class TestWindowIndex:
     def test_empty_index(self):
-        index = WindowInfluenceIndex()
+        index = WindowInfluenceIndex(4)
         assert len(index) == 0
         assert index.influence_set(1) == frozenset()
         assert index.coverage([1, 2]) == set()
         assert 1 not in index
+        assert window_times(index) == []
 
-    def test_remove_unknown_pair_raises(self):
-        index = WindowInfluenceIndex()
+    @pytest.mark.parametrize(
+        ("size", "slides", "kept"),
+        [
+            (5, [[1, 2, 3]], [1, 2, 3]),
+            (3, [[1, 2, 3], [4, 5]], [3, 4, 5]),
+            (2, [[1, 2, 3, 4, 5]], [4, 5]),
+            (3, [[t] for t in range(1, 11)], [8, 9, 10]),
+        ],
+        ids=["fills-without-expiry", "overflow", "slide-beyond-window", "single-slides"],
+    )
+    def test_slide_keeps_the_newest_records(self, size, slides, kept):
+        """A slide expires exactly the oldest records beyond ``N``."""
         forest = DiffusionForest()
-        from repro.core.actions import Action
+        index = WindowInfluenceIndex(size)
+        for times in slides:
+            index.slide([forest.add(Action.root(t, 100 + t)) for t in times])
+        assert window_times(index) == kept
+        assert list(index.influencers()) == [100 + t for t in kept]
 
-        record = forest.add(Action.root(1, 1))
-        with pytest.raises(KeyError, match="never added"):
-            index.remove(record)
-
-    def test_add_remove_roundtrip_is_empty(self, small_random_stream):
+    def test_expiring_every_record_leaves_none_of_its_pairs(
+        self, small_random_stream
+    ):
         forest = DiffusionForest()
-        index = WindowInfluenceIndex()
-        records = [forest.add(a) for a in small_random_stream]
-        for record in records:
-            index.add(record)
-        for record in records:
-            index.remove(record)
-        assert len(index) == 0
-        assert index.pair_count() == 0
+        index = WindowInfluenceIndex(len(small_random_stream))
+        index.slide([forest.add(a) for a in small_random_stream])
+        last = small_random_stream[-1].time
+        fresh = [Action.root(last + i, 1000 + i) for i in range(1, 61)]
+        index.slide([forest.add(a) for a in fresh])
+        assert set(index.influencers()) == {a.user for a in fresh}
+        assert index.pair_count() == len(fresh)
 
     def test_edges_multiplicity(self):
-        from repro.core.actions import Action
-
         forest = DiffusionForest()
-        index = WindowInfluenceIndex()
-        index.add(forest.add(Action.root(1, 1)))
-        index.add(forest.add(Action.response(2, 2, 1)))
-        index.add(forest.add(Action.response(3, 2, 1)))
+        index = WindowInfluenceIndex(3)
+        index.slide([
+            forest.add(Action.root(1, 1)),
+            forest.add(Action.response(2, 2, 1)),
+            forest.add(Action.response(3, 2, 1)),
+        ])
         edges = {(u, v): m for u, v, m in index.edges()}
         assert edges[(1, 2)] == 2
         assert edges[(1, 1)] == 1
         assert edges[(2, 2)] == 2
 
     def test_influencers_iteration(self):
-        index = feed_window(make_paper_stream()[:8], 8)
+        index = window_index(make_paper_stream()[:8], 8)
         assert set(index.influencers()) == {1, 2, 3, 4, 5}
+
+
+class ParentLoop:
+    """The expiry every windowed algorithm ran for itself before the index
+    kept its own records: a deque of records, then per slide add every
+    arrival and expire the overflow oldest-first, counting pairs in
+    insertion-ordered dicts (``influencers()`` order is their key order)."""
+
+    def __init__(self, window_size):
+        self.window_size = window_size
+        self.records = deque()
+        self.counts = {}
+
+    def slide(self, arrived):
+        self.records.extend(arrived)
+        expired = []
+        while len(self.records) > self.window_size:
+            expired.append(self.records.popleft())
+        for record in arrived:
+            for u in record.influencers:
+                counts = self.counts.setdefault(u, {})
+                counts[record.user] = counts.get(record.user, 0) + 1
+        for record in expired:
+            for u in record.influencers:
+                counts = self.counts[u]
+                counts[record.user] -= 1
+                if not counts[record.user]:
+                    del counts[record.user]
+                    if not counts:
+                        del self.counts[u]
+
+
+@st.composite
+def slide_plan(draw):
+    """A window size, a seeded stream, slide lengths in ``1..3N`` and the
+    slide after which the index goes through a snapshot."""
+    size = draw(st.integers(1, 8))
+    slides = draw(st.lists(st.integers(1, 3 * size), min_size=1, max_size=12))
+    seed = draw(st.integers(0, 10_000))
+    users = draw(st.integers(1, 8))
+    restore_after = draw(st.integers(0, len(slides)))
+    return size, slides, seed, users, restore_after
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(plan=slide_plan())
+def test_slide_matches_the_add_then_expire_loop(plan):
+    """The index's own expiry equals the loop it replaced — pair
+    multiplicities, every influence set and ``influencers()`` order — and
+    a snapshot taken mid-stream continues identically."""
+    size, slides, seed, users, restore_after = plan
+    forest = DiffusionForest()
+    records = iter([forest.add(a) for a in random_stream(sum(slides), users, seed=seed)])
+    index = WindowInfluenceIndex(size)
+    model = ParentLoop(size)
+    for step, length in enumerate(slides, start=1):
+        arrived = [next(records) for _ in range(length)]
+        index.slide(arrived)
+        model.slide(arrived)
+        if step == restore_after:
+            index = WindowInfluenceIndex.from_state(
+                store_roundtrip(index.to_state()), size
+            )
+        assert list(index.edges()) == [
+            (u, v, count) for u, counts in model.counts.items()
+            for v, count in counts.items()
+        ]
+        assert list(index.influencers()) == list(model.counts)
+        for user in range(users):
+            assert index.influence_set(user) == set(model.counts.get(user, ()))
+        assert window_times(index) == [r.time for r in model.records]
 
 
 @settings(max_examples=50, deadline=None)
@@ -130,7 +212,7 @@ class TestWindowIndex:
 def test_window_index_matches_brute_force(seed, window_size):
     """Property: incremental index == recompute-from-definition."""
     actions = random_stream(50, 7, seed=seed)
-    index = feed_window(actions, window_size)
+    index = window_index(actions, window_size)
     expected = brute_force_influence(actions, window_size)
     assert set(index.influencers()) == set(expected)
     for user in expected:
@@ -177,48 +259,38 @@ class TestAppendOnlyIndex:
 
 class TestWindowIndexCaching:
     def test_influence_set_cached_between_mutations(self):
-        from repro.core.actions import Action
-
         forest = DiffusionForest()
-        index = WindowInfluenceIndex()
-        index.add(forest.add(Action.root(1, 1)))
+        index = WindowInfluenceIndex(2)
+        index.slide([forest.add(Action.root(1, 1))])
         first = index.influence_set(1)
         assert index.influence_set(1) is first  # no copy per call
-        index.add(forest.add(Action.response(2, 2, 1)))
+        index.slide([forest.add(Action.response(2, 2, 1))])
         second = index.influence_set(1)
         assert second is not first
         assert second == {1, 2}
 
-    def test_cache_invalidated_on_remove(self):
-        from repro.core.actions import Action
-
+    def test_cache_invalidated_on_expiry(self):
         forest = DiffusionForest()
-        index = WindowInfluenceIndex()
-        r1 = forest.add(Action.root(1, 1))
-        r2 = forest.add(Action.response(2, 2, 1))
-        index.add(r1)
-        index.add(r2)
+        index = WindowInfluenceIndex(2)
+        index.slide([forest.add(Action.root(1, 1)), forest.add(Action.response(2, 2, 1))])
         assert index.influence_set(1) == {1, 2}
-        index.remove(r2)
-        assert index.influence_set(1) == {1}
-        index.remove(r1)
+        index.slide([forest.add(Action.root(3, 3))])
+        assert index.influence_set(1) == {2}
+        index.slide([forest.add(Action.root(4, 4))])
         assert index.influence_set(1) == frozenset()
 
     def test_multiplicity_change_keeps_cache_valid(self):
-        from repro.core.actions import Action
-
         forest = DiffusionForest()
-        index = WindowInfluenceIndex()
-        r1 = forest.add(Action.root(1, 1))
-        r2 = forest.add(Action.response(2, 2, 1))
-        r3 = forest.add(Action.response(3, 2, 1))
-        index.add(r1)
-        index.add(r2)
+        index = WindowInfluenceIndex(3)
+        index.slide([forest.add(Action.root(1, 1)), forest.add(Action.response(2, 2, 1))])
         cached = index.influence_set(1)
-        index.add(r3)  # (1 -> 2) multiplicity 2: membership unchanged
+        index.slide([forest.add(Action.response(3, 2, 1))])  # (1 -> 2) twice
         assert index.influence_set(1) is cached
-        index.remove(r2)  # multiplicity back to 1: still a member
-        assert index.influence_set(1) == {1, 2}
+        index.slide([forest.add(Action.root(4, 9))])  # a1 expires: 1 leaves
+        assert index.influence_set(1) == {2}
+        cached = index.influence_set(1)
+        index.slide([forest.add(Action.root(5, 9))])  # a2 expires: (1 -> 2) once
+        assert index.influence_set(1) is cached
 
 
 class TestVersionedIndex:

@@ -8,7 +8,7 @@ from repro.core.ic import InfluentialCheckpoints
 from repro.core.sic import SparseInfluentialCheckpoints
 from repro.core.stream import batched
 from repro.reference import ReferenceIC
-from tests.conftest import random_stream
+from tests.conftest import random_stream, window_index
 
 
 @settings(max_examples=20, deadline=None)
@@ -25,9 +25,6 @@ def test_ic_batched_keeps_theorem2_bound(seed, slide):
     the sieve's (1/2 − β) ratio applies to the exact window optimum."""
     import itertools
 
-    from repro.core.diffusion import DiffusionForest
-    from repro.core.influence_index import WindowInfluenceIndex
-
     window = 12  # slide ∈ {1,2,3,4} all divide 12
     beta = 0.2
     actions = random_stream(48, 6, seed=seed)
@@ -35,15 +32,7 @@ def test_ic_batched_keeps_theorem2_bound(seed, slide):
     for batch in batched(actions, slide):
         ic.process(batch)
     # Ground truth for the final window.
-    forest = DiffusionForest()
-    index = WindowInfluenceIndex()
-    records = []
-    for action in actions:
-        record = forest.add(action)
-        records.append(record)
-        index.add(record)
-        if len(records) > window:
-            index.remove(records.pop(0))
+    index = window_index(actions, window)
     users = list(index.influencers())
     opt = 0
     for combo in itertools.combinations(users, min(2, len(users))):
@@ -95,9 +84,6 @@ def test_sic_batched_keeps_theorem3_bound(seed, slide):
     """SIC's ratio survives batch shifts (Section 5.3's claim)."""
     import itertools
 
-    from repro.core.diffusion import DiffusionForest
-    from repro.core.influence_index import WindowInfluenceIndex
-
     window = 12
     beta = 0.2
     actions = random_stream(48, 6, seed=seed)
@@ -105,15 +91,7 @@ def test_sic_batched_keeps_theorem3_bound(seed, slide):
     for batch in batched(actions, slide):
         sic.process(batch)
     # Ground truth for the final window.
-    forest = DiffusionForest()
-    index = WindowInfluenceIndex()
-    records = []
-    for action in actions:
-        record = forest.add(action)
-        records.append(record)
-        index.add(record)
-        if len(records) > window:
-            index.remove(records.pop(0))
+    index = window_index(actions, window)
     users = list(index.influencers())
     opt = 0
     for combo in itertools.combinations(users, min(2, len(users))):

@@ -10,9 +10,7 @@ import itertools
 from repro.core.greedy import WindowedGreedy
 from repro.core.ic import InfluentialCheckpoints
 from repro.core.sic import SparseInfluentialCheckpoints
-from repro.core.diffusion import DiffusionForest
-from repro.core.influence_index import WindowInfluenceIndex
-from tests.conftest import make_paper_stream
+from tests.conftest import make_paper_stream, window_index
 
 
 def exact_optimum(index, k):
@@ -24,19 +22,6 @@ def exact_optimum(index, k):
             if value > best_value:
                 best_value, best_set = value, frozenset(combo)
     return best_set, best_value
-
-
-def window_index(actions, window_size):
-    forest = DiffusionForest()
-    index = WindowInfluenceIndex()
-    records = []
-    for action in actions:
-        record = forest.add(action)
-        records.append(record)
-        index.add(record)
-        if len(records) > window_size:
-            index.remove(records.pop(0))
-    return index
 
 
 class TestExample1:

@@ -16,24 +16,16 @@ from hypothesis import strategies as st
 
 from repro.core.diffusion import DiffusionForest
 from repro.core.ic import InfluentialCheckpoints
-from repro.core.influence_index import AppendOnlyInfluenceIndex, WindowInfluenceIndex
+from repro.core.influence_index import AppendOnlyInfluenceIndex
 from repro.core.sic import SparseInfluentialCheckpoints
-from tests.conftest import random_stream
+from tests.conftest import random_stream, window_index
 
 N_USERS = 6
 
 
 def window_optimum(actions, window_size, k):
     """Brute-force OPT_t for the final window."""
-    forest = DiffusionForest()
-    index = WindowInfluenceIndex()
-    records = []
-    for action in actions:
-        record = forest.add(action)
-        records.append(record)
-        index.add(record)
-        if len(records) > window_size:
-            index.remove(records.pop(0))
+    index = window_index(actions, window_size)
     users = list(index.influencers())
     best = 0
     for size in range(1, min(k, len(users)) + 1):

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.diffusion import DiffusionForest
 from repro.core.influence_index import WindowInfluenceIndex
 from repro.graphs.graph import DiGraph
 from repro.graphs.influence_graph import build_influence_graph
@@ -10,7 +9,7 @@ from repro.graphs.wc_model import (
     assign_weighted_cascade,
     weighted_cascade_probability,
 )
-from tests.conftest import make_paper_stream, random_stream
+from tests.conftest import make_paper_stream, random_stream, window_index
 
 
 class TestWCModel:
@@ -44,20 +43,8 @@ class TestWCModel:
 
 
 class TestInfluenceGraph:
-    def build_index(self, actions, window):
-        forest = DiffusionForest()
-        index = WindowInfluenceIndex()
-        records = []
-        for action in actions:
-            record = forest.add(action)
-            records.append(record)
-            index.add(record)
-            if len(records) > window:
-                index.remove(records.pop(0))
-        return index
-
     def test_paper_example_graph(self):
-        index = self.build_index(make_paper_stream()[:8], 8)
+        index = window_index(make_paper_stream()[:8], 8)
         graph = build_influence_graph(index)
         # Influence pairs at t=8 minus self-loops.
         assert graph.has_edge(1, 2)
@@ -69,7 +56,7 @@ class TestInfluenceGraph:
         assert not graph.has_edge(2, 2)  # no self-loops
 
     def test_wc_probabilities(self):
-        index = self.build_index(make_paper_stream()[:8], 8)
+        index = window_index(make_paper_stream()[:8], 8)
         graph = build_influence_graph(index)
         # u4 is influenced by u3 and u5: each edge gets 1/2.
         assert graph.probability(3, 4) == pytest.approx(0.5)
@@ -78,11 +65,11 @@ class TestInfluenceGraph:
         assert graph.probability(1, 2) == pytest.approx(1.0)
 
     def test_empty_index(self):
-        graph = build_influence_graph(WindowInfluenceIndex())
+        graph = build_influence_graph(WindowInfluenceIndex(1))
         assert graph.node_count == 0
 
     def test_no_self_loops_ever(self):
-        index = self.build_index(random_stream(80, 6, seed=3), 40)
+        index = window_index(random_stream(80, 6, seed=3), 40)
         graph = build_influence_graph(index)
         for s, t, _ in graph.edges():
             assert s != t

@@ -349,15 +349,15 @@ class TestEitherPlane:
 #: SHA-256 of the snapshot file a seeded engine writes after 300 slides of
 #: ``syn_n(500, 3000, seed=1)``, per algorithm and oracle plane.  A change
 #: to what a snapshot holds or how it is laid out changes these; update
-#: them in that change, on purpose.  Kernel pins last re-recorded when the
-#: kernel began interning a performer's lane at the update rather than at
-#: the first copy of a user's pairs: the ``lanes`` table holds the same
-#: users in another order, and the decoded columns are unchanged.
+#: them in that change, on purpose.  All four last re-recorded when the
+#: base stopped writing the window's actions (``base.window.actions``) and
+#: records (``base.window_records``): every other section decodes exactly
+#: as before.
 SNAPSHOT_SHA256 = {
-    ("ic", "kernel"): "5777f5ea538c420485d4b47c785552966ee954b80f6bfe4e4daf30212c59d097",
-    ("ic", "object"): "cf6b299c77ca1e43c421929daccb72b94db03532b1dcd7f59182f8c118b07b21",
-    ("sic", "kernel"): "b388892b4ec2e51c5d290a5268a292e76b001711b5122f7b05dbee6f367ffcfe",
-    ("sic", "object"): "43ea0d75725db3e7dd328c0d9bd03ee476dea53fa07d62f6179a526bcad84317",
+    ("ic", "kernel"): "41cd615104a7e0a3025df1e8d2051306955abcd38f422d12c28b8a7a7088d7b3",
+    ("ic", "object"): "7d59e19ff133e0a8af29e778db61cb5ce074b5db15585564e991f282b72d91dc",
+    ("sic", "kernel"): "8f087cad8d50a263c3927ddef758c1820941ed37e2e7100378499ad803cc36ef",
+    ("sic", "object"): "db05eee3b294dcb835c0344b9e6e77bfff609131bcc94c2c696f9e6a3b771b17",
 }
 
 
@@ -376,7 +376,11 @@ def test_snapshot_bytes_are_pinned(tmp_path, algorithm, plane):
     for batch in batched(syn_n(500, 3000, seed=1), 10):
         engine.process(batch)
     engine.close()
-    raw = SnapshotStore(tmp_path / "snapshots").path_for(300).read_bytes()
+    store = SnapshotStore(tmp_path / "snapshots")
+    names = [row[0] for row in store.describe(300)[2]]
+    assert "algorithm.base.forest.records.time" in names
+    assert not [name for name in names if name.startswith("algorithm.base.window")]
+    raw = store.path_for(300).read_bytes()
     assert hashlib.sha256(raw).hexdigest() == SNAPSHOT_SHA256[algorithm, plane]
 
 

@@ -152,17 +152,34 @@ class TestFrameworkRoundtrip:
 
     @pytest.mark.parametrize("lazy", [True, False])
     def test_windowed_greedy_roundtrip(self, lazy):
+        actions = random_stream(150, 8, seed=7)
         original = drive(
-            WindowedGreedy(window_size=40, k=3, lazy=lazy),
-            random_stream(90, 8, seed=7),
-            3,
+            WindowedGreedy(window_size=40, k=3, lazy=lazy), actions[:90], 3
         )
         restored = algorithm_from_state(store_roundtrip(original.to_state()))
         assert restored.query() == original.query()
-        # The candidate iteration order (greedy's tie-breaker) survives.
-        assert list(restored.index.influencers()) == list(
-            original.index.influencers()
+        # The candidate iteration order (greedy's tie-breaker) survives,
+        # and so do the window's records: the restored index expires them
+        # exactly like the live one.
+        for batch in [[]] + list(batched(actions[90:], 3)):
+            original.process(batch)
+            restored.process(batch)
+            assert list(restored.index.influencers()) == list(
+                original.index.influencers()
+            )
+            assert restored.query() == original.query()
+
+    def test_greedy_document_without_window_records_is_refused(self):
+        """A greedy document written before the index kept the window's
+        records cannot continue (it would never expire them); the refusal
+        names the missing field."""
+        state = store_roundtrip(
+            drive(WindowedGreedy(window_size=40, k=3), random_stream(60, 8, seed=7), 3)
+            .to_state()
         )
+        del state["index"]["records"]
+        with pytest.raises(PersistenceError, match="no field 'records'"):
+            algorithm_from_state(state)
 
 
 class TestInfluenceFunctionStates:

@@ -115,12 +115,3 @@ class TestServiceConfig:
     def test_rejects_bad_knobs(self, kwargs):
         with pytest.raises(ValueError):
             ServiceConfig(**kwargs)
-
-    def test_shard_backend_names_come_from_the_sharding_plane(self):
-        from repro.sharding.backends import BACKENDS
-
-        assert ServiceConfig().shard_backend == "process"
-        for name in BACKENDS:
-            assert ServiceConfig(shard_backend=name).shard_backend == name
-        with pytest.raises(ValueError, match=r"\('serial', 'process'\)"):
-            ServiceConfig(shard_backend="thread")

@@ -42,18 +42,15 @@ def board_factory(assignment=None):
     return board
 
 
-def serve(**config_kwargs) -> ServiceRunner:
+def serve(shards=1, shard_backend=None, **config_kwargs) -> ServiceRunner:
     """An in-process observable server on an OS-picked port."""
     config_kwargs.setdefault("port", 0)
     config_kwargs.setdefault("flush_interval", 60.0)
     config_kwargs.setdefault("sample_interval", 0.05)
-    shards = config_kwargs.get("shards", 1)
     if shards > 1:
         from repro.sharding.engine import ShardedEngine
 
-        engine = ShardedEngine.open(
-            board_factory, shards, backend=config_kwargs["shard_backend"]
-        )
+        engine = ShardedEngine.open(board_factory, shards, backend=shard_backend)
     else:
         engine = RecoverableEngine.open(None, board_factory)
     return ServiceRunner(engine, ServiceConfig(**config_kwargs))

@@ -30,9 +30,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.diffusion import DiffusionForest
+from repro.core.actions import Action
 from repro.core.ic import InfluentialCheckpoints
-from repro.core.influence_index import WindowInfluenceIndex
 from repro.core.multi import MultiQueryEngine
 from repro.core.sic import SparseInfluentialCheckpoints
 from repro.core.stream import batched
@@ -40,7 +39,7 @@ from repro.influence.functions import ConformityAwareInfluence
 from repro.persistence.serialize import PersistenceError
 from repro.sharding.engine import ShardedEngine, ShardingError
 from repro.sharding.partition import ConstantPartitioner, HashPartitioner
-from tests.conftest import random_stream
+from tests.conftest import random_stream, window_index
 
 MAKERS = {
     "ic": lambda shard=None, **kw: InfluentialCheckpoints(
@@ -67,20 +66,6 @@ def run_sharded(make, actions, slide, shards, **open_kwargs):
         for batch in batched(actions, slide):
             engine.process(list(batch))
         return engine.query()
-
-
-def window_ground_truth(actions, window):
-    """The exact window influence index after the whole stream."""
-    forest = DiffusionForest()
-    index = WindowInfluenceIndex()
-    records = []
-    for action in actions:
-        record = forest.add(action)
-        records.append(record)
-        index.add(record)
-        if len(records) > window:
-            index.remove(records.pop(0))
-    return index
 
 
 class TestDegenerateEquivalence:
@@ -143,7 +128,7 @@ class TestMergeSoundness:
             window_size=window, k=2, beta=0.2, shard=shard
         )
         merged = run_sharded(make, actions, slide, 3)
-        truth = window_ground_truth(actions, window)
+        truth = window_index(actions, window)
         assert merged.value == float(len(truth.coverage(merged.seeds)))
 
     @settings(max_examples=15, deadline=None)
@@ -156,7 +141,7 @@ class TestMergeSoundness:
             window_size=window, k=2, beta=0.2, shard=shard
         )
         merged = run_sharded(make, actions, slide, 3)
-        truth = window_ground_truth(actions, window)
+        truth = window_index(actions, window)
         assert merged.value <= float(len(truth.coverage(merged.seeds))) + 1e-9
 
     @settings(max_examples=12, deadline=None)
@@ -169,7 +154,7 @@ class TestMergeSoundness:
             window_size=window, k=k, beta=beta, shard=shard
         )
         merged = run_sharded(make, actions, 1, shards)
-        truth = window_ground_truth(actions, window)
+        truth = window_index(actions, window)
         users = list(truth.influencers())
         opt = 0.0
         for combo in itertools.combinations(users, min(k, len(users))):
@@ -191,7 +176,7 @@ class TestMergeSoundness:
             window_size=window, k=k, beta=beta, func=func, shard=shard
         )
         merged = run_sharded(make, actions, 1, shards)
-        truth = window_ground_truth(actions, window)
+        truth = window_index(actions, window)
         users = list(truth.influencers())
         opt = 0.0
         for combo in itertools.combinations(users, min(k, len(users))):
@@ -212,7 +197,7 @@ class TestMergeSoundness:
                 engine.process(list(batch))
             answers = engine.query_all()
             assert set(answers) == {"fast", "sparse"}
-            truth = window_ground_truth(actions, 40)
+            truth = window_index(actions, 40)
             for name, answer in answers.items():
                 assert answer.time == 150
                 assert answer.value <= len(truth.coverage(answer.seeds)) + 1e-9
@@ -250,8 +235,10 @@ class TestRecovery:
         )
         for batch in batches[:23]:
             engine.process(batch)
-        # Crash: drop the engine without sealing (workers just stop).
+        # Crash: drop the engine without sealing (workers just stop, and
+        # the facade's WAL handle goes as a dead process's would).
         engine._backend.stop()
+        engine._resolver.close(snapshot=False)
 
         recovered = ShardedEngine.open(
             factory, 2, state_dir=state, backend=backend,
@@ -528,6 +515,25 @@ class TestRefusals:
             engine.process([a for a in random_stream(10, 5, seed=2)])
             with pytest.raises(ValueError, match="out-of-order"):
                 engine.process([a for a in random_stream(5, 5, seed=2)])
+
+    def test_action_outside_int64_is_refused_before_logging(self, tmp_path):
+        """A field the int64 columns cannot hold is refused before the
+        facade's WAL sees it: the next slide is accepted and the state dir
+        reopens."""
+        factory = lambda a=None: MAKERS["sic"](shard=a)
+        state = tmp_path / "state"
+        engine = ShardedEngine.open(factory, 2, state_dir=state, backend="serial")
+        try:
+            with pytest.raises(ValueError, match="user"):
+                engine.process([Action(1, 2**70)])
+            engine.process([Action(1, 5)])
+            answer = engine.query()
+        finally:
+            engine.close()
+        with ShardedEngine.open(factory, 2, state_dir=state, backend="serial") as reopened:
+            assert reopened.now == 1
+            assert reopened.query() == answer
+            reopened.process([Action(2, 6, 1)])
 
     def test_closed_engine_refuses_work(self):
         factory = lambda a=None: MAKERS["ic"](shard=a)

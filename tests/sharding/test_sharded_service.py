@@ -45,8 +45,7 @@ class TestShardedServiceInProcess:
 
         engine = ShardedEngine.open(_factory, 2, backend="serial")
         config = ServiceConfig(
-            port=0, slide=slide, flush_interval=60.0, shards=2,
-            shard_backend="serial",
+            port=0, slide=slide, flush_interval=60.0,
         )
         with ServiceRunner(engine, config) as runner:
             client = ServiceClient("127.0.0.1", runner.port)
@@ -341,7 +340,6 @@ class TestDegradedHealth:
         )
         config = ServiceConfig(
             port=0, slide=20, flush_interval=60.0,
-            shards=2, shard_backend="process",
         )
         with ServiceRunner(engine, config) as runner:
             client = ServiceClient("127.0.0.1", runner.port)
@@ -391,7 +389,6 @@ class TestDegradedHealth:
         )
         config = ServiceConfig(
             port=0, slide=20, flush_interval=60.0,
-            shards=2, shard_backend="process",
         )
         with ServiceRunner(engine, config) as runner:
             client = ServiceClient("127.0.0.1", runner.port, timeout=2.0)

@@ -8,24 +8,10 @@ from repro.analysis.optimality import (
     RatioTracker,
     exact_optimum,
 )
-from repro.core.diffusion import DiffusionForest
 from repro.core.greedy import WindowedGreedy
 from repro.core.influence_index import WindowInfluenceIndex
 from repro.core.sic import SparseInfluentialCheckpoints
-from tests.conftest import make_paper_stream, random_stream
-
-
-def window_index(actions, size):
-    forest = DiffusionForest()
-    index = WindowInfluenceIndex()
-    records = []
-    for action in actions:
-        record = forest.add(action)
-        records.append(record)
-        index.add(record)
-        if len(records) > size:
-            index.remove(records.pop(0))
-    return index
+from tests.conftest import make_paper_stream, random_stream, window_index
 
 
 class TestExactOptimum:
@@ -36,7 +22,7 @@ class TestExactOptimum:
         assert seeds == {1, 3}
 
     def test_empty_index(self):
-        seeds, value = exact_optimum(WindowInfluenceIndex(), k=3)
+        seeds, value = exact_optimum(WindowInfluenceIndex(1), k=3)
         assert seeds == frozenset() and value == 0.0
 
     def test_duplicate_influence_sets_deduplicated(self):
@@ -44,20 +30,16 @@ class TestExactOptimum:
         # explode the combination count.
         from repro.core.actions import Action
 
-        forest = DiffusionForest()
-        index = WindowInfluenceIndex()
-        for t in range(1, 60):
-            index.add(forest.add(Action.root(t, 0)))
+        index = window_index([Action.root(t, 0) for t in range(1, 60)], 59)
         seeds, value = exact_optimum(index, k=2)
         assert value == 1.0
 
     def test_candidate_limit(self):
         from repro.core.actions import Action
 
-        forest = DiffusionForest()
-        index = WindowInfluenceIndex()
-        for t in range(1, MAX_CANDIDATES + 3):
-            index.add(forest.add(Action.root(t, t)))  # all distinct sets
+        # All distinct sets.
+        actions = [Action.root(t, t) for t in range(1, MAX_CANDIDATES + 3)]
+        index = window_index(actions, len(actions))
         with pytest.raises(ValueError, match="brute-force limit"):
             exact_optimum(index, k=2)
 

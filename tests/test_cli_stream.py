@@ -261,9 +261,15 @@ class TestTrackStateDir:
         assert [row[2] for row in snapshots] == ["3", "6", "8"]
         assert all(row[-2:] == ["container", "v1"] for row in snapshots)
         sections = [l.split() for l in lines if l.startswith("  section")]
-        window = [row for row in sections if row[1] == "algorithm.base.window.actions"]
-        # 200 retained actions × (time, user, parent), two bytes each (<i2).
-        assert [row[2:] for row in window] == [["<i2", "600", "1,200", "bytes"]] * 3
+        times = [row for row in sections if row[1] == "algorithm.base.forest.records.time"]
+        # One forest row per action so far, its time in two bytes (<i2).
+        assert [row[2:] for row in times] == [
+            ["<i2", "300", "600", "bytes"],
+            ["<i2", "600", "1,200", "bytes"],
+            ["<i2", "800", "1,600", "bytes"],
+        ]
+        # The window is a clock: no snapshot carries its actions or records.
+        assert not [row for row in sections if row[1].startswith("algorithm.base.window")]
         sizes = [int(row[3].replace(",", "")) for row in snapshots]
         section_bytes = sum(int(row[4].replace(",", "")) for row in sections)
         assert 0 < section_bytes < sum(sizes)
