@@ -26,6 +26,15 @@ class TestIMMAdapter:
         for u in imm.index.influencers():
             assert imm.index.influence_set(u)
 
+    def test_index_matches_window(self):
+        imm = IMMAlgorithm(window_size=25, k=2, seed=7, max_rr_sets=100)
+        actions = random_stream(80, 6, seed=7)
+        drive(imm, actions, slide=7)
+        expected = window_index(actions, 25)
+        assert sorted(imm.index.edges()) == sorted(expected.edges())
+        kept = imm.index.to_state()["records"]["time"].tolist()
+        assert kept == [a.time for a in actions[-25:]]
+
     def test_empty_window_query(self):
         imm = IMMAlgorithm(window_size=10, k=2, seed=3, max_rr_sets=100)
         result = imm.query()

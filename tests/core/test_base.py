@@ -6,7 +6,9 @@ import pytest
 from repro.core.actions import Action
 from repro.core.base import SIMAlgorithm, SIMResult
 from repro.core.diffusion import records_to_columns
+from repro.core.resolve import ResolvedSlide, SlideResolver
 from repro.core.stream import batched
+from repro.telemetry.trace import TraceRecorder
 from tests.conftest import random_stream, states_equal, store_roundtrip
 
 
@@ -22,6 +24,13 @@ class Recorder(SIMAlgorithm):
 
     def query(self):
         return SIMResult(time=self.now, seeds=frozenset(), value=0.0)
+
+
+class ResolvedRecorder(Recorder):
+    """A recorder that also absorbs pre-resolved slides."""
+
+    def _on_slide_resolved(self, resolved):
+        self.slides.append(list(resolved.records))
 
 
 class TestValidation:
@@ -97,6 +106,37 @@ class TestSliding:
                 algorithm.process([Action.root(time, 0)])
         assert algorithm.now == 5
 
+    def test_resolve_slide_leaves_the_clock(self):
+        """Resolution feeds the forest only; the clock and the hook wait
+        for the application."""
+        algorithm = Recorder(window_size=4, k=1)
+        resolved = algorithm.resolve_slide([Action.root(1, 5), Action.response(2, 6, 1)])
+        assert (resolved.start, resolved.last, resolved.count) == (1, 2, 2)
+        assert [r.influencers for r in resolved.records] == [(5,), (5, 6)]
+        assert algorithm.forest.actions_seen == 2
+        assert (algorithm.now, algorithm.actions_processed) == (0, 0)
+        assert algorithm.slides == []
+
+    def test_rejected_batch_leaves_no_trace(self):
+        """A batch with one out-of-order action is refused whole: the
+        forest, the clock and the hook see none of it."""
+        algorithm = Recorder(window_size=4, k=1)
+        algorithm.process([Action.root(3, 0)])
+        with pytest.raises(ValueError, match="out-of-order"):
+            algorithm.process([Action.root(4, 1), Action.root(6, 2), Action.root(5, 3)])
+        assert algorithm.forest.actions_seen == 1
+        assert (algorithm.now, algorithm.actions_processed) == (3, 1)
+        assert len(algorithm.slides) == 1
+
+    def test_traced_slide_splits_into_forest_and_oracle_stages(self):
+        algorithm = Recorder(window_size=4, k=1)
+        recorder = TraceRecorder()
+        trace = recorder.begin(slide=1, actions=3)
+        algorithm.process([Action.root(t, t) for t in (1, 2, 3)])
+        recorder.finish(trace)
+        assert list(trace.stages) == ["forest_index", "oracle"]
+        assert [items for _seconds, items in trace.stages.values()] == [3, 3]
+
     def test_now_tracks_latest_action(self):
         algorithm = Recorder(window_size=4, k=1)
         algorithm.process([Action.root(1, 0)])
@@ -117,3 +157,36 @@ class TestSliding:
         assert algorithm.k == 3
         assert algorithm.window_size == 7
         assert algorithm.forest.actions_seen == 0
+
+
+class TestApplyResolved:
+    def test_advances_the_clock_and_hands_over_records(self):
+        resolver = SlideResolver()
+        algorithm = ResolvedRecorder(window_size=4, k=1)
+        first = resolver.resolve([Action.root(1, 5), Action.response(2, 6, 1)])
+        second = resolver.resolve([Action.response(4, 7, 2)])
+        algorithm.apply_resolved(first)
+        algorithm.apply_resolved(second)
+        assert (algorithm.now, algorithm.actions_processed) == (4, 3)
+        assert algorithm.slides == [list(first.records), list(second.records)]
+        assert algorithm.forest.actions_seen == 0
+
+    def test_default_hook_refuses_pre_resolved_slides(self):
+        """An algorithm that needs its own forest walk refuses the routed
+        path instead of silently diverging."""
+        algorithm = Recorder(window_size=4, k=1)
+        slide = SlideResolver().resolve([Action.root(1, 5)])
+        with pytest.raises(NotImplementedError, match="pre-resolved"):
+            algorithm.apply_resolved(slide)
+        assert algorithm.slides == []
+
+    def test_traced_apply_times_only_the_oracle_stage(self):
+        algorithm = ResolvedRecorder(window_size=4, k=1)
+        slide = SlideResolver().resolve([Action.root(t, t) for t in (1, 2)])
+        recorder = TraceRecorder()
+        trace = recorder.begin(slide=1, actions=2)
+        algorithm.apply_resolved(slide)
+        algorithm.apply_resolved(ResolvedSlide.empty())
+        recorder.finish(trace)
+        assert list(trace.stages) == ["oracle"]
+        assert trace.stages["oracle"][1] == 2

@@ -15,7 +15,7 @@ from repro.influence.functions import (
     ConformityAwareInfluence,
     WeightedCardinalityInfluence,
 )
-from tests.conftest import make_paper_stream, random_stream
+from tests.conftest import make_paper_stream, random_stream, window_index
 
 
 def build_index(actions):
@@ -115,6 +115,16 @@ class TestWindowedGreedy:
         drive(greedy, actions)
         # Window holds 10 actions; influence value bounded by active users.
         assert greedy.query().value <= len({a.user for a in actions[-10:]})
+
+    def test_index_matches_window(self):
+        """Slides longer than one action expire the same records as the
+        one-at-a-time window."""
+        actions = random_stream(70, 6, seed=8)
+        greedy = drive(WindowedGreedy(window_size=12, k=2), actions, slide=5)
+        expected = window_index(actions, 12)
+        assert sorted(greedy.index.edges()) == sorted(expected.edges())
+        kept = greedy.index.to_state()["records"]["time"].tolist()
+        assert kept == [a.time for a in actions[-12:]]
 
     def test_naive_flag(self):
         actions = random_stream(60, 6, seed=6)

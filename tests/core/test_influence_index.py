@@ -115,6 +115,32 @@ class TestWindowIndex:
         assert set(index.influencers()) == {a.user for a in fresh}
         assert index.pair_count() == len(fresh)
 
+    def test_empty_slide_expires_nothing(self):
+        forest = DiffusionForest()
+        index = WindowInfluenceIndex(2)
+        index.slide([forest.add(Action.root(t, t)) for t in (1, 2)])
+        index.slide([])
+        assert window_times(index) == [1, 2]
+        assert list(index.influencers()) == [1, 2]
+
+    def test_restored_records_expire_oldest_first(self):
+        """The records ride in the state, so a restored index expires what
+        the original would have."""
+        forest = DiffusionForest()
+        index = WindowInfluenceIndex(3)
+        index.slide([
+            forest.add(Action.root(1, 1)),
+            forest.add(Action.response(2, 2, 1)),
+            forest.add(Action.root(3, 3)),
+        ])
+        restored = WindowInfluenceIndex.from_state(store_roundtrip(index.to_state()), 3)
+        assert window_times(restored) == [1, 2, 3]
+        restored.slide([forest.add(Action.root(4, 4))])
+        assert window_times(restored) == [2, 3, 4]
+        assert restored.influence_set(1) == {2}
+        restored.slide([forest.add(Action.root(5, 5))])
+        assert list(restored.influencers()) == [3, 4, 5]
+
     def test_edges_multiplicity(self):
         forest = DiffusionForest()
         index = WindowInfluenceIndex(3)

@@ -10,7 +10,7 @@ from repro.experiments.metrics import (
     StreamEvaluator,
     ThroughputMeter,
 )
-from tests.conftest import make_paper_stream
+from tests.conftest import make_paper_stream, random_stream, window_index
 
 
 class FakeClock:
@@ -105,6 +105,18 @@ class TestStreamEvaluator:
         evaluator.feed([Action.root(1, 1), Action.root(2, 2), Action.root(3, 3)])
         assert evaluator.influence_value({1}) == 0.0
         assert evaluator.influence_value({2, 3}) == 2.0
+
+    def test_index_matches_window(self):
+        """Feeds of any length, one longer than the window, keep exactly
+        the last ``N`` actions' influence."""
+        actions = random_stream(60, 7, seed=9)
+        evaluator = StreamEvaluator(window_size=10)
+        for start, stop in ((0, 3), (3, 4), (4, 19), (19, 31), (31, 60)):
+            evaluator.feed(actions[start:stop])
+            expected = window_index(actions[:stop], 10)
+            assert sorted(evaluator.index.edges()) == sorted(expected.edges())
+            kept = evaluator.index.to_state()["records"]["time"].tolist()
+            assert kept == [a.time for a in actions[max(0, stop - 10):stop]]
 
     def test_quality_runs_monte_carlo(self):
         evaluator = StreamEvaluator(window_size=8)
