@@ -48,13 +48,11 @@ __all__ = [
 ]
 
 
-def make_columnar_kernel(spec, shared, columnar):
+def make_columnar_kernel(spec, columnar):
     """Resolve an engine's oracle-plane choice to a kernel (or ``None``).
 
     Args:
         spec: The engine's :class:`OracleSpec`.
-        shared: The engine's
-            :class:`~repro.core.influence_index.VersionedInfluenceIndex`.
         columnar: The engine's plane flag — ``False`` forces the object
             plane; anything else auto-selects the columnar kernel wherever
             ``ColumnarThresholdKernel.for_spec`` supports the spec and the
@@ -72,7 +70,7 @@ def make_columnar_kernel(spec, shared, columnar):
         from repro.core.oracles.columnar import ColumnarThresholdKernel
     except ImportError:
         return None
-    return ColumnarThresholdKernel.for_spec(spec, shared)
+    return ColumnarThresholdKernel.for_spec(spec)
 
 
 @dataclass(frozen=True)
@@ -306,15 +304,11 @@ class CheckpointRoster:
 
     # -- persistence -------------------------------------------------------
 
-    def to_state(self, kernel=None) -> dict:
-        """Explicit state: the ledger and every live checkpoint — the
-        kernel's ``columns`` as arrays on the columnar plane, one
-        ``checkpoints`` document per oracle on the object plane."""
-        if kernel is not None:
-            return {
-                "absorbed": self.absorbed,
-                "columns": kernel.to_state(self.checkpoints),
-            }
+    def to_state(self) -> dict:
+        """Explicit state of the object plane's roster: the ledger and one
+        ``checkpoints`` document per oracle (the columnar plane writes the
+        kernel's ``columns`` instead, see
+        ``ColumnarThresholdKernel.to_state``)."""
         return {
             "absorbed": self.absorbed,
             "checkpoints": [c.to_state() for c in self.checkpoints],
@@ -322,45 +316,32 @@ class CheckpointRoster:
 
     @classmethod
     def from_state(
-        cls, state: dict, spec: OracleSpec, shared, kernel=None
+        cls, state: dict, spec: OracleSpec, shared
     ) -> "CheckpointRoster":
-        """Rebuild a roster from :meth:`to_state` output.
+        """Rebuild an object-plane roster from a roster document written
+        by either plane: kernel ``columns`` decode into per-oracle
+        documents with numpy alone (the columnar plane restores through
+        ``ColumnarThresholdKernel.load_state``).
 
         Args:
-            state: A :meth:`to_state` document.
+            state: A roster document.
             spec: The framework's shared oracle recipe.
             shared: The framework's restored
                 :class:`~repro.core.influence_index.VersionedInfluenceIndex`
                 (checkpoints get fresh views of it).
-            kernel: The framework's ``ColumnarThresholdKernel`` when the
-                columnar plane is active — checkpoints restore as kernel
-                columns instead of object oracles.  Either plane opens
-                either document: kernel ``columns`` decode into per-oracle
-                documents (numpy alone), and those load into a kernel.
         """
-        from repro.core.oracles.columnar import (
-            oracle_documents,
-            restore_checkpoint,
-        )
+        from repro.core.oracles.columnar import oracle_documents
 
         roster = cls()
         roster.absorbed = state["absorbed"]
         columns = state.get("columns")
-        if columns is None:
-            documents = state["checkpoints"]
-        elif kernel is not None:
-            kernel.load_state(columns, roster)
-            return roster
-        else:
-            documents = oracle_documents(columns)
+        documents = state["checkpoints"] if columns is None else oracle_documents(columns)
         for document in documents:
-            if kernel is not None:
-                checkpoint = restore_checkpoint(kernel, document, roster)
-            else:
-                checkpoint = Checkpoint.from_state(
+            roster.append(
+                Checkpoint.from_state(
                     document, spec, shared.view(document["start"]), roster
                 )
-            roster.append(checkpoint)
+            )
         return roster
 
 

@@ -6,12 +6,13 @@ needed, answer from one of the survivors — and differ only in *which
 checkpoints stay alive* and *which one answers*.
 :class:`CheckpointFramework` owns the loop and everything it runs on — the
 oracle spec, the roster, shard projection, persistence, and the one data
-plane: every checkpoint is a view over a single
-:class:`~repro.core.influence_index.VersionedInfluenceIndex`, and a slide
-reaches the checkpoints whose suffix grew as one merged batch, through the
-:mod:`~repro.core.oracles.columnar` kernel when the spec supports it and
-its compiled event loads, and through object oracles
-(:func:`~repro.core.checkpoint.feed_shared`) otherwise.  Subclasses supply
+plane: every checkpoint is a view over a single shared influence index,
+and a slide reaches the checkpoints whose suffix grew as one merged batch.
+When the spec supports it and its compiled event loads, the
+:mod:`~repro.core.oracles.columnar` kernel runs the slide and its pair
+store is that index; otherwise object oracles are fed
+(:func:`~repro.core.checkpoint.feed_shared`) over a
+:class:`~repro.core.influence_index.VersionedInfluenceIndex`.  Subclasses supply
 the policy hooks (DESIGN.md tabulates what IC and SIC put in each); the
 literal per-checkpoint algorithm the plane is tested against lives in
 :mod:`repro.reference`.
@@ -104,9 +105,10 @@ class CheckpointFramework(SIMAlgorithm):
         self._spec = OracleSpec(name=oracle, k=k, func=func, params=params)
         self._roster = CheckpointRoster()
         self._shard = shard
-        self._shared = VersionedInfluenceIndex()
         self._columnar_requested = columnar
-        self._kernel = make_columnar_kernel(self._spec, self._shared, columnar)
+        self._kernel = make_columnar_kernel(self._spec, columnar)
+        # The object plane's index; the kernel's pair store replaces it.
+        self._shared = VersionedInfluenceIndex() if self._kernel is None else None
 
     @property
     def checkpoint_count(self) -> int:
@@ -119,8 +121,14 @@ class CheckpointFramework(SIMAlgorithm):
         return tuple(self._roster.checkpoints)
 
     @property
-    def shared_index(self) -> VersionedInfluenceIndex:
-        """The versioned influence index every checkpoint views."""
+    def shared_index(self):
+        """The influence index every checkpoint views: the
+        :class:`~repro.core.influence_index.VersionedInfluenceIndex`, or on
+        the columnar plane a ``StoreView`` of the kernel's pair store."""
+        if self._kernel is not None:
+            from repro.core.oracles.columnar import StoreView
+
+            return StoreView(self._kernel, 1)
         return self._shared
 
     @property
@@ -206,7 +214,7 @@ class CheckpointFramework(SIMAlgorithm):
                 roster.append(Checkpoint(start, self._spec, shared.view(start), roster))
             feed_shared(shared, roster, records, absorbed=absorbed)
         self._retire()
-        if roster:
+        if shared is not None and roster:
             shared.compact(roster[0].start)
 
     def _pop_oldest(self) -> None:
@@ -266,13 +274,18 @@ class CheckpointFramework(SIMAlgorithm):
         """Explicit state of the whole framework (no pickle).
 
         The document carries a format-version header, :meth:`config_state`,
-        the :class:`~repro.core.base.SIMAlgorithm` bookkeeping, the
-        versioned index, every live checkpoint's oracle state, and the
+        the :class:`~repro.core.base.SIMAlgorithm` bookkeeping, the shared
+        index's pairs, every live checkpoint's oracle state, and the
         policy's own fields — scalars plus numpy arrays at the leaves (the
         snapshot container's sections).  :meth:`from_state` rebuilds an
         engine that continues the stream with answers identical to an
         uninterrupted run.
         """
+        if self._kernel is not None:
+            shared, columns = self._kernel.to_state(self._roster.checkpoints)
+            roster = {"absorbed": self._roster.absorbed, "columns": columns}
+        else:
+            shared, roster = self._shared.to_state(), self._roster.to_state()
         return {
             "format": STATE_FORMAT_VERSION,
             **self.config_state(),
@@ -281,8 +294,8 @@ class CheckpointFramework(SIMAlgorithm):
             # config: object-plane and columnar snapshots stay
             # config-compatible and open into either plane.
             "columnar": self._columnar_requested,
-            "shared": self._shared.to_state(),
-            "roster": self._roster.to_state(self._kernel),
+            "shared": shared,
+            "roster": roster,
             **self._policy_to_state()[1],
         }
 
@@ -326,22 +339,22 @@ class CheckpointFramework(SIMAlgorithm):
         # beta for the threshold-guessing oracles); restore them verbatim.
         algorithm._spec = replace(algorithm._spec, params=dict(params))
         algorithm._restore_base(state_field(state, "base", dict))
-        algorithm._shared = VersionedInfluenceIndex.from_state(
-            state_field(state, "shared", dict)
-        )
-        # Plane selection re-runs against the *restored* spec and index
-        # (the constructor's were placeholders).  Only a stored ``false``
-        # pins the object plane: documents without the key, or with the
-        # retired ``true``, auto-select, so object-plane snapshots open
-        # straight into the kernel and kernel snapshots open without one.
+        shared = state_field(state, "shared", dict)
+        roster = state_field(state, "roster", dict)
+        # Plane selection re-runs against the *restored* spec (the
+        # constructor's was a placeholder).  Only a stored ``false`` pins
+        # the object plane: documents without the key, or with the retired
+        # ``true``, auto-select, so object-plane snapshots open straight
+        # into the kernel and kernel snapshots open without one.
         algorithm._columnar_requested = state.get("columnar")
-        algorithm._kernel = make_columnar_kernel(
-            algorithm._spec, algorithm._shared, algorithm._columnar_requested
-        )
-        algorithm._roster = CheckpointRoster.from_state(
-            state_field(state, "roster", dict),
-            algorithm._spec,
-            algorithm._shared,
-            kernel=algorithm._kernel,
-        )
+        kernel = make_columnar_kernel(algorithm._spec, algorithm._columnar_requested)
+        algorithm._kernel = kernel
+        if kernel is not None:
+            algorithm._shared = None
+            algorithm._roster = kernel.load_state(shared, roster)
+        else:
+            algorithm._shared = VersionedInfluenceIndex.from_state(shared)
+            algorithm._roster = CheckpointRoster.from_state(
+                roster, algorithm._spec, algorithm._shared
+            )
         return algorithm

@@ -32,7 +32,9 @@ Three variants are needed:
   per-action index work drops from O(d · N/L) set probes to O(d) dict
   writes plus the oracle feeds that were necessary anyway, and index memory
   drops from the sum of all suffix sizes to the number of distinct pairs,
-  each held once in that one dict.
+  each held once in that one dict.  This is the object plane's store; on
+  the columnar plane the compiled kernel's pair store takes its place
+  (``repro.core.oracles.columnar.StoreView`` reads it).
 
 All indexes work on :class:`~repro.core.diffusion.ActionRecord` inputs:
 ``record.user`` is the influenced performer and ``record.influencers`` lists
@@ -255,7 +257,8 @@ class VersionedInfluenceIndex:
     Pairs whose latest credit predates every live checkpoint are invisible
     and reclaimed by :meth:`compact` with an amortised-O(1) doubling policy,
     so steady-state memory is O(distinct visible pairs), independent of the
-    checkpoint count.  The dict is the only store of a pair.
+    checkpoint count.  On the object plane the dict is the only store of a
+    pair; the columnar plane does not build this index at all.
     """
 
     __slots__ = ("_latest", "_pair_total", "_floor", "_live_at_sweep")
@@ -515,3 +518,7 @@ class SuffixView:
         return sum(
             1 for pairs in latest.values() if any(t >= start for t in pairs.values())
         )
+
+    def __iter__(self) -> Iterator[int]:
+        """Users with a non-empty suffix influence set."""
+        return (user for user in self._index._latest if user in self)

@@ -1,18 +1,23 @@
-/* The columnar oracle kernel's compiled half: the slide and the column
- * lifecycle.
+/* The columnar oracle kernel's compiled half: the slide, the column
+ * lifecycle and the pair store, which on this plane is the engine's only
+ * copy of its influence pairs.
  *
- * process_slide takes one slide's flat (user, previous, lane, time) pair
- * updates and runs everything between the shared-index update and the
- * answers: it applies the updates to the kernel's own copy of each user's
- * influence pairs (the pair store below), then the lower bound over the
- * column starts, per-user grouping with the prefix-min chain of feed
- * boundaries, one event per (user, column range) in slide position order,
- * and the dirty-floor re-tightening.  An event is the object plane's
- * _dispatch walk for every fed checkpoint at once: singleton-cache update,
- * m refresh (with the full instance-range rebuild when a bound moves),
- * best-so-far offer, admission gate, and the per-(column, slot) admission
- * pass over the user's suffix pairs and the coverage bitsets.
- * retire_column and compact own what happens to a column afterwards.
+ * process_slide takes one slide's records as flat columns (performer,
+ * time, fanout, influencers) and runs everything between the records and
+ * the answers: it interns the influencers as user rows and the performers
+ * as coverage lanes, credits each pair in the pair store (below), reading
+ * the pair's previous credit off the row it scans, then the lower bound
+ * over the column starts, per-user grouping with the prefix-min chain of
+ * feed boundaries, one event per (user, column range) in slide position
+ * order, and the dirty-floor re-tightening.  An event is the object
+ * plane's _dispatch walk for every fed checkpoint at once: singleton-cache
+ * update, m refresh (with the full instance-range rebuild when a bound
+ * moves), best-so-far offer, admission gate, and the per-(column, slot)
+ * admission pass over the user's suffix pairs and the coverage bitsets.
+ * retire_column and compact own what happens to a column afterwards;
+ * suffix reads a user's pairs, export_state writes the store and the
+ * per-user column entries out for a snapshot, and intern names the rows
+ * and lanes a restore brings back.
  *
  * Float semantics must match CPython bit-for-bit -- this is an exact
  * replica of the object plane, not an approximation:
@@ -25,9 +30,10 @@
  * All column and user-row state lives in numpy arrays owned by the Python
  * kernel; this file writes it only through the pointers in EventCtx, and
  * Python re-fills the context whenever an array is reallocated (growth).
- * The one exception is the pair store, which this file allocates
- * (store_new), grows and frees (store_free, from the Python kernel's
- * finalizer).  It keeps, per interned user row, the user's live influence
+ * The exception is the store, which this file allocates (store_new), grows
+ * and frees (store_free, from the Python kernel's finalizer): two intern
+ * maps (user id -> row, influenced user id -> lane; Python's row_user and
+ * lane_user tables name them back) and, per row, the user's influence
  * pairs as one (time, lane) array with four invariants:
  *   - times ascend along the row;
  *   - each lane appears at most once;
@@ -35,8 +41,8 @@
  *     changes nothing;
  *   - pairs credited before starts[head] are invisible to every live
  *     column, and are trimmed when a row must grow and by compact.
- * A row equals the shared index's pairs of its user, less trimmed ones,
- * from the slide Python seeds it on (the user's first event) onwards.
+ * From starts[head] on, a row holds exactly its user's influence pairs,
+ * each at its latest credit time (the record's time).
  *
  * Two column invariants hold between calls and are what the lifecycle
  * entries rely on:
@@ -53,8 +59,10 @@
 #include <stdlib.h>
 #include <string.h>
 
-/* Status codes of process_slide (0 = done). */
-enum { LADDER_OVERFLOW = 1, OUT_OF_MEMORY = 2 };
+/* Status codes of process_slide and intern (0 = done).  NEED_ROOM: the
+ * slide interned more rows or lanes than mem2d/cache2d or icov hold;
+ * nothing else changed, and the same call succeeds once they grow. */
+enum { LADDER_OVERFLOW = 1, OUT_OF_MEMORY = 2, NEED_ROOM = 3 };
 
 typedef struct {
     int64_t time; /* latest credit time */
@@ -65,11 +73,25 @@ typedef struct {
     Pair *pairs; /* time-ascending, one entry per lane */
     int64_t len;
     int64_t cap;
+    int64_t slot; /* 1 + the row's user slot while a slide interns, else 0 */
 } Row;
+
+/* Open addressing from a user id to its dense index; vals hold index + 1
+ * (0 = free slot), and the load stays at most one half. */
+typedef struct {
+    int64_t *keys;
+    int64_t *vals;
+    int64_t mask; /* slots - 1 */
+    int64_t count;
+} Map;
 
 typedef struct {
     Row *rows; /* indexed by interned user row */
     int64_t nrows;
+    Map users;      /* user id -> row */
+    Map lanes;      /* influenced user id -> lane */
+    int64_t pairs;  /* pairs held */
+    int64_t filled; /* rows holding a pair */
 } Store;
 
 typedef struct {
@@ -80,6 +102,9 @@ typedef struct {
     int64_t wcap;     /* coverage word capacity (stride of icov rows) */
     int64_t k;
     int64_t bar_mode; /* 1 = sieve (bar tracks value), 0 = threshold */
+    int64_t urows;    /* row capacity of mem2d/cache2d */
+    int64_t ucap;     /* capacity of row_user */
+    int64_t lcap;     /* capacity of lane_user */
     double uniform;
     double base;      /* 1 + beta */
     double log_base;  /* log1p(beta), computed by Python */
@@ -103,16 +128,18 @@ typedef struct {
     uint64_t *icov;     /* (cap, jcap, wcap) */
     uint64_t *mem2d;    /* (urows, cap) */
     double *cache2d;    /* (urows, cap) */
-    /* the slide, filled by Python (see _absorb): P puts, of which the
-     * first seed rows and the last U are the slide's updates */
-    int64_t *upd_user; /* (P) touched-user slot per put, slide order */
-    int64_t *upd_prev; /* (P) the pair's previous credit time (updates) */
-    int64_t *upd_lane; /* (P) the influenced user's lane */
-    int64_t *upd_time; /* (P) the pair's latest credit time */
-    int64_t *usr_row;  /* (users) interned row, slots in first-seen order */
+    /* the interned names, written here on first sight */
+    int64_t *row_user;  /* (ucap) user id of each row */
+    int64_t *lane_user; /* (lcap) user id of each lane */
+    int64_t *tally;     /* (4) rows, lanes, pairs held, rows holding one */
+    /* the slide, filled by Python: R records, P pairs */
+    int64_t *rec_user; /* (R) performer, the influenced user */
+    int64_t *rec_time; /* (R) the credit stamp of the record's pairs */
+    int64_t *rec_fan;  /* (R) number of influencers */
+    int64_t *rec_infl; /* (P) the influencers, record after record */
     Store *store;      /* the pair store, owned by this file */
     /* scratch (sized by Python, see _context) */
-    int64_t *work;   /* (4U + 2) feed boundaries, grouping, chain minima */
+    int64_t *work;   /* (7P + R + 1) per-pair, per-user and per-record */
     int64_t *counts; /* (cap) multi-pair gain counts; compaction runs */
 } EventCtx;
 
@@ -122,7 +149,75 @@ void store_free(Store *st) {
     for (int64_t r = 0; r < st->nrows; r++)
         free(st->rows[r].pairs);
     free(st->rows);
+    free(st->users.keys);
+    free(st->users.vals);
+    free(st->lanes.keys);
+    free(st->lanes.vals);
     free(st);
+}
+
+static int64_t map_home(const Map *m, int64_t id) {
+    uint64_t h = (uint64_t)id * 0x9E3779B97F4A7C15ULL;
+    return (int64_t)((h ^ (h >> 32)) & (uint64_t)m->mask);
+}
+
+/* The dense index of id, or -1 when it has none. */
+static int64_t map_find(const Map *m, int64_t id) {
+    if (!m->vals)
+        return -1;
+    for (int64_t i = map_home(m, id);; i = (i + 1) & m->mask) {
+        if (!m->vals[i])
+            return -1;
+        if (m->keys[i] == id)
+            return m->vals[i] - 1;
+    }
+}
+
+static void map_place(Map *m, int64_t id, int64_t index) {
+    int64_t i = map_home(m, id);
+    while (m->vals[i])
+        i = (i + 1) & m->mask;
+    m->keys[i] = id;
+    m->vals[i] = index + 1;
+}
+
+/* The dense index of id, which takes the next one on first sight and is
+ * recorded in names (its capacity cap; the table rehashes from it), or -1
+ * when names is full or memory is out. */
+static int64_t map_intern(Map *m, int64_t id, int64_t *names, int64_t cap) {
+    int64_t index = map_find(m, id);
+    if (index >= 0)
+        return index;
+    if (m->count == cap)
+        return -1;
+    if (2 * (m->count + 1) > m->mask + 1) {
+        int64_t slots = m->vals ? 2 * (m->mask + 1) : 64;
+        int64_t *keys = malloc((size_t)slots * sizeof(int64_t));
+        int64_t *vals = calloc((size_t)slots, sizeof(int64_t));
+        if (!keys || !vals) {
+            free(keys);
+            free(vals);
+            return -1;
+        }
+        free(m->keys);
+        free(m->vals);
+        m->keys = keys;
+        m->vals = vals;
+        m->mask = slots - 1;
+        for (int64_t j = 0; j < m->count; j++)
+            map_place(m, names[j], j);
+    }
+    names[m->count] = id;
+    map_place(m, id, m->count);
+    return m->count++;
+}
+
+static void publish(EventCtx *c) {
+    const Store *st = c->store;
+    c->tally[0] = st->users.count;
+    c->tally[1] = st->lanes.count;
+    c->tally[2] = st->pairs;
+    c->tally[3] = st->filled;
 }
 
 /* Room for rows [0, need); new rows are empty. */
@@ -141,46 +236,63 @@ static int reserve_rows(Store *st, int64_t need) {
     return 0;
 }
 
-/* Drop the row's pairs credited before oldest (a prefix). */
-static void trim_row(Row *r, int64_t oldest) {
-    int64_t gone = 0, hi = r->len;
-    while (gone < hi) {
-        int64_t mid = (gone + hi) >> 1;
-        if (r->pairs[mid].time < oldest)
-            gone = mid + 1;
+/* The position of the row's first pair credited at or after time. */
+static int64_t first_at(const Row *r, int64_t time) {
+    int64_t lo = 0, hi = r->len;
+    while (lo < hi) {
+        int64_t mid = (lo + hi) >> 1;
+        if (r->pairs[mid].time < time)
+            lo = mid + 1;
         else
             hi = mid;
     }
+    return lo;
+}
+
+/* Drop the row's pairs credited before oldest (a prefix). */
+static void trim_row(Store *st, Row *r, int64_t oldest) {
+    int64_t gone = first_at(r, oldest);
     if (gone) {
         r->len -= gone;
+        st->pairs -= gone;
+        st->filled -= r->len == 0;
         memmove(r->pairs, r->pairs + gone, (size_t)r->len * sizeof(Pair));
     }
 }
 
-/* Credit lane at time in row r, keeping the store's invariants; oldest is
- * the oldest live column's start (pairs before it may go).  Times mostly
- * arrive ascending, so the insertion is usually an append. */
-static int put_pair(Row *r, int64_t lane, int64_t time, int64_t oldest) {
+/* Credit lane at time in row r, keeping the store's invariants, and set
+ * *prev to the lane's credit before this one: 0 when the row holds none,
+ * never credited or trimmed, which feeds every live column just as the
+ * trimmed time would.  oldest is the oldest live column's start (pairs
+ * before it may go).  Times mostly arrive ascending, so the insertion is
+ * usually an append. */
+static int put_pair(Store *st, Row *r, int64_t lane, int64_t time,
+                    int64_t oldest, int64_t *prev) {
     Pair *p = r->pairs;
     int64_t len = r->len, i = len - 1;
     while (i >= 0 && p[i].lane != lane)
         i--;
+    *prev = i >= 0 ? p[i].time : 0;
     if (i >= 0) {
         if (time <= p[i].time)
             return 0;
         memmove(p + i, p + i + 1, (size_t)(len - 1 - i) * sizeof(Pair));
         len--;
-    } else if (len == r->cap) {
-        trim_row(r, oldest);
-        len = r->len;
+    } else {
         if (len == r->cap) {
-            int64_t cap = r->cap ? 2 * r->cap : 4;
-            p = realloc(p, (size_t)cap * sizeof(Pair));
-            if (!p)
-                return OUT_OF_MEMORY;
-            r->pairs = p;
-            r->cap = cap;
+            trim_row(st, r, oldest);
+            len = r->len;
+            if (len == r->cap) {
+                int64_t cap = r->cap ? 2 * r->cap : 4;
+                p = realloc(p, (size_t)cap * sizeof(Pair));
+                if (!p)
+                    return OUT_OF_MEMORY;
+                r->pairs = p;
+                r->cap = cap;
+            }
         }
+        st->pairs++;
+        st->filled += len == 0;
     }
     for (i = len; i > 0 && p[i - 1].time > time; i--)
         p[i] = p[i - 1];
@@ -441,49 +553,78 @@ static int process_event(EventCtx *c, int64_t urow, int64_t a, int64_t b,
 }
 
 /* One slide over the n physical columns, of which those below head are
- * dead: nseed + nupd puts of nusers touched users.  The first nseed puts
- * fill rows Python is seeding from the shared index this slide; the last
- * nupd are the slide's pair updates.  All of them go to the store first,
- * so every event reads its user's pairs as of the slide's end -- the state
+ * dead: nrec records holding npairs (influencer, performer) pairs.  The
+ * records' performers are interned as lanes and their influencers as rows
+ * first -- returning NEED_ROOM, before anything else changes, when the
+ * row or word axis must grow -- and each distinct influencer takes the
+ * next user slot.  Every pair then goes to the store in slide order, so
+ * its previous credit is the one an earlier pair of this slide left, and
+ * every event reads its user's pairs as of the slide's end -- the state
  * the object plane's oracles read too.
  *
- * An update feeds the columns whose start exceeds the pair's previous
- * credit time -- a suffix [lo, n), lo the upper bound of previous in the
- * ascending starts.  The object plane positions a user in a checkpoint's
- * delta map at the user's first update feeding that checkpoint, so a user
- * whose later pair reaches *older* columns appears at different positions
- * in different maps; the prefix-min chain of the user's boundaries tells
- * which column range belongs to which position.  Walking the updates in
+ * A pair feeds the columns whose start exceeds its previous credit time
+ * -- a suffix [lo, n), lo the upper bound of previous in the ascending
+ * starts.  The object plane positions a user in a checkpoint's delta map
+ * at the user's first update feeding that checkpoint, so a user whose
+ * later pair reaches *older* columns appears at different positions in
+ * different maps; the prefix-min chain of the user's boundaries tells
+ * which column range belongs to which position.  Walking the pairs in
  * slide order and running one event per chain step -- over [lo, previous
  * minimum), with the user's whole slide of pairs -- therefore reproduces
  * every column's per-user delivery order; a user whose pairs only reach
  * newer columns (the common case) gets the single event [first lo, n).
  * Dirty floors re-tighten to their bar row's minimum at the end.
- * Returns LADDER_OVERFLOW or OUT_OF_MEMORY on failure, else 0.
+ * Returns LADDER_OVERFLOW, OUT_OF_MEMORY or NEED_ROOM on failure, else 0.
+ * With n = 0 it only fills the store: how a restore loads it.
  */
-int process_slide(EventCtx *c, int64_t n, int64_t head, int64_t nseed,
-                  int64_t nupd, int64_t nusers) {
+int process_slide(EventCtx *c, int64_t n, int64_t head, int64_t nrec,
+                  int64_t npairs) {
     Store *store = c->store;
-    int64_t need = 0;
-    for (int64_t s = 0; s < nusers; s++)
-        if (c->usr_row[s] >= need)
-            need = c->usr_row[s] + 1;
-    if (reserve_rows(store, need))
-        return OUT_OF_MEMORY;
-    int64_t oldest = head < n ? c->starts[head] : INT64_MIN;
-    for (int64_t q = 0; q < nseed + nupd; q++)
-        if (put_pair(store->rows + c->usr_row[c->upd_user[q]], c->upd_lane[q],
-                     c->upd_time[q], oldest))
+    int64_t *user = c->work;          /* (P) each pair's row, then slot */
+    int64_t *prev = user + npairs;    /* (P) each pair's previous credit */
+    int64_t *lo = prev + npairs;      /* (P) feed boundary per pair */
+    int64_t *grouped = lo + npairs;   /* (P) the same, grouped by user */
+    int64_t *lane = grouped + npairs; /* (R) each record's performer lane */
+    int64_t *usr_row = lane + nrec;   /* (U) interned row per slot */
+    int64_t *pos = usr_row + npairs;  /* (U + 1) group offsets */
+    int64_t *least = pos + npairs + 1; /* (U) chain minimum so far */
+    for (int64_t i = 0, q = 0; i < nrec; i++) {
+        int64_t fan = c->rec_fan[i];
+        if (fan && (lane[i] = map_intern(&store->lanes, c->rec_user[i],
+                                         c->lane_user, c->lcap)) < 0)
             return OUT_OF_MEMORY;
-    const int64_t *user = c->upd_user + nseed, *prev = c->upd_prev + nseed;
-    int64_t *lo = c->work;           /* (nupd) feed boundary per update */
-    int64_t *grouped = lo + nupd;    /* (nupd) the same, grouped by user */
-    int64_t *pos = grouped + nupd;   /* (nusers + 1) group offsets */
-    int64_t *least = pos + nusers + 1; /* (nusers) chain minimum so far */
+        for (; fan > 0; fan--, q++)
+            if ((user[q] = map_intern(&store->users, c->rec_infl[q],
+                                      c->row_user, c->ucap)) < 0)
+                return OUT_OF_MEMORY;
+    }
+    publish(c);
+    if (reserve_rows(store, store->users.count))
+        return OUT_OF_MEMORY;
+    if (store->users.count > c->urows || store->lanes.count > 64 * c->wcap)
+        return NEED_ROOM;
+    int64_t nusers = 0;
+    for (int64_t q = 0; q < npairs; q++) {
+        Row *r = store->rows + user[q];
+        if (!r->slot) {
+            usr_row[nusers] = user[q];
+            r->slot = ++nusers;
+        }
+        user[q] = r->slot - 1;
+    }
+    for (int64_t s = 0; s < nusers; s++)
+        store->rows[usr_row[s]].slot = 0;
+    int64_t oldest = head < n ? c->starts[head] : INT64_MIN;
+    for (int64_t i = 0, q = 0; i < nrec; i++)
+        for (int64_t f = 0; f < c->rec_fan[i]; f++, q++)
+            if (put_pair(store, store->rows + usr_row[user[q]], lane[i],
+                         c->rec_time[i], oldest, prev + q))
+                return OUT_OF_MEMORY;
+    publish(c);
     const int64_t *starts = c->starts;
     for (int64_t s = 0; s <= nusers; s++)
         pos[s] = 0;
-    for (int64_t q = 0; q < nupd; q++) {
+    for (int64_t q = 0; q < npairs; q++) {
         int64_t previous = prev[q], a = head, b = n;
         while (a < b) {
             int64_t mid = (a + b) >> 1;
@@ -499,15 +640,15 @@ int process_slide(EventCtx *c, int64_t n, int64_t head, int64_t nseed,
         pos[s + 1] += pos[s];
         least[s] = pos[s]; /* the fill cursor, until the replay below */
     }
-    for (int64_t q = 0; q < nupd; q++)
+    for (int64_t q = 0; q < npairs; q++)
         grouped[least[user[q]]++] = lo[q];
     for (int64_t s = 0; s < nusers; s++)
         least[s] = n;
-    for (int64_t q = 0; q < nupd; q++) {
+    for (int64_t q = 0; q < npairs; q++) {
         int64_t s = user[q];
         if (lo[q] >= least[s])
             continue;
-        int st = process_event(c, c->usr_row[s], lo[q], least[s],
+        int st = process_event(c, usr_row[s], lo[q], least[s],
                                grouped + pos[s], pos[s + 1] - pos[s]);
         if (st)
             return st;
@@ -568,7 +709,7 @@ static void move_columns(void *base, size_t stride, int64_t dst, int64_t src,
 
 /* Physically drop dead columns: column keep[i] moves to i, for the n_new
  * survivors of old_n columns, and trim the pair store to the new oldest
- * column's start.  keep ascends, so keep[i] >= i and ascending
+ * column's start (freeing the rows that empties).  keep ascends, so keep[i] >= i and ascending
  * in-place moves never overwrite an unmoved survivor.  Membership words
  * move through the seed lists, like retirement clears them (a seed listed
  * in two slots finds its word already moved): the target is a dead
@@ -637,13 +778,98 @@ void compact(EventCtx *c, const int64_t *keep, int64_t n_new, int64_t old_n,
     }
     for (int64_t col = n_new; col < old_n; col++)
         reset_column(c, col, 0.0);
-    for (int64_t r = 0; n_new && r < c->store->nrows; r++) {
-        Row *row = c->store->rows + r;
-        trim_row(row, c->starts[0]);
+    Store *st = c->store;
+    for (int64_t r = 0; n_new && r < st->nrows; r++) {
+        Row *row = st->rows + r;
+        trim_row(st, row, c->starts[0]);
         if (row->len == 0) {
             free(row->pairs);
             row->pairs = NULL;
             row->cap = 0;
+        }
+    }
+    publish(c);
+}
+
+/* Intern ids[0, n) as user rows (lanes = 0) or as coverage lanes, each
+ * one's index in out: how a restore names the rows and lanes its columns
+ * refer to before it loads them.  Returns OUT_OF_MEMORY or 0. */
+int intern(EventCtx *c, const int64_t *ids, int64_t n, int64_t lanes,
+           int64_t *out) {
+    Store *st = c->store;
+    for (int64_t i = 0; i < n; i++) {
+        out[i] = lanes ? map_intern(&st->lanes, ids[i], c->lane_user, c->lcap)
+                       : map_intern(&st->users, ids[i], c->row_user, c->ucap);
+        if (out[i] < 0)
+            return OUT_OF_MEMORY;
+    }
+    publish(c);
+    return reserve_rows(st, st->users.count);
+}
+
+/* The pairs of user's row credited at or after start: their count, the
+ * first at *out.  The plane's one read of the store. */
+int64_t suffix(const Store *st, int64_t user, int64_t start,
+               const Pair **out) {
+    int64_t row = map_find(&st->users, user);
+    if (row < 0 || row >= st->nrows)
+        return 0;
+    const Row *r = st->rows + row;
+    int64_t at = first_at(r, start);
+    *out = r->pairs + at;
+    return r->len - at;
+}
+
+/* A snapshot's per-user sections, filled by export_state. */
+typedef struct {
+    int64_t *users, *counts, *v, *t; /* the pairs, users' runs in row order */
+    int64_t *crow, *ccol;            /* singleton-cache entries ... */
+    double *cval;
+    int64_t *mrow, *mcol; /* ... and membership entries, row-major */
+    uint64_t *mval;
+    int64_t room; /* entries crow..mval hold */
+    int64_t nusers, npairs, ncache, nmember; /* what the export holds */
+} Export;
+
+/* Write out, in one pass over the rows holding a pair credited at or
+ * after oldest (the oldest live column's start), those pairs -- user ids
+ * and counts, influenced user ids and times -- and the row's non-zero
+ * cache2d and mem2d entries in the columns [0, n) whose position (their
+ * place in the snapshot) is not -1.  The rows skipped hold no such entry:
+ * a live column's cache counts its user's pairs from the column's start
+ * on, and its seeds gained some.  Entries past room are counted, not
+ * written: Python retries with room = ncache when it falls short. */
+void export_state(const EventCtx *c, int64_t n, int64_t oldest,
+                  const int64_t *position, Export *e) {
+    const Store *st = c->store;
+    e->nusers = e->npairs = e->ncache = e->nmember = 0;
+    for (int64_t row = 0; row < st->nrows; row++) {
+        const Row *r = st->rows + row;
+        int64_t at = first_at(r, oldest);
+        if (at == r->len)
+            continue;
+        e->users[e->nusers] = c->row_user[row];
+        e->counts[e->nusers++] = r->len - at;
+        for (; at < r->len; at++, e->npairs++) {
+            e->v[e->npairs] = c->lane_user[r->pairs[at].lane];
+            e->t[e->npairs] = r->pairs[at].time;
+        }
+        const double *cache = c->cache2d + row * c->cap;
+        const uint64_t *mem = c->mem2d + row * c->cap;
+        for (int64_t col = 0; col < n; col++) {
+            int64_t place = position[col];
+            if (place < 0)
+                continue;
+            if (cache[col] != 0.0 && e->ncache++ < e->room) {
+                e->crow[e->ncache - 1] = row;
+                e->ccol[e->ncache - 1] = place;
+                e->cval[e->ncache - 1] = cache[col];
+            }
+            if (mem[col] && e->nmember++ < e->room) {
+                e->mrow[e->nmember - 1] = row;
+                e->mcol[e->nmember - 1] = place;
+                e->mval[e->nmember - 1] = mem[col];
+            }
         }
     }
 }

@@ -35,7 +35,7 @@ import warnings
 from pathlib import Path
 from typing import Optional
 
-__all__ = ["EventCtx", "load", "unavailable_reason", "ENV_DISABLE"]
+__all__ = ["EventCtx", "Export", "load", "unavailable_reason", "ENV_DISABLE"]
 
 #: Set this environment variable (to any non-empty value) to keep every
 #: engine in the process on the object plane.
@@ -63,45 +63,30 @@ class EventCtx(ctypes.Structure):
     fields, so the layouts agree without explicit packing)."""
 
     _fields_ = [
-        ("cap", ctypes.c_int64),
-        ("jcap", ctypes.c_int64),
-        ("kcap", ctypes.c_int64),
-        ("wcap", ctypes.c_int64),
-        ("k", ctypes.c_int64),
-        ("bar_mode", ctypes.c_int64),
-        ("uniform", ctypes.c_double),
-        ("base", ctypes.c_double),
-        ("log_base", ctypes.c_double),
+        (name, ctypes.c_int64)
+        for name in "cap jcap kcap wcap k bar_mode urows ucap lcap".split()
+    ] + [
+        (name, ctypes.c_double) for name in ("uniform", "base", "log_base")
     ] + [
         (name, ctypes.c_void_p)
         for name in (
-            "m",
-            "best",
-            "floor_",
-            "rthresh",
-            "blow",
-            "bhigh",
-            "starts",
-            "ival",
-            "ibar",
-            "iguess",
-            "inseed",
-            "iseed_ids",
-            "best_ids",
-            "best_ns",
-            "dirtyf",
-            "icov",
-            "mem2d",
-            "cache2d",
-            "upd_user",
-            "upd_prev",
-            "upd_lane",
-            "upd_time",
-            "usr_row",
-            "store",
-            "work",
-            "counts",
-        )
+            "m best floor_ rthresh blow bhigh starts ival ibar iguess inseed "
+            "iseed_ids best_ids best_ns dirtyf icov mem2d cache2d row_user "
+            "lane_user tally rec_user rec_time rec_fan rec_infl store work "
+            "counts"
+        ).split()
+    ]
+
+
+class Export(ctypes.Structure):
+    """Mirror of ``export_state``'s ``Export`` struct in ``_ckernel.c``."""
+
+    _fields_ = [
+        (name, ctypes.c_void_p)
+        for name in "users counts v t crow ccol cval mrow mcol mval".split()
+    ] + [
+        (name, ctypes.c_int64)
+        for name in "room nusers npairs ncache nmember".split()
     ]
 
 
@@ -163,7 +148,17 @@ def _first_use() -> ctypes.CDLL:
         lib = ctypes.CDLL(str(so_path))
         context, i64 = ctypes.POINTER(EventCtx), ctypes.c_int64
         lib.process_slide.restype = ctypes.c_int
-        lib.process_slide.argtypes = [context, i64, i64, i64, i64, i64]
+        lib.process_slide.argtypes = [context, i64, i64, i64, i64]
+        lib.intern.restype = ctypes.c_int
+        lib.intern.argtypes = [context, ctypes.c_void_p, i64, i64, ctypes.c_void_p]
+        lib.suffix.restype = i64
+        lib.suffix.argtypes = [
+            ctypes.c_void_p, i64, i64, ctypes.POINTER(ctypes.c_void_p)
+        ]
+        lib.export_state.restype = None
+        lib.export_state.argtypes = [
+            context, i64, i64, ctypes.c_void_p, ctypes.POINTER(Export)
+        ]
         lib.store_new.restype = ctypes.c_void_p
         lib.store_new.argtypes = []
         lib.store_free.restype = None

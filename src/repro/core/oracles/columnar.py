@@ -32,14 +32,15 @@ Checkpoints are column *ranges*: columns are appended in ascending start
 order, so the checkpoints a pair update feeds — those whose start exceeds
 the pair's previous credit time — form a contiguous suffix ``[lo, n)``.
 A slide is **one compiled call** (``process_slide`` in ``_ckernel.c``,
-loaded by :mod:`~repro.core.oracles._ckernel`): Python interns the slide's
-users and lanes and hands down the flat ``(user, previous, lane, time)``
-updates.  C keeps its own copy of every touched user's influence pairs —
-one time-ascending ``(time, lane)`` row per user row, seeded from the
-shared index the first time the kernel touches the user and kept current
-by those updates, so Python copies no pair.  It applies the updates, finds
-each ``lo``, groups the updates per user and runs one **event** per (user,
-column range) in slide order, which
+loaded by :mod:`~repro.core.oracles._ckernel`): Python hands down the
+slide's records as flat columns — performer, time, fanout, influencers —
+filled with one pass per record.  On this plane the compiled **pair
+store** is the engine's shared influence index, and its only copy of the
+pairs: one time-ascending ``(time, lane)`` row per interned user row.  C
+interns the slide's influencers as rows and performers as lanes, credits
+every pair in its row, reading the pair's previous credit off the row as
+it goes, finds each ``lo``, groups the pairs per user and runs one
+**event** per (user, column range) in slide order, which
 
 1. adds the user's gains to ``cache[lo:n]``, raises ``m``/``best`` where
    the singleton beats them and realigns the guess ladder of any column
@@ -92,20 +93,29 @@ outnumber live ones, leaving every unused column open-ready, so opening
 a column (:meth:`~ColumnarThresholdKernel.new_checkpoint`) writes only
 its start.
 
+Everything that reads the pairs — a checkpoint's ``index``, the
+framework's ``shared_index``, ``query_candidates``, the memory experiment
+— reads the store through :class:`StoreView`, which serves the
+:class:`~repro.core.influence_index.SuffixView` protocol from one compiled
+``suffix(user, start)`` entry.
+
 Checkpoint state is serialized as the live columns themselves
 (:meth:`ColumnarThresholdKernel.to_state`: arrays, the sparse matrices as
-their non-zero entries), and :func:`oracle_documents` decodes those, with
+their non-zero entries) beside the store's live pairs, in the object
+plane's ``shared`` layout, both written by one compiled pass over the rows
+holding live pairs; :func:`oracle_documents` decodes the columns, with
 numpy alone, into the *exact* ``StreamingThresholdOracle.state_dict``
 schema (coverage bitsets decode back to sorted member lists) — so
 snapshots are plane-portable in both directions: object-plane snapshots
-open into columnar engines (:func:`restore_checkpoint`) and vice versa.
+open into columnar engines (:meth:`ColumnarThresholdKernel.load_state`)
+and vice versa, the ``shared`` section loading straight into the store.
 
 Supported scope: modular influence functions with **uniform** member
 weights and the stock ``sieve``/``threshold``
 :class:`~repro.core.oracles.streaming_base.StreamingThresholdOracle`
-classes over a shared
-:class:`~repro.core.influence_index.VersionedInfluenceIndex`, on a box
-where the compiled event loads.  Non-uniform weights stay on the object
+classes, on a box where the compiled event loads; every other engine runs
+the object plane over a
+:class:`~repro.core.influence_index.VersionedInfluenceIndex`.  Non-uniform weights stay on the object
 plane: their admission gains are float sums in per-object set-iteration
 order, which counted coverage bits cannot reproduce bit-for-bit.  Every check
 is in :meth:`ColumnarThresholdKernel.for_spec`, which
@@ -118,11 +128,11 @@ import ctypes
 import math
 import weakref
 from time import perf_counter
-from typing import Dict, FrozenSet, List, Optional
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.core.checkpoint import SuffixCheckpoint
+from repro.core.checkpoint import CheckpointRoster, SuffixCheckpoint
 from repro.core.oracles import _ckernel
 from repro.core.oracles.streaming_base import (
     StreamingThresholdOracle,
@@ -133,11 +143,12 @@ from repro.telemetry.trace import active_trace
 __all__ = [
     "ColumnarThresholdKernel",
     "ColumnarCheckpoint",
+    "StoreView",
     "oracle_documents",
-    "restore_checkpoint",
 ]
 
 _UONE = np.uint64(1)
+_SIX, _LOW6 = np.uint64(6), np.uint64(63)
 
 #: The per-column arrays a snapshot carries verbatim, under the kernel's own
 #: names: the column scalars, then the instance plane.
@@ -145,18 +156,24 @@ _COLUMN_ARRAYS = (
     "m best floor blow bhigh best_ns best_ids ival iguess ibar inseed iseed_ids"
 ).split()
 
+#: A slide's record columns, as ``process_slide`` reads them.
+_SLIDE_COLUMNS = ("rec_user", "rec_time", "rec_fan", "rec_infl")
+
 
 #: ``EventCtx`` pointer field -> the kernel attribute holding its array.
 _CTX_ARRAYS = {
     **{name: "_" + name for name in _COLUMN_ARRAYS if name != "floor"},
-    **{name: "_" + name for name in "rthresh dirtyf icov mem2d cache2d".split()},
+    **{
+        name: "_" + name
+        for name in "rthresh dirtyf icov mem2d cache2d row_user lane_user tally".split()
+    },
     "floor_": "_floor",  # ``floor`` is libm's in C
     "starts": "_starts_arr",
-    **{
-        name: "_sc_" + name
-        for name in "upd_user upd_prev upd_lane upd_time usr_row work counts".split()
-    },
+    **{name: "_sc_" + name for name in _SLIDE_COLUMNS + ("work", "counts")},
 }
+
+#: ``process_slide``'s status when the row or word axis must grow first.
+_NEED_ROOM = 3
 
 
 def _stock_bar_mode(probe) -> Optional[int]:
@@ -196,10 +213,12 @@ class ColumnarThresholdKernel:
     _MIN_COMPACT_DEAD = 32
 
     @classmethod
-    def for_spec(cls, spec, shared) -> Optional["ColumnarThresholdKernel"]:
-        """A kernel for ``spec`` over ``shared`` — or ``None``, and the
-        engine runs per-checkpoint object oracles, when the compiled event
-        cannot reproduce the spec bit-for-bit or cannot be loaded here."""
+    def for_spec(cls, spec) -> Optional["ColumnarThresholdKernel"]:
+        """A kernel for ``spec`` — or ``None``, and the engine runs
+        per-checkpoint object oracles over a
+        :class:`~repro.core.influence_index.VersionedInfluenceIndex`, when
+        the compiled event cannot reproduce the spec bit-for-bit or cannot
+        be loaded here."""
         func = spec.func
         # Admission gains are ``uniform * count``: weighted members are
         # float sums in each object oracle's set-iteration order, which a
@@ -207,7 +226,7 @@ class ColumnarThresholdKernel:
         if not func.modular or func.uniform_weight is None:
             return None
         try:
-            probe = spec.build(shared.view(1))
+            probe = spec.build(None)
         except KeyError:
             # Unknown oracle names keep their pinned contract: the engine
             # constructs fine and raises on the first checkpoint build.
@@ -222,22 +241,19 @@ class ColumnarThresholdKernel:
         lib = _ckernel.load()
         if lib is None:
             return None
-        return cls(spec, shared, probe, bar_mode, lib)
+        return cls(spec, probe, bar_mode, lib)
 
-    def __init__(self, spec, shared, probe, bar_mode, lib):
+    def __init__(self, spec, probe, bar_mode, lib):
         """Built by :meth:`for_spec`, which vets the arguments.
 
         Args:
             spec: The framework's :class:`~repro.core.checkpoint.OracleSpec`.
-            shared: The framework's
-                :class:`~repro.core.influence_index.VersionedInfluenceIndex`.
             probe: An oracle built from ``spec``: supplies the guess base
                 and the exact admission-bar rule columns restore through.
             bar_mode: ``probe``'s :func:`_stock_bar_mode`.
             lib: The loaded compiled kernel (:func:`_ckernel.load`).
         """
         self._spec = spec
-        self._shared = shared
         self._k = spec.k
         self._uniform = spec.func.uniform_weight
         self._bar = probe._instance_bar
@@ -277,7 +293,7 @@ class ColumnarThresholdKernel:
         self._inseed = np.zeros((cap, jcap), dtype=np.int16)
         # Seed identities, flat: slot (col, s) seeds are the first
         # ``inseed[col, s]`` entries of ``_iseed_ids[col, s]``, stored as
-        # user *rows* (see ``_urow``) in admission order.
+        # user *rows* (see ``_row_user``) in admission order.
         self._iseed_ids = np.zeros((cap, jcap, kcap), dtype=np.int64)
         # Best-so-far solution seeds per column, same encoding.
         self._best_ids = np.zeros((cap, kcap), dtype=np.int64)
@@ -285,20 +301,21 @@ class ColumnarThresholdKernel:
         # Coverage bitsets (column, slot, word); the word axis grows with
         # the influenced-user lane count.
         self._wcap = 1
-        self._w = 0
         self._icov = np.zeros((cap, jcap, 1), dtype=np.uint64)
-        self._lane_of: Dict[int, int] = {}
-        self._lane_user: List[int] = []
         # Python-side per-column state, aligned with the arrays.
         self._starts_list: List[int] = []
         self._handles: List[Optional["ColumnarCheckpoint"]] = []
-        # Transposed per-user state, one row per interned user (``_urow``):
-        # singleton caches as float rows, seed membership as uint64 rows
-        # (bit ``j & 63`` set iff the user seeds the instance with guess
+        # Transposed per-user state, one row per interned user (rows and
+        # lanes are interned by the compiled half, which writes each one's
+        # user id into ``_row_user``/``_lane_user`` and their counts, with
+        # the store's pairs and filled rows, into ``_tally``): singleton
+        # caches as float rows, seed membership as uint64 rows (bit
+        # ``j & 63`` set iff the user seeds the instance with guess
         # exponent ``j`` — unambiguous because a column's live exponent
         # span is < 64).
-        self._uidx: Dict[int, int] = {}
-        self._uidx_user: List[int] = []
+        self._row_user = np.zeros(64, dtype=np.int64)
+        self._lane_user = np.zeros(64, dtype=np.int64)
+        self._tally = np.zeros(4, dtype=np.int64)
         self._urows_cap = 64
         self._mem2d = np.zeros((self._urows_cap, cap), dtype=np.uint64)
         self._cache2d = np.zeros((self._urows_cap, cap))
@@ -306,19 +323,19 @@ class ColumnarThresholdKernel:
         self._dirtyf = np.zeros(cap, dtype=np.uint8)
         # The compiled half: its library, the context struct it reads the
         # arrays through (refilled after any reallocation), its scratch,
-        # sized for a slide's puts, and its pair store, whose rows hold the
-        # users in ``_seeded`` (user -> row; interned but unseeded users,
-        # e.g. restored ones, are seeded on their first event).
+        # sized for a slide's pairs and records, and its pair store.
         self._cfast = lib
         self._cbar_mode = bar_mode
         self._cref = None
         self._cstale = True
-        self._sc_puts = 64
+        self._sc_puts = 0
+        self._scratch(64)
         self._store = lib.store_new()
         if not self._store:
             raise MemoryError("columnar C kernel: no memory for its pair store")
         self._free_store = weakref.finalize(self, lib.store_free, self._store)
-        self._seeded: Dict[int, int] = {}
+        # Export room: the cache entries the last snapshot held.
+        self._export_room = 64
 
     # -- column lifecycle --------------------------------------------------
 
@@ -414,75 +431,90 @@ class ColumnarThresholdKernel:
         self._wcap = new_wcap
         self._cstale = True
 
-    def _lane(self, v: int) -> int:
-        """The coverage bit lane of influenced user ``v`` (assigning one
-        on first sight; the word axis doubles as lanes fill it)."""
-        lane = self._lane_of.get(v)
-        if lane is None:
-            lane = len(self._lane_user)
-            self._lane_of[v] = lane
-            self._lane_user.append(v)
-            w = (lane >> 6) + 1
-            if w > self._wcap:
-                self._grow_words(max(self._wcap * 2, w))
-            self._w = w
-        return lane
-
-    def _urow(self, u: int) -> int:
-        """The membership/seed-identity row of user ``u`` (assigned on
-        first sight; the row axis of ``_mem2d`` doubles as users fill it)."""
-        row = self._uidx.get(u)
-        if row is None:
-            row = len(self._uidx_user)
-            self._uidx[u] = row
-            self._uidx_user.append(u)
-            if row >= self._urows_cap:
-                new_rows = self._urows_cap * 2
-                mem = np.zeros((new_rows, self._cap), dtype=np.uint64)
-                mem[: self._urows_cap] = self._mem2d
-                self._mem2d = mem
-                cch = np.zeros((new_rows, self._cap))
-                cch[: self._urows_cap] = self._cache2d
-                self._cache2d = cch
-                self._urows_cap = new_rows
+    def _reserve(self, users: int, lanes: int) -> None:
+        """Room in the name tables for ``users`` more rows and ``lanes``
+        more lanes — upper bounds, the compiled half interns the new ones."""
+        for name, held, more in (("_row_user", 0, users), ("_lane_user", 1, lanes)):
+            table = getattr(self, name)
+            need = int(self._tally[held]) + more
+            if need > len(table):
+                grown = np.zeros(max(2 * len(table), need), dtype=np.int64)
+                grown[: len(table)] = table
+                setattr(self, name, grown)
                 self._cstale = True
-        return row
+
+    def _fit(self) -> None:
+        """Grow the user-row axis of ``mem2d``/``cache2d`` and the word axis
+        of the coverage bitsets to the rows and lanes interned so far."""
+        rows = self._urows_cap
+        while rows < self._tally[0]:
+            rows *= 2
+        if rows > self._urows_cap:
+            mem = np.zeros((rows, self._cap), dtype=np.uint64)
+            mem[: self._urows_cap] = self._mem2d
+            cch = np.zeros((rows, self._cap))
+            cch[: self._urows_cap] = self._cache2d
+            self._mem2d, self._cache2d, self._urows_cap = mem, cch, rows
+            self._cstale = True
+        words = self._words
+        if words > self._wcap:
+            self._grow_words(max(self._wcap * 2, words))
+
+    @property
+    def _words(self) -> int:
+        """Coverage words the interned lanes span."""
+        return -(-int(self._tally[1]) // 64)
+
+    def _intern(self, ids, lanes: bool = False) -> np.ndarray:
+        """The rows (or, with ``lanes``, the coverage lanes) of user ids
+        ``ids``, interning the ones first seen (a restore's names)."""
+        ids = np.ascontiguousarray(ids, dtype=np.int64)
+        self._reserve(0 if lanes else len(ids), len(ids) if lanes else 0)
+        out = np.empty(len(ids), dtype=np.int64)
+        status = self._cfast.intern(
+            self._context(), ids.ctypes.data, len(ids), lanes, out.ctypes.data
+        )
+        if status:
+            raise MemoryError("columnar C kernel: no memory for its pair store")
+        self._fit()
+        return out
 
     # -- the compiled half ---------------------------------------------------
 
-    def _context(self, puts: int = 0):
-        """The C entries' context argument, its scratch sized for a slide
-        of ``puts`` store puts (updates and seeds); refilled after any
-        array reallocation (growth marks ``_cstale``)."""
-        if puts > self._sc_puts:
-            while self._sc_puts < puts:
-                self._sc_puts *= 2
-            self._cstale = True
-        if self._cstale:
-            self._refill_ctx()
-        return self._cref
+    def _scratch(self, puts: int) -> None:
+        """Scratch for a slide of ``puts`` pairs or records (doubling)."""
+        if puts <= self._sc_puts:
+            return
+        self._sc_puts = size = max(puts, 2 * self._sc_puts)
+        for name in _SLIDE_COLUMNS:
+            setattr(self, "_sc_" + name, np.zeros(size, dtype=np.int64))
+        self._sc_work = np.zeros(8 * size + 2, dtype=np.int64)
+        self._cstale = True
 
-    def _refill_ctx(self) -> None:
-        puts = self._sc_puts
-        for name in ("upd_user", "upd_prev", "upd_lane", "upd_time", "usr_row"):
-            setattr(self, "_sc_" + name, np.zeros(puts, dtype=np.int64))
-        self._sc_work = np.zeros(4 * puts + 2, dtype=np.int64)
-        self._sc_counts = np.zeros(self._cap + 1, dtype=np.int64)
-        ctx = _ckernel.EventCtx()
-        ctx.cap = self._cap
-        ctx.jcap = self._jcap
-        ctx.kcap = self._k
-        ctx.wcap = self._wcap
-        ctx.k = self._k
-        ctx.bar_mode = self._cbar_mode
-        ctx.uniform = self._uniform
-        ctx.base = self._base
-        ctx.log_base = self._log_base
-        for field, attribute in _CTX_ARRAYS.items():
-            setattr(ctx, field, getattr(self, attribute).ctypes.data)
-        ctx.store = self._store
-        self._cref = ctypes.byref(ctx)  # keeps the struct alive
-        self._cstale = False
+    def _context(self):
+        """The C entries' context argument, refilled after any array
+        reallocation (growth marks ``_cstale``)."""
+        if self._cstale:
+            self._sc_counts = np.zeros(self._cap + 1, dtype=np.int64)
+            ctx = _ckernel.EventCtx()
+            ctx.cap = self._cap
+            ctx.jcap = self._jcap
+            ctx.kcap = self._k
+            ctx.wcap = self._wcap
+            ctx.k = self._k
+            ctx.bar_mode = self._cbar_mode
+            ctx.urows = self._urows_cap
+            ctx.ucap = len(self._row_user)
+            ctx.lcap = len(self._lane_user)
+            ctx.uniform = self._uniform
+            ctx.base = self._base
+            ctx.log_base = self._log_base
+            for field, attribute in _CTX_ARRAYS.items():
+                setattr(ctx, field, getattr(self, attribute).ctypes.data)
+            ctx.store = self._store
+            self._cref = ctypes.byref(ctx)  # keeps the struct alive
+            self._cstale = False
+        return self._cref
 
     def _compact(self) -> None:
         """Physically drop dead columns (handles are re-pointed in place)."""
@@ -490,7 +522,7 @@ class ColumnarThresholdKernel:
         keep = np.array(keep_list, dtype=np.int64)
         n_new = len(keep_list)
         self._cfast.compact(
-            self._context(), keep.ctypes.data, n_new, self._n, len(self._uidx_user)
+            self._context(), keep.ctypes.data, n_new, self._n, int(self._tally[0])
         )
         self._starts_list = [self._starts_list[c] for c in keep_list]
         self._handles = [self._handles[c] for c in keep_list]
@@ -503,98 +535,52 @@ class ColumnarThresholdKernel:
     # -- the per-slide kernel ----------------------------------------------
 
     def absorb_slide(self, roster, arrived, absorbed: int) -> None:
-        """Index ``arrived`` once and hand the slide to the compiled kernel.
+        """Hand the slide's records to the compiled kernel.
 
         The columnar twin of :func:`repro.core.checkpoint.feed_shared`:
-        one shared-index update per record, then one ``process_slide``
-        call that runs a compiled event per updated user and re-tightens
+        the records go down as flat columns — performer, time, fanout and
+        the concatenated influencers, one pass per record — and one
+        ``process_slide`` call interns them, credits their pairs in the
+        pair store, runs a compiled event per updated user and re-tightens
         the floors of the columns that admitted this slide.
         """
         if not len(roster):
             return
         if arrived:
             trace = active_trace()
-            index_started = perf_counter() if trace is not None else 0.0
-            if len(arrived) == 1:
-                record = arrived[0]
-                performer = record.user
-                updates = [
-                    (performer, u, previous)
-                    for u, previous in self._shared.add(record)
-                ]
-            else:
-                updates = self._shared.add_batch(arrived)
+            started = perf_counter() if trace is not None else 0.0
+            users, times, fans, influencers = [], [], [], []
+            for record in arrived:
+                users.append(record.user)
+                times.append(record.time)
+                fans.append(len(record.influencers))
+                influencers += record.influencers
+            nrec, npairs = len(arrived), len(influencers)
+            if npairs:
+                self._reserve(npairs, nrec)
+                self._scratch(max(npairs, nrec))
+                self._sc_rec_user[:nrec] = users
+                self._sc_rec_time[:nrec] = times
+                self._sc_rec_fan[:nrec] = fans
+                self._sc_rec_infl[:npairs] = influencers
             if trace is not None:
-                indexed = perf_counter()
-                trace.add_stage(
-                    "kernel_index", indexed - index_started, len(arrived)
-                )
-                self._absorb(updates)
-                trace.add_stage(
-                    "kernel_pass", perf_counter() - indexed, len(updates)
-                )
-            else:
-                self._absorb(updates)
+                marshalled = perf_counter()
+                trace.add_stage("kernel_index", marshalled - started, nrec)
+            if npairs:
+                self._process(self._n, self._head, nrec, npairs)
+            if trace is not None:
+                trace.add_stage("kernel_pass", perf_counter() - marshalled, npairs)
             self.slides_absorbed += 1
-            self.pair_updates += len(updates)
+            self.pair_updates += npairs
         roster.absorbed += absorbed
 
-    def _absorb(self, updates) -> None:
-        """Python's share of the slide: intern its touched users into rows
-        and its performers into lanes, queue a seed (the user's pairs in the
-        shared index) for each touched user the pair store does not hold
-        yet, and make the one ``process_slide`` call with the seeds and the
-        flat ``(user, previous, lane, time)`` updates — the store, grouping
-        and replay order are C's.  An unseeded user's update that feeds no
-        column is skipped: their seed, whenever it comes, will hold it."""
-        if not updates:
-            return
-        newest = self._starts_list[-1] if self._n else -1
-        lane, lane_of = self._lane, self._lane_of
-        seeded, latest = self._seeded, self._shared._latest
-        slot_of: Dict[int, int] = {}
-        rows: List[int] = []
-        upd_user, upd_prev, upd_lane, upd_time = [], [], [], []
-        seed_user: List[int] = []
-        seed_lane: List[int] = []
-        seed_time: List[int] = []
-        for performer, u, previous in updates:
-            slot = slot_of.get(u)
-            if slot is None:
-                row = seeded.get(u)
-                if row is None:
-                    if previous >= newest:
-                        continue
-                    row = seeded[u] = self._urow(u)
-                    pairs = latest[u]
-                    try:
-                        seed_lane += [lane_of[v] for v in pairs]
-                    except KeyError:
-                        # Pairs restored from a snapshot (or this slide's
-                        # later performers) may not be laned yet.
-                        seed_lane += [lane(v) for v in pairs]
-                    seed_time += pairs.values()
-                    seed_user += [len(rows)] * len(pairs)
-                slot = slot_of[u] = len(rows)
-                rows.append(row)
-            lane_v = lane_of.get(performer)
-            upd_user.append(slot)
-            upd_prev.append(previous)
-            upd_lane.append(lane(performer) if lane_v is None else lane_v)
-            upd_time.append(latest[u][performer])
-        if not rows:
-            return
-        nseed, nusers = len(seed_user), len(rows)
-        puts = nseed + len(upd_user)
-        context = self._context(puts)
-        self._sc_upd_user[:puts] = seed_user + upd_user
-        self._sc_upd_prev[nseed:puts] = upd_prev
-        self._sc_upd_lane[:puts] = seed_lane + upd_lane
-        self._sc_upd_time[:puts] = seed_time + upd_time
-        self._sc_usr_row[:nusers] = rows
-        status = self._cfast.process_slide(
-            context, self._n, self._head, nseed, puts - nseed, nusers
-        )
+    def _process(self, n: int, head: int, nrec: int, npairs: int) -> None:
+        """One ``process_slide`` call over the scratch's record columns,
+        made again once the row and word axes grow if it asks them to."""
+        status = self._cfast.process_slide(self._context(), n, head, nrec, npairs)
+        if status == _NEED_ROOM:
+            self._fit()
+            status = self._cfast.process_slide(self._context(), n, head, nrec, npairs)
         if status == 2:  # OUT_OF_MEMORY: the store could not grow
             raise MemoryError("columnar C kernel: no memory for its pair store")
         if status:  # pragma: no cover - guarded by _jcap sizing
@@ -604,14 +590,21 @@ class ColumnarThresholdKernel:
 
     # -- persistence & introspection ---------------------------------------
 
-    def to_state(self, checkpoints) -> dict:
-        """The columns of ``checkpoints`` (live handles, oldest first) as arrays.
+    def to_state(self, checkpoints) -> Tuple[dict, dict]:
+        """``(shared, columns)``: the pair store and the columns of
+        ``checkpoints`` (live handles, oldest first) as arrays.
 
-        Per-column arrays are fancy-indexed copies, verbatim; the interned
-        ``users``/``lanes`` tables ride along so row and lane numbers stay
-        meaningful; the sparse per-user matrices and the coverage bitsets
-        are stored as their non-zero entries, ``col`` counting positions in
-        this document.  :func:`oracle_documents` decodes the result.
+        ``shared`` is laid out like
+        :meth:`~repro.core.influence_index.VersionedInfluenceIndex.to_state`
+        — the store's pairs credited from the oldest live column's start
+        on, each user's run time-ascending — so either plane opens it.  In
+        ``columns`` per-column arrays are fancy-indexed copies, verbatim;
+        the interned ``users``/``lanes`` tables ride along so row and lane
+        numbers stay meaningful; the sparse per-user matrices and the
+        coverage bitsets are stored as their non-zero entries, ``col``
+        counting positions in this document.  The pairs and the per-user
+        entries come from one compiled pass over the rows holding live
+        pairs.  :func:`oracle_documents` decodes ``columns``.
         """
         count = len(checkpoints)
         cols = np.fromiter((c._col for c in checkpoints), np.int64, count)
@@ -620,18 +613,39 @@ class ColumnarThresholdKernel:
         state["actions_processed"] = np.fromiter(
             (c.actions_processed for c in checkpoints), np.int64, count
         )
-        state["users"] = np.array(self._uidx_user, dtype=np.int64)
-        state["lanes"] = np.array(self._lane_user, dtype=np.int64)
+        users, lanes, pairs, filled = self._tally.tolist()
+        state["users"] = self._row_user[:users].copy()
+        state["lanes"] = self._lane_user[:lanes].copy()
         n = self._n
         position = np.full(n, -1, dtype=np.int64)
         position[cols] = np.arange(count)
-        users = len(self._uidx_user)
-        for name, matrix in (("cache", self._cache2d), ("member", self._mem2d)):
-            rows, at = np.nonzero(matrix[:users, :n])
-            keep = position[at] >= 0  # retired columns keep stale cache rows
-            rows, at = rows[keep], at[keep]
-            state[name] = {"row": rows, "col": position[at], "value": matrix[rows, at]}
-        at, slot, word = np.nonzero(self._icov[:n, :, : self._w])
+        oldest = int(self._starts_arr[self._head]) if self._head < n else 0
+        runs = {
+            name: np.empty(size, np.int64)
+            for name, size in (("users", filled), ("counts", filled), ("v", pairs), ("t", pairs))
+        }
+        while True:
+            room = self._export_room
+            cache, member = (
+                {"row": np.empty(room, np.int64), "col": np.empty(room, np.int64),
+                 "value": np.empty(room, dtype)}
+                for dtype in (np.float64, np.uint64)
+            )
+            arrays = [*runs.values(), *cache.values(), *member.values()]
+            export = _ckernel.Export(*(a.ctypes.data for a in arrays), room)
+            self._cfast.export_state(
+                self._context(), n, oldest, position.ctypes.data, ctypes.byref(export)
+            )
+            if export.ncache <= room:
+                break
+            self._export_room = export.ncache
+        self._export_room = max(64, export.ncache * 5 // 4)
+        shared = {"floor": oldest, "live_at_sweep": export.npairs}
+        for name, array in runs.items():
+            shared[name] = array[: export.npairs if name in ("v", "t") else export.nusers]
+        state["cache"] = {key: a[: export.ncache] for key, a in cache.items()}
+        state["member"] = {key: a[: export.nmember] for key, a in member.items()}
+        at, slot, word = np.nonzero(self._icov[:n, :, : self._words])
         keep = position[at] >= 0
         at, slot, word = at[keep], slot[keep], word[keep]
         state["covered"] = {
@@ -640,18 +654,55 @@ class ColumnarThresholdKernel:
             "word": word,
             "bits": self._icov[at, slot, word],
         }
-        return state
+        return shared, state
 
-    def load_state(self, state: dict, roster) -> None:
-        """Restore a fresh kernel from :meth:`to_state` output, appending
-        the checkpoints' handles to ``roster``."""
-        for key in ("users", "lanes"):
-            if len(np.unique(state[key])) != len(state[key]):
-                raise ValueError(f"kernel table {key!r} repeats an entry")
-        for u in state["users"].tolist():
-            self._urow(u)
-        for v in state["lanes"].tolist():
-            self._lane(v)
+    def load_state(self, shared: dict, state: dict) -> CheckpointRoster:
+        """Restore a fresh kernel from a framework's ``shared`` section and
+        ``roster`` document, written by either plane; returns the roster
+        of restored handles."""
+        roster = CheckpointRoster()
+        roster.absorbed = state["absorbed"]
+        columns = state.get("columns")
+        if columns is not None:
+            # Rows and lanes first, in the writer's order: the columns
+            # name them by number.
+            for key in ("users", "lanes"):
+                if len(np.unique(columns[key])) != len(columns[key]):
+                    raise ValueError(f"kernel table {key!r} repeats an entry")
+            self._intern(columns["users"])
+            self._intern(columns["lanes"], lanes=True)
+        # A snapshot written while the object plane spilled old pairs to a
+        # second store holds them in a ``cold`` section of the same layout.
+        for section in (shared, shared.get("cold")):
+            if section is not None and len(section["v"]):
+                self._load_pairs(section)
+        if columns is None:
+            for document in state["checkpoints"]:
+                handle = self.new_checkpoint(document["start"], roster)
+                self.load_col_state(handle._col, document["oracle"])
+                handle._actions_processed = document["actions_processed"]
+                roster.append(handle)
+        else:
+            self._load_columns(columns, roster)
+        return roster
+
+    def _load_pairs(self, section: dict) -> None:
+        """Credit a ``shared`` section's pairs in the store: a record per
+        pair, through one ``process_slide`` over no columns."""
+        v = section["v"]
+        self._reserve(len(section["users"]), len(v))
+        self._scratch(len(v))
+        self._sc_rec_user[: len(v)] = v
+        self._sc_rec_time[: len(v)] = section["t"]
+        self._sc_rec_fan[: len(v)] = 1
+        self._sc_rec_infl[: len(v)] = np.repeat(section["users"], section["counts"])
+        self._process(0, 0, len(v), len(v))
+        self._sc_puts = 0  # a slide's scratch, not the whole store's
+        self._scratch(64)
+
+    def _load_columns(self, state: dict, roster) -> None:
+        """Restore :meth:`to_state`'s ``columns`` into the fresh kernel
+        whose rows and lanes :meth:`load_state` named."""
         # One reallocation, while the column axis is still empty: growing
         # it under thousands of user rows copies every row per doubling.
         cap = self._cap
@@ -667,7 +718,7 @@ class ColumnarThresholdKernel:
             roster.append(handle)
         # The compiled event trusts these as array indices and loop bounds,
         # and numpy would wrap a negative entry into the last row or word.
-        users, seeds, columns = len(self._uidx_user), self._k + 1, self._n
+        users, seeds, columns = int(self._tally[0]), self._k + 1, self._n
         rows = max(users, 1)  # unused seed slots hold row 0
         covered = state["covered"]
         for key, values, limit in (
@@ -681,7 +732,7 @@ class ColumnarThresholdKernel:
             ("member.col", state["member"]["col"], columns),
             ("covered.col", covered["col"], columns),
             ("covered.slot", covered["slot"], self._jcap),
-            ("covered.word", covered["word"], -(-len(self._lane_user) // 64)),
+            ("covered.word", covered["word"], self._words),
         ):
             if values.size and not 0 <= values.min() <= values.max() < limit:
                 raise ValueError(f"kernel column {key!r} leaves [0, {limit})")
@@ -696,37 +747,29 @@ class ColumnarThresholdKernel:
 
     def load_col_state(self, col: int, state: dict) -> None:
         """Restore one column from a ``StreamingThresholdOracle`` state dict
-        (written by either plane)."""
+        (written by either plane).  Interning may replace the row and word
+        arrays, so each name is resolved before the array is indexed."""
         self._best[col] = state["best_value"]
-        best = state["best_seeds"]
+        best = self._intern(state["best_seeds"])
         self._best_ns[col] = len(best)
-        for q, seed in enumerate(best):
-            self._best_ids[col, q] = self._urow(seed)
+        self._best_ids[col, : len(best)] = best
         self._m[col] = state["m"]
         low, high = state["bounds"]
         self._blow[col], self._bhigh[col] = low, high
         floor = state["admit_floor"]
         self._floor[col] = math.inf if floor is None else floor
-        for u, value in state["singleton_cache"]:
-            # _urow may grow (replace) the row arrays — resolve it first.
-            row = self._urow(u)
-            self._cache2d[row, col] = value
+        cache = state["singleton_cache"]
+        rows = self._intern([u for u, _value in cache])
+        self._cache2d[rows, col] = [value for _u, value in cache]
         # Seed membership is rebuilt from the instances' seed lists (the
         # document's member_counts are exactly their per-user multiplicity).
-        k = self._k
-        lane = self._lane
         for j, fields in state["instances"]:
             s = j - low
-            guess = fields["guess"]
-            value = fields["value"]
-            seeds = fields["seeds"]
-            covered = fields["covered"]
+            guess, value, seeds = fields["guess"], fields["value"], fields["seeds"]
             self._iguess[col, s] = guess
             self._ival[col, s] = value
             self._inseed[col, s] = len(seeds)
-            for q, seed in enumerate(seeds):
-                self._iseed_ids[col, s, q] = self._urow(seed)
-            if len(seeds) >= k:
+            if len(seeds) >= self._k:
                 self._ibar[col, s] = math.inf
             else:
                 # The oracle's own bar rule over a real instance — exact.
@@ -734,21 +777,11 @@ class ColumnarThresholdKernel:
                 instance.value = value
                 instance.seeds = set(seeds)
                 self._ibar[col, s] = self._bar(instance)
-            mask = 0
-            for v in covered:
-                mask |= 1 << lane(v)
-            if mask:
-                words = self._icov[col, s]
-                wi = 0
-                while mask:
-                    words[wi] = mask & 0xFFFFFFFFFFFFFFFF
-                    mask >>= 64
-                    wi += 1
-            if seeds:
-                bit = _UONE << np.uint64(j & 63)
-                for seed in seeds:
-                    row = self._urow(seed)
-                    self._mem2d[row, col] |= bit
+            lanes = self._intern(fields["covered"], lanes=True).astype(np.uint64)
+            np.bitwise_or.at(self._icov[col, s], lanes >> _SIX, _UONE << (lanes & _LOW6))
+            rows = self._intern(seeds)
+            self._iseed_ids[col, s, : len(rows)] = rows
+            self._mem2d[rows, col] |= _UONE << np.uint64(j & 63)
 
     def materialize_oracle(self, col: int):
         """A real oracle object loaded from the column (read-only copy)."""
@@ -805,10 +838,7 @@ class ColumnarCheckpoint(SuffixCheckpoint):
         """The maintained seed users."""
         kern = self._kernel
         ns = int(kern._best_ns[self._col])
-        users = kern._uidx_user
-        return frozenset(
-            users[i] for i in kern._best_ids[self._col, :ns].tolist()
-        )
+        return frozenset(kern._row_user[kern._best_ids[self._col, :ns]].tolist())
 
     @property
     def oracle(self):
@@ -817,8 +847,8 @@ class ColumnarCheckpoint(SuffixCheckpoint):
 
     @property
     def index(self):
-        """The checkpoint's suffix view of the shared index."""
-        return self._kernel._shared.view(self.start)
+        """The checkpoint's suffix view of the kernel's pair store."""
+        return StoreView(self._kernel, self.start)
 
     def feed(self, user: int, new_member: int) -> None:
         """Columnar checkpoints are fed through the kernel, never directly."""
@@ -831,7 +861,82 @@ class ColumnarCheckpoint(SuffixCheckpoint):
 
     def oracle_state(self) -> dict:
         """The column as an oracle ``state_dict`` (no oracle materialized)."""
-        return oracle_documents(self._kernel.to_state([self]))[0]["oracle"]
+        return oracle_documents(self._kernel.to_state([self])[1])[0]["oracle"]
+
+
+class StoreView:
+    """The kernel plane's shared influence index: the suffix of the pair
+    store from ``start`` on, read through the compiled ``suffix`` entry.
+
+    Satisfies the protocol of
+    :class:`~repro.core.influence_index.SuffixView` — ``influence_set``,
+    ``fresh_members``, ``coverage``, membership, length and iteration over
+    the users with a non-empty suffix — plus the index-wide
+    ``pair_count``/``user_count`` (the pairs the store holds, stale ones
+    until a trim drops them, and the users holding any) and ``view``.  A
+    framework's ``shared_index`` is the view from ``start = 1``.
+    """
+
+    __slots__ = ("_kernel", "start")
+
+    def __init__(self, kernel: ColumnarThresholdKernel, start: int):
+        if start <= 0:
+            raise ValueError(f"suffix start must be positive, got {start}")
+        self._kernel = kernel
+        #: Pairs credited before this time are hidden.
+        self.start = start
+
+    def view(self, start: int) -> "StoreView":
+        """The same store from ``start`` on."""
+        return StoreView(self._kernel, start)
+
+    @property
+    def pair_count(self) -> int:
+        """Pairs the store holds."""
+        return int(self._kernel._tally[2])
+
+    @property
+    def user_count(self) -> int:
+        """Users whose row holds a pair."""
+        return int(self._kernel._tally[3])
+
+    def _members(self, user: int) -> np.ndarray:
+        kernel = self._kernel
+        first = ctypes.c_void_p()
+        count = kernel._cfast.suffix(
+            kernel._store, user, self.start, ctypes.byref(first)
+        )
+        if not count:
+            return kernel._lane_user[:0]
+        pairs = (ctypes.c_int64 * (2 * count)).from_address(first.value)
+        return kernel._lane_user[np.frombuffer(pairs, np.int64)[1::2]]
+
+    def influence_set(self, user: int) -> Set[int]:
+        """``I_t[i](user)``: pairs credited at or after the view's start."""
+        return set(self._members(user).tolist())
+
+    def fresh_members(self, user: int, covered) -> Set[int]:
+        """``I_t[i](user) − covered``."""
+        return self.influence_set(user).difference(covered)
+
+    def coverage(self, seeds) -> Set[int]:
+        """Union of the influence sets of ``seeds``."""
+        covered: Set[int] = set()
+        for u in seeds:
+            covered.update(self._members(u).tolist())
+        return covered
+
+    def __contains__(self, user: int) -> bool:
+        return len(self._members(user)) > 0
+
+    def __iter__(self):
+        """Users with a non-empty suffix influence set."""
+        names = self._kernel._row_user[: self._kernel._tally[0]].tolist()
+        return (user for user in names if user in self)
+
+    def __len__(self) -> int:
+        """Number of users with a non-empty suffix influence set."""
+        return sum(1 for _user in self)
 
 
 def oracle_documents(state: dict) -> List[dict]:
@@ -915,13 +1020,3 @@ def oracle_documents(state: dict) -> List[dict]:
         )
     return documents
 
-
-def restore_checkpoint(
-    kernel: ColumnarThresholdKernel, state: dict, ledger
-) -> ColumnarCheckpoint:
-    """Rebuild one checkpoint column from a ``Checkpoint.to_state`` document
-    written by either plane."""
-    handle = kernel.new_checkpoint(state["start"], ledger)
-    kernel.load_col_state(handle._col, state["oracle"])
-    handle._actions_processed = state["actions_processed"]
-    return handle

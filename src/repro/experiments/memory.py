@@ -7,13 +7,16 @@ logical footprint of a framework's state — checkpoints, influence-index
 entries, and oracle instances — which is what actually scales with N, L,
 and β.
 
-The counts are *physical*: what the process actually stores.  The engine's
-shared :class:`~repro.core.influence_index.VersionedInfluenceIndex` stores
-each distinct ``(u, v)`` influence pair exactly once, no matter how many
-checkpoints view it, so ``index_entries`` does not scale with the
-checkpoint count.  For the literal per-checkpoint algorithm
-(:mod:`repro.reference`) the per-suffix sums are reported, which is what
-the paper's Figure 6 analysis describes.
+The engine's shared influence index stores each distinct ``(u, v)``
+influence pair once, no matter how many checkpoints view it, so
+``index_entries`` does not scale with the checkpoint count: it counts the
+pairs the oldest live checkpoint sees, which every plane's store holds —
+the object plane's versioned map and the columnar kernel's pair store
+each keep some invisible ones on top until a sweep or trim drops them, on
+their own schedules, so that figure is the one both planes report alike.
+For the literal per-checkpoint algorithm (:mod:`repro.reference`) the
+per-suffix sums are reported, which is what the paper's Figure 6 analysis
+describes.
 
 The counts are implementation-level but deterministic, so tests can assert
 e.g. that the shared index is a fraction of the per-checkpoint copies on
@@ -38,10 +41,11 @@ class FrameworkFootprint:
     Attributes:
         checkpoints: Live checkpoint count.
         index_users: Users tracked by the influence index state.  With the
-            shared index this is the user count of the single versioned
-            map; the reference classes sum users over checkpoint copies.
-        index_entries: ``(user, influenced)`` influence-index entries
-            physically stored.  Engine: distinct pairs, counted once.
+            shared index, the users with a pair the oldest live checkpoint
+            sees; the reference classes sum users over checkpoint copies.
+        index_entries: ``(user, influenced)`` influence-index entries.
+            Engine: the distinct pairs the oldest live checkpoint sees,
+            counted once.
             Reference classes: the sum of all suffix sizes — the dominant
             O(N·checkpoints) term the shared index eliminates.
         oracle_instances: Threshold-guess instances across all oracles
@@ -95,9 +99,10 @@ def measure_footprint(
             if cover_counts is not None:
                 covered += len(cover_counts)
     if shared:
-        # One versioned map serves every checkpoint: count it once.
-        index_users = framework.shared_index.user_count
-        index_entries = framework.shared_index.pair_count
+        # One index serves every checkpoint: count its visible pairs once.
+        oldest = framework.shared_index.view(checkpoints[0].start) if checkpoints else ()
+        sizes = [len(oldest.influence_set(user)) for user in oldest]
+        index_users, index_entries = len(sizes), sum(sizes)
     else:
         suffixes = [c.index._influence for c in checkpoints]  # noqa: SLF001
         index_users = sum(len(influence) for influence in suffixes)

@@ -21,6 +21,9 @@ import numpy as np
 
 __all__ = ["rmat_edges", "rmat_adjacency"]
 
+#: Edges drawn per chunk of a batch (``levels`` float64 draws each).
+_CHUNK_ROWS = 1 << 15
+
 
 def rmat_edges(
     n_nodes: int,
@@ -55,23 +58,27 @@ def rmat_edges(
     edges: Set[Tuple[int, int]] = set()
     attempts = 0
     max_attempts = max(20 * n_edges, 1000)
-    # Vectorised batches: each edge needs `levels` quadrant draws.
+    # Vectorised batches: each edge needs `levels` quadrant draws.  A batch
+    # is drawn and reduced in chunks of at most _CHUNK_ROWS edges: the
+    # generator yields the same numbers in the same order either way, and
+    # the temporaries stay a few MiB instead of n_edges x levels words.
     batch = max(1024, n_edges)
     thresholds = np.cumsum([a, b, c])
+    weights = 1 << np.arange(levels - 1, -1, -1)
     while len(edges) < n_edges and attempts < max_attempts:
-        draws = rng.random((batch, levels))
-        quadrant = np.searchsorted(thresholds, draws)  # 0..3 per level
-        row_bits = (quadrant >> 1) & 1  # quadrants 2,3 pick the lower half
-        col_bits = quadrant & 1  # quadrants 1,3 pick the right half
-        weights = 1 << np.arange(levels - 1, -1, -1)
-        sources = (row_bits * weights).sum(axis=1) % n_nodes
-        targets = (col_bits * weights).sum(axis=1) % n_nodes
-        for s, t in zip(sources.tolist(), targets.tolist()):
-            attempts += 1
-            if s != t:
-                edges.add((s, t))
-                if len(edges) == n_edges:
-                    break
+        for first in range(0, batch, _CHUNK_ROWS):
+            draws = rng.random((min(_CHUNK_ROWS, batch - first), levels))
+            quadrant = np.searchsorted(thresholds, draws)  # 0..3 per level
+            row_bits = (quadrant >> 1) & 1  # quadrants 2,3 pick the lower half
+            col_bits = quadrant & 1  # quadrants 1,3 pick the right half
+            sources = (row_bits * weights).sum(axis=1) % n_nodes
+            targets = (col_bits * weights).sum(axis=1) % n_nodes
+            for s, t in zip(sources.tolist(), targets.tolist()):
+                attempts += 1
+                if s != t:
+                    edges.add((s, t))
+                    if len(edges) == n_edges:
+                        return sorted(edges)
     return sorted(edges)
 
 

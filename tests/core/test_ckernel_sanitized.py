@@ -2,12 +2,16 @@
 
 ``_ckernel.c`` writes through raw pointers into numpy-owned arrays — the
 event's admissions, retirement's seed-list walk and compaction's in-place
-moves — and owns one allocation, the pair store, whose rows it grows,
-trims and reallocates.  A write one element past a row is silent in a
-normal build.  This test runs the object-plane equivalence matrix, the
+moves — and owns one allocation, the pair store, whose rows and intern
+maps it grows, trims and reallocates, and which snapshots export from and
+restores load into.  A write one element past a row is silent in a normal
+build.  This test runs the object-plane equivalence matrix, the
 column-lifecycle history, the pair-store property (with its check that a
 dropped kernel's finalizer freed the store, which leak detection being off
-would otherwise hide) and the malformed-section refusals in a child process
+would otherwise hide), the store-view facade against the object plane's
+suffix views, the kernel snapshot round trip and the state dir moved
+between planes (export, load and ``suffix``) and the malformed-section
+refusals in a child process
 whose kernel is built with ``-Wall -Wextra -Werror -fsanitize=address,
 undefined -fno-sanitize-recover`` — by patching the loader's flag list in
 that child, so the product gains no switch — with the ASan runtime
@@ -65,8 +69,13 @@ def test_kernel_is_clean_under_asan_and_ubsan(tmp_path):
         "tests/core/test_columnar_equivalence.py::test_columnar_object_equivalence",
         "tests/core/test_column_lifecycle.py",
         "tests/core/test_pair_store.py",
+        "tests/core/test_store_view.py",
         "tests/persistence/test_columnar_roundtrip.py::"
         "test_malformed_kernel_section_is_refused_by_field",
+        "tests/persistence/test_columnar_roundtrip.py::"
+        "test_columnar_state_roundtrip_continues_identically",
+        "tests/persistence/test_columnar_roundtrip.py::"
+        "test_state_dir_moves_between_planes",
     ]
     environment = {
         **os.environ,

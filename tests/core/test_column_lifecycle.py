@@ -43,6 +43,7 @@ import numpy as np
 import pytest
 
 from repro.core.ic import InfluentialCheckpoints
+from repro.core.influence_index import VersionedInfluenceIndex
 from repro.core.oracles.columnar import ColumnarThresholdKernel, oracle_documents
 from repro.core.sic import SparseInfluentialCheckpoints
 from repro.core.stream import batched
@@ -108,7 +109,7 @@ def check_columns(kernel):
 def columns_agree(kernel_engine, object_engine):
     """Every live column decodes to its object-plane twin's oracle state."""
     kernel = kernel_engine.columnar_kernel
-    documents = oracle_documents(kernel.to_state(list(kernel_engine.checkpoints)))
+    documents = oracle_documents(kernel.to_state(list(kernel_engine.checkpoints))[1])
     reference = object_engine.checkpoints
     assert [d["start"] for d in documents] == [c.start for c in reference]
     for document, checkpoint in zip(documents, reference):
@@ -126,7 +127,10 @@ def witnesses(monkeypatch):
     seen = {"prefix": 0, "interior": 0, "grown": 0, "chained": 0}
     compact = ColumnarThresholdKernel._compact
     grow = ColumnarThresholdKernel._grow
-    absorb = ColumnarThresholdKernel._absorb
+    absorb = ColumnarThresholdKernel.absorb_slide
+    # The stream's pairs with their previous credits, beside the kernels
+    # (the restored one continues the same stream).
+    shadow = VersionedInfluenceIndex()
 
     def counting_compact(self):
         alive = np.array([handle is not None for handle in self._handles])
@@ -139,18 +143,18 @@ def witnesses(monkeypatch):
         seen["grown"] += 1
         grow(self, new_cap)
 
-    def watching_absorb(self, updates):
+    def watching_absorb(self, roster, arrived, absorbed):
         starts, least = self._starts_list, {}
-        for _performer, user, previous in updates:
+        for _performer, user, previous in shadow.add_batch(arrived):
             lo = max(bisect_right(starts, previous), self._head)
             if lo < least.get(user, self._n):
                 seen["chained"] += user in least
                 least[user] = lo
-        absorb(self, updates)
+        absorb(self, roster, arrived, absorbed)
 
     monkeypatch.setattr(ColumnarThresholdKernel, "_compact", counting_compact)
     monkeypatch.setattr(ColumnarThresholdKernel, "_grow", counting_grow)
-    monkeypatch.setattr(ColumnarThresholdKernel, "_absorb", watching_absorb)
+    monkeypatch.setattr(ColumnarThresholdKernel, "absorb_slide", watching_absorb)
     return seen
 
 
@@ -186,8 +190,8 @@ def test_lifecycle_history_matches_object_plane(history, witnesses):
     assert measure_footprint(kernel_engine) == measure_footprint(object_engine)
     assert kernel._dead or history == "ic-l5"
     # The history crossed what it was built to cross.
-    assert len(kernel._lane_user) > 64 and kernel._wcap > 1
-    assert len(kernel._uidx_user) > 64 and kernel._urows_cap > 64
+    assert kernel._tally[1] > 64 and kernel._wcap > 1  # lanes
+    assert kernel._tally[0] > 64 and kernel._urows_cap > 64  # user rows
     if prefix_dead:
         assert grown_before_restore >= 1  # more than 64 physical columns
         assert witnesses["prefix"] >= 3 and not witnesses["interior"]

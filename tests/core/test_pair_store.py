@@ -1,25 +1,27 @@
 """The compiled kernel's pair store against its rules, by generated history.
 
-``_ckernel.c`` keeps its own copy of every touched user's influence pairs
-(one time-ascending ``(time, lane)`` row per user row) and
-``ColumnarThresholdKernel._absorb`` hands it only the slide's updates.  A
-row that misses an update, keeps a pair it should not, or is never filled
-would still let most slides answer right, so this property checks the
-rows themselves after every slide, next to the answers and the decoded
-oracle documents of the object plane run over the same history:
+On the columnar plane ``_ckernel.c``'s pair store (one time-ascending
+``(time, lane)`` row per interned user) is the engine's only copy of its
+influence pairs: ``process_slide`` credits each slide's records in it and
+derives every pair's previous credit from the row it scans.  A row that
+misses a credit, keeps a pair it should not, or answers a stale previous
+credit would still let most slides answer right, so this property checks
+the rows themselves after every slide, next to the answers and the decoded
+oracle documents of an object-plane engine run over the same history:
 
 * rows ascend in time and hold each lane at most once;
-* a seeded user's row, from the oldest live column's start on, is exactly
-  the shared index's pairs of that user; an unseeded user's row is empty.
+* every row, from the oldest live column's start on, is exactly the pairs
+  the object plane's ``VersionedInfluenceIndex`` holds for that user from
+  there on (and a user the store has no row for holds none there).
 
 Every generated history contains, by construction:
 
 * a pair re-credited after the newest column opened (its update feeds no
-  column, yet moves the pair's time) for a user seeded in an earlier
+  column, yet moves the pair's time) for a user credited in an earlier
   slide and touched again in a later one;
-* a snapshot → restore of the kernel engine, then a slide touching users
-  credited only before the snapshot (the restored kernel seeds them
-  lazily);
+* a snapshot → restore of the kernel engine — the restored store must
+  equal the live one from the oldest live start on — then a slide
+  touching users credited only before the snapshot;
 * for IC with ``checkpoint_interval > 1``, slides that open no column;
 * expiry and pruning enough for compactions (the dead-column threshold
   is lowered so short histories reach it); after each, no row holds a
@@ -31,6 +33,7 @@ from __future__ import annotations
 import ctypes
 import gc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -44,54 +47,42 @@ from tests.conftest import random_stream, require_ckernel, store_roundtrip
 from tests.core.test_column_lifecycle import columns_agree
 
 
-class Pair(ctypes.Structure):
-    _fields_ = [("time", ctypes.c_int64), ("lane", ctypes.c_int64)]
-
-
-class Row(ctypes.Structure):
-    _fields_ = [
-        ("pairs", ctypes.POINTER(Pair)),
-        ("len", ctypes.c_int64),
-        ("cap", ctypes.c_int64),
-    ]
-
-
-class Store(ctypes.Structure):
-    _fields_ = [("rows", ctypes.POINTER(Row)), ("nrows", ctypes.c_int64)]
-
-
-def store_rows(kernel):
-    """The kernel's pair store as ``{row: [(time, lane), ...]}`` (non-empty rows)."""
-    store = Store.from_address(kernel._store)
+def store_rows(kernel, start=-(2**63)):
+    """The kernel's pair store as ``{user: [(time, influenced user), ...]}``
+    (rows holding a pair credited at or after ``start``), read through the
+    compiled ``suffix`` entry."""
     rows = {}
-    for r in range(store.nrows):
-        row = store.rows[r]
-        if row.len:
-            rows[r] = [(row.pairs[i].time, row.pairs[i].lane) for i in range(row.len)]
+    for user in kernel._row_user[: kernel._tally[0]].tolist():
+        first = ctypes.c_void_p()
+        count = kernel._cfast.suffix(kernel._store, user, start, ctypes.byref(first))
+        if count:
+            pairs = np.frombuffer((ctypes.c_int64 * (2 * count)).from_address(first.value), np.int64)
+            lanes = kernel._lane_user[pairs[1::2]].tolist()
+            rows[user] = list(zip(pairs[0::2].tolist(), lanes))
     return rows
 
 
-def check_store(kernel):
-    """The store's rules (module docstring) against the shared index."""
-    rows = store_rows(kernel)
-    seeded_rows = set(kernel._seeded.values())
-    assert set(rows) <= seeded_rows
-    for pairs in rows.values():
-        times = [time for time, _lane in pairs]
+def oldest_start(kernel):
+    return int(kernel._starts_arr[kernel._head]) if kernel._head < kernel._n else None
+
+
+def check_store(kernel, index):
+    """The store's rules (module docstring) against the object plane's
+    versioned index ``index``."""
+    for pairs in store_rows(kernel).values():
+        times = [time for time, _v in pairs]
         assert times == sorted(times)
-        assert len({lane for _time, lane in pairs}) == len(pairs)
-    if kernel._head == kernel._n:
+        assert len({v for _time, v in pairs}) == len(pairs)
+    oldest = oldest_start(kernel)
+    if oldest is None:
         return
-    oldest = int(kernel._starts_arr[kernel._head])
-    latest, lane_of = kernel._shared._latest, kernel._lane_of
-    for user, row in kernel._seeded.items():
-        want = {
-            (time, lane_of[v])
-            for v, time in latest.get(user, {}).items()
-            if time >= oldest
-        }
-        got = {(time, lane) for time, lane in rows.get(row, ()) if time >= oldest}
-        assert got == want, user
+    got = store_rows(kernel, oldest)
+    want = {}
+    for user, pairs in index._latest.items():
+        live = sorted((time, v) for v, time in pairs.items() if time >= oldest)
+        if live:
+            want[user] = live
+    assert {u: sorted(p) for u, p in got.items()} == want
 
 
 N_USERS = 10
@@ -145,9 +136,9 @@ def histories(draw):
     history = History(slide)
     history.steps(draw(STEPS))
     history.pad()
-    # A no-column re-credit: X is seeded in one slide, (X, B) is credited
-    # twice in the next (the second update's previous is at or after the
-    # newest start), and X is touched again in the slide after.
+    # A no-column re-credit: X is credited in one slide, (X, B) is
+    # credited twice in the next (the second update's previous is at or
+    # after the newest start), and X is touched again in the slide after.
     x_root = history.add(N_USERS + 1)
     history.add(N_USERS + 2, x_root)
     history.pad()
@@ -202,14 +193,18 @@ def test_pair_store_follows_its_rules(drawn):
         assert kernel_engine.columnar and not object_engine.columnar
         for index, batch in enumerate(batched(history.actions, history.slide)):
             if index == restore_at:
+                live = kernel_engine.columnar_kernel
                 state = store_roundtrip(kernel_engine.to_state())
                 kernel_engine = type(kernel_engine).from_state(state)
+                restored = kernel_engine.columnar_kernel
+                oldest = oldest_start(live)
+                assert store_rows(restored, oldest) == store_rows(live, oldest)
             kernel_engine.process(batch)
             object_engine.process(batch)
             got, want = kernel_engine.query(), object_engine.query()
             assert (got.time, got.value, got.seeds) == (want.time, want.value, want.seeds)
             columns_agree(kernel_engine, object_engine)
-            check_store(kernel_engine.columnar_kernel)
+            check_store(kernel_engine.columnar_kernel, object_engine.shared_index)
     assert compactions
 
 

@@ -201,7 +201,7 @@ def test_kernel_columns_the_compiled_event_would_index_with_are_vetted(
     ],
 )
 def test_malformed_kernel_section_is_refused_by_field(field, mutate):
-    """Numpy wraps a negative index and ``_urow`` dedups a repeated user,
+    """Numpy wraps a negative index and interning dedups a repeated user,
     so each of these would load silently and land bits in the wrong row or
     word: it is refused, naming the field."""
     require_ckernel()

@@ -325,8 +325,9 @@ class TestEitherPlane:
 
 
     def test_kernel_written_fixture_continues_on_both_planes(self, tmp_path):
-        """The committed container opens on the kernel plane too, with
-        every restored user's pairs seeded lazily into the kernel's store,
+        """The committed container (written before the pair store became
+        the kernel plane's only copy of the pairs) opens on the kernel
+        plane too, its ``shared`` section loaded into the kernel's store,
         and the next 200 slides answer exactly as the object plane opened
         from the same file does."""
         require_ckernel()
@@ -344,6 +345,28 @@ class TestEitherPlane:
         assert answers[0] == answers[1]
 
 
+    def test_kernel_shared_section_is_the_object_planes_live_pairs(self):
+        """The kernel plane writes its ``shared`` section from its pair
+        store: the object plane's pairs from the oldest live start on, as
+        a set of ``(u, v, t)``, in the versioned index's layout."""
+        require_ckernel()
+        batches = fixture_batches()
+        kernel, reference = factory(), factory(columnar=False)
+        drive(kernel, batches)
+        drive(reference, batches)
+        oldest = kernel.checkpoints[0].start
+
+        def live(shared):
+            users = np.repeat(shared["users"], shared["counts"])
+            triples = zip(users.tolist(), shared["v"].tolist(), shared["t"].tolist())
+            return {(u, v, t) for u, v, t in triples if t >= oldest}
+
+        written = kernel.to_state()["shared"]
+        assert written["floor"] == oldest
+        assert live(written) == live(reference.to_state()["shared"])
+        assert len(live(written)) == len(written["v"]) == written["live_at_sweep"]
+
+
 # -- the bytes themselves --------------------------------------------------------
 
 #: SHA-256 of the snapshot file a seeded engine writes after 300 slides of
@@ -352,11 +375,17 @@ class TestEitherPlane:
 #: them in that change, on purpose.  All four last re-recorded when the
 #: base stopped writing the window's actions (``base.window.actions``) and
 #: records (``base.window_records``): every other section decodes exactly
-#: as before.
+#: as before.  The two kernel pins were re-recorded again when the pair
+#: store became the kernel plane's only copy of the pairs: ``shared`` now
+#: holds exactly the pairs credited from the oldest live start on (the
+#: same set of ``(u, v, t)`` as before, each user's run time-ascending,
+#: ``floor`` that start) and lanes are numbered in first-credit order, so
+#: the ``lanes`` table and ``covered`` words are renumbered while every
+#: other kernel column is unchanged and the columns decode as before.
 SNAPSHOT_SHA256 = {
-    ("ic", "kernel"): "41cd615104a7e0a3025df1e8d2051306955abcd38f422d12c28b8a7a7088d7b3",
+    ("ic", "kernel"): "0e75cec3f0d0dd923f85456ff5a1d38915b997ac27260cf75c9ba29e897293d6",
     ("ic", "object"): "7d59e19ff133e0a8af29e778db61cb5ce074b5db15585564e991f282b72d91dc",
-    ("sic", "kernel"): "8f087cad8d50a263c3927ddef758c1820941ed37e2e7100378499ad803cc36ef",
+    ("sic", "kernel"): "8f1f835c1853d5ac364331679a3fdff0e04a787ea056d25e3b9fb79d250beed9",
     ("sic", "object"): "db05eee3b294dcb835c0344b9e6e77bfff609131bcc94c2c696f9e6a3b771b17",
 }
 

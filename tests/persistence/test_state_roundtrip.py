@@ -284,8 +284,10 @@ class TestVersioning:
 class TestIndexRoundtrip:
     def test_versioned_index_preserves_iteration_order_and_floor(self):
         index = VersionedInfluenceIndex()
+        # The versioned index is the object plane's (the kernel plane's
+        # pairs live in its compiled store).
         original = drive(
-            FRAMEWORKS["ic"](), random_stream(120, 8, seed=11), 1
+            FRAMEWORKS["ic"](columnar=False), random_stream(120, 8, seed=11), 1
         ).shared_index
         del index
         state = store_roundtrip(original.to_state())
