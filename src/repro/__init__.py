@@ -34,7 +34,6 @@ from repro.core import (
     SIMAlgorithm,
     SIMResult,
     SparseInfluentialCheckpoints,
-    WindowInfluenceIndex,
     WindowedGreedy,
     batched,
     greedy_seed_selection,
@@ -81,7 +80,6 @@ __all__ = [
     "SparseInfluentialCheckpoints",
     "TopicAwareSIM",
     "WeightedCardinalityInfluence",
-    "WindowInfluenceIndex",
     "WindowedGreedy",
     "batched",
     "filter_stream",

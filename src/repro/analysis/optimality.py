@@ -37,15 +37,26 @@ def exact_optimum(
 ) -> Tuple[frozenset, float]:
     """Exhaustively find the best ≤k seed set on an influence index.
 
-    Candidates are pre-pruned: a user whose influence set is a subset of
-    another user's can never be needed alongside it, but for correctness we
-    only drop exact duplicates.  Raises ValueError beyond
-    :data:`MAX_CANDIDATES` distinct candidates.
+    Candidates are the users the index iterates, pre-pruned: a user whose
+    influence set is a subset of another user's can never be needed
+    alongside it, but for correctness we only drop exact duplicates.
+
+    Raises:
+        TypeError: when ``index`` cannot be iterated (its candidates are
+            unknown, so no optimum can be claimed).
+        ValueError: beyond :data:`MAX_CANDIDATES` distinct candidates.
     """
     func = func if func is not None else CardinalityInfluence()
+    try:
+        users = iter(index)
+    except TypeError:
+        raise TypeError(
+            f"exact_optimum needs an index that iterates its influencers; "
+            f"{type(index).__name__} does not"
+        ) from None
     # Deduplicate users with identical influence sets.
     seen = {}
-    for user in index.influencers() if hasattr(index, "influencers") else []:
+    for user in users:
         key = frozenset(index.influence_set(user))
         if key and key not in seen:
             seen[key] = user

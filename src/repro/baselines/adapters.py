@@ -9,8 +9,9 @@ rebuilt from the window's influence relationships (WC probabilities), then
   and interchanges seeds incrementally.
 
 Both adapters reuse :class:`~repro.core.base.SIMAlgorithm`'s clock/forest
-plumbing plus the exact windowed influence index, so graph construction is
-shared and identical across baselines.
+plumbing plus the window every algorithm answers over
+(:class:`~repro.core.influence_index.InfluenceWindow`), so graph
+construction is shared and identical across baselines.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from repro.baselines.imm import imm_select
 from repro.baselines.ubi import UpperBoundInterchange
 from repro.core.base import SIMAlgorithm, SIMResult
 from repro.core.diffusion import ActionRecord
-from repro.core.influence_index import WindowInfluenceIndex
+from repro.core.influence_index import InfluenceWindow, SuffixView
 from repro.graphs.influence_graph import build_influence_graph
 
 __all__ = ["IMMAlgorithm", "UBIAlgorithm"]
@@ -45,19 +46,19 @@ class IMMAlgorithm(SIMAlgorithm):
         self._ell = ell
         self._seed = seed
         self._max_rr_sets = max_rr_sets
-        self._index = WindowInfluenceIndex(window_size)
+        self._window = InfluenceWindow(window_size)
 
     @property
-    def index(self) -> WindowInfluenceIndex:
-        """The exact windowed influence index the graph is built from."""
-        return self._index
+    def index(self) -> SuffixView:
+        """The window's exact influence sets the graph is built from."""
+        return self._window.view()
 
     def _on_slide(self, arrived: Sequence[ActionRecord]) -> None:
-        self._index.slide(arrived)
+        self._window.slide(arrived)
 
     def query(self) -> SIMResult:
         """Rebuild ``G_t`` and run IMM from scratch."""
-        graph = build_influence_graph(self._index)
+        graph = build_influence_graph(self._window.view())
         result = imm_select(
             graph,
             self._k,
@@ -86,16 +87,16 @@ class UBIAlgorithm(SIMAlgorithm):
         retention: Optional[int] = None,
     ):
         super().__init__(window_size=window_size, k=k, retention=retention)
-        self._index = WindowInfluenceIndex(window_size)
+        self._window = InfluenceWindow(window_size)
         self._ubi = UpperBoundInterchange(
             k=k, gamma=gamma, rr_samples=rr_samples, seed=seed
         )
         self._last_spread = 0.0
 
     @property
-    def index(self) -> WindowInfluenceIndex:
-        """The exact windowed influence index the graphs are built from."""
-        return self._index
+    def index(self) -> SuffixView:
+        """The window's exact influence sets the graphs are built from."""
+        return self._window.view()
 
     @property
     def tracker(self) -> UpperBoundInterchange:
@@ -103,8 +104,8 @@ class UBIAlgorithm(SIMAlgorithm):
         return self._ubi
 
     def _on_slide(self, arrived: Sequence[ActionRecord]) -> None:
-        self._index.slide(arrived)
-        graph = build_influence_graph(self._index)
+        self._window.slide(arrived)
+        graph = build_influence_graph(self._window.view())
         self._ubi.update(graph)
         self._last_spread = self._ubi.spread_estimate(graph)
 

@@ -21,7 +21,6 @@ from repro.core.influence_index import (
     AppendOnlyInfluenceIndex,
     SuffixView,
     VersionedInfluenceIndex,
-    WindowInfluenceIndex,
 )
 from repro.core.multi import MultiQueryEngine
 from repro.core.sic import SparseInfluentialCheckpoints
@@ -43,7 +42,6 @@ __all__ = [
     "SIMAlgorithm",
     "SIMResult",
     "SparseInfluentialCheckpoints",
-    "WindowInfluenceIndex",
     "WindowedGreedy",
     "batched",
     "greedy_seed_selection",

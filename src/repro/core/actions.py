@@ -5,9 +5,11 @@ series of *actions* ``a_t = <u, a_t'>_t``: user ``u`` performs an action at
 time ``t`` in response to an earlier action ``a_t'`` (``t' < t``).  An action
 with no parent (an original post/tweet) is a *root action* ``<u, nil>_t``.
 
-Timestamps double as action identifiers because the stream is sequence-based:
-the ``t``-th arrival has timestamp ``t``.  This mirrors the paper's
-``W_t = {a_{t-N+1}, ..., a_t}`` indexing and keeps bookkeeping integer-only.
+Timestamps double as action identifiers: a stream's times are positive and
+strictly increasing, which keeps bookkeeping integer-only.  They need not be
+dense.  The window ``W_t`` is the actions with ``time ≥ t − N + 1``
+(:mod:`repro.core.base`); on a dense stream, where the ``t``-th arrival has
+timestamp ``t``, that is the paper's ``W_t = {a_{t-N+1}, ..., a_t}``.
 """
 
 from __future__ import annotations

@@ -2,15 +2,22 @@
 
 Every algorithm in this library (IC, SIC, windowed greedy, and the adapted
 graph baselines) consumes the same inputs: batches of arriving actions that
-slide a sequence-based window of size ``N`` by ``L = len(batch)`` positions.
-:class:`SIMAlgorithm` centralises the bookkeeping each of them needs —
-the window size, the stream clock and diffusion-forest ancestor
-resolution — so that concrete algorithms only implement
-:meth:`SIMAlgorithm._on_slide` and :meth:`SIMAlgorithm.query`.  The window
-itself is a clock: a checkpoint expires when its start falls below
-``now − N + 1``, and the algorithms that need expired records (windowed
-greedy, the graph baselines) keep them in
-:class:`~repro.core.influence_index.WindowInfluenceIndex`.
+slide the window ``W_t`` forward.  :class:`SIMAlgorithm` centralises the
+bookkeeping each of them needs — the window size ``N``, the stream clock
+``t`` and diffusion-forest ancestor resolution — so that concrete
+algorithms only implement :meth:`SIMAlgorithm._on_slide` and
+:meth:`SIMAlgorithm.query`.
+
+The window is a clock: ``W_t`` holds the actions with
+``time ≥ t − N + 1``, where ``t`` is the latest action's time.  A
+checkpoint expires when its start falls below ``t − N + 1``, and the
+algorithms that read the window whole (windowed greedy, the graph
+baselines) expire records by the same rule in
+:class:`~repro.core.influence_index.InfluenceWindow`.  Streams need only
+strictly increasing times; on a dense stream (times 1, 2, 3, …) the window
+is exactly the last ``N`` actions, the paper's
+``W_t = {a_{t−N+1}, …, a_t}``, and a slide of ``L`` actions moves it by
+``L``.
 """
 
 from __future__ import annotations

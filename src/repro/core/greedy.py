@@ -11,8 +11,9 @@ with fast streams (the motivating observation of Section 1).
 The implementation uses CELF lazy evaluation (Leskovec et al. 2007): cached
 marginal gains are re-evaluated only when they surface at the top of a
 max-heap, which is admissible because submodularity makes stale gains upper
-bounds.  This only speeds greedy up — the selected seeds are identical to
-the naive ``O(k·|U|)`` loop.
+bounds.  This only speeds greedy up: both the heap and the naive
+``O(k·|U|)`` loop pick the maximum gain, then the lowest user id, so they
+select identical seeds whatever order the candidates come in.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from repro.core.base import (
     check_state_header,
 )
 from repro.core.diffusion import ActionRecord
-from repro.core.influence_index import WindowInfluenceIndex
+from repro.core.influence_index import InfluenceWindow, SuffixView
 from repro.influence.functions import (
     CardinalityInfluence,
     InfluenceFunction,
@@ -48,7 +49,7 @@ def greedy_seed_selection(
 
     Args:
         index: Any influence index exposing ``influence_set``/``coverage``.
-        candidates: Iterable of candidate seed users.
+        candidates: Iterable of candidate seed users (any order).
         k: Maximum number of seeds.
         func: Monotone submodular influence function.
         lazy: Use CELF lazy evaluation (identical seeds, faster).  The
@@ -70,8 +71,9 @@ def greedy_seed_selection(
             )
         return func.evaluate(list(seeds) + [user], index) - value
 
-    # Max-heap of (-cached_gain, user, round_stamp); stale stamps trigger
-    # re-evaluation (CELF).
+    # Max-heap of (-cached_gain, user, round_stamp): the top is the maximum
+    # gain, then the lowest user id.  Stale stamps trigger re-evaluation
+    # (CELF).
     heap: List[Tuple[float, int, int]] = []
     for user in candidates:
         gain = gain_of(user)
@@ -105,8 +107,12 @@ def greedy_seed_selection(
 def _naive_greedy(
     index, candidates, k: int, func: InfluenceFunction
 ) -> Tuple[Set[int], float]:
-    """The paper's plain greedy: re-scan every candidate per iteration."""
-    candidate_list = list(candidates)
+    """The paper's plain greedy: re-scan every candidate per iteration.
+
+    The scan runs in ascending user id, so the first maximum it keeps is
+    the key CELF's heap orders by: maximum gain, then lowest user id.
+    """
+    pool = [(user, index.influence_set(user)) for user in sorted(candidates)]
     modular = func.modular
     covered: Set[int] = set()
     seeds: Set[int] = set()
@@ -115,15 +121,11 @@ def _naive_greedy(
     for _ in range(k):
         best_user = None
         best_gain = 0.0
-        for user in candidate_list:
+        for user, members in pool:
             if user in seeds:
                 continue
             if modular:
-                gain = sum(
-                    weight(v)
-                    for v in index.influence_set(user)
-                    if v not in covered
-                )
+                gain = sum(weight(v) for v in members if v not in covered)
             else:
                 gain = func.evaluate(list(seeds) + [user], index) - value
             if gain > best_gain:
@@ -153,25 +155,22 @@ class WindowedGreedy(SIMAlgorithm):
         """``lazy=False`` reproduces the paper's naive greedy baseline."""
         super().__init__(window_size=window_size, k=k, retention=retention)
         self._func = func if func is not None else CardinalityInfluence()
-        self._index = WindowInfluenceIndex(window_size)
+        self._window = InfluenceWindow(window_size)
         self._lazy = lazy
 
     @property
-    def index(self) -> WindowInfluenceIndex:
-        """The exact windowed influence index the greedy runs on."""
-        return self._index
+    def index(self) -> SuffixView:
+        """The window's exact influence sets (a read-only suffix view)."""
+        return self._window.view()
 
     def _on_slide(self, arrived: Sequence[ActionRecord]) -> None:
-        self._index.slide(arrived)
+        self._window.slide(arrived)
 
     def query(self) -> SIMResult:
         """Run greedy over the current window from scratch."""
+        index = self._window.view()
         seeds, value = greedy_seed_selection(
-            self._index,
-            list(self._index.influencers()),
-            self._k,
-            self._func,
-            lazy=self._lazy,
+            index, index, self._k, self._func, lazy=self._lazy
         )
         return SIMResult(time=self.now, seeds=frozenset(seeds), value=value)
 
@@ -191,19 +190,13 @@ class WindowedGreedy(SIMAlgorithm):
         }
 
     def to_state(self) -> dict:
-        """Explicit state: config, base bookkeeping, and index.
-
-        The window's records ride in the index's state.  The index is
-        serialized order-preserving (its iteration order seeds the greedy
-        candidate list, which breaks ties in the naive ``lazy=False``
-        mode), so a restored run selects exactly the seeds an
-        uninterrupted run would.
-        """
+        """Explicit state: config, base bookkeeping, and the window's
+        records (under ``index``; restore replays them)."""
         return {
             "format": STATE_FORMAT_VERSION,
             **self.config_state(),
             "base": self._base_state(),
-            "index": self._index.to_state(),
+            "index": self._window.to_state(),
         }
 
     @classmethod
@@ -219,7 +212,7 @@ class WindowedGreedy(SIMAlgorithm):
             lazy=config["lazy"],
         )
         algorithm._restore_base(state["base"])
-        algorithm._index = WindowInfluenceIndex.from_state(
+        algorithm._window = InfluenceWindow.from_state(
             state["index"], algorithm.window_size
         )
         return algorithm

@@ -1,22 +1,12 @@
 """Influence-set indexes: the paper's ``I_t(u)`` materialised.
 
-Three variants are needed:
-
-* :class:`WindowInfluenceIndex` — the *exact* influence sets with respect to
-  the current sliding window ``W_t`` (Definition 1).  It keeps the window's
-  records itself and is the one place a record expires, because influence
-  contributed by an action disappears when that action leaves the window.
-  Contributions are reference-counted per ``(influencer, influenced)``
-  pair: ``v ∈ I_t(u)`` iff at least one window action performed by ``v``
-  credits ``u`` (Example 1: ``u1`` still influences ``u3`` in ``W_10``
-  through ``a_4`` even after ``a_1`` expired).
+Two pair structures, and one expiry rule:
 
 * :class:`AppendOnlyInfluenceIndex` — the influence sets ``I_t[i](u)`` over
   the *suffix* of actions covered by one checkpoint (Section 4.2).  Sets only
-  grow, which is exactly what lets SSM reuse append-only SSO oracles.  Since
-  the shared index below landed, this is the *reference implementation*:
-  :mod:`repro.reference` and the oracle unit tests use it, the IC/SIC
-  engine does not.
+  grow, which is exactly what lets SSM reuse append-only SSO oracles.  This
+  is the *reference implementation*: :mod:`repro.reference` and the oracle
+  unit tests use it, the IC/SIC engine does not.
 
 * :class:`VersionedInfluenceIndex` — **one** shared structure replacing the
   ⌈N/L⌉ per-checkpoint copies of :class:`AppendOnlyInfluenceIndex`.  For
@@ -34,7 +24,18 @@ Three variants are needed:
   drops from the sum of all suffix sizes to the number of distinct pairs,
   each held once in that one dict.  This is the object plane's store; on
   the columnar plane the compiled kernel's pair store takes its place
-  (``repro.core.oracles.columnar.StoreView`` reads it).
+  (``repro.core.oracles.columnar.StoreView``).
+
+* :class:`InfluenceWindow` — the window ``W_t`` itself, for the consumers
+  that read it whole (windowed greedy, IMM, UBI, the experiments'
+  ``StreamEvaluator``).  The window is the clock IC/SIC use: the actions
+  with ``time ≥ t − N + 1``.  It keeps the window's records in arrival
+  order and their pairs in a :class:`VersionedInfluenceIndex`, read through
+  ``view(window_start)``.  Expiry needs no reference counts: an expiring
+  record ``(t, v, influencers)`` drops pair ``(u, v)`` only when that
+  pair's latest credit is ``t`` (:meth:`VersionedInfluenceIndex.expire`);
+  a later credit inside the window keeps it (Example 1: ``u1`` still
+  influences ``u3`` in ``W_10`` through ``a_4`` after ``a_1`` expired).
 
 All indexes work on :class:`~repro.core.diffusion.ActionRecord` inputs:
 ``record.user`` is the influenced performer and ``record.influencers`` lists
@@ -45,7 +46,7 @@ from __future__ import annotations
 
 from collections import deque
 from itertools import chain
-from typing import Deque, Dict, FrozenSet, Iterator, List, Sequence, Set, Tuple
+from typing import AbstractSet, Deque, Dict, Iterator, List, Sequence, Set, Tuple
 
 import numpy as _np
 
@@ -56,141 +57,11 @@ from repro.core.diffusion import (
 )
 
 __all__ = [
-    "WindowInfluenceIndex",
     "AppendOnlyInfluenceIndex",
     "VersionedInfluenceIndex",
     "SuffixView",
+    "InfluenceWindow",
 ]
-
-#: Shared result for empty influence-set queries (never cached per user).
-_EMPTY_FROZENSET: FrozenSet[int] = frozenset()
-
-
-class WindowInfluenceIndex:
-    """Exact influence sets of the latest ``N`` records, reference-counted."""
-
-    def __init__(self, window_size: int) -> None:
-        self._window_size = window_size
-        self._records: Deque[ActionRecord] = deque()
-        self._pair_counts: Dict[int, Dict[int, int]] = {}
-        self._influence: Dict[int, Set[int]] = {}
-        # Memoised frozenset per user, dropped whenever that user's set
-        # actually changes (multiplicity-only updates keep it valid).
-        self._frozen: Dict[int, FrozenSet[int]] = {}
-
-    def slide(self, arrived: Sequence[ActionRecord]) -> None:
-        """Slide the window by ``arrived`` (resolved records, stream order).
-
-        Every arrival is added in order, then the records beyond the
-        window's ``N`` expire, oldest first.  The order is part of the
-        contract: :meth:`influencers` lists users in the order their sets
-        became non-empty, and that order breaks greedy ties.
-        """
-        records = self._records
-        for record in arrived:
-            records.append(record)
-            self._add(record)
-        while len(records) > self._window_size:
-            self._remove(records.popleft())
-
-    def _add(self, record: ActionRecord) -> None:
-        v = record.user
-        for u in record.influencers:
-            counts = self._pair_counts.setdefault(u, {})
-            counts[v] = counts.get(v, 0) + 1
-            if counts[v] == 1:
-                self._influence.setdefault(u, set()).add(v)
-                self._frozen.pop(u, None)
-
-    def _remove(self, record: ActionRecord) -> None:
-        v = record.user
-        for u in record.influencers:
-            counts = self._pair_counts[u]
-            counts[v] -= 1
-            if counts[v] == 0:
-                del counts[v]
-                self._frozen.pop(u, None)
-                members = self._influence[u]
-                members.discard(v)
-                if not members:
-                    del self._influence[u]
-                if not counts:
-                    del self._pair_counts[u]
-
-    def influence_set(self, user: int) -> FrozenSet[int]:
-        """``I_t(user)`` — empty when the user influences nobody.
-
-        The returned frozenset is cached until the user's set next changes,
-        so repeated reads between mutations cost O(1) instead of a copy.
-        Empty results share one singleton and are never cached, so queries
-        for absent users cannot grow the cache.
-        """
-        cached = self._frozen.get(user)
-        if cached is not None:
-            return cached
-        members = self._influence.get(user)
-        if not members:
-            return _EMPTY_FROZENSET
-        frozen = frozenset(members)
-        self._frozen[user] = frozen
-        return frozen
-
-    def coverage(self, seeds) -> Set[int]:
-        """``I_t(S) = ∪_{u∈S} I_t(u)`` for a seed iterable ``S``."""
-        covered: Set[int] = set()
-        for u in seeds:
-            members = self._influence.get(u)
-            if members:
-                covered.update(members)
-        return covered
-
-    def influencers(self) -> Iterator[int]:
-        """Users with a non-empty influence set in the current window."""
-        return iter(self._influence)
-
-    def __contains__(self, user: int) -> bool:
-        return user in self._influence
-
-    def __len__(self) -> int:
-        """Number of users with non-empty influence sets."""
-        return len(self._influence)
-
-    def pair_count(self) -> int:
-        """Total number of distinct ``(u, v)`` influence pairs."""
-        return sum(len(members) for members in self._influence.values())
-
-    def edges(self) -> Iterator[tuple]:
-        """Yield ``(u, v, multiplicity)`` influence pairs (``u`` may equal ``v``)."""
-        for u, counts in self._pair_counts.items():
-            for v, count in counts.items():
-                yield u, v, count
-
-    def to_state(self) -> dict:
-        """Explicit state: pair multiplicities (order-preserving) and the
-        window's records as record columns.
-
-        Dict iteration order is part of the state: ``influencers()`` feeds
-        greedy candidate lists whose order breaks ties, so the rebuilt
-        index must iterate exactly like the live one.
-        """
-        return {
-            "pairs": [
-                [u, [[v, count] for v, count in counts.items()]]
-                for u, counts in self._pair_counts.items()
-            ],
-            "records": records_to_columns(self._records),
-        }
-
-    @classmethod
-    def from_state(cls, state: dict, window_size: int) -> "WindowInfluenceIndex":
-        """Rebuild an index of window ``window_size`` from :meth:`to_state`
-        output."""
-        index = cls(window_size)
-        index._records.extend(records_from_columns(state["records"]))
-        for u, counts in state["pairs"]:
-            index._pair_counts[u] = {v: count for v, count in counts}
-            index._influence[u] = {v for v, _count in counts}
-        return index
 
 
 class AppendOnlyInfluenceIndex:
@@ -258,7 +129,9 @@ class VersionedInfluenceIndex:
     and reclaimed by :meth:`compact` with an amortised-O(1) doubling policy,
     so steady-state memory is O(distinct visible pairs), independent of the
     checkpoint count.  On the object plane the dict is the only store of a
-    pair; the columnar plane does not build this index at all.
+    pair; the columnar plane does not build this index for its checkpoints.
+    An :class:`InfluenceWindow` keeps one too and drops pairs as their
+    latest credit expires (:meth:`expire`) instead of compacting.
     """
 
     __slots__ = ("_latest", "_pair_total", "_floor", "_live_at_sweep")
@@ -370,6 +243,31 @@ class VersionedInfluenceIndex:
         self._live_at_sweep = self._pair_total
         return dropped
 
+    def expire(self, records: Sequence[ActionRecord], floor: int) -> None:
+        """Drop the pairs that only ``records`` credited; raise the floor.
+
+        ``records`` are the actions credited before ``floor`` that are
+        still held (every older one expired earlier).  Pair ``(u, v)`` goes
+        when its latest credit is such a record's time: no action at or
+        after ``floor`` credits it.  Any other stored pair has a later
+        credit, so afterwards every pair is visible from ``floor`` and
+        views from there take the full-map fast path.
+        """
+        latest = self._latest
+        dropped = 0
+        for record in records:
+            v = record.user
+            time = record.time
+            for u in record.influencers:
+                pairs = latest[u]
+                if pairs.get(v) == time:
+                    del pairs[v]
+                    dropped += 1
+                    if not pairs:
+                        del latest[u]
+        self._pair_total -= dropped
+        self._floor = floor
+
     def to_state(self) -> dict:
         """Explicit state: latest-credit pairs as CSR columns, in order.
 
@@ -462,14 +360,20 @@ class SuffixView:
         #: The checkpoint's start time (pairs credited earlier are hidden).
         self.start = start
 
-    def influence_set(self, user: int) -> Set[int]:
-        """``I_t[i](user)``: pairs credited at or after the view's start."""
-        pairs = self._index._latest.get(user)
+    def influence_set(self, user: int) -> AbstractSet[int]:
+        """``I_t[i](user)``: pairs credited at or after the view's start.
+
+        When every stored pair is visible (``start ≤ floor``, always true
+        of a window's view) this is the user's live key view, not a copy:
+        read it before the index next changes, or copy it to keep it.
+        """
+        index = self._index
+        pairs = index._latest.get(user)
         if not pairs:
             return set()
         start = self.start
-        if start <= self._index._floor:
-            return set(pairs)
+        if start <= index._floor:
+            return pairs.keys()
         return {v for v, t in pairs.items() if t >= start}
 
     def fresh_members(self, user: int, covered) -> Set[int]:
@@ -521,4 +425,63 @@ class SuffixView:
 
     def __iter__(self) -> Iterator[int]:
         """Users with a non-empty suffix influence set."""
-        return (user for user in self._index._latest if user in self)
+        index = self._index
+        if self.start <= index._floor:
+            return iter(index._latest)
+        return (user for user in index._latest if user in self)
+
+
+class InfluenceWindow:
+    """The pairs of ``W_t = {a : time ≥ t − N + 1}``, expired by the clock.
+
+    ``t`` is the latest arrival's time, so on a dense stream (times 1, 2,
+    3, …) the window is exactly the last ``N`` actions.  One instance
+    backs each consumer that reads the window whole: windowed greedy, IMM,
+    UBI and the experiments' ``StreamEvaluator``.
+    """
+
+    __slots__ = ("window_size", "_records", "_pairs")
+
+    def __init__(self, window_size: int) -> None:
+        #: The window size ``N``, in time units.
+        self.window_size = window_size
+        self._records: Deque[ActionRecord] = deque()
+        self._pairs = VersionedInfluenceIndex()
+
+    def slide(self, arrived: Sequence[ActionRecord]) -> None:
+        """Add ``arrived`` (resolved records, stream order), then expire
+        the records older than the new window start, oldest first.  An
+        empty slide leaves the clock, and so the window, as it was."""
+        if not arrived:
+            return
+        records = self._records
+        records.extend(arrived)
+        self._pairs.add_batch(arrived)
+        start = max(arrived[-1].time - self.window_size + 1, 1)
+        expired = []
+        while records[0].time < start:
+            expired.append(records.popleft())
+        self._pairs.expire(expired, start)
+
+    @property
+    def start(self) -> int:
+        """The oldest time the window holds (1 until it is full)."""
+        return max(self._pairs.floor, 1)
+
+    def view(self) -> SuffixView:
+        """``I_t``: the window's influence sets, read-only."""
+        return self._pairs.view(self.start)
+
+    def to_state(self) -> dict:
+        """Explicit state: the window's records as record columns (the
+        pairs are what replaying them rebuilds)."""
+        return {"records": records_to_columns(self._records)}
+
+    @classmethod
+    def from_state(cls, state: dict, window_size: int) -> "InfluenceWindow":
+        """Rebuild a window of size ``window_size`` by replaying the
+        records of :meth:`to_state` output.  Other fields (a ``pairs``
+        map written next to them) are ignored."""
+        window = cls(window_size)
+        window.slide(list(records_from_columns(state["records"])))
+        return window

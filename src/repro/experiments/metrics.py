@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 from repro.core.actions import Action
 from repro.core.diffusion import DiffusionForest
-from repro.core.influence_index import WindowInfluenceIndex
+from repro.core.influence_index import InfluenceWindow, SuffixView
 from repro.diffusion.monte_carlo import estimate_spread
 from repro.graphs.influence_graph import build_influence_graph
 
@@ -150,20 +150,20 @@ class StreamEvaluator:
 
     def __init__(self, window_size: int):
         self._forest = DiffusionForest()
-        self._index = WindowInfluenceIndex(window_size)
+        self._window = InfluenceWindow(window_size)
 
     @property
-    def index(self) -> WindowInfluenceIndex:
-        """The exact windowed influence index."""
-        return self._index
+    def index(self) -> SuffixView:
+        """The window's exact influence sets (a read-only suffix view)."""
+        return self._window.view()
 
     def feed(self, batch: Sequence[Action]) -> None:
         """Advance the ground-truth window by one slide."""
-        self._index.slide([self._forest.add(action) for action in batch])
+        self._window.slide([self._forest.add(action) for action in batch])
 
     def influence_value(self, seeds) -> float:
         """Exact ``|I_t(seeds)|`` for the current window."""
-        return float(len(self._index.coverage(seeds)))
+        return float(len(self._window.view().coverage(seeds)))
 
     def quality(
         self,
@@ -172,5 +172,5 @@ class StreamEvaluator:
         seed: Optional[int] = None,
     ) -> float:
         """Expected WC-model spread of ``seeds`` on the window's ``G_t``."""
-        graph = build_influence_graph(self._index)
+        graph = build_influence_graph(self._window.view())
         return estimate_spread(graph, seeds, rounds=mc_rounds, seed=seed)

@@ -6,11 +6,14 @@ IC/SIC over a *sub-stream*:
 * topic-aware — only actions whose topic set intersects the query topics;
 * location-aware — only actions whose position falls inside the query region.
 
-Because the frameworks require contiguous 1-based timestamps, filters
-*re-time* the surviving actions (preserving order and re-linking parents
-within the sub-stream).  A response whose parent was filtered out becomes a
-root of the sub-stream, which matches the semantics of "influence among
-query-relevant actions".
+The window is a clock (``time ≥ t − N + 1``), so a sub-stream that kept
+its original times would give a filtered query a window of the last ``N``
+*stream* time units, however few relevant actions fell in them.  Filters
+therefore *re-time* the surviving actions to 1, 2, 3, … (preserving order
+and re-linking parents within the sub-stream): on the dense sub-stream a
+filtered query's window is its last ``N`` relevant actions.  A response
+whose parent was filtered out becomes a root of the sub-stream, which
+matches the semantics of "influence among query-relevant actions".
 """
 
 from __future__ import annotations

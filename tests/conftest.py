@@ -68,16 +68,28 @@ def random_stream(
 
 
 def window_index(actions, window_size: int):
-    """The exact influence index of the last ``window_size`` actions,
-    slid one action at a time."""
+    """The exact influence sets of the window ``time ≥ t − N + 1`` after
+    ``actions`` (the last ``window_size`` actions of a dense stream), slid
+    one action at a time; a read-only suffix view."""
     from repro.core.diffusion import DiffusionForest
-    from repro.core.influence_index import WindowInfluenceIndex
+    from repro.core.influence_index import InfluenceWindow
 
     forest = DiffusionForest()
-    index = WindowInfluenceIndex(window_size)
+    window = InfluenceWindow(window_size)
     for action in actions:
-        index.slide([forest.add(action)])
-    return index
+        window.slide([forest.add(action)])
+    return window.view()
+
+
+def window_pairs(index):
+    """Every ``(u, v)`` influence pair an index holds, sorted."""
+    return sorted((u, v) for u in index for v in index.influence_set(u))
+
+
+def window_times(consumer):
+    """Times of the records a window consumer (windowed greedy, IMM, UBI,
+    ``StreamEvaluator``) holds, oldest first."""
+    return consumer._window.to_state()["records"]["time"].tolist()
 
 
 @pytest.fixture

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.actions import Action
 from repro.core.greedy import WindowedGreedy, greedy_seed_selection
 from repro.core.influence_index import AppendOnlyInfluenceIndex
 from repro.core.diffusion import DiffusionForest
@@ -15,7 +16,13 @@ from repro.influence.functions import (
     ConformityAwareInfluence,
     WeightedCardinalityInfluence,
 )
-from tests.conftest import make_paper_stream, random_stream, window_index
+from tests.conftest import (
+    make_paper_stream,
+    random_stream,
+    window_index,
+    window_pairs,
+    window_times,
+)
 
 
 def build_index(actions):
@@ -81,6 +88,32 @@ class TestSeedSelection:
         assert value == pytest.approx(func.evaluate(seeds, index))
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 100_000))
+def test_lazy_and_naive_windowed_greedy_select_alike(seed):
+    """Both modes take the maximum gain, then the lowest user id, so they
+    select the same seeds and value after every slide, whatever order the
+    window lists its users in (25 users, N 30, k 3, 12 slides of 5)."""
+    actions = random_stream(60, 25, seed=seed)
+    lazy = WindowedGreedy(window_size=30, k=3, lazy=True)
+    naive = WindowedGreedy(window_size=30, k=3, lazy=False)
+    for batch in batched(actions, 5):
+        lazy.process(batch)
+        naive.process(batch)
+        assert lazy.query() == naive.query()
+
+
+def test_naive_ties_go_to_the_lowest_user_id():
+    """Equal gains: the lowest id wins, not the first candidate listed."""
+    actions = [Action.root(t, user) for t, user in enumerate((7, 3, 5), start=1)]
+    index = build_index(actions)
+    for lazy in (True, False):
+        seeds, value = greedy_seed_selection(
+            index, [7, 5, 3], 2, CardinalityInfluence(), lazy=lazy
+        )
+        assert seeds == {3, 5} and value == 2.0
+
+
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 10_000), k=st.integers(1, 3))
 def test_greedy_respects_1_minus_1_over_e(seed, k):
@@ -122,9 +155,8 @@ class TestWindowedGreedy:
         actions = random_stream(70, 6, seed=8)
         greedy = drive(WindowedGreedy(window_size=12, k=2), actions, slide=5)
         expected = window_index(actions, 12)
-        assert sorted(greedy.index.edges()) == sorted(expected.edges())
-        kept = greedy.index.to_state()["records"]["time"].tolist()
-        assert kept == [a.time for a in actions[-12:]]
+        assert window_pairs(greedy.index) == window_pairs(expected)
+        assert window_times(greedy) == [a.time for a in actions[-12:]]
 
     def test_naive_flag(self):
         actions = random_stream(60, 6, seed=6)

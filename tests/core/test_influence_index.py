@@ -1,7 +1,5 @@
 """Unit and property tests for the influence indexes."""
 
-from collections import deque
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,16 +7,15 @@ from hypothesis import strategies as st
 
 from repro.core.actions import Action
 from repro.core.diffusion import DiffusionForest
-from repro.core.influence_index import (
-    AppendOnlyInfluenceIndex,
-    WindowInfluenceIndex,
-)
+from repro.core.influence_index import AppendOnlyInfluenceIndex, InfluenceWindow
 from tests.conftest import (
     make_paper_stream,
     random_stream,
     store_roundtrip,
     window_index,
+    window_pairs,
 )
+from tests.core.test_diffusion import with_gaps
 
 
 def brute_force_influence(actions, window_size):
@@ -26,7 +23,7 @@ def brute_force_influence(actions, window_size):
     by v is (in)directly triggered by an action of u (or v == performer of
     an action crediting itself)."""
     by_time = {a.time: a for a in actions}
-    window = actions[-window_size:]
+    window = [a for a in actions if a.time >= actions[-1].time - window_size + 1]
     influence = {}
     for action in window:
         # All chain users influence the performer.
@@ -70,19 +67,25 @@ class TestPaperExample:
         assert len(index10.coverage([1, 3])) == 4
 
 
-def window_times(index):
-    """Times of the records the index holds, oldest first."""
-    return index.to_state()["records"]["time"].tolist()
+def window_times(window):
+    """Times of the records the window holds, oldest first."""
+    return window.to_state()["records"]["time"].tolist()
+
+
+def roots(forest, times, user=lambda t: 100 + t):
+    """Root actions at ``times``, resolved."""
+    return [forest.add(Action.root(t, user(t))) for t in times]
 
 
 class TestWindowIndex:
     def test_empty_index(self):
-        index = WindowInfluenceIndex(4)
+        window = InfluenceWindow(4)
+        index = window.view()
         assert len(index) == 0
         assert index.influence_set(1) == frozenset()
         assert index.coverage([1, 2]) == set()
         assert 1 not in index
-        assert window_times(index) == []
+        assert window_times(window) == []
 
     @pytest.mark.parametrize(
         ("size", "slides", "kept"),
@@ -91,143 +94,146 @@ class TestWindowIndex:
             (3, [[1, 2, 3], [4, 5]], [3, 4, 5]),
             (2, [[1, 2, 3, 4, 5]], [4, 5]),
             (3, [[t] for t in range(1, 11)], [8, 9, 10]),
+            (10, [[1, 2], [5, 11, 13]], [5, 11, 13]),
+            (4, [[1], [2, 30]], [30]),
         ],
-        ids=["fills-without-expiry", "overflow", "slide-beyond-window", "single-slides"],
+        ids=[
+            "fills-without-expiry",
+            "overflow",
+            "slide-beyond-window",
+            "single-slides",
+            "gapped",
+            "gap-empties-all-but-the-arrival",
+        ],
     )
-    def test_slide_keeps_the_newest_records(self, size, slides, kept):
-        """A slide expires exactly the oldest records beyond ``N``."""
+    def test_slide_keeps_the_records_on_the_clock(self, size, slides, kept):
+        """A slide expires exactly the records older than ``t − N + 1``."""
         forest = DiffusionForest()
-        index = WindowInfluenceIndex(size)
+        window = InfluenceWindow(size)
         for times in slides:
-            index.slide([forest.add(Action.root(t, 100 + t)) for t in times])
-        assert window_times(index) == kept
-        assert list(index.influencers()) == [100 + t for t in kept]
+            window.slide(roots(forest, times))
+        assert window_times(window) == kept
+        assert window.start == max(kept[-1] - size + 1, 1)
+        assert sorted(window.view()) == [100 + t for t in kept]
 
     def test_expiring_every_record_leaves_none_of_its_pairs(
         self, small_random_stream
     ):
         forest = DiffusionForest()
-        index = WindowInfluenceIndex(len(small_random_stream))
-        index.slide([forest.add(a) for a in small_random_stream])
+        window = InfluenceWindow(len(small_random_stream))
+        window.slide([forest.add(a) for a in small_random_stream])
         last = small_random_stream[-1].time
         fresh = [Action.root(last + i, 1000 + i) for i in range(1, 61)]
-        index.slide([forest.add(a) for a in fresh])
-        assert set(index.influencers()) == {a.user for a in fresh}
-        assert index.pair_count() == len(fresh)
+        window.slide([forest.add(a) for a in fresh])
+        assert set(window.view()) == {a.user for a in fresh}
+        assert window_pairs(window.view()) == [(a.user, a.user) for a in fresh]
+        # Nothing stale stays behind in the store either.
+        assert window._pairs.pair_count == len(fresh)
 
     def test_empty_slide_expires_nothing(self):
         forest = DiffusionForest()
-        index = WindowInfluenceIndex(2)
-        index.slide([forest.add(Action.root(t, t)) for t in (1, 2)])
-        index.slide([])
-        assert window_times(index) == [1, 2]
-        assert list(index.influencers()) == [1, 2]
+        window = InfluenceWindow(2)
+        window.slide(roots(forest, (1, 2), user=lambda t: t))
+        window.slide([])
+        assert window_times(window) == [1, 2]
+        assert sorted(window.view()) == [1, 2]
 
     def test_restored_records_expire_oldest_first(self):
-        """The records ride in the state, so a restored index expires what
+        """The records ride in the state, so a restored window expires what
         the original would have."""
         forest = DiffusionForest()
-        index = WindowInfluenceIndex(3)
-        index.slide([
+        window = InfluenceWindow(3)
+        window.slide([
             forest.add(Action.root(1, 1)),
             forest.add(Action.response(2, 2, 1)),
             forest.add(Action.root(3, 3)),
         ])
-        restored = WindowInfluenceIndex.from_state(store_roundtrip(index.to_state()), 3)
+        restored = InfluenceWindow.from_state(store_roundtrip(window.to_state()), 3)
         assert window_times(restored) == [1, 2, 3]
         restored.slide([forest.add(Action.root(4, 4))])
         assert window_times(restored) == [2, 3, 4]
-        assert restored.influence_set(1) == {2}
+        assert restored.view().influence_set(1) == {2}
         restored.slide([forest.add(Action.root(5, 5))])
-        assert list(restored.influencers()) == [3, 4, 5]
+        assert sorted(restored.view()) == [3, 4, 5]
 
-    def test_edges_multiplicity(self):
+    def test_a_later_credit_keeps_the_pair(self):
+        """A pair goes only when its *latest* credit expires."""
         forest = DiffusionForest()
-        index = WindowInfluenceIndex(3)
-        index.slide([
+        window = InfluenceWindow(3)
+        window.slide([
             forest.add(Action.root(1, 1)),
             forest.add(Action.response(2, 2, 1)),
-            forest.add(Action.response(3, 2, 1)),
+            forest.add(Action.response(3, 2, 1)),  # (1 -> 2) credited again
         ])
-        edges = {(u, v): m for u, v, m in index.edges()}
-        assert edges[(1, 2)] == 2
-        assert edges[(1, 1)] == 1
-        assert edges[(2, 2)] == 2
+        window.slide(roots(forest, (4,), user=lambda t: 9))  # a1 expires
+        assert window.view().influence_set(1) == {2}
+        window.slide(roots(forest, (5,), user=lambda t: 9))  # a2: a3 keeps it
+        assert window.view().influence_set(1) == {2}
+        window.slide(roots(forest, (6,), user=lambda t: 9))  # a3: (1 -> 2) goes
+        assert window.view().influence_set(1) == frozenset()
+        assert 1 not in window.view()
 
     def test_influencers_iteration(self):
         index = window_index(make_paper_stream()[:8], 8)
-        assert set(index.influencers()) == {1, 2, 3, 4, 5}
+        assert set(index) == {1, 2, 3, 4, 5}
 
 
-class ParentLoop:
-    """The expiry every windowed algorithm ran for itself before the index
-    kept its own records: a deque of records, then per slide add every
-    arrival and expire the overflow oldest-first, counting pairs in
-    insertion-ordered dicts (``influencers()`` order is their key order)."""
-
-    def __init__(self, window_size):
-        self.window_size = window_size
-        self.records = deque()
-        self.counts = {}
-
-    def slide(self, arrived):
-        self.records.extend(arrived)
-        expired = []
-        while len(self.records) > self.window_size:
-            expired.append(self.records.popleft())
-        for record in arrived:
+def clock_window(actions, window_size):
+    """Definition 1 over the clock window, from scratch: ``{u: I(u)}`` for
+    the actions with ``time ≥ t − N + 1``."""
+    forest = DiffusionForest()
+    records = [forest.add(a) for a in actions]
+    start = actions[-1].time - window_size + 1 if actions else 1
+    pairs = {}
+    for record in records:
+        if record.time >= start:
             for u in record.influencers:
-                counts = self.counts.setdefault(u, {})
-                counts[record.user] = counts.get(record.user, 0) + 1
-        for record in expired:
-            for u in record.influencers:
-                counts = self.counts[u]
-                counts[record.user] -= 1
-                if not counts[record.user]:
-                    del counts[record.user]
-                    if not counts:
-                        del self.counts[u]
+                pairs.setdefault(u, set()).add(record.user)
+    return pairs
 
 
 @st.composite
 def slide_plan(draw):
-    """A window size, a seeded stream, slide lengths in ``1..3N`` and the
-    slide after which the index goes through a snapshot."""
+    """A window size, a seeded (possibly gapped) stream, slide lengths in
+    ``1..3N`` and the slide after which the window goes through a
+    snapshot."""
     size = draw(st.integers(1, 8))
     slides = draw(st.lists(st.integers(1, 3 * size), min_size=1, max_size=12))
     seed = draw(st.integers(0, 10_000))
     users = draw(st.integers(1, 8))
+    gap = draw(st.sampled_from([1, 1, 3, 12]))
     restore_after = draw(st.integers(0, len(slides)))
-    return size, slides, seed, users, restore_after
+    return size, slides, seed, users, gap, restore_after
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(plan=slide_plan())
-def test_slide_matches_the_add_then_expire_loop(plan):
-    """The index's own expiry equals the loop it replaced — pair
-    multiplicities, every influence set and ``influencers()`` order — and
-    a snapshot taken mid-stream continues identically."""
-    size, slides, seed, users, restore_after = plan
+def test_slide_matches_the_clock_window(plan):
+    """After every slide the window holds exactly the records with
+    ``time ≥ t − N + 1`` and the pairs they credit, the store keeps no
+    other pair, and a snapshot taken mid-stream continues identically."""
+    size, slides, seed, users, gap, restore_after = plan
+    actions = with_gaps(random_stream(sum(slides), users, seed=seed), gap, seed)
     forest = DiffusionForest()
-    records = iter([forest.add(a) for a in random_stream(sum(slides), users, seed=seed)])
-    index = WindowInfluenceIndex(size)
-    model = ParentLoop(size)
+    window = InfluenceWindow(size)
+    done = 0
     for step, length in enumerate(slides, start=1):
-        arrived = [next(records) for _ in range(length)]
-        index.slide(arrived)
-        model.slide(arrived)
+        window.slide([forest.add(a) for a in actions[done : done + length]])
+        done += length
         if step == restore_after:
-            index = WindowInfluenceIndex.from_state(
-                store_roundtrip(index.to_state()), size
+            window = InfluenceWindow.from_state(
+                store_roundtrip(window.to_state()), size
             )
-        assert list(index.edges()) == [
-            (u, v, count) for u, counts in model.counts.items()
-            for v, count in counts.items()
+        now = actions[done - 1].time
+        assert window_times(window) == [
+            a.time for a in actions[:done] if a.time >= now - size + 1
         ]
-        assert list(index.influencers()) == list(model.counts)
+        expected = clock_window(actions[:done], size)
+        view = window.view()
+        assert set(view) == set(expected)
         for user in range(users):
-            assert index.influence_set(user) == set(model.counts.get(user, ()))
-        assert window_times(index) == [r.time for r in model.records]
+            assert view.influence_set(user) == expected.get(user, set())
+        assert window._pairs.pair_count == sum(map(len, expected.values()))
 
 
 @settings(max_examples=50, deadline=None)
@@ -240,7 +246,7 @@ def test_window_index_matches_brute_force(seed, window_size):
     actions = random_stream(50, 7, seed=seed)
     index = window_index(actions, window_size)
     expected = brute_force_influence(actions, window_size)
-    assert set(index.influencers()) == set(expected)
+    assert set(index) == set(expected)
     for user in expected:
         assert index.influence_set(user) == expected[user], user
 
@@ -283,40 +289,34 @@ class TestAppendOnlyIndex:
         assert 1 in index and 9 not in index
 
 
-class TestWindowIndexCaching:
-    def test_influence_set_cached_between_mutations(self):
+class TestWindowExpiryUpdatesSets:
+    def test_arrival_grows_a_set(self):
         forest = DiffusionForest()
-        index = WindowInfluenceIndex(2)
-        index.slide([forest.add(Action.root(1, 1))])
-        first = index.influence_set(1)
-        assert index.influence_set(1) is first  # no copy per call
-        index.slide([forest.add(Action.response(2, 2, 1))])
-        second = index.influence_set(1)
-        assert second is not first
-        assert second == {1, 2}
+        window = InfluenceWindow(2)
+        window.slide([forest.add(Action.root(1, 1))])
+        assert window.view().influence_set(1) == {1}
+        window.slide([forest.add(Action.response(2, 2, 1))])
+        assert window.view().influence_set(1) == {1, 2}
 
-    def test_cache_invalidated_on_expiry(self):
+    def test_expiry_shrinks_a_set(self):
         forest = DiffusionForest()
-        index = WindowInfluenceIndex(2)
-        index.slide([forest.add(Action.root(1, 1)), forest.add(Action.response(2, 2, 1))])
-        assert index.influence_set(1) == {1, 2}
-        index.slide([forest.add(Action.root(3, 3))])
-        assert index.influence_set(1) == {2}
-        index.slide([forest.add(Action.root(4, 4))])
-        assert index.influence_set(1) == frozenset()
+        window = InfluenceWindow(2)
+        window.slide([forest.add(Action.root(1, 1)), forest.add(Action.response(2, 2, 1))])
+        assert window.view().influence_set(1) == {1, 2}
+        window.slide([forest.add(Action.root(3, 3))])
+        assert window.view().influence_set(1) == {2}
+        window.slide([forest.add(Action.root(4, 4))])
+        assert window.view().influence_set(1) == frozenset()
 
-    def test_multiplicity_change_keeps_cache_valid(self):
+    def test_recredit_outlives_the_first_credit(self):
         forest = DiffusionForest()
-        index = WindowInfluenceIndex(3)
-        index.slide([forest.add(Action.root(1, 1)), forest.add(Action.response(2, 2, 1))])
-        cached = index.influence_set(1)
-        index.slide([forest.add(Action.response(3, 2, 1))])  # (1 -> 2) twice
-        assert index.influence_set(1) is cached
-        index.slide([forest.add(Action.root(4, 9))])  # a1 expires: 1 leaves
-        assert index.influence_set(1) == {2}
-        cached = index.influence_set(1)
-        index.slide([forest.add(Action.root(5, 9))])  # a2 expires: (1 -> 2) once
-        assert index.influence_set(1) is cached
+        window = InfluenceWindow(3)
+        window.slide([forest.add(Action.root(1, 1)), forest.add(Action.response(2, 2, 1))])
+        window.slide([forest.add(Action.response(3, 2, 1))])  # (1 -> 2) again
+        window.slide([forest.add(Action.root(4, 9))])  # a1 expires: 1 leaves
+        assert window.view().influence_set(1) == {2}
+        window.slide([forest.add(Action.root(5, 9))])  # a2 expires: a3 remains
+        assert window.view().influence_set(1) == {2}
 
 
 class TestVersionedIndex:

@@ -33,7 +33,7 @@ def test_ic_batched_keeps_theorem2_bound(seed, slide):
         ic.process(batch)
     # Ground truth for the final window.
     index = window_index(actions, window)
-    users = list(index.influencers())
+    users = list(index)
     opt = 0
     for combo in itertools.combinations(users, min(2, len(users))):
         opt = max(opt, len(index.coverage(combo)))
@@ -92,7 +92,7 @@ def test_sic_batched_keeps_theorem3_bound(seed, slide):
         sic.process(batch)
     # Ground truth for the final window.
     index = window_index(actions, window)
-    users = list(index.influencers())
+    users = list(index)
     opt = 0
     for combo in itertools.combinations(users, min(2, len(users))):
         opt = max(opt, len(index.coverage(combo)))

@@ -14,7 +14,7 @@ from tests.conftest import make_paper_stream, window_index
 
 
 def exact_optimum(index, k):
-    users = list(index.influencers())
+    users = list(index)
     best_value, best_set = 0, frozenset()
     for size in range(1, min(k, len(users)) + 1):
         for combo in itertools.combinations(users, size):

@@ -26,7 +26,7 @@ N_USERS = 6
 def window_optimum(actions, window_size, k):
     """Brute-force OPT_t for the final window."""
     index = window_index(actions, window_size)
-    users = list(index.influencers())
+    users = list(index)
     best = 0
     for size in range(1, min(k, len(users)) + 1):
         for combo in itertools.combinations(users, size):

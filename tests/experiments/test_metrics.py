@@ -10,7 +10,13 @@ from repro.experiments.metrics import (
     StreamEvaluator,
     ThroughputMeter,
 )
-from tests.conftest import make_paper_stream, random_stream, window_index
+from tests.conftest import (
+    make_paper_stream,
+    random_stream,
+    window_index,
+    window_pairs,
+    window_times,
+)
 
 
 class FakeClock:
@@ -114,9 +120,10 @@ class TestStreamEvaluator:
         for start, stop in ((0, 3), (3, 4), (4, 19), (19, 31), (31, 60)):
             evaluator.feed(actions[start:stop])
             expected = window_index(actions[:stop], 10)
-            assert sorted(evaluator.index.edges()) == sorted(expected.edges())
-            kept = evaluator.index.to_state()["records"]["time"].tolist()
-            assert kept == [a.time for a in actions[max(0, stop - 10):stop]]
+            assert window_pairs(evaluator.index) == window_pairs(expected)
+            assert window_times(evaluator) == [
+                a.time for a in actions[max(0, stop - 10):stop]
+            ]
 
     def test_quality_runs_monte_carlo(self):
         evaluator = StreamEvaluator(window_size=8)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.influence_index import WindowInfluenceIndex
+from repro.core.influence_index import InfluenceWindow
 from repro.graphs.graph import DiGraph
 from repro.graphs.influence_graph import build_influence_graph
 from repro.graphs.wc_model import (
@@ -65,7 +65,7 @@ class TestInfluenceGraph:
         assert graph.probability(1, 2) == pytest.approx(1.0)
 
     def test_empty_index(self):
-        graph = build_influence_graph(WindowInfluenceIndex(1))
+        graph = build_influence_graph(InfluenceWindow(1).view())
         assert graph.node_count == 0
 
     def test_no_self_loops_ever(self):

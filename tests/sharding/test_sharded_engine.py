@@ -155,7 +155,7 @@ class TestMergeSoundness:
         )
         merged = run_sharded(make, actions, 1, shards)
         truth = window_index(actions, window)
-        users = list(truth.influencers())
+        users = list(truth)
         opt = 0.0
         for combo in itertools.combinations(users, min(k, len(users))):
             opt = max(opt, float(len(truth.coverage(combo))))
@@ -177,7 +177,7 @@ class TestMergeSoundness:
         )
         merged = run_sharded(make, actions, 1, shards)
         truth = window_index(actions, window)
-        users = list(truth.influencers())
+        users = list(truth)
         opt = 0.0
         for combo in itertools.combinations(users, min(k, len(users))):
             opt = max(opt, func.evaluate(combo, truth))

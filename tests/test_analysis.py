@@ -9,7 +9,13 @@ from repro.analysis.optimality import (
     exact_optimum,
 )
 from repro.core.greedy import WindowedGreedy
-from repro.core.influence_index import WindowInfluenceIndex
+from repro.core.actions import Action
+from repro.core.diffusion import DiffusionForest
+from repro.core.influence_index import (
+    AppendOnlyInfluenceIndex,
+    InfluenceWindow,
+    VersionedInfluenceIndex,
+)
 from repro.core.sic import SparseInfluentialCheckpoints
 from tests.conftest import make_paper_stream, random_stream, window_index
 
@@ -22,8 +28,25 @@ class TestExactOptimum:
         assert seeds == {1, 3}
 
     def test_empty_index(self):
-        seeds, value = exact_optimum(WindowInfluenceIndex(1), k=3)
+        seeds, value = exact_optimum(InfluenceWindow(1).view(), k=3)
         assert seeds == frozenset() and value == 0.0
+
+    def test_suffix_view(self):
+        """A view of the shared index (what IC's ``shared_index`` and every
+        window consumer hand out) is enumerated by iterating it."""
+        forest = DiffusionForest()
+        shared = VersionedInfluenceIndex()
+        for action in make_paper_stream():
+            shared.add(forest.add(action))
+        assert exact_optimum(shared.view(1), k=2) == (frozenset({2, 3}), 6.0)
+        # From a5 on, u3 no longer influences itself (a3 is hidden).
+        assert exact_optimum(shared.view(5), k=2) == (frozenset({2, 3}), 5.0)
+
+    def test_index_that_cannot_be_enumerated_is_refused(self):
+        index = AppendOnlyInfluenceIndex()
+        index.add(DiffusionForest().add(Action.root(1, 1)))
+        with pytest.raises(TypeError, match="iterates its influencers"):
+            exact_optimum(index, k=1)
 
     def test_duplicate_influence_sets_deduplicated(self):
         # Users 10..25 all with identical singleton influence sets must not
