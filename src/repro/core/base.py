@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from time import perf_counter
 from typing import FrozenSet, Optional, Sequence
 
-from repro.core.actions import Action
+from repro.core.actions import Action, ActionBatch
 from repro.core.diffusion import ActionRecord, DiffusionForest
 from repro.core.resolve import ResolvedSlide
 from repro.telemetry.trace import active_trace
@@ -165,31 +165,24 @@ class SIMAlgorithm(ABC):
         """Phase 1 of the two-phase ingest API: forest resolution only.
 
         Validates stream order against the engine clock, feeds the
-        diffusion forest exactly once, and returns the slide's resolved
-        influence records — without advancing the clock or touching the
-        oracles.  Pair each ``resolve_slide`` with exactly one
-        :meth:`process`-style application; :meth:`process` composes the
-        two for the single-engine path, while the sharded facade
-        resolves once and routes the records to :meth:`apply_resolved`
-        on each shard.
+        diffusion forest exactly once (one compiled call for the slide,
+        :meth:`~repro.core.diffusion.DiffusionForest.resolve`), and
+        returns the slide's resolved influence records as columns —
+        without advancing the clock or touching the oracles.  Pair each
+        ``resolve_slide`` with exactly one :meth:`process`-style
+        application; :meth:`process` composes the two for the
+        single-engine path, while the sharded facade resolves once and
+        routes the records to :meth:`apply_resolved` on each shard.
         """
-        batch = list(batch)
+        batch = ActionBatch.of(batch)
         if not batch:
             return ResolvedSlide.empty()
-        previous = self.now
-        for action in batch:
-            if action.time <= previous:
-                raise ValueError(
-                    f"window received out-of-order action {action.time} "
-                    f"after {previous}"
-                )
-            previous = action.time
-        records = tuple(self._forest.add(a) for a in batch)
+        batch.check_after(self.now, "window")
         return ResolvedSlide(
-            start=batch[0].time,
-            last=batch[-1].time,
+            start=batch.time[0],
+            last=batch.time[-1],
             count=len(batch),
-            records=records,
+            columns=self._forest.resolve(batch),
         )
 
     def apply_resolved(self, resolved: ResolvedSlide) -> None:
@@ -214,12 +207,10 @@ class SIMAlgorithm(ABC):
         trace = active_trace()
         started = perf_counter() if trace is not None else 0.0
         self.now = resolved.last
-        self.actions_processed += len(resolved.records)
+        self.actions_processed += len(resolved)
         if trace is not None:
             self._on_slide_resolved(resolved)
-            trace.add_stage(
-                "oracle", perf_counter() - started, len(resolved.records)
-            )
+            trace.add_stage("oracle", perf_counter() - started, len(resolved))
         else:
             self._on_slide_resolved(resolved)
 
@@ -228,7 +219,7 @@ class SIMAlgorithm(ABC):
 
         The composed single-engine path of the two-phase ingest API:
         :meth:`resolve_slide` (forest), the clock advance, then the
-        algorithm's :meth:`_on_slide` hook with the slide's records.
+        algorithm's :meth:`_feed` hook with the resolved slide.
 
         When a :class:`~repro.telemetry.SlideTrace` is active on this
         thread (the serving plane's writer), the slide splits into two
@@ -246,10 +237,10 @@ class SIMAlgorithm(ABC):
         if trace is not None:
             indexed = perf_counter()
             trace.add_stage("forest_index", indexed - started, resolved.count)
-            self._on_slide(resolved.records)
+            self._feed(resolved)
             trace.add_stage("oracle", perf_counter() - indexed, resolved.count)
         else:
-            self._on_slide(resolved.records)
+            self._feed(resolved)
 
     def process_stream(self, batches) -> None:
         """Consume an iterable of batches (see :func:`repro.core.stream.batched`)."""
@@ -304,6 +295,11 @@ class SIMAlgorithm(ABC):
     @abstractmethod
     def _on_slide(self, arrived: Sequence[ActionRecord]) -> None:
         """React to one window slide (the arriving records, resolved)."""
+
+    def _feed(self, resolved: ResolvedSlide) -> None:
+        """Feed one slide :meth:`process` resolved: :meth:`_on_slide` over
+        its records, unless a subclass reads the slide whole."""
+        self._on_slide(resolved.records)
 
     def _on_slide_resolved(self, resolved: ResolvedSlide) -> None:
         """React to one pre-resolved slide (the routed apply path).

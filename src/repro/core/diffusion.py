@@ -20,6 +20,15 @@ Rows live in append-only ``int64`` columns, not in one Python object per
 action: a forest grows with the stream, not the window, and a snapshot
 copies the columns instead of walking every action ever seen.
 
+A slide is resolved whole by :meth:`DiffusionForest.resolve`: one call to
+the compiled ``resolve_slide`` (``oracles/_ckernel.c``) reads the slide's
+:class:`~repro.core.actions.ActionBatch` columns and the forest's, and
+writes the slide's records as columns in the :func:`records_to_columns`
+layout, which the forest appends and the slide carries on to the
+checkpoint kernel.  :meth:`DiffusionForest.add` resolves one action in
+Python: it is the reference the compiled resolve is tested against, and
+the path ``resolve`` takes where the compiled library is unavailable.
+
 Records are retained beyond window expiry because late responders may still
 reference old actions.  An optional ``retention`` horizon bounds memory on
 unbounded streams: records older than ``now - retention`` are dropped and any
@@ -39,11 +48,13 @@ from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
-from repro.core.actions import ROOT, Action
+from repro.core.actions import ROOT, Action, ActionBatch
+from repro.core.oracles import _ckernel
 
 __all__ = [
     "ActionRecord",
     "DiffusionForest",
+    "array_columns",
     "records_to_columns",
     "records_from_columns",
 ]
@@ -79,19 +90,13 @@ def records_to_columns(records) -> dict:
 
     ``time``/``user``/``depth``/``fanout`` hold one entry per record;
     ``influencers`` concatenates every record's influencer tuple in record
-    order (``fanout`` gives the run lengths).
+    order (``fanout`` gives the run lengths).  Numpy arrays (a snapshot's
+    sections); :func:`array_columns` builds the same as ``array('q')``.
     """
-    count = len(records)
-    columns = {
-        name: np.fromiter(map(attrgetter(name), records), np.int64, count)
-        for name in ("time", "user", "depth")
+    return {
+        name: np.frombuffer(column, np.int64)
+        for name, column in array_columns(records).items()
     }
-    chains = list(map(attrgetter("influencers"), records))
-    columns["fanout"] = np.fromiter(map(len, chains), np.int64, count)
-    columns["influencers"] = np.fromiter(
-        chain.from_iterable(chains), np.int64, int(columns["fanout"].sum())
-    )
-    return columns
 
 
 def records_from_columns(columns: dict) -> Iterator[ActionRecord]:
@@ -108,6 +113,26 @@ def records_from_columns(columns: dict) -> Iterator[ActionRecord]:
         yield ActionRecord(time, user, tuple(influencers[start:end]), depth)
 
 
+def array_columns(records) -> dict:
+    """:func:`records_to_columns`' layout as ``array('q')`` columns (the
+    layout a resolved slide carries)."""
+    columns = {
+        name: array("q", map(attrgetter(name), records))
+        for name in ("time", "user", "depth")
+    }
+    chains = list(map(attrgetter("influencers"), records))
+    columns["fanout"] = array("q", map(len, chains))
+    columns["influencers"] = array("q", chain.from_iterable(chains))
+    return columns
+
+
+#: ``resolve_slide``'s status codes (``_ckernel.c``).
+_NEED_ROOM, _DUPLICATE, _UNORDERED = 3, 4, 5
+
+#: One zero int64, repeated into a column of any length.
+_ZERO = array("q", [0])
+
+
 def _owned(column: array, start: int, stop: int) -> np.ndarray:
     """Rows ``start:stop`` of an int64 column as a numpy array of their own
     (a view would pin the column's buffer and refuse its next append)."""
@@ -122,7 +147,8 @@ def _column(values) -> array:
 class DiffusionForest:
     """Incremental ancestor resolution over a social action stream.
 
-    Feed every arriving action exactly once via :meth:`add`; look up the
+    Feed every arriving action exactly once, a slide at a time via
+    :meth:`resolve` or one at a time via :meth:`add`; look up the
     resulting :class:`ActionRecord` at any later point (e.g. when the same
     action expires from a sliding window) via :meth:`record`.
 
@@ -154,6 +180,116 @@ class DiffusionForest:
         self._depth_sum: int = 0
         self._max_depth: int = 0
         self._truncated: int = 0
+        # Influencers per action that resolve's output makes room for
+        # (doubled whenever a slide needs more), and its scratch.
+        self._room = 4
+        self._scratch = array("q")
+
+    def resolve(self, batch) -> dict:
+        """Resolve and store a slide of actions; their records as columns.
+
+        Exactly what :meth:`add` does for each action in order — the same
+        records, statistics and retained rows — in one compiled call.
+
+        Args:
+            batch: The slide: an :class:`~repro.core.actions.ActionBatch`
+                or a sequence of actions.
+
+        Returns:
+            :func:`records_to_columns`'s layout, one row per action, every
+            column an ``array('q')``.
+
+        Raises:
+            ValueError: as :meth:`add`, for the first action it refuses;
+                the compiled resolve then leaves the forest as it was.
+        """
+        batch = ActionBatch.of(batch)
+        lib = _ckernel.load()
+        if lib is None:
+            return array_columns([self.add(action) for action in batch])
+        while True:
+            columns = self._resolve_into(lib, batch, self._room)
+            if columns is not None:
+                return columns
+            self._room *= 2
+
+    def _resolve_into(self, lib, batch: ActionBatch, room: int) -> Optional[dict]:
+        """One ``resolve_slide`` call with ``room`` influencers per action;
+        ``None``, the forest untouched, when that is too few."""
+        n = len(batch)
+        dep, fan = _ZERO * n, _ZERO * n
+        links = _ZERO * (n * room)
+        if len(self._scratch) < 2 * n:
+            self._scratch = _ZERO * (4 * n)
+        ends = self._scratch.buffer_info()[0]
+        call = _ckernel.Resolve(
+            self._time.buffer_info()[0],
+            self._depth.buffer_info()[0],
+            self._bounds.buffer_info()[0],
+            self._influencers.buffer_info()[0],
+            self._first,
+            len(self._time),
+            self._retention or 0,
+            self._oldest,
+            batch.time.buffer_info()[0],
+            batch.user.buffer_info()[0],
+            batch.parent.buffer_info()[0],
+            n,
+            dep.buffer_info()[0],
+            fan.buffer_info()[0],
+            ends,
+            links.buffer_info()[0],
+            ends + 8 * n,  # stored: the scratch's second half
+            n * room,
+        )
+        status = lib.resolve_slide(call)
+        if status == _NEED_ROOM:
+            return None
+        if status:
+            time = batch.time[call.bad]
+            if status == _DUPLICATE:
+                raise ValueError(f"action {time} was already added")
+            newest = max(self._time[-1:] + batch.time[: call.bad])
+            raise ValueError(
+                f"action {time} arrives after action {newest}; "
+                "the forest only appends"
+            )
+        del links[call.npairs :]
+        self._truncated += call.truncated
+        if call.late:
+            self._append_stored(batch, dep, fan, links)
+        else:
+            self._time.extend(batch.time)
+            self._depth.extend(dep)
+            self._bounds.extend(self._scratch[:n])
+            self._influencers.extend(links)
+        if call.oldest > self._oldest:
+            self.prune_before(call.oldest)
+        return {
+            "time": batch.time,
+            "user": batch.user,
+            "depth": dep,
+            "fanout": fan,
+            "influencers": links,
+        }
+
+    def _append_stored(self, batch, dep, fan, links) -> None:
+        """Append a resolved slide's stored rows: all but its late ones,
+        the redeliveries below the horizon, which resolve as roots and are
+        counted like :meth:`_add_late` counts them."""
+        end = 0
+        newest = self._time[-1] if self._time else None
+        for time, depth, fanout in zip(batch.time, dep, fan):
+            start, end = end, end + fanout
+            if newest is not None and time <= newest:
+                self._count += 1
+                self._depth_sum += 1
+                continue
+            newest = time
+            self._time.append(time)
+            self._depth.append(depth)
+            self._influencers.extend(links[start:end])
+            self._bounds.append(len(self._influencers))
 
     def add(self, action: Action) -> ActionRecord:
         """Resolve and store the record for an arriving action.

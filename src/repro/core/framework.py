@@ -40,7 +40,7 @@ from repro.core.checkpoint import (
 )
 from repro.core.diffusion import ActionRecord
 from repro.core.influence_index import VersionedInfluenceIndex
-from repro.core.resolve import project_records
+from repro.core.resolve import ResolvedSlide
 from repro.influence.functions import (
     CardinalityInfluence,
     InfluenceFunction,
@@ -177,42 +177,48 @@ class CheckpointFramework(SIMAlgorithm):
     # -- the slide loop ------------------------------------------------------
 
     def _on_slide(self, arrived: Sequence[ActionRecord]) -> None:
-        self._absorb_slide(arrived, arrived[0].time, len(arrived), False)
+        self._absorb_slide(
+            ResolvedSlide(arrived[0].time, arrived[-1].time, len(arrived), arrived)
+        )
+
+    def _feed(self, resolved) -> None:
+        self._absorb_slide(resolved)
 
     def _on_slide_resolved(self, resolved) -> None:
         # The routed apply path: records were resolved (and routed) at the
         # facade; the slide's global boundaries ride along so checkpoints
         # open at the same starts and the absorption ledger counts the
         # same global L a raw-stream engine would.
-        self._absorb_slide(
-            resolved.records, resolved.start, resolved.count, resolved.routed
-        )
+        self._absorb_slide(resolved)
 
-    def _absorb_slide(self, records, start: int, absorbed: int, routed: bool) -> None:
+    def _absorb_slide(self, resolved) -> None:
         """Open, feed, retire: one slide's records.
 
-        ``start`` and ``absorbed`` are the slide's *global* first timestamp
-        and action count — a sharded engine may own none of the slide's
-        records yet must still open the checkpoint and advance the ledger
-        exactly like the single engine.  A ``routed`` slide promises
-        facade-side narrowing (the sharded manifest pins the partitioner
-        identity), so projection — idempotent but paid per influence pair
-        — runs only for slides that were not.
+        The slide's ``start`` and ``count`` are its *global* first
+        timestamp and action count — a sharded engine may own none of the
+        slide's records yet must still open the checkpoint and advance the
+        ledger exactly like the single engine.  A ``routed`` slide
+        promises facade-side narrowing (the sharded manifest pins the
+        partitioner identity), so projection — idempotent but paid per
+        influence pair — runs only for slides that were not.  The kernel
+        reads the slide's record columns; the object plane its records.
         """
-        if self._shard is not None and not routed:
-            records = project_records(records, self._shard.owns)
+        if self._shard is not None and not resolved.routed:
+            resolved = resolved.project(self._shard.owns)
         roster = self._roster
         shared = self._shared
         kernel = self._kernel
         opens = self._opens_checkpoint()
         if kernel is not None:
             if opens:
-                roster.append(kernel.new_checkpoint(start, roster))
-            kernel.absorb_slide(roster, records, absorbed=absorbed)
+                roster.append(kernel.new_checkpoint(resolved.start, roster))
+            kernel.absorb_slide(roster, resolved, absorbed=resolved.count)
         else:
             if opens:
-                roster.append(Checkpoint(start, self._spec, shared.view(start), roster))
-            feed_shared(shared, roster, records, absorbed=absorbed)
+                roster.append(
+                    Checkpoint(resolved.start, self._spec, shared.view(resolved.start), roster)
+                )
+            feed_shared(shared, roster, resolved.records, absorbed=resolved.count)
         self._retire()
         if shared is not None and roster:
             shared.compact(roster[0].start)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Sequence
 
-from repro.core.actions import Action
+from repro.core.actions import Action, ActionBatch
 from repro.core.base import (
     STATE_FORMAT_VERSION,
     SIMAlgorithm,
@@ -185,7 +185,9 @@ class MultiQueryEngine:
     # -- streaming ---------------------------------------------------------
 
     def process(self, batch: Sequence[Action]) -> None:
-        """Feed one slide batch to every registered query."""
+        """Feed one slide batch to every registered query (each algorithm
+        takes the one :class:`~repro.core.actions.ActionBatch`)."""
+        batch = ActionBatch.of(batch)
         if not batch:
             return
         for algorithm in self._algorithms.values():
@@ -194,7 +196,7 @@ class MultiQueryEngine:
             for action in batch:
                 query.observe(action)
         self._actions_processed += len(batch)
-        self._now = batch[-1].time
+        self._now = batch.time[-1]
         if self._publish_hooks:
             answers = self.query_all()
             for hook in self._publish_hooks:
@@ -233,7 +235,7 @@ class MultiQueryEngine:
             )
         for algorithm in self._algorithms.values():
             algorithm.apply_resolved(resolved)
-        self._actions_processed += len(resolved.records)
+        self._actions_processed += len(resolved)
         self._now = resolved.last
         if self._publish_hooks:
             answers = self.query_all()

@@ -873,3 +873,145 @@ void export_state(const EventCtx *c, int64_t n, int64_t oldest,
         }
     }
 }
+
+/* ---- the diffusion forest's slide resolve --------------------------------
+ *
+ * DiffusionForest keeps one row per stored action in int64 columns (row
+ * times ascending; the ones below first are pruned): its time, its depth
+ * and its influencer run infl[bounds[row]:bounds[row + 1]], whose last
+ * entry is the performer.  resolve_slide resolves a slide of n actions
+ * against those rows, exactly as DiffusionForest.add does one at a time,
+ * and writes the slide's records in the records_to_columns layout (depth,
+ * fan, the concatenated runs in links) plus each row's end in the
+ * forest's influencer column (ends, counted from bounds[nrows]).  It reads
+ * the forest and changes nothing in it: Python appends the rows, so a
+ * failed or refused call leaves the forest as it was.
+ *
+ * Per action, as add: a response whose parent is not a live row -- pruned
+ * below the horizon, or never stored -- is truncated to a root; an action
+ * at or below the newest stored time is a late one, which only a
+ * redelivery below the horizon may be (it resolves as an unstored root);
+ * and after each stored action the horizon moves to time - retention,
+ * which moves the first live row, so a parent this slide's earlier actions
+ * pushed below the horizon is cut too.  The slide's stored rows are
+ * virtual rows nrows, nrows + 1, ... after the forest's.
+ *
+ * Returns 0, NEED_ROOM (links holds fewer than the slide's runs; retry
+ * with more room), DUPLICATE (action bad was already added) or UNORDERED
+ * (action bad arrives at or below the newest stored time, above the
+ * horizon). */
+enum { DUPLICATE = 4, UNORDERED = 5 };
+
+typedef struct {
+    const int64_t *time;   /* the forest's rows: nrows + 1 bounds */
+    const int64_t *depth;
+    const int64_t *bounds;
+    const int64_t *infl;
+    int64_t first, nrows;  /* live rows are [first, nrows) */
+    int64_t retention;     /* 0: none */
+    int64_t oldest;        /* in/out: the smallest time still stored */
+    const int64_t *a_time; /* (n) the slide's actions */
+    const int64_t *a_user;
+    const int64_t *a_parent;
+    int64_t n;
+    int64_t *dep, *fan, *ends; /* (n) out: each action's record */
+    int64_t *links;            /* (room) out: the records' runs */
+    int64_t *stored;           /* (n) work: action of each stored row */
+    int64_t room;
+    int64_t npairs, truncated, late, bad; /* out */
+} Resolve;
+
+/* Time of virtual row v: a forest row, or the slide's stored row v - nrows. */
+static int64_t row_time(const Resolve *r, int64_t v) {
+    return v < r->nrows ? r->time[v] : r->a_time[r->stored[v - r->nrows]];
+}
+
+/* First virtual row in [lo, total) whose time is >= t. */
+static int64_t lower_row(const Resolve *r, int64_t lo, int64_t total,
+                         int64_t t) {
+    int64_t hi = total;
+    while (lo < hi) {
+        int64_t mid = lo + ((hi - lo) >> 1);
+        if (row_time(r, mid) < t)
+            lo = mid + 1;
+        else
+            hi = mid;
+    }
+    return lo;
+}
+
+int resolve_slide(Resolve *r) {
+    int64_t base = r->bounds[r->nrows];
+    int64_t first = r->first, oldest = r->oldest, ns = 0, q = 0;
+    int64_t truncated = 0, late = 0;
+    for (int64_t i = 0; i < r->n; i++) {
+        int64_t t = r->a_time[i], u = r->a_user[i], p = r->a_parent[i];
+        int64_t total = r->nrows + ns;
+        if (total && t <= row_time(r, total - 1)) {
+            int64_t at = lower_row(r, first, total, t);
+            if (at < total && row_time(r, at) == t) {
+                r->bad = i;
+                return DUPLICATE;
+            }
+            if (t >= oldest) {
+                r->bad = i;
+                return UNORDERED;
+            }
+            if (q == r->room)
+                return NEED_ROOM;
+            truncated += p != -1;
+            late++;
+            r->links[q++] = u;
+            r->dep[i] = r->fan[i] = 1;
+            r->ends[i] = base + q;
+            continue;
+        }
+        int64_t row = -1;
+        if (p != -1) {
+            /* On dense timestamps the parent sits t - p rows behind the
+             * row this action is about to take. */
+            row = total - (t - p);
+            if (row < first || row_time(r, row) != p) {
+                row = lower_row(r, first, total, p);
+                if (row == total || row_time(r, row) != p)
+                    row = -1;
+            }
+            truncated += row < 0;
+        }
+        int64_t start = q, d = 1;
+        if (row >= 0) {
+            const int64_t *run, *stop;
+            if (row < r->nrows) {
+                run = r->infl + r->bounds[row];
+                stop = r->infl + r->bounds[row + 1];
+                d = r->depth[row] + 1;
+            } else {
+                int64_t k = r->stored[row - r->nrows];
+                stop = r->links + (r->ends[k] - base);
+                run = stop - r->fan[k];
+                d = r->dep[k] + 1;
+            }
+            if (q + (stop - run) + 1 > r->room)
+                return NEED_ROOM;
+            for (; run < stop; run++)
+                if (*run != u)
+                    r->links[q++] = *run;
+        } else if (q == r->room) {
+            return NEED_ROOM;
+        }
+        r->links[q++] = u;
+        r->dep[i] = d;
+        r->fan[i] = q - start;
+        r->ends[i] = base + q;
+        r->stored[ns++] = i;
+        if (r->retention && t - r->retention > oldest) {
+            oldest = t - r->retention;
+            first = lower_row(r, first, r->nrows + ns, oldest);
+        }
+    }
+    r->oldest = oldest;
+    r->npairs = q;
+    r->truncated = truncated;
+    r->late = late;
+    return 0;
+}

@@ -7,8 +7,10 @@ one — and loaded via ctypes.  When that cannot
 happen — ``REPRO_NO_CKERNEL`` set, no ``cc``, a failed build, an unsafe
 cache directory, a library that does not load — :func:`load` returns
 ``None``, names why in :data:`unavailable_reason` (and, unless the
-environment switch asked for it, in one ``RuntimeWarning``), and engines
-run the object plane: same answers and snapshots, the per-checkpoint cost.
+environment switch asked for it, in one ``RuntimeWarning``), engines run
+the object plane and diffusion forests resolve through
+``DiffusionForest.add``: same answers and snapshots, the per-checkpoint
+and per-action cost.
 
 The library is built into and loaded from ``<tmp>/repro-ckernel-<euid>/``,
 created ``0o700``, and only while that directory and the ``.so`` are owned
@@ -35,10 +37,18 @@ import warnings
 from pathlib import Path
 from typing import Optional
 
-__all__ = ["EventCtx", "Export", "load", "unavailable_reason", "ENV_DISABLE"]
+__all__ = [
+    "EventCtx",
+    "Export",
+    "Resolve",
+    "load",
+    "unavailable_reason",
+    "ENV_DISABLE",
+]
 
 #: Set this environment variable (to any non-empty value) to keep every
-#: engine in the process on the object plane.
+#: engine in the process on the object plane and every diffusion forest on
+#: its per-action ``add``.
 ENV_DISABLE = "REPRO_NO_CKERNEL"
 
 _SOURCE = Path(__file__).with_name("_ckernel.c")
@@ -87,6 +97,24 @@ class Export(ctypes.Structure):
     ] + [
         (name, ctypes.c_int64)
         for name in "room nusers npairs ncache nmember".split()
+    ]
+
+
+class Resolve(ctypes.Structure):
+    """Mirror of ``resolve_slide``'s ``Resolve`` struct in ``_ckernel.c``:
+    a diffusion forest's columns, one slide's actions and its records."""
+
+    _fields_ = [
+        (name, ctypes.c_void_p) for name in "time depth bounds infl".split()
+    ] + [
+        (name, ctypes.c_int64) for name in "first nrows retention oldest".split()
+    ] + [
+        (name, ctypes.c_void_p) for name in "a_time a_user a_parent".split()
+    ] + [("n", ctypes.c_int64)] + [
+        (name, ctypes.c_void_p) for name in "dep fan ends links stored".split()
+    ] + [
+        (name, ctypes.c_int64)
+        for name in "room npairs truncated late bad".split()
     ]
 
 
@@ -167,6 +195,8 @@ def _first_use() -> ctypes.CDLL:
         lib.retire_column.argtypes = [context, i64]
         lib.compact.restype = None
         lib.compact.argtypes = [context, ctypes.c_void_p, i64, i64, i64]
+        lib.resolve_slide.restype = ctypes.c_int
+        lib.resolve_slide.argtypes = [ctypes.POINTER(Resolve)]
     except (OSError, AttributeError) as error:
         raise OSError(f"{so_path} did not load: {error}") from error
     return lib
@@ -192,7 +222,8 @@ def load() -> Optional[ctypes.CDLL]:
         unavailable_reason = str(error)
         warnings.warn(
             f"compiled columnar kernel unavailable ({error}); engines run "
-            "the slower object plane with identical answers",
+            "the slower object plane and diffusion forests resolve one "
+            "action at a time (DiffusionForest.add), with identical answers",
             RuntimeWarning,
             stacklevel=2,
         )

@@ -127,6 +127,7 @@ from __future__ import annotations
 import ctypes
 import math
 import weakref
+from array import array
 from time import perf_counter
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
@@ -156,8 +157,14 @@ _COLUMN_ARRAYS = (
     "m best floor blow bhigh best_ns best_ids ival iguess ibar inseed iseed_ids"
 ).split()
 
-#: A slide's record columns, as ``process_slide`` reads them.
-_SLIDE_COLUMNS = ("rec_user", "rec_time", "rec_fan", "rec_infl")
+#: ``EventCtx`` pointer field -> the ``array('q')`` record column (``records_to_columns``'
+#: layout) ``process_slide`` reads through it.
+_SLIDE_COLUMNS = {
+    "rec_user": "user",
+    "rec_time": "time",
+    "rec_fan": "fanout",
+    "rec_infl": "influencers",
+}
 
 
 #: ``EventCtx`` pointer field -> the kernel attribute holding its array.
@@ -169,7 +176,7 @@ _CTX_ARRAYS = {
     },
     "floor_": "_floor",  # ``floor`` is libm's in C
     "starts": "_starts_arr",
-    **{name: "_sc_" + name for name in _SLIDE_COLUMNS + ("work", "counts")},
+    **{name: "_sc_" + name for name in ("work", "counts")},
 }
 
 #: ``process_slide``'s status when the row or word axis must grow first.
@@ -486,8 +493,6 @@ class ColumnarThresholdKernel:
         if puts <= self._sc_puts:
             return
         self._sc_puts = size = max(puts, 2 * self._sc_puts)
-        for name in _SLIDE_COLUMNS:
-            setattr(self, "_sc_" + name, np.zeros(size, dtype=np.int64))
         self._sc_work = np.zeros(8 * size + 2, dtype=np.int64)
         self._cstale = True
 
@@ -512,7 +517,8 @@ class ColumnarThresholdKernel:
             for field, attribute in _CTX_ARRAYS.items():
                 setattr(ctx, field, getattr(self, attribute).ctypes.data)
             ctx.store = self._store
-            self._cref = ctypes.byref(ctx)  # keeps the struct alive
+            self._ctx = ctx
+            self._cref = ctypes.byref(ctx)
             self._cstale = False
         return self._cref
 
@@ -534,59 +540,59 @@ class ColumnarThresholdKernel:
 
     # -- the per-slide kernel ----------------------------------------------
 
-    def absorb_slide(self, roster, arrived, absorbed: int) -> None:
-        """Hand the slide's records to the compiled kernel.
+    def absorb_slide(self, roster, resolved, absorbed: int) -> None:
+        """Hand a resolved slide's record columns to the compiled kernel.
 
         The columnar twin of :func:`repro.core.checkpoint.feed_shared`:
-        the records go down as flat columns — performer, time, fanout and
-        the concatenated influencers, one pass per record — and one
-        ``process_slide`` call interns them, credits their pairs in the
-        pair store, runs a compiled event per updated user and re-tightens
-        the floors of the columns that admitted this slide.
+        ``process_slide`` reads the slide's columns — performer, time,
+        fanout and the concatenated influencers, as the diffusion forest's
+        compiled resolve wrote them — where they lie, and in one call
+        interns them, credits their pairs in the pair store, runs a
+        compiled event per updated user and re-tightens the floors of the
+        columns that admitted this slide.
         """
         if not len(roster):
             return
-        if arrived:
+        if len(resolved):
             trace = active_trace()
             started = perf_counter() if trace is not None else 0.0
-            users, times, fans, influencers = [], [], [], []
-            for record in arrived:
-                users.append(record.user)
-                times.append(record.time)
-                fans.append(len(record.influencers))
-                influencers += record.influencers
-            nrec, npairs = len(arrived), len(influencers)
+            columns = resolved.columns
+            nrec, npairs = len(columns["time"]), len(columns["influencers"])
             if npairs:
                 self._reserve(npairs, nrec)
                 self._scratch(max(npairs, nrec))
-                self._sc_rec_user[:nrec] = users
-                self._sc_rec_time[:nrec] = times
-                self._sc_rec_fan[:nrec] = fans
-                self._sc_rec_infl[:npairs] = influencers
             if trace is not None:
                 marshalled = perf_counter()
                 trace.add_stage("kernel_index", marshalled - started, nrec)
             if npairs:
-                self._process(self._n, self._head, nrec, npairs)
+                self._process(self._n, self._head, columns)
             if trace is not None:
                 trace.add_stage("kernel_pass", perf_counter() - marshalled, npairs)
             self.slides_absorbed += 1
             self.pair_updates += npairs
         roster.absorbed += absorbed
 
-    def _process(self, n: int, head: int, nrec: int, npairs: int) -> None:
-        """One ``process_slide`` call over the scratch's record columns,
-        made again once the row and word axes grow if it asks them to."""
-        status = self._cfast.process_slide(self._context(), n, head, nrec, npairs)
+    def _process(self, n: int, head: int, columns: dict) -> None:
+        """One ``process_slide`` call over the record ``columns``, made
+        again once the row and word axes grow if it asks them to."""
+        status = self._process_once(n, head, columns)
         if status == _NEED_ROOM:
             self._fit()
-            status = self._cfast.process_slide(self._context(), n, head, nrec, npairs)
+            status = self._process_once(n, head, columns)
         if status == 2:  # OUT_OF_MEMORY: the store could not grow
             raise MemoryError("columnar C kernel: no memory for its pair store")
         if status:  # pragma: no cover - guarded by _jcap sizing
             raise RuntimeError(
                 "columnar C kernel: guess ladder outgrew the slot budget"
             )
+
+    def _process_once(self, n: int, head: int, columns: dict) -> int:
+        """``process_slide`` with the context pointing at ``columns``."""
+        context = self._context()
+        for field, name in _SLIDE_COLUMNS.items():
+            setattr(self._ctx, field, columns[name].buffer_info()[0])
+        nrec, npairs = len(columns["time"]), len(columns["influencers"])
+        return self._cfast.process_slide(context, n, head, nrec, npairs)
 
     # -- persistence & introspection ---------------------------------------
 
@@ -692,11 +698,16 @@ class ColumnarThresholdKernel:
         v = section["v"]
         self._reserve(len(section["users"]), len(v))
         self._scratch(len(v))
-        self._sc_rec_user[: len(v)] = v
-        self._sc_rec_time[: len(v)] = section["t"]
-        self._sc_rec_fan[: len(v)] = 1
-        self._sc_rec_infl[: len(v)] = np.repeat(section["users"], section["counts"])
-        self._process(0, 0, len(v), len(v))
+        columns = {
+            name: array("q", np.asarray(values, np.int64).tobytes())
+            for name, values in (
+                ("user", v),
+                ("time", section["t"]),
+                ("fanout", np.ones(len(v))),
+                ("influencers", np.repeat(section["users"], section["counts"])),
+            )
+        }
+        self._process(0, 0, columns)
         self._sc_puts = 0  # a slide's scratch, not the whole store's
         self._scratch(64)
 

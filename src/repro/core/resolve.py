@@ -18,7 +18,13 @@ boundaries (``start``/``last``/``count``) the apply side needs even when
 its projected record list is empty — a sharded checkpoint still opens at
 the slide's *global* start, and its absorption ledger still counts the
 *global* ``L``, so a routed shard stays bit-identical to a standalone
-shard engine fed the raw stream.
+shard engine fed the raw stream.  A slide the diffusion forest resolved
+carries its records as the int64 columns the forest's compiled resolve
+wrote (:meth:`ResolvedSlide.columns`), which the checkpoint kernel reads
+as they are; :attr:`ResolvedSlide.records` builds the
+:class:`~repro.core.diffusion.ActionRecord` objects from them on first
+use, for the consumers that read records (the object plane, windowed
+greedy and the graph baselines, projection, routing, the wire codec).
 
 :class:`SlideResolver` is the standalone resolver the sharded facade
 runs: a diffusion forest plus a stream clock, with idempotent
@@ -29,10 +35,16 @@ stored record instead of corrupting the forest).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from repro.core.actions import Action
-from repro.core.diffusion import ActionRecord, DiffusionForest
+from repro.core.actions import Action, ActionBatch
+from repro.core.diffusion import (
+    ActionRecord,
+    DiffusionForest,
+    array_columns,
+    records_from_columns,
+)
 
 __all__ = [
     "RESOLVED_WIRE_VERSION",
@@ -91,7 +103,8 @@ class ResolvedSlide:
             checkpoint absorption ledger counts global actions.
         records: The resolved :class:`ActionRecord` tuples.  Equal to
             one record per action for an unprojected slide; a projected
-            slide keeps only the records with owned influencers.
+            slide keeps only the records with owned influencers.  A slide
+            built from columns builds them on first use.
         routed: True when this slide was narrowed per shard by
             :func:`partition_slide` — a promise that every influencer in
             ``records`` is owned by the receiving shard, letting sharded
@@ -103,27 +116,49 @@ class ResolvedSlide:
             influence pairs.
     """
 
-    __slots__ = ("start", "last", "count", "records", "routed")
+    __slots__ = ("start", "last", "count", "_records", "_columns", "routed")
 
     def __init__(
         self,
         start: int,
         last: int,
         count: int,
-        records: Tuple[ActionRecord, ...],
+        records: Optional[Sequence[ActionRecord]] = None,
         routed: bool = False,
+        *,
+        columns: Optional[dict] = None,
     ):
+        """Give the records either as ``records`` or as ``columns``
+        (:func:`~repro.core.diffusion.array_columns`' layout)."""
         if count < 0:
             raise ValueError(f"count must be >= 0, got {count}")
         if count and last < start:
             raise ValueError(
                 f"slide boundaries out of order: start {start} > last {last}"
             )
+        if (records is None) == (columns is None):
+            raise ValueError("give the records either as records or as columns")
         self.start = start
         self.last = last
         self.count = count
-        self.records = tuple(records)
+        self._records = None if records is None else tuple(records)
+        self._columns = columns
         self.routed = bool(routed)
+
+    @property
+    def records(self) -> Tuple[ActionRecord, ...]:
+        """The resolved records (built from the columns on first use)."""
+        if self._records is None:
+            self._records = tuple(records_from_columns(self._columns))
+        return self._records
+
+    @property
+    def columns(self) -> dict:
+        """The records as ``array('q')`` columns in
+        :func:`~repro.core.diffusion.records_to_columns`' layout."""
+        if self._columns is None:
+            self._columns = array_columns(self._records)
+        return self._columns
 
     @classmethod
     def empty(cls) -> "ResolvedSlide":
@@ -131,7 +166,9 @@ class ResolvedSlide:
         return cls(start=0, last=0, count=0, records=())
 
     def __len__(self) -> int:
-        return len(self.records)
+        if self._records is None:
+            return len(self._columns["time"])
+        return len(self._records)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ResolvedSlide):
@@ -317,37 +354,37 @@ class SlideResolver:
         below the resolver clock are redeliveries: their stored records
         are reused (or, when a retention horizon already pruned them,
         re-resolved as roots: their parents are older still, so pruned
-        too).
+        too).  The actions beyond the clock go to the forest's
+        :meth:`~repro.core.diffusion.DiffusionForest.resolve` in one call.
         """
+        batch = ActionBatch.of(batch)
         if not batch:
             return ResolvedSlide.empty()
-        records: List[ActionRecord] = []
-        previous = 0
-        for action in batch:
-            if action.time <= previous:
-                raise ValueError(
-                    f"resolver received out-of-order action {action.time} "
-                    f"after {previous}"
-                )
-            previous = action.time
-            if action.time <= self._last_time:
-                try:
-                    records.append(self._forest.record(action.time))
-                    continue
-                except KeyError:
-                    # Redelivered but already pruned by retention: the
-                    # forest resolves it as a root and does not store it.
-                    records.append(self._forest.add(action))
-                    continue
-            records.append(self._forest.add(action))
-            self._last_time = action.time
-            self._actions_processed += 1
-        return ResolvedSlide(
-            start=batch[0].time,
-            last=batch[-1].time,
-            count=len(batch),
-            records=tuple(records),
-        )
+        batch.check_after(0, "resolver")
+        # The redeliveries are a prefix (the batch ascends), resolved
+        # before the fresh suffix can move the horizon past them.
+        fresh = bisect_right(batch.time, self._last_time)
+        records = [self._redelivered(action) for action in batch[:fresh]]
+        columns = None
+        if fresh < len(batch):
+            columns = self._forest.resolve(batch[fresh:])
+            self._last_time = batch.time[-1]
+            self._actions_processed += len(batch) - fresh
+        start, last = batch.time[0], batch.time[-1]
+        if not records:
+            return ResolvedSlide(start, last, len(batch), columns=columns)
+        if columns is not None:
+            records += records_from_columns(columns)
+        return ResolvedSlide(start, last, len(batch), records)
+
+    def _redelivered(self, action: Action) -> ActionRecord:
+        """The record of an action at or below the clock: the stored one,
+        or, when the horizon already pruned it, the root the forest
+        resolves it as (without storing it)."""
+        try:
+            return self._forest.record(action.time)
+        except KeyError:
+            return self._forest.add(action)
 
     # -- persistence -------------------------------------------------------
 

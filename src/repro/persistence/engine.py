@@ -41,7 +41,7 @@ import pathlib
 import time
 from typing import Callable, Optional
 
-from repro.core.actions import int64_field_error
+from repro.core.actions import ActionBatch
 from repro.core.base import SIMAlgorithm, SIMResult
 from repro.core.resolve import ResolvedSlide
 from repro.persistence.serialize import (
@@ -258,24 +258,15 @@ class RecoverableEngine:
         """Log one slide ahead, then process it (write-ahead ordering).
 
         The slide is validated against the stream contract *before* it is
-        logged — increasing times, and fields the int64 columns can hold —
-        so a rejected batch never reaches the WAL and recovery never
-        replays a poisoned record.
+        logged — fields the int64 columns can hold, checked when the
+        :class:`~repro.core.actions.ActionBatch` is built, and times
+        increasing beyond the engine clock — so a rejected batch never
+        reaches the WAL and recovery never replays a poisoned record.
         """
-        batch = list(batch)
+        batch = ActionBatch.of(batch)
         if not batch:
             return
-        last = self._algorithm.now
-        for action in batch:
-            problem = int64_field_error(action.time, action.user, action.parent)
-            if problem is not None:
-                raise ValueError(f"engine received an invalid action: {problem}")
-            if action.time <= last:
-                raise ValueError(
-                    f"engine received out-of-order action {action.time} "
-                    f"after {last}"
-                )
-            last = action.time
+        batch.check_after(self._algorithm.now, "engine")
         seq = self._slide_seq + 1
         if self._store is not None:
             wal_started = time.perf_counter()
@@ -315,7 +306,7 @@ class RecoverableEngine:
             self._store.wal.append_resolved(seq, resolved)
             wal_elapsed = time.perf_counter() - wal_started
             self.fsync_hist.observe(wal_elapsed)
-            record_stage("wal_fsync", wal_elapsed, len(resolved.records))
+            record_stage("wal_fsync", wal_elapsed, len(resolved))
         self._algorithm.apply_resolved(resolved)
         self._slide_seq = seq
         if (

@@ -19,8 +19,12 @@ Two record kinds share a log:
 One :class:`~repro.persistence.engine.RecoverableEngine` replays either
 kind — action records for the single engine and the sharded resolver,
 routed records for shards; :meth:`ActionWAL.replay`
-yields ``(seq, List[Action])`` for the former and
+yields ``(seq, ActionBatch)`` for the former and
 ``(seq, ResolvedSlide)`` for the latter, and consumers dispatch on type.
+An action record is written from the batch's columns, and each record's
+JSON is encoded once: its checksum covers the payload's bytes, and the
+line is those bytes with ``,"crc":N`` spliced in before the closing brace
+— the same bytes as encoding the record with its ``crc`` key last.
 
 Design points, all standard WAL practice:
 
@@ -59,13 +63,9 @@ import pathlib
 import zlib
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-from repro.core.actions import Action
+from repro.core.actions import Action, ActionBatch
 from repro.core.resolve import ResolvedSlide
-from repro.persistence.serialize import (
-    PersistenceError,
-    decode_action,
-    encode_action,
-)
+from repro.persistence.serialize import PersistenceError
 
 __all__ = ["ActionWAL"]
 
@@ -88,8 +88,19 @@ def _record_payload(record: dict) -> dict:
 
 def _record_crc(payload: dict) -> int:
     """CRC32 of one canonical record payload."""
-    encoded = json.dumps(payload, separators=(",", ":"))
+    return _crc_of(json.dumps(payload, separators=(",", ":")))
+
+
+def _crc_of(encoded: str) -> int:
+    """CRC32 of a payload's compact JSON text."""
     return zlib.crc32(encoded.encode("utf-8")) & 0xFFFFFFFF
+
+
+def _record_line(payload: dict) -> str:
+    """The WAL line of ``payload``: its JSON, encoded once, with the
+    checksum of those bytes added as the record's last key."""
+    encoded = json.dumps(payload, separators=(",", ":"))
+    return f'{encoded[:-1]},"crc":{_crc_of(encoded)}}}\n'
 
 
 def _crc_mismatch(record: dict) -> Optional[int]:
@@ -135,7 +146,8 @@ def _refuse_merged_record(path: pathlib.Path, raw: bytes) -> None:
 
 
 def _decode_record_payload(record: dict):
-    """Decode a record's payload: ``List[Action]`` or :class:`ResolvedSlide`.
+    """Decode a record's payload: an :class:`ActionBatch` or a
+    :class:`ResolvedSlide`.
 
     Raises:
         ValueError: on a malformed payload or an unsupported routed-slide
@@ -143,7 +155,10 @@ def _decode_record_payload(record: dict):
             — see :meth:`ActionWAL.replay`).
     """
     if "actions" in record:
-        return [decode_action(f) for f in record["actions"]]
+        triples = record["actions"]
+        if any(len(fields) != 3 for fields in triples):
+            raise ValueError("an action record holds a triple of other length")
+        return ActionBatch(*zip(*triples)) if triples else ActionBatch((), (), ())
     return ResolvedSlide.from_wire(record["slide"])
 
 
@@ -195,12 +210,15 @@ class ActionWAL:
     def append(self, seq: int, actions: Sequence[Action]) -> None:
         """Durably log one slide; returns only after it is on disk.
 
-        ``seq`` must continue the log (``last_seq + 1``); an empty log
-        accepts any positive start (the tail below a snapshot may have
-        been pruned).
+        ``actions`` is an :class:`~repro.core.actions.ActionBatch` or a
+        sequence of actions; the record lists its ``[time, user, parent]``
+        triples, read off the batch's columns.  ``seq`` must continue the
+        log (``last_seq + 1``); an empty log accepts any positive start
+        (the tail below a snapshot may have been pruned).
         """
-        encoded = [encode_action(a) for a in actions]
-        self._append_record(seq, {"seq": seq, "actions": encoded})
+        batch = ActionBatch.of(actions)
+        triples = list(zip(batch.time, batch.user, batch.parent))
+        self._append_record(seq, {"seq": seq, "actions": triples})
 
     def append_resolved(self, seq: int, slide: ResolvedSlide) -> None:
         """Durably log one routed (pre-resolved) slide.
@@ -221,9 +239,7 @@ class ActionWAL:
             )
         if self._handle is None or self._active_records >= self._segment_records:
             self._open_segment(seq)
-        record = dict(payload)
-        record["crc"] = _record_crc(payload)
-        self._handle.write(json.dumps(record, separators=(",", ":")) + "\n")
+        self._handle.write(_record_line(payload))
         self._handle.flush()
         if self._fsync:
             os.fsync(self._handle.fileno())
@@ -241,7 +257,7 @@ class ActionWAL:
     def replay(self, after: int = 0) -> Iterator[Tuple[int, object]]:
         """Yield ``(seq, payload)`` for every record with ``seq > after``.
 
-        The payload is a ``List[Action]`` for action records and a
+        The payload is an ``ActionBatch`` for action records and a
         :class:`~repro.core.resolve.ResolvedSlide` for routed-slide
         records; consumers dispatch on type.  Verifies record contiguity
         across segment boundaries.  A torn final line (crash mid-append)

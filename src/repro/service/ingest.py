@@ -10,11 +10,15 @@ unboundedly and never drops an accepted action.
 Arriving actions are coalesced into slides of at most ``slide`` actions
 (the serving plane's ``L``).  A full slide flushes immediately; a partial
 slide flushes after ``flush_interval`` seconds so answers stay fresh on a
-trickling stream.  The writer takes one run per ``get_nowait()`` and walks
-its actions in a local loop, checking the pending slide's deadline before
-each one; it awaits the queue only when it is empty — a plain ``get()``
-with nothing pending, one ``wait_for`` bounded by the deadline otherwise —
-so a busy stream pays no task, timer or queue operation per action.
+trickling stream.  The writer takes one run (an
+:class:`~repro.core.actions.ActionBatch`) per ``get_nowait()``, checking
+the pending slide's deadline before each run — within a run only a count
+flush awaits, and it leaves nothing pending — and handles the run whole:
+one running-max mask against the floor drops its stale actions, and the
+rest go to the pending slide in slices that fill it.  It awaits the queue
+only when it is empty — a plain ``get()`` with nothing pending, one
+``wait_for`` bounded by the deadline otherwise — so a busy stream pays no
+task, timer, queue operation or Python loop step per action.
 
 Each flush is one engine slide: WAL-logged ahead by the
 :class:`~repro.persistence.engine.RecoverableEngine`, processed, and
@@ -37,7 +41,9 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.actions import Action
+import numpy as np
+
+from repro.core.actions import Action, ActionBatch
 from repro.core.base import SIMResult
 from repro.core.multi import MultiQueryEngine
 from repro.experiments.metrics import RateEstimator
@@ -129,7 +135,7 @@ _STOP = object()
 
 
 class _RunQueue(asyncio.Queue):
-    """The ingest queue of ``(enqueued_at, actions)`` runs and controls:
+    """The ingest queue of ``(enqueued_at, ActionBatch)`` runs and controls:
     the bound and :meth:`qsize` count actions, a control counts none."""
 
     def _init(self, maxsize: int) -> None:
@@ -211,7 +217,9 @@ class IngestLoop:
         self._executor = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-ingest"
         )
-        self._pending: List[Action] = []
+        # The pending slide: accepted slices of runs, and how many actions.
+        self._pending: List[ActionBatch] = []
+        self._pending_count = 0
         self._floor = engine.now
         self._slide_seq = engine.slides_processed
         self._task: Optional[asyncio.Task] = None
@@ -297,9 +305,11 @@ class IngestLoop:
         """Enqueue one action (a run of one)."""
         await self.submit_run([action])
 
-    async def submit_run(self, actions: List[Action]) -> None:
-        """Enqueue a run of actions as one queue item; blocks while it does
-        not fit under ``queue_capacity`` actions (longer runs go in pieces)."""
+    async def submit_run(self, actions) -> None:
+        """Enqueue a run of actions (an :class:`ActionBatch` or a list) as
+        one queue item; blocks while it does not fit under
+        ``queue_capacity`` actions (longer runs go in pieces)."""
+        actions = ActionBatch.of(actions)
         queue = self._queue
         enqueued_at = asyncio.get_running_loop().time()
         size = queue.maxsize
@@ -385,20 +395,18 @@ class IngestLoop:
                 waited = loop.time() - enqueued_at
                 if self._queue_wait_hist is not None:
                     self._queue_wait_hist.observe(waited, len(run))
-                for action in run:
-                    if self._pending and loop.time() >= deadline:
-                        await self._flush("interval")
-                    if action.time <= self._floor:
-                        self.stats.dropped_stale += 1
-                        continue
-                    self._floor = action.time
+                run = self._fresh(run)
+                while run:
                     if not self._pending:
                         deadline = loop.time() + self._flush_interval
                         self._pending_since = loop.time()
-                    self._pending.append(action)
-                    self._pending_wait += waited
-                    self.stats.accepted += 1
-                    if len(self._pending) >= self._slide:
+                    room = self._slide - self._pending_count
+                    piece, run = run[:room], run[room:]
+                    self._pending.append(piece)
+                    self._pending_count += len(piece)
+                    self._pending_wait += waited * len(piece)
+                    self.stats.accepted += len(piece)
+                    if self._pending_count >= self._slide:
                         await self._flush("count")
         except BaseException as error:  # writer death must not hang clients
             # Record and swallow: the failure is surfaced to producers via
@@ -407,6 +415,21 @@ class IngestLoop:
             # so stop() still joins cleanly after a failure.
             self._error = error
             self._release_waiters()
+
+    def _fresh(self, run: ActionBatch) -> ActionBatch:
+        """The run's actions beyond the floor, which rises through them: an
+        action is stale (dropped and counted) unless its time exceeds the
+        floor and every time before it in the run."""
+        if not run:
+            return run
+        times = np.frombuffer(run.time, np.int64)
+        ceiling = np.maximum.accumulate(np.concatenate(((self._floor,), times)))
+        keep = times > ceiling[:-1]
+        self._floor = int(ceiling[-1])
+        if keep.all():
+            return run
+        self.stats.dropped_stale += len(keep) - int(keep.sum())
+        return run.select(keep)
 
     def _release_waiters(self) -> None:
         """Wake sync barriers and blocked runs after a writer failure."""
@@ -424,7 +447,7 @@ class IngestLoop:
         if not self._pending:
             return
         loop = asyncio.get_running_loop()
-        batch = self._pending
+        batch = ActionBatch.concat(self._pending)
         # Stages observed on the event-loop side, handed to the trace the
         # worker thread opens: per-action queue wait and how long the
         # slide sat coalescing before this dispatch.
@@ -433,6 +456,7 @@ class IngestLoop:
             ("coalesce", loop.time() - self._pending_since, len(batch)),
         )
         self._pending = []
+        self._pending_count = 0
         self._pending_wait = 0.0
         self._slide_seq += 1
         elapsed = await loop.run_in_executor(
@@ -449,7 +473,7 @@ class IngestLoop:
 
     def _run_slide(
         self,
-        batch: List[Action],
+        batch: ActionBatch,
         pre_stages: Tuple[Tuple[str, float, int], ...] = (),
     ) -> float:
         """Worker-thread body: process one slide and publish its answers.

@@ -5,20 +5,31 @@ its socket has buffered, split anywhere, and ``b""`` at end of stream.  A
 line is an action (``[time, user, parent]`` or ``{"time", "user",
 "parent"}``), a batch (a JSON array of actions, refused whole if one is
 bad) or a command (``{"cmd": "sync"|"flush"}``); blank lines are skipped.
+
+Each line is parsed and its fields checked here, once — the int64 rule
+and :class:`~repro.core.actions.Action`'s invariants — so a bad line is
+refused by its number while the lines around it go through.  No
+:class:`~repro.core.actions.Action` is built per line: a run of accepted
+actions leaves as one :class:`~repro.core.actions.ActionBatch`, whose
+int64 columns every later layer reads.
 """
 
 from __future__ import annotations
 
 import json
+from array import array
 from json.scanner import make_scanner
 from typing import Iterator, List, Optional, Tuple
 
-from repro.core.actions import ROOT, Action, int64_field_error
+from repro.core.actions import ROOT, ActionBatch, action_error, int64_field_error
 
 __all__ = ["LINE_LIMIT", "WireDecoder"]
 
 #: Longest line accepted, in bytes without its newline.
 LINE_LIMIT = 1 << 20
+
+#: Times and users must be below this to fit the int64 columns.
+_INT64_END = 1 << 63
 
 _scan = make_scanner(json.JSONDecoder())
 
@@ -37,8 +48,10 @@ def _loads(raw: bytes):
     return json.loads(raw)
 
 
-def _decode_action(document) -> Action:
-    """An Action from ``[t, u, p]`` or ``{"time", "user", "parent"}``."""
+def _fields(document) -> Tuple[int, int, int]:
+    """``(time, user, parent)`` of ``[t, u, p]`` or ``{"time", "user",
+    "parent"}``, checked as the int64 columns and :class:`Action` check
+    them."""
     if isinstance(document, list):
         if len(document) != 3:
             raise ValueError(f"action triple needs 3 fields, got {len(document)}")
@@ -51,10 +64,10 @@ def _decode_action(document) -> Action:
             f"expected an action object or triple, got {type(document).__name__}"
         )
     parent = ROOT if parent is None else parent
-    problem = int64_field_error(time, user, parent)
+    problem = int64_field_error(time, user, parent) or action_error(time, user, parent)
     if problem is not None:
         raise ValueError(problem)
-    return Action(time, user, parent)
+    return time, user, parent
 
 
 class WireDecoder:
@@ -70,7 +83,8 @@ class WireDecoder:
 
     def feed(self, data: bytes) -> Iterator[Tuple[str, object]]:
         """Decode ``data`` (``b""``: end of stream).  Yields, in stream order,
-        ``("run", actions)`` (at most ``run_limit``), ``("sync"|"flush",
+        ``("run", batch)`` (an :class:`ActionBatch` of at most
+        ``run_limit`` actions), ``("sync"|"flush",
         received)``, ``("ack", received)`` after the run holding the line
         that crossed an ``ack_every`` multiple, ``("error", reply)``, and
         last ``("close", reply)`` for a line over :data:`LINE_LIMIT`."""
@@ -82,7 +96,7 @@ class WireDecoder:
         else:
             lines, self._tail = [self._tail], b""
         oversize = len(self._tail) > LINE_LIMIT
-        run: List[Action] = []
+        run: List[Tuple[int, int, int]] = []
         for line in lines:
             if len(line) > LINE_LIMIT:
                 oversize = True
@@ -102,13 +116,30 @@ class WireDecoder:
             self._closed = True
             yield "close", self._reject(f"line exceeds {LINE_LIMIT} bytes")[1]
 
-    def _decode(self, raw: bytes, run: List[Action]) -> Optional[tuple]:
-        """Append one line's actions to ``run``; the event the line makes,
-        if any (``("reject", message)`` for a rejected line)."""
+    def _decode(self, raw: bytes, run: List[Tuple[int, int, int]]) -> Optional[tuple]:
+        """Append one line's action fields to ``run``; the event the line
+        makes, if any (``("reject", message)`` for a rejected line)."""
         try:
             document = _loads(raw)
         except (ValueError, RecursionError) as error:
             return "reject", f"unparseable line: {error}"
+        if type(document) is list and len(document) == 3 and type(document[0]) is int:
+            # The common line, one triple: checked inline; a field either
+            # check refuses takes the general path below for its message.
+            time, user, parent = document
+            if parent is None:
+                parent = ROOT
+            if (
+                type(user) is type(parent) is int
+                and 0 < time < _INT64_END
+                and 0 <= user < _INT64_END
+                and (parent == ROOT or 0 < parent < time)
+            ):
+                run.append((time, user, parent))
+                self.received += 1
+                if self.received % self._ack_every:
+                    return None
+                return "ack", self.received
         if isinstance(document, dict) and "cmd" in document:
             command = document["cmd"]
             if command in ("sync", "flush"):
@@ -118,19 +149,20 @@ class WireDecoder:
         first = document[0] if isinstance(document, list) and document else None
         items = document if isinstance(first, (list, dict)) else [document]
         try:
-            actions = [_decode_action(item) for item in items]
+            fields = [_fields(item) for item in items]
         except (ValueError, TypeError, KeyError) as error:
             return "reject", f"invalid action: {error}"
         before = self.received
-        self.received += len(actions)
-        run += actions
+        self.received += len(fields)
+        run += fields
         if self.received // self._ack_every > before // self._ack_every:
             return "ack", self.received
         return None
 
-    def _runs(self, run: List[Action]) -> Iterator[tuple]:
+    def _runs(self, run: List[Tuple[int, int, int]]) -> Iterator[tuple]:
         for start in range(0, len(run), self._run_limit):
-            yield "run", run[start : start + self._run_limit]
+            columns = zip(*run[start : start + self._run_limit])
+            yield "run", ActionBatch.wrap(*(array("q", column) for column in columns))
 
     def _reject(self, message: str) -> tuple:
         self.received += 1

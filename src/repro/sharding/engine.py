@@ -71,7 +71,7 @@ import threading
 import time
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.core.actions import Action
+from repro.core.actions import Action, ActionBatch
 from repro.core.base import SIMAlgorithm, SIMResult
 from repro.core.multi import MultiQueryEngine
 from repro.core.resolve import partition_slide
@@ -540,17 +540,10 @@ class ShardedEngine:
         """
         if self._closed:
             raise ShardingError("sharded engine is closed")
-        batch = list(batch)
+        batch = ActionBatch.of(batch)
         if not batch:
             return
-        last = self.now
-        for action in batch:
-            if action.time <= last:
-                raise ValueError(
-                    f"engine received out-of-order action {action.time} "
-                    f"after {last}"
-                )
-            last = action.time
+        batch.check_after(self.now, "engine")
         payloads, repayload = self._routed_fanout(batch)
         incidents = [slides + 1 for slides in self._shard_slides]
         busy_before = list(self._busy_seconds)
@@ -583,7 +576,7 @@ class ShardedEngine:
             for hook in self._publish_hooks:
                 hook(answers)
 
-    def _routed_fanout(self, batch: List[Action]):
+    def _routed_fanout(self, batch: ActionBatch):
         """Resolve once, partition by influencer, build per-shard payloads.
 
         Every shard behind the slide receives a payload — even one whose

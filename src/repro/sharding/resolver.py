@@ -12,7 +12,7 @@ from __future__ import annotations
 import pathlib
 from typing import Optional, Sequence
 
-from repro.core.actions import Action, int64_field_error
+from repro.core.actions import Action, ActionBatch
 from repro.core.resolve import ResolvedSlide, SlideResolver
 from repro.persistence.engine import StateStore
 from repro.persistence.serialize import PersistenceError
@@ -132,22 +132,14 @@ class _FacadeResolver:
     def log_and_resolve(self, batch: Sequence[Action]) -> ResolvedSlide:
         """Validate, write-ahead-log, then resolve one slide.
 
-        The batch is validated (strictly ascending, fields the int64
-        columns can hold) *before* it reaches the WAL, so a poisoned slide
-        is never logged; actions at or below the resolver clock
+        The batch is validated (fields the int64 columns can hold, when
+        the :class:`~repro.core.actions.ActionBatch` is built, and
+        strictly ascending) *before* it reaches the WAL, so a poisoned
+        slide is never logged; actions at or below the resolver clock
         (redelivery) resolve idempotently.
         """
-        previous = 0
-        for action in batch:
-            problem = int64_field_error(action.time, action.user, action.parent)
-            if problem is not None:
-                raise ValueError(f"resolver received an invalid action: {problem}")
-            if action.time <= previous:
-                raise ValueError(
-                    f"resolver received out-of-order action {action.time} "
-                    f"after {previous}"
-                )
-            previous = action.time
+        batch = ActionBatch.of(batch)
+        batch.check_after(0, "resolver")
         seq = self._slide_seq + 1
         if self._store is not None:
             self._store.wal.append(seq, batch)

@@ -4,14 +4,17 @@
 event's admissions, retirement's seed-list walk and compaction's in-place
 moves — and owns one allocation, the pair store, whose rows and intern
 maps it grows, trims and reallocates, and which snapshots export from and
-restores load into.  A write one element past a row is silent in a normal
-build.  This test runs the object-plane equivalence matrix, the
+restores load into; its slide resolve reads a diffusion forest's columns
+and writes a slide's records into ``array('q')`` buffers sized by Python,
+stopping at their end.  A write one element past a row is silent in a
+normal build.  This test runs the object-plane equivalence matrix, the
 column-lifecycle history, the pair-store property (with its check that a
 dropped kernel's finalizer freed the store, which leak detection being off
 would otherwise hide), the store-view facade against the object plane's
 suffix views, the kernel snapshot round trip and the state dir moved
-between planes (export, load and ``suffix``) and the malformed-section
-refusals in a child process
+between planes (export, load and ``suffix``), the malformed-section
+refusals and the resolve-equals-``add`` property with its named cases (a
+first try one influencer of room per action short) in a child process
 whose kernel is built with ``-Wall -Wextra -Werror -fsanitize=address,
 undefined -fno-sanitize-recover`` — by patching the loader's flag list in
 that child, so the product gains no switch — with the ASan runtime
@@ -76,6 +79,9 @@ def test_kernel_is_clean_under_asan_and_ubsan(tmp_path):
         "test_columnar_state_roundtrip_continues_identically",
         "tests/persistence/test_columnar_roundtrip.py::"
         "test_state_dir_moves_between_planes",
+        "tests/core/test_diffusion.py::test_influencers_match_brute_force",
+        "tests/core/test_diffusion.py::test_resolve_matches_add_on_named_cases",
+        "tests/core/test_diffusion.py::test_a_refused_slide_leaves_the_forest_as_it_was",
     ]
     environment = {
         **os.environ,

@@ -143,14 +143,14 @@ def witnesses(monkeypatch):
         seen["grown"] += 1
         grow(self, new_cap)
 
-    def watching_absorb(self, roster, arrived, absorbed):
+    def watching_absorb(self, roster, resolved, absorbed):
         starts, least = self._starts_list, {}
-        for _performer, user, previous in shadow.add_batch(arrived):
+        for _performer, user, previous in shadow.add_batch(resolved.records):
             lo = max(bisect_right(starts, previous), self._head)
             if lo < least.get(user, self._n):
                 seen["chained"] += user in least
                 least[user] = lo
-        absorb(self, roster, arrived, absorbed)
+        absorb(self, roster, resolved, absorbed)
 
     monkeypatch.setattr(ColumnarThresholdKernel, "_compact", counting_compact)
     monkeypatch.setattr(ColumnarThresholdKernel, "_grow", counting_grow)

@@ -2,13 +2,15 @@
 
 import gc
 import random
+from itertools import cycle
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.actions import ROOT, Action
-from repro.core.diffusion import DiffusionForest
+from repro.core.actions import ROOT, Action, ActionBatch
+from repro.core.diffusion import DiffusionForest, records_from_columns
+from repro.core.oracles import _ckernel
 from repro.core.resolve import SlideResolver
 from repro.core.stream import batched
 from tests.conftest import random_stream, states_equal, store_roundtrip
@@ -202,12 +204,53 @@ streams = dict(
 )
 
 
+def resolve_matches_add(actions, sizes, retention, late):
+    """Feed ``actions`` to the compiled slide resolve and to an ``add`` loop
+    in slides of ``sizes`` (cycled), each led by up to ``late`` earlier
+    actions the horizon already dropped (redeliveries).  Every slide's
+    records agree record for record, influencers in order, and so do the
+    forests' ``to_state``; a first try with one influencer of room per
+    action that comes back ``NEED_ROOM`` has left the forest as it was."""
+    lib = _ckernel.load()
+    reference = DiffusionForest(retention=retention)
+    compiled = DiffusionForest(retention=retention)
+    start = 0
+    for size in cycle(sizes):
+        if start >= len(actions):
+            break
+        below = [a for a in actions[:start] if a.time < reference._oldest]
+        batch = ActionBatch.of(below[len(below) - late :] + actions[start : start + size])
+        start += size
+        expected = [reference.add(action) for action in batch]
+        columns = None
+        if lib is not None:
+            before = compiled.to_state()
+            columns = compiled._resolve_into(lib, batch, 1)
+            if columns is None:
+                assert states_equal(compiled.to_state(), before)
+        if columns is None:
+            columns = compiled.resolve(batch)
+        assert list(records_from_columns(columns)) == expected
+        assert states_equal(compiled.to_state(), reference.to_state())
+
+
 @settings(max_examples=60, deadline=None)
-@given(n=st.integers(1, 80), split=st.floats(0, 1), **streams)
-def test_influencers_match_brute_force(n, split, seed, gap, retention, recent_bias):
+@given(
+    n=st.integers(1, 80),
+    split=st.floats(0, 1),
+    sizes=st.lists(st.integers(1, 9), min_size=1, max_size=12),
+    late=st.integers(0, 3),
+    **streams,
+)
+def test_influencers_match_brute_force(
+    n, split, sizes, late, seed, gap, retention, recent_bias
+):
     """Property: incremental ancestor resolution == explicit chain walk —
     roots, responses, sparse timestamps and a retention horizon; through
-    ``add``, ``record`` and a snapshot round trip half way."""
+    ``add``, ``record`` and a snapshot round trip half way — and the
+    compiled slide resolve == the ``add`` loop (:func:`resolve_matches_add`:
+    parents inside a slide, performers repeating in their own chain,
+    horizons moving mid-slide, late redeliveries, ``NEED_ROOM`` retries)."""
     actions = with_gaps(random_stream(n, 6, seed=seed, recent_bias=recent_bias), gap, seed)
     expected, horizon = forest_view(actions, retention)
     forest = DiffusionForest(retention=retention)
@@ -230,6 +273,56 @@ def test_influencers_match_brute_force(n, split, seed, gap, retention, recent_bi
         assert record.user == action.user
         assert (record.influencers, record.depth) == expected[action.time]
     assert len(forest) == sum(a.time >= horizon for a in actions)
+    resolve_matches_add(actions, sizes, retention, late)
+
+
+#: Hand-made slides for :func:`resolve_matches_add`, one per case it must
+#: cover whatever the property draws: ``(actions, sizes, retention, late)``.
+RESOLVE_CASES = {
+    "parent-in-the-slide-and-a-repeating-performer": (
+        [Action(1, 1), Action(2, 2, 1), Action(3, 1, 2), Action(4, 2, 3), Action(5, 3, 4)],
+        [5], None, 0,
+    ),
+    "gapped-times": (
+        [Action(3, 1), Action(10, 2, 3), Action(11, 1, 10), Action(40, 4, 11), Action(41, 5)],
+        [2, 3], None, 0,
+    ),
+    "horizon-cuts-a-chain-mid-slide": (
+        [Action(1, 1), Action(2, 2, 1), Action(3, 3), Action(4, 4), Action(5, 5, 1), Action(6, 6, 5)],
+        [6], 2, 0,
+    ),
+    "late-redeliveries-below-the-horizon": (
+        [Action(t, t % 3, t - 1 if t % 2 == 0 else ROOT) for t in range(1, 25)],
+        [4, 3], 3, 2,
+    ),
+    "a-long-chain-outgrows-the-room": (
+        [Action(1, 0)] + [Action(t, t, t - 1) for t in range(2, 40)],
+        [39], None, 0,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(RESOLVE_CASES))
+def test_resolve_matches_add_on_named_cases(case):
+    resolve_matches_add(*RESOLVE_CASES[case])
+
+
+@pytest.mark.parametrize(
+    "batch, refusal",
+    [
+        ([Action(9, 1), Action(6, 2)], "action 6 was already added"),
+        ([Action(9, 1), Action(8, 2)], "action 8 arrives after action 9; the forest only appends"),
+    ],
+    ids=["duplicate", "unordered"],
+)
+def test_a_refused_slide_leaves_the_forest_as_it_was(batch, refusal):
+    forest = DiffusionForest(retention=4)
+    forest.resolve([Action(t, t % 2, t - 1 if t > 1 else ROOT) for t in range(1, 8)])
+    before = forest.to_state()
+    with pytest.raises(ValueError, match=refusal):
+        forest.resolve(batch)
+    if _ckernel.load() is not None:
+        assert states_equal(forest.to_state(), before)
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,13 +1,14 @@
 """ActionWAL: append/replay roundtrips, rotation, torn tails, retention."""
 
 import json
+import zlib
 from bisect import bisect_left
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.actions import Action
+from repro.core.actions import Action, ActionBatch
 from repro.core.resolve import SlideResolver
 from repro.persistence.serialize import PersistenceError
 from repro.persistence.wal import ActionWAL
@@ -289,6 +290,54 @@ class TestChecksums:
         assert [seq for seq, _ in reopened.replay()] == [1, 2]
 
 
+def two_dump_line(payload: dict) -> bytes:
+    """A record line as it was built before each record was encoded once:
+    the payload dumped for its CRC, then the record with ``crc`` appended
+    dumped again."""
+    crc = zlib.crc32(json.dumps(payload, separators=(",", ":")).encode()) & 0xFFFFFFFF
+    return (json.dumps({**payload, "crc": crc}, separators=(",", ":")) + "\n").encode()
+
+
+class TestOneEncoding:
+    """Each record is encoded once, its ``crc`` spliced into those bytes."""
+
+    def test_lines_equal_the_two_dump_construction(self, tmp_path, open_wal):
+        batches = [
+            random_stream(40, 7, seed=5)[i : i + 8] for i in range(0, 40, 8)
+        ] + [[Action(41, 2**62, 40), Action(2**62, 0, 41)]]
+        routed = resolved_slides(n=4, start_seed=71)
+        expected = []
+        wal = open_wal(tmp_path / "a", fsync=False)
+        for seq, batch in enumerate(batches, start=1):
+            wal.append(seq, ActionBatch.of(batch) if seq % 2 else batch)
+            expected.append(two_dump_line(
+                {"seq": seq, "actions": [[a.time, a.user, a.parent] for a in batch]}
+            ))
+        for seq, slide in enumerate(routed, start=len(batches) + 1):
+            wal.append_resolved(seq, slide)
+            expected.append(two_dump_line({"seq": seq, "slide": slide.to_wire()}))
+        wal.close()
+        assert [segment.read_bytes() for segment in wal.segments()] == [b"".join(expected)]
+
+    def test_two_dump_segments_replay(self, tmp_path, open_wal):
+        """A segment written before the change replays to the same payloads."""
+        batches = slides(3, per_slide=4)
+        routed = resolved_slides(n=2, start_seed=81)
+        lines = [
+            two_dump_line({"seq": seq, "actions": [[a.time, a.user, a.parent] for a in batch]})
+            for seq, batch in enumerate(batches, start=1)
+        ] + [
+            two_dump_line({"seq": seq, "slide": slide.to_wire()})
+            for seq, slide in enumerate(routed, start=4)
+        ]
+        (tmp_path / "wal-0000000001.jsonl").write_bytes(b"".join(lines))
+        wal = open_wal(tmp_path, fsync=False)
+        assert wal.last_seq == 5
+        replayed = [payload for _, payload in wal.replay()]
+        assert replayed == [*batches, *routed]
+        assert all(isinstance(payload, ActionBatch) for payload in replayed[:3])
+
+
 class TestRoutedRecords:
     """Routed-slide WAL records: the format behind routed sharded ingest."""
 
@@ -321,7 +370,7 @@ class TestRoutedRecords:
         wal.close()
         replayed = list(open_wal(tmp_path, fsync=False).replay())
         kinds = [type(payload).__name__ for _, payload in replayed]
-        assert kinds == ["list", "list", "ResolvedSlide", "ResolvedSlide"]
+        assert kinds == ["ActionBatch", "ActionBatch", "ResolvedSlide", "ResolvedSlide"]
         assert replayed[0][1] == batches[0]
         assert replayed[2][1] == routed[0]
 

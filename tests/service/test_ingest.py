@@ -3,6 +3,8 @@
 import asyncio
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.greedy import WindowedGreedy
 from repro.core.multi import MultiQueryEngine
@@ -430,3 +432,80 @@ class TestValidation:
         cache = run(body())
         assert set(cache.board.answers) == {"main"}
         assert cache.published == 2
+
+
+def per_action_writer(items, floor: int, slide: int):
+    """The writer's rule one action at a time: ``(slides, accepted,
+    dropped_stale, floor)`` for ``items`` (runs, and ``"sync"`` barriers)."""
+    slides, pending, accepted, dropped = [], [], 0, 0
+    for item in items:
+        if item == "sync":
+            if pending:
+                slides.append(pending)
+                pending = []
+            continue
+        for action in item:
+            if action.time <= floor:
+                dropped += 1
+                continue
+            floor = action.time
+            pending.append(action)
+            accepted += 1
+            if len(pending) >= slide:
+                slides.append(pending)
+                pending = []
+    if pending:
+        slides.append(pending)
+    return slides, accepted, dropped, floor
+
+
+STREAM = random_stream(60, 6, seed=13)
+ITEM = st.one_of(
+    st.just("sync"),
+    # A run: a stretch of the stream, maybe reaching back over what was
+    # sent (duplicates), maybe shuffled (stale actions inside the run).
+    st.tuples(st.integers(0, 59), st.integers(1, 14), st.booleans(), st.randoms()).map(
+        lambda drawn: (
+            lambda run: drawn[3].sample(run, len(run)) if drawn[2] else run
+        )(STREAM[drawn[0] : drawn[0] + drawn[1]])
+    ),
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    items=st.lists(ITEM, min_size=1, max_size=12),
+    slide=st.integers(1, 9),
+    resumed=st.integers(0, 20),
+)
+def test_the_writer_applies_the_per_action_rule(items, slide, resumed):
+    """Whole-run masking and slicing: the writer's ``accepted``,
+    ``dropped_stale``, floor and slide boundaries are those of taking the
+    runs one action at a time, from a clock already at ``resumed``."""
+    engine = make_engine(multi=False)
+    if resumed:
+        engine.process(STREAM[:resumed])
+    flushed = []
+
+    def process(batch, _process=engine.process):
+        flushed.append(list(batch))
+        _process(batch)
+
+    engine.process = process
+
+    async def body():
+        loop = IngestLoop(engine, AnswerCache(), slide=slide, flush_interval=60.0)
+        loop.start()
+        for item in items:
+            if item == "sync":
+                await loop.sync()
+            elif item:
+                await loop.submit_run(item)
+        await loop.stop()
+        return loop
+
+    loop = run(body())
+    slides, accepted, dropped, floor = per_action_writer(items, resumed, slide)
+    assert flushed == slides
+    assert (loop.stats.accepted, loop.stats.dropped_stale) == (accepted, dropped)
+    assert loop._floor == floor == engine.now

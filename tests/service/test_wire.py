@@ -26,7 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.actions import ROOT, Action
+from repro.core.actions import ROOT, Action, ActionBatch, int64_field_error
 from repro.core.greedy import WindowedGreedy
 from repro.core.sic import SparseInfluentialCheckpoints
 from repro.persistence.engine import RecoverableEngine
@@ -49,7 +49,7 @@ def merged(events):
     out = []
     for kind, value in events:
         if kind == "run" and out and out[-1][0] == "run":
-            out[-1] = ("run", out[-1][1] + value)
+            out[-1] = ("run", out[-1][1] + list(value))
         else:
             out.append((kind, list(value) if kind == "run" else value))
     return out
@@ -276,6 +276,100 @@ def test_rechunking_never_changes_the_events(
     events, chunked_received = feed_all(chunks)
     assert merged(events) == merged(expected)
     assert chunked_received == received
+
+
+def reference_action(document) -> Action:
+    """A line's action as the decoder built it before runs became
+    batches: fields by ``int64_field_error``, invariants by ``Action``."""
+    if isinstance(document, list):
+        if len(document) != 3:
+            raise ValueError(f"action triple needs 3 fields, got {len(document)}")
+        time, user, parent = document
+    elif isinstance(document, dict):
+        time, user = document["time"], document["user"]
+        parent = document.get("parent", ROOT)
+    else:
+        raise TypeError(
+            f"expected an action object or triple, got {type(document).__name__}"
+        )
+    parent = ROOT if parent is None else parent
+    problem = int64_field_error(time, user, parent)
+    if problem is not None:
+        raise ValueError(problem)
+    return Action(time, user, parent)
+
+
+class ActionListDecoder(WireDecoder):
+    """The decoder with an ``Action`` built per line and runs as lists."""
+
+    def _decode(self, raw, run):
+        try:
+            document = _loads(raw)
+        except (ValueError, RecursionError) as error:
+            return "reject", f"unparseable line: {error}"
+        if isinstance(document, dict) and "cmd" in document:
+            command = document["cmd"]
+            if command in ("sync", "flush"):
+                return command, self.received
+            return "error", {"error": f"unknown cmd {command!r}", "line": self.received}
+        first = document[0] if isinstance(document, list) and document else None
+        items = document if isinstance(first, (list, dict)) else [document]
+        try:
+            actions = [reference_action(item) for item in items]
+        except (ValueError, TypeError, KeyError) as error:
+            return "reject", f"invalid action: {error}"
+        before = self.received
+        self.received += len(actions)
+        run += actions
+        if self.received // self._ack_every > before // self._ack_every:
+            return "ack", self.received
+        return None
+
+    def _runs(self, run):
+        for start in range(0, len(run), self._run_limit):
+            yield "run", run[start : start + self._run_limit]
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(
+    lines=st.lists(LINE, min_size=1, max_size=25),
+    ack_every=st.integers(1, 12),
+    run_limit=st.integers(1, 8),
+)
+def test_batches_equal_the_per_action_decoder(lines, ack_every, run_limit):
+    """Each run is an ``ActionBatch`` holding the actions a decoder
+    building one ``Action`` per line yields, and every other event — acks,
+    commands, rejects and their ``line`` numbers — is the same, in order."""
+    stream = b"".join(line + b"\n" for line in lines)
+
+    def events(decoder):
+        return list(decoder.feed(stream)) + list(decoder.feed(b"")), decoder.received
+
+    got, received = events(WireDecoder(ack_every=ack_every, run_limit=run_limit))
+    want, want_received = events(ActionListDecoder(ack_every=ack_every, run_limit=run_limit))
+    assert [kind for kind, _ in got] == [kind for kind, _ in want]
+    for (kind, value), (_, reference) in zip(got, want):
+        if kind == "run":
+            assert type(value) is ActionBatch and list(value) == reference
+        else:
+            assert value == reference
+    assert received == want_received
+
+
+@pytest.mark.parametrize("triple", [
+    [1, 0, None], [0, 1, None], [-1, 1, None], [1, -1, None], [2, 1, 1],
+    [2, 1, 2], [2, 1, 0], [2, 1, -2], [2, 1, -1], [2**63 - 1, 2**63 - 1, 2**63 - 2],
+    [2**63, 1, None], [1, 2**63, None], [3, 1, 2**63], [-(2**63), 1, None],
+    [True, 1, None], [1, False, None], [2, 1, True], [2.0, 1, None], [2, 1, 1.0],
+])
+def test_the_triple_fast_path_holds_every_bound(triple):
+    """One-triple lines take a checked fast path; at each bound of each
+    field it accepts and refuses what the per-action decoder does."""
+    stream = json.dumps(triple).encode() + b"\n"
+    got = decode(stream)
+    reference = ActionListDecoder(ack_every=1000, run_limit=50)
+    want = list(reference.feed(stream)) + list(reference.feed(b""))
+    assert [(kind, list(value) if kind == "run" else value) for kind, value in got] == want
 
 
 # -- the server ------------------------------------------------------------------
