@@ -213,7 +213,9 @@ class ActionBatch(Sequence):
                 previous"`` naming the first action out of order.
         """
         times = self.time
-        if times and times[0] > clock and all(map(lt, times, islice(times, 1, None))):
+        if times and times[0] > clock and (
+            len(times) == 1 or all(map(lt, times, islice(times, 1, None)))
+        ):
             return
         previous = clock
         for time in times:

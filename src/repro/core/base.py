@@ -175,7 +175,7 @@ class SIMAlgorithm(ABC):
         routes the records to :meth:`apply_resolved` on each shard.
         """
         batch = ActionBatch.of(batch)
-        if not batch:
+        if not batch.time:
             return ResolvedSlide.empty()
         batch.check_after(self.now, "window")
         return ResolvedSlide(

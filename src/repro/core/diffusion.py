@@ -216,13 +216,16 @@ class DiffusionForest:
     def _resolve_into(self, lib, batch: ActionBatch, room: int) -> Optional[dict]:
         """One ``resolve_slide`` call with ``room`` influencers per action;
         ``None``, the forest untouched, when that is too few."""
-        n = len(batch)
+        n = len(batch.time)
         dep, fan = _ZERO * n, _ZERO * n
         links = _ZERO * (n * room)
         if len(self._scratch) < 2 * n:
             self._scratch = _ZERO * (4 * n)
         ends = self._scratch.buffer_info()[0]
-        call = _ckernel.Resolve(
+        call = _ckernel.Resolve()
+        _ckernel.RESOLVE_INPUTS.pack_into(
+            call,
+            0,
             self._time.buffer_info()[0],
             self._depth.buffer_info()[0],
             self._bounds.buffer_info()[0],

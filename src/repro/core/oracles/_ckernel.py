@@ -31,6 +31,7 @@ import ctypes
 import hashlib
 import os
 import shutil
+import struct
 import subprocess
 import tempfile
 import warnings
@@ -41,6 +42,7 @@ __all__ = [
     "EventCtx",
     "Export",
     "Resolve",
+    "RESOLVE_INPUTS",
     "load",
     "unavailable_reason",
     "ENV_DISABLE",
@@ -116,6 +118,15 @@ class Resolve(ctypes.Structure):
         (name, ctypes.c_int64)
         for name in "room npairs truncated late bad".split()
     ]
+
+
+#: ``Resolve``'s input fields, ``time`` through ``room`` (all but the four
+#: outputs), as one struct format: a caller fills a fresh ``Resolve()``
+#: with one ``pack_into``, which costs half of passing them to the
+#: constructor.
+RESOLVE_INPUTS = struct.Struct(
+    "".join("P" if kind is ctypes.c_void_p else "q" for _, kind in Resolve._fields_[:-4])
+)
 
 
 def _build(source: Path, out: Path) -> None:

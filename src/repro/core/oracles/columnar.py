@@ -126,6 +126,7 @@ from __future__ import annotations
 
 import ctypes
 import math
+import struct
 import weakref
 from array import array
 from time import perf_counter
@@ -157,14 +158,13 @@ _COLUMN_ARRAYS = (
     "m best floor blow bhigh best_ns best_ids ival iguess ibar inseed iseed_ids"
 ).split()
 
-#: ``EventCtx`` pointer field -> the ``array('q')`` record column (``records_to_columns``'
-#: layout) ``process_slide`` reads through it.
-_SLIDE_COLUMNS = {
-    "rec_user": "user",
-    "rec_time": "time",
-    "rec_fan": "fanout",
-    "rec_infl": "influencers",
-}
+#: The record columns (``records_to_columns``' layout) ``process_slide``
+#: reads, in the order of ``EventCtx``'s adjacent pointers to them,
+#: ``rec_user`` to ``rec_infl``, which one ``pack_into`` at
+#: :data:`_SLIDE_OFFSET` sets.
+_SLIDE_COLUMNS = ("user", "time", "fanout", "influencers")
+_SLIDE_POINTERS = struct.Struct("4P")
+_SLIDE_OFFSET = _ckernel.EventCtx.rec_user.offset
 
 
 #: ``EventCtx`` pointer field -> the kernel attribute holding its array.
@@ -589,8 +589,11 @@ class ColumnarThresholdKernel:
     def _process_once(self, n: int, head: int, columns: dict) -> int:
         """``process_slide`` with the context pointing at ``columns``."""
         context = self._context()
-        for field, name in _SLIDE_COLUMNS.items():
-            setattr(self._ctx, field, columns[name].buffer_info()[0])
+        _SLIDE_POINTERS.pack_into(
+            self._ctx,
+            _SLIDE_OFFSET,
+            *[columns[name].buffer_info()[0] for name in _SLIDE_COLUMNS],
+        )
         nrec, npairs = len(columns["time"]), len(columns["influencers"])
         return self._cfast.process_slide(context, n, head, nrec, npairs)
 
